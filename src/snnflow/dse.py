@@ -24,9 +24,9 @@ from .mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution, SwarmConfig,
 from .partition import (ClusteredSnnGraph, build_clustered_graph,
                         communication_cost, init_partition, kl_refine)
 from .sdfg import (DEFAULT_STATE_BUDGET, Sdfg, ThroughputResult,
-                   buffer_quantum, check_deadlock, exact_time, execute,
-                   lift_to_sdfg, minimum_buffer_allocation,
-                   repetition_vector, set_buffer_allocation)
+                   buffer_quantum, check_deadlock, exact_time, lift_to_sdfg,
+                   minimum_buffer_allocation, repetition_vector,
+                   set_buffer_allocation)
 from .snn_graph import HardwareGraph, SnnGraph
 
 logger = logging.getLogger(__name__)
@@ -218,8 +218,7 @@ def pipeline_rate_bound(g: Sdfg, hw: HardwareGraph, exec_time_scale) -> float:
     stop as soon as this rate is reached.
     """
     q = repetition_vector(g)
-    scale = exact_time(exec_time_scale) if not isinstance(exec_time_scale, Fraction) \
-        else exec_time_scale
+    scale = exact_time(exec_time_scale)
     tau = min(exact_time(c.exec_time) for c in hw.cores) * scale
     total = sum(q[a.id] for a in g.actors)
     busiest = max(q[a.id] for a in g.actors)
@@ -262,10 +261,7 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
         else:
             sol = evaluate_mapping(bounded, hw, fixed_mapping,
                                    cfg.time_wheel_share, cfg.state_budget)
-        res = execute(bounded, schedules=sol.schedules, platform=hw,
-                      mapping=sol.mapping, exec_time_scale=scale,
-                      state_budget=cfg.state_budget)
-        return sol.throughput, res.block_counts, sol
+        return sol.throughput, sol.block_counts, sol
 
     try:
         out.sweep = sweep_buffers(

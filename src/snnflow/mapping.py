@@ -21,8 +21,7 @@ import numpy as np
 
 from .errors import DeadlockError, InfeasibleMappingError
 from .sdfg import (DEFAULT_STATE_BUDGET, ExecutionResult, Sdfg,
-                   ThroughputResult, exact_time, execute, repetition_vector,
-                   self_timed_throughput)
+                   ThroughputResult, exact_time, execute, repetition_vector)
 from .snn_graph import HardwareGraph
 
 logger = logging.getLogger(__name__)
@@ -70,11 +69,19 @@ class SwarmConfig:
 
 @dataclass(frozen=True)
 class MappingSolution:
-    """A feasible cluster-to-core assignment with its schedule and rate."""
+    """A feasible cluster-to-core assignment with its schedule and rate.
+
+    ``block_counts`` comes from the same run that gave ``throughput``:
+    per bounded channel, how often a lack of space on it held back an
+    otherwise ready firing.  The buffer sweep grows the worst channel.
+    It is analysis output rather than part of the design, so
+    :meth:`to_record` leaves it out.
+    """
 
     mapping: dict[str, str]
     schedules: dict[str, StaticOrderSchedule]
     throughput: ThroughputResult
+    block_counts: dict[int, int]
 
     def to_record(self) -> dict:
         return {
@@ -277,14 +284,19 @@ def _share_to_scale(share) -> object:
 def evaluate_mapping(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
                      time_wheel_share: float = DEFAULT_TIME_WHEEL_SHARE,
                      state_budget: int = DEFAULT_STATE_BUDGET) -> MappingSolution:
-    """Validate, schedule and rate one assignment."""
+    """Validate, schedule and rate one assignment.
+
+    The rating is one self-timed run under the built schedules; its
+    throughput and its per-channel block counts both go into the
+    returned solution, so a caller needs no second run for either.
+    """
     validate_mapping(g, hw, mapping)
     schedules = build_schedules(g, hw, mapping, time_wheel_share, state_budget)
-    tr = self_timed_throughput(
-        g, schedules=schedules, platform=hw, mapping=mapping,
-        exec_time_scale=_share_to_scale(time_wheel_share),
-        state_budget=state_budget)
-    return MappingSolution(dict(mapping), schedules, tr)
+    res = execute(g, schedules=schedules, platform=hw, mapping=mapping,
+                  exec_time_scale=_share_to_scale(time_wheel_share),
+                  state_budget=state_budget)
+    return MappingSolution(dict(mapping), schedules, res.to_throughput(),
+                           res.block_counts)
 
 
 @dataclass

@@ -369,13 +369,19 @@ def iterate_partitions(g: SnnGraph, crossbar_dim: int, eta: int,
                        delta_min: float = 0.0,
                        seed: int | None = None,
                        count_input_fanin: bool = True) -> list[ClusteredSnnGraph]:
-    """Run ``eta`` independent partition rounds (random init + descent)."""
+    """Run ``eta`` independent partition rounds (random init + descent).
+
+    Round ``r`` draws its initial partition from the first of two
+    streams spawned by ``SeedSequence(seed).spawn(eta)[r]``, as
+    :func:`snnflow.dse.run_design_flow` does, so a seed gives the same
+    clusterings here, in the design flow and in the CLI.
+    """
     if eta < 1:
         raise ValueError("eta must be >= 1")
     children = np.random.SeedSequence(seed).spawn(eta)
     out = []
     for r in range(eta):
-        rng = np.random.default_rng(children[r])
+        rng = np.random.default_rng(children[r].spawn(2)[0])
         p = init_partition(g, crossbar_dim, rng, count_input_fanin)
         p = kl_refine(g, p, delta_min)
         out.append(build_clustered_graph(g, p))

@@ -21,6 +21,7 @@ import math
 from collections import defaultdict, deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from heapq import heappop, heappush
 
 import yaml
@@ -123,6 +124,11 @@ class Sdfg:
                     f"channel {i} ({c.src!r} -> {c.dst!r}): capacity below "
                     f"initial tokens")
 
+    @cached_property
+    def _repetition(self) -> dict[str, int]:
+        # a raised error leaves nothing cached, so it is raised again
+        return _solve_balance(self)
+
 
 @dataclass(frozen=True)
 class ThroughputResult:
@@ -185,7 +191,16 @@ def repetition_vector(g: Sdfg) -> dict[str, int]:
     scaling to the least integer solution.  Raises
     :class:`InconsistentGraphError` naming a violating channel when only
     the zero solution exists.
+
+    The graph is validated and solved once, on the first call, and the
+    solution is kept on the (immutable) graph; every call returns a
+    fresh copy that the caller may change.  A graph that fails raises
+    on every call.
     """
+    return dict(g._repetition)
+
+
+def _solve_balance(g: Sdfg) -> dict[str, int]:
     g.validate()
     ids = g.actor_ids()
     adj: dict[str, list[tuple[str, Fraction, int]]] = defaultdict(list)
@@ -643,8 +658,7 @@ def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
     cores take the routed link latency.  Without a platform the actors'
     own execution times apply.
     """
-    scale = exact_time(exec_time_scale) if not isinstance(exec_time_scale, Fraction) \
-        else exec_time_scale
+    scale = exact_time(exec_time_scale)
     exec_times: dict[str, object] = {}
     latencies: dict[int, object] = {}
     core_of: dict[str, str] = {}

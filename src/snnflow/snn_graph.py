@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import yaml
 
@@ -174,12 +176,20 @@ class HardwareGraph:
                 raise GraphValidationError(
                     f"link ({l.src!r}, {l.dst!r}) has negative latency")
 
-    def routed_latencies(self) -> dict[tuple[str, str], float]:
+    def routed_latencies(self) -> MappingProxyType:
         """All-pairs routed latency: shortest path over the link graph.
 
         Pairs with no route are absent from the result; a mapping that
-        needs such a pair is infeasible.
+        needs such a pair is infeasible.  The routes are computed once
+        per platform, on the first call, and every call returns a
+        read-only view of that one table.
         """
+        return MappingProxyType(self._routes)
+
+    @cached_property
+    def _routes(self) -> dict[tuple[str, str], float]:
+        # a plain dict, not the read-only view: the platform is pickled
+        # for worker processes, and a mapping proxy cannot be
         ids = self.core_ids()
         dist: dict[tuple[str, str], float] = {(i, i): 0 for i in ids}
         for l in self.links:

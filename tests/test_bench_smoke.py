@@ -1,0 +1,31 @@
+"""Smoke test of the benchmark harness in ``bench/``.
+
+One single-round operation of an explore workload and of the front
+workload (on one frame of spike trains), built, run, checked and
+fingerprinted the way ``bench/run.py`` does it, so that the harness
+keeps working as the library changes.
+"""
+
+import dataclasses
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402  (needs bench/ on the path)
+
+
+@pytest.mark.parametrize("name, smaller", [
+    ("explore-mesh16", {"rounds": 1}),
+    ("front-l96", {"rounds": 1, "frames": 1}),
+], ids=["explore-mesh16", "front-l96"])
+def test_one_round_passes_checks_and_repeats(tmp_path, name, smaller):
+    wl = dataclasses.replace(workloads.WORKLOADS[name], **smaller)
+    paths, flow_seed = wl.write_inputs(1, 0, str(tmp_path))
+    inputs = workloads.load_inputs(paths)
+    first = wl.run(inputs, flow_seed)
+    assert wl.check(inputs, flow_seed, first) == []
+    again = wl.run(workloads.load_inputs(paths), flow_seed)
+    assert wl.fingerprint(again) == wl.fingerprint(first)

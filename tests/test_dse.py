@@ -10,6 +10,7 @@ from snnflow.dse import (DesignFlowConfig, DesignPoint, SweepConfig,
                          min_buffer_for_throughput, pareto_filter,
                          pipeline_rate_bound, run_design_flow, sweep_buffers)
 from snnflow.mapping import SwarmConfig
+from snnflow.partition import iterate_partitions
 from snnflow.sdfg import (Actor, Channel, Sdfg, execute, lift_to_sdfg,
                           self_timed_throughput)
 from snnflow.errors import InfeasibleMappingError
@@ -134,6 +135,16 @@ def small_flow_config(eta=3, seed=11, jobs=1, mode="nested") -> DesignFlowConfig
         swarm=SwarmConfig(particles=6, iterations=6),
         sweep=SweepConfig(plateau=2, mode=mode),
         seed=seed, jobs=jobs)
+
+
+def test_iterate_partitions_matches_the_flow_rounds():
+    g = layered_demo_snn()
+    cfg = small_flow_config(eta=4)
+    res = run_design_flow(g, two_core_platform(), cfg)
+    assert any(rr.error is None for rr in res.rounds)
+    assert iterate_partitions(g, cfg.crossbar_dim, cfg.eta, cfg.delta_min,
+                              seed=cfg.seed) == \
+        [rr.clustered for rr in res.rounds]
 
 
 def test_flow_single_cluster_single_point():

@@ -13,9 +13,10 @@ from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
                              build_schedules, decode_position,
                              evaluate_mapping, init_swarm, pso_step,
                              search_mapping, validate_mapping)
-from snnflow.sdfg import (Actor, Channel, Sdfg, lift_to_sdfg,
-                          minimum_buffer_allocation, repetition_vector,
-                          self_timed_throughput, set_buffer_allocation)
+from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, Sdfg, execute,
+                          lift_to_sdfg, minimum_buffer_allocation,
+                          repetition_vector, self_timed_throughput,
+                          set_buffer_allocation)
 from snnflow.snn_graph import Core, HardwareGraph, Link
 
 
@@ -170,6 +171,26 @@ def test_evaluate_mapping_returns_consistent_solution(hw2):
         pytest.approx(1, abs=1e-12)
     record = sol.to_record()
     assert set(record) == {"mapping", "throughput", "schedules"}
+
+
+def test_evaluate_mapping_block_counts_match_a_separate_run(hw2):
+    cases = [(demo_sdfg(buffer=38), hw2,
+              {"c0": "t0", "c1": "t1", "c2": "t1"}),
+             (demo_sdfg(buffer=19), hw2,
+              {"c0": "t0", "c1": "t0", "c2": "t1"}),
+             (pipeline_sdfg(3, tokens=2), all_to_all_platform(3),
+              {"c0": "t0", "c1": "t1", "c2": "t2"})]
+    blocked = 0
+    for g, hw, mapping in cases:
+        sol = evaluate_mapping(g, hw, mapping)
+        # the default time-wheel share of 1/2 doubles every firing time
+        ref = execute(g, schedules=sol.schedules, platform=hw,
+                      mapping=sol.mapping, exec_time_scale=2,
+                      state_budget=DEFAULT_STATE_BUDGET)
+        assert sol.block_counts == ref.block_counts
+        assert sol.throughput == ref.to_throughput()
+        blocked += any(ref.block_counts.values())
+    assert blocked
 
 
 # ------------------------------------------------------------------ pso

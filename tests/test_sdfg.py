@@ -1,5 +1,6 @@
 """Dataflow analysis: lifting, consistency, deadlock, throughput, buffers."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -89,14 +90,23 @@ def test_repetition_single_actor_self_loop():
 def test_repetition_chain_2_3():
     g = Sdfg((Actor("a", 1), Actor("b", 1)),
              (Channel("a", 2, "b", 3),))
+    q = repetition_vector(g)
+    assert q == {"a": 3, "b": 2}
+    # each call hands out its own copy of the vector kept on the graph
+    q["a"] = 7
+    del q["b"]
     assert repetition_vector(g) == {"a": 3, "b": 2}
+    # a copy with other rates is a new graph and is solved anew
+    assert repetition_vector(replace(g, channels=(Channel("a", 1, "b", 2),))) \
+        == {"a": 2, "b": 1}
 
 
 def test_repetition_inconsistent_cycle():
     g = Sdfg((Actor("a", 1), Actor("b", 1)),
              (Channel("a", 1, "b", 2), Channel("b", 1, "a", 2)))
-    with pytest.raises(InconsistentGraphError, match="channel"):
-        repetition_vector(g)
+    for _ in range(2):  # a failure is not cached away
+        with pytest.raises(InconsistentGraphError, match="channel"):
+            repetition_vector(g)
 
 
 def test_repetition_per_component():
@@ -175,6 +185,12 @@ def test_throughput_two_actor_cycle_period_five():
     assert tr.period == 5
     assert tr.throughput == pytest.approx(Fraction(1, 5))
     assert tr.period * tr.throughput == pytest.approx(1, abs=1e-12)
+
+
+def test_integral_fraction_scale_rates_like_the_int():
+    # equal down to the steady-state hash
+    assert self_timed_throughput(cycle2(), exec_time_scale=Fraction(2)) == \
+        self_timed_throughput(cycle2(), exec_time_scale=2)
 
 
 def test_throughput_matches_mcm_oracle_on_random_hsdf():

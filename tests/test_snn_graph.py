@@ -1,5 +1,7 @@
 """Graph model: loading, validation, round-trips and statistics."""
 
+import pickle
+
 import pytest
 
 from conftest import layered_demo_snn, random_snn
@@ -131,6 +133,25 @@ def test_routed_latency_multi_hop():
     routed = hw.routed_latencies()
     assert routed[("t0", "t2")] == 5  # via t1, cheaper than the direct link
     assert ("t2", "t0") not in routed
+
+
+def test_routed_latencies_are_read_only():
+    hw = HardwareGraph((Core("t0", 8), Core("t1", 8)), (Link("t0", "t1", 2),))
+    with pytest.raises(TypeError):
+        hw.routed_latencies()[("t1", "t0")] = 1
+    assert ("t1", "t0") not in hw.routed_latencies()
+
+
+def test_platform_with_cached_routes_survives_pickle():
+    hw = HardwareGraph(
+        (Core("t0", 8), Core("t1", 8), Core("t2", 8)),
+        (Link("t0", "t1", 2), Link("t1", "t2", 3), Link("t0", "t2", 10)))
+    routed = dict(hw.routed_latencies())
+    for _ in range(2):
+        copy = pickle.loads(pickle.dumps(hw))
+        assert copy == hw and hash(copy) == hash(hw)
+        assert dict(copy.routed_latencies()) == routed
+        hw = copy
 
 
 def test_stats_chain():
