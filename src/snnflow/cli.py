@@ -110,6 +110,11 @@ def _merged_config(args) -> RunConfig:
         if value is not None:
             overrides[name] = value
     cfg = replace(cfg, **overrides)
+    # checked here rather than in flow_config, so `partition` sees it too:
+    # a negative or NaN threshold would never stop the swap descent
+    if not isinstance(cfg.delta_min, (int, float)) or not cfg.delta_min >= 0:
+        raise ConfigError(
+            f"delta_min must be a number >= 0, got {cfg.delta_min!r}")
     if cfg.output_dir is None:
         cfg.output_dir = os.environ.get(OUTPUT_DIR_ENV, "snnflow-out")
     return cfg

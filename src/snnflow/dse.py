@@ -307,6 +307,8 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     """
     if cfg.eta < 1:
         raise ValueError("eta must be >= 1")
+    if not cfg.delta_min >= 0:
+        raise ValueError(f"delta_min must be >= 0, got {cfg.delta_min!r}")
     hw.validate()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.eta)
     jobs = max(1, cfg.jobs)

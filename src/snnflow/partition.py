@@ -6,6 +6,14 @@ and may draw from at most ``crossbar_dim`` distinct pre-synaptic sources
 (input sources count by default).  Starting from a seeded random
 assignment, pairwise swap descent reduces the number of spikes crossing
 cluster boundaries until a full sweep finds no strictly improving swap.
+
+The descent keeps Kernighan-Lin gain tables: per neuron, the spikes it
+exchanges with each cluster, so a swap's cost change is an O(1) formula
+rather than a re-sum over the synapses it touches; and per cluster, the
+synapse count of each pre-synaptic source, so the fan-in limit is
+checked by counting the sources a swap would leave and add, without
+applying it.  With integer spike counts the partitions are bit-identical
+to the plain pair-scan definition (see :func:`kl_refine`).
 """
 
 from __future__ import annotations
@@ -178,109 +186,127 @@ def communication_cost(g: SnnGraph, p: Partition) -> float:
                if s.src in a and s.dst in a and a[s.src] != a[s.dst])
 
 
-class _SwapState:
-    """Mutable partition state with O(degree) swap application/rollback."""
-
-    def __init__(self, g: SnnGraph, p: Partition):
-        self.assignment = dict(p.assignment)
-        self.crossbar_dim = p.crossbar_dim
-        self.count_input_fanin = p.count_input_fanin
-        self.cluster_count = p.cluster_count
-        self.fanin = _cluster_fanin_counts(g, p)
-        self.cost = communication_cost(g, p)
-        input_ids = set(g.input_ids())
-        self.in_edges: dict[str, list[Synapse]] = defaultdict(list)
-        self.out_edges: dict[str, list[Synapse]] = defaultdict(list)
-        self.fanin_edges: dict[str, list[str]] = defaultdict(list)
-        for s in g.synapses:
-            if s.dst in self.assignment:
-                self.in_edges[s.dst].append(s)
-                if not (s.src in input_ids and not self.count_input_fanin):
-                    self.fanin_edges[s.dst].append(s.src)
-            if s.src in self.assignment:
-                self.out_edges[s.src].append(s)
-
-    def swap_cost_delta(self, ni: str, nj: str) -> float:
-        a = self.assignment
-        moved = {ni: a[nj], nj: a[ni]}
-        delta = 0.0
-        seen: set[tuple[str, str]] = set()
-        for s in self.in_edges[ni] + self.out_edges[ni] \
-                + self.in_edges[nj] + self.out_edges[nj]:
-            key = (s.src, s.dst)
-            if key in seen or s.src not in a:
-                continue
-            seen.add(key)
-            before = a[s.src] != a[s.dst]
-            after = moved.get(s.src, a[s.src]) != moved.get(s.dst, a[s.dst])
-            delta += s.spikes * (int(after) - int(before))
-        return delta
-
-    def apply_swap(self, ni: str, nj: str) -> None:
-        ci, cj = self.assignment[ni], self.assignment[nj]
-        for src in self.fanin_edges[ni]:
-            self._retarget(src, ci, cj)
-        for src in self.fanin_edges[nj]:
-            self._retarget(src, cj, ci)
-        self.assignment[ni], self.assignment[nj] = cj, ci
-
-    def _retarget(self, src: str, from_c: int, to_c: int) -> None:
-        self.fanin[from_c][src] -= 1
-        if self.fanin[from_c][src] == 0:
-            del self.fanin[from_c][src]
-        self.fanin[to_c][src] += 1
-
-    def swap_valid(self, ni: str, nj: str) -> bool:
-        ci, cj = self.assignment[ni], self.assignment[nj]
-        ok = (len(self.fanin[ci]) <= self.crossbar_dim
-              and len(self.fanin[cj]) <= self.crossbar_dim)
-        return ok
-
-    def to_partition(self) -> Partition:
-        return Partition(dict(self.assignment), self.cluster_count,
-                         self.crossbar_dim, self.count_input_fanin)
-
-
 def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
               trace: list | None = None) -> Partition:
     """Pairwise swap descent on the inter-cluster spike count.
 
-    Scans all neuron pairs in a deterministic order; a swap is kept only
-    when both touched clusters stay within the crossbar limits and the
-    cost strictly decreases.  Sweeps repeat until the total improvement
-    of a sweep is at most ``delta_min``.  ``trace``, when given, collects
-    one record per sweep with its accepted swap deltas and end cost.
+    Scans all neuron pairs ``i < j`` in sorted-id order and keeps the
+    first swap found that strictly lowers the cost while both touched
+    clusters stay within the crossbar limits.  Sweeps repeat until the
+    total improvement of a sweep is at most ``delta_min``, which must be
+    a number >= 0 (a negative or NaN threshold could never be met).
+    ``trace``, when given, collects one record per sweep: ``sweep``,
+    ``delta`` (the sweep's improvement), ``cost`` (the cut after it) and
+    ``accepted``, the ``(ni, nj, gain)`` of each kept swap.
+
+    Neurons are numbered in sorted-id order and three tables are kept:
+
+    * ``conn[i][c]``, the spikes on neuron-to-neuron synapses between
+      neuron ``i`` and cluster ``c`` in both directions (self-loops left
+      out);
+    * ``w[i][j]``, the spikes between neurons ``i`` and ``j`` in both
+      directions;
+    * per cluster, the number of synapses each pre-synaptic source
+      sends into it, and the number of distinct sources.
+
+    The cost change of swapping ``i`` in cluster ``A`` with ``j`` in
+    ``B`` is then ``conn[i][A] - conn[i][B] + conn[j][B] - conn[j][A] +
+    2 w[i][j]``, the negated Kernighan-Lin gain, in O(1).  The fan-in check
+    counts the distinct sources ``A`` and ``B`` would have after the
+    swap in O(in-degree), without applying it; only an accepted swap
+    updates the fan-in counts and the ``conn`` rows of the two neurons'
+    neighbours, in O(degree).
+
+    The result and the trace are bit-identical to evaluating every swap
+    by re-summing the spikes of the touched synapses whenever spike
+    counts are integers, as :func:`snnflow.lif.estimate_rates` produces.
+    For arbitrary non-integral counts the gain is summed in another
+    order and may differ from that definition in the last bit.
     """
+    if not delta_min >= 0:
+        raise ValueError(f"delta_min must be >= 0, got {delta_min!r}")
     p.validate(g)
-    state = _SwapState(g, p)
     neurons = sorted(p.assignment)
+    index = {nid: i for i, nid in enumerate(neurons)}
+    n = len(neurons)
+    for src in g.input_ids():  # inputs are numbered after the neurons
+        index.setdefault(src, len(index))
+    a = [p.assignment[nid] for nid in neurons]
+
+    w: list[dict[int, float]] = [{} for _ in range(n)]
+    sources: list[set[int]] = [set() for _ in range(n)]
+    for s in g.synapses:
+        i, j = index[s.src], index[s.dst]
+        if i < n and i != j:
+            w[i][j] = w[i].get(j, 0.0) + s.spikes
+            w[j][i] = w[j].get(i, 0.0) + s.spikes
+        if i < n or p.count_input_fanin:
+            sources[j].add(i)
+    conn = [[0.0] * p.cluster_count for _ in range(n)]
+    for i in range(n):
+        for j, spikes in w[i].items():
+            conn[i][a[j]] += spikes
+    fan = [[0] * len(index) for _ in range(p.cluster_count)]
+    for j in range(n):
+        for src in sources[j]:
+            fan[a[j]][src] += 1
+    distinct = [len(f) - f.count(0) for f in fan]
+
+    def fits(c: int, lose: set[int], gain: set[int]) -> bool:
+        # distinct sources of cluster c once a neuron fed by `lose`
+        # leaves it and one fed by `gain` joins it
+        f = fan[c]
+        count = distinct[c]
+        for src in gain:
+            count += f[src] == 0
+        for src in lose:
+            count -= f[src] == 1 and src not in gain
+        return count <= p.crossbar_dim
+
+    def move(x: int, old: int, new: int) -> None:
+        a[x] = new
+        for y, spikes in w[x].items():
+            conn[y][old] -= spikes
+            conn[y][new] += spikes
+        f_old, f_new = fan[old], fan[new]
+        for src in sources[x]:
+            f_old[src] -= 1
+            if f_old[src] == 0:
+                distinct[old] -= 1
+            f_new[src] += 1
+            if f_new[src] == 1:
+                distinct[new] += 1
+
+    cost = communication_cost(g, p)
     sweep = 0
     while True:
         sweep_delta = 0.0
         accepted: list[tuple[str, str, float]] = []
-        for ii in range(len(neurons)):
-            ni = neurons[ii]
-            for nj in neurons[ii + 1:]:
-                if state.assignment[ni] == state.assignment[nj]:
+        for i in range(n):
+            conn_i, w_i = conn[i], w[i]
+            for j in range(i + 1, n):
+                ca, cb = a[i], a[j]
+                if ca == cb:
                     continue
-                delta = state.swap_cost_delta(ni, nj)
-                if delta >= 0:
+                conn_j = conn[j]
+                delta = (conn_i[ca] - conn_i[cb] + conn_j[cb] - conn_j[ca]
+                         + 2 * w_i.get(j, 0.0))
+                if delta >= 0 or not (fits(ca, sources[i], sources[j])
+                                      and fits(cb, sources[j], sources[i])):
                     continue
-                state.apply_swap(ni, nj)
-                if state.swap_valid(ni, nj):
-                    state.cost += delta
-                    sweep_delta += -delta
-                    accepted.append((ni, nj, -delta))
-                else:
-                    state.apply_swap(ni, nj)  # swap is its own inverse
+                move(i, ca, cb)
+                move(j, cb, ca)
+                cost += delta
+                sweep_delta += -delta
+                accepted.append((neurons[i], neurons[j], -delta))
         sweep += 1
         if trace is not None:
             trace.append({"sweep": sweep, "delta": sweep_delta,
-                          "cost": state.cost,
-                          "accepted": accepted})
+                          "cost": cost, "accepted": accepted})
         if sweep_delta <= delta_min:
             break
-    return state.to_partition()
+    return Partition({nid: a[index[nid]] for nid in p.assignment},
+                     p.cluster_count, p.crossbar_dim, p.count_input_fanin)
 
 
 @dataclass(frozen=True)

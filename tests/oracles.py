@@ -5,7 +5,8 @@ test: diameter by Floyd-Warshall instead of per-node BFS, throughput by
 exhaustive cycle enumeration or by a second simulator built on explicit
 credit channels with the opposite tie-breaking, repetition vectors by
 Gaussian elimination over exact rationals, Pareto fronts by the direct
-O(n^2) dominance scan.
+O(n^2) dominance scan, swap descent by re-summing the synapses each
+candidate swap touches instead of keeping gain tables.
 """
 
 from __future__ import annotations
@@ -13,9 +14,14 @@ from __future__ import annotations
 import bisect
 from fractions import Fraction
 
+from collections import defaultdict
+
 import networkx as nx
 
+from snnflow.partition import (Partition, _cluster_fanin_counts,
+                               communication_cost)
 from snnflow.sdfg import Sdfg
+from snnflow.snn_graph import SnnGraph, Synapse
 
 
 # ------------------------------------------------------------ graph stats
@@ -349,3 +355,113 @@ def exhaustive_min_cost(g, crossbar_dim: int, max_clusters: int):
         if best is None or cost < best:
             best = cost
     return best
+
+
+# The pair-scan definition of swap descent that ``kl_refine`` implements
+# with gain tables: every swap's cost change is re-summed over the
+# synapses it touches, and every improving swap is applied, checked
+# against the fan-in limit and rolled back if it breaks it.
+
+class _SwapState:
+    """Mutable partition state with O(degree) swap application/rollback."""
+
+    def __init__(self, g: SnnGraph, p: Partition):
+        self.assignment = dict(p.assignment)
+        self.crossbar_dim = p.crossbar_dim
+        self.count_input_fanin = p.count_input_fanin
+        self.cluster_count = p.cluster_count
+        self.fanin = _cluster_fanin_counts(g, p)
+        self.cost = communication_cost(g, p)
+        input_ids = set(g.input_ids())
+        self.in_edges: dict[str, list[Synapse]] = defaultdict(list)
+        self.out_edges: dict[str, list[Synapse]] = defaultdict(list)
+        self.fanin_edges: dict[str, list[str]] = defaultdict(list)
+        for s in g.synapses:
+            if s.dst in self.assignment:
+                self.in_edges[s.dst].append(s)
+                if not (s.src in input_ids and not self.count_input_fanin):
+                    self.fanin_edges[s.dst].append(s.src)
+            if s.src in self.assignment:
+                self.out_edges[s.src].append(s)
+
+    def swap_cost_delta(self, ni: str, nj: str) -> float:
+        a = self.assignment
+        moved = {ni: a[nj], nj: a[ni]}
+        delta = 0.0
+        seen: set[tuple[str, str]] = set()
+        for s in self.in_edges[ni] + self.out_edges[ni] \
+                + self.in_edges[nj] + self.out_edges[nj]:
+            key = (s.src, s.dst)
+            if key in seen or s.src not in a:
+                continue
+            seen.add(key)
+            before = a[s.src] != a[s.dst]
+            after = moved.get(s.src, a[s.src]) != moved.get(s.dst, a[s.dst])
+            delta += s.spikes * (int(after) - int(before))
+        return delta
+
+    def apply_swap(self, ni: str, nj: str) -> None:
+        ci, cj = self.assignment[ni], self.assignment[nj]
+        for src in self.fanin_edges[ni]:
+            self._retarget(src, ci, cj)
+        for src in self.fanin_edges[nj]:
+            self._retarget(src, cj, ci)
+        self.assignment[ni], self.assignment[nj] = cj, ci
+
+    def _retarget(self, src: str, from_c: int, to_c: int) -> None:
+        self.fanin[from_c][src] -= 1
+        if self.fanin[from_c][src] == 0:
+            del self.fanin[from_c][src]
+        self.fanin[to_c][src] += 1
+
+    def swap_valid(self, ni: str, nj: str) -> bool:
+        ci, cj = self.assignment[ni], self.assignment[nj]
+        ok = (len(self.fanin[ci]) <= self.crossbar_dim
+              and len(self.fanin[cj]) <= self.crossbar_dim)
+        return ok
+
+    def to_partition(self) -> Partition:
+        return Partition(dict(self.assignment), self.cluster_count,
+                         self.crossbar_dim, self.count_input_fanin)
+
+
+def reference_kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
+                        trace: list | None = None) -> Partition:
+    """Pairwise swap descent on the inter-cluster spike count.
+
+    Scans all neuron pairs in a deterministic order; a swap is kept only
+    when both touched clusters stay within the crossbar limits and the
+    cost strictly decreases.  Sweeps repeat until the total improvement
+    of a sweep is at most ``delta_min``.  ``trace``, when given, collects
+    one record per sweep with its accepted swap deltas and end cost.
+    """
+    p.validate(g)
+    state = _SwapState(g, p)
+    neurons = sorted(p.assignment)
+    sweep = 0
+    while True:
+        sweep_delta = 0.0
+        accepted: list[tuple[str, str, float]] = []
+        for ii in range(len(neurons)):
+            ni = neurons[ii]
+            for nj in neurons[ii + 1:]:
+                if state.assignment[ni] == state.assignment[nj]:
+                    continue
+                delta = state.swap_cost_delta(ni, nj)
+                if delta >= 0:
+                    continue
+                state.apply_swap(ni, nj)
+                if state.swap_valid(ni, nj):
+                    state.cost += delta
+                    sweep_delta += -delta
+                    accepted.append((ni, nj, -delta))
+                else:
+                    state.apply_swap(ni, nj)  # swap is its own inverse
+        sweep += 1
+        if trace is not None:
+            trace.append({"sweep": sweep, "delta": sweep_delta,
+                          "cost": state.cost,
+                          "accepted": accepted})
+        if sweep_delta <= delta_min:
+            break
+    return state.to_partition()

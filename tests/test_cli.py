@@ -237,3 +237,27 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("format: run-config/1\nbogus: 1\n")
     assert main(["explore", "--config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command", ["partition", "explore"])
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_bad_delta_min_flag_exits_2(files, tmp_path, capsys, command, value):
+    # a negative or NaN threshold would never stop the swap descent
+    code = main([command, "--snn", files["snn"], "--hardware", files["hw"],
+                 "--crossbar-dim", "4", "--delta-min", value,
+                 "-o", str(tmp_path / "out")])
+    assert code == 2
+    assert "delta_min" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "explore"])
+@pytest.mark.parametrize("value", [-0.5, float("nan"), "big"])
+def test_bad_delta_min_config_exits_2(files, tmp_path, capsys, command, value):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "format": "run-config/1", "snn": files["snn"],
+        "hardware": files["hw"], "crossbar_dim": 4, "delta_min": value}))
+    assert main([command, "--config", str(cfg),
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "delta_min" in capsys.readouterr().err

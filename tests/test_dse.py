@@ -208,6 +208,13 @@ def test_flow_reuse_mode_runs():
     assert got == sorted(got)
 
 
+@pytest.mark.parametrize("delta_min", [-1.0, float("nan")])
+def test_flow_rejects_negative_or_nan_delta_min(delta_min):
+    cfg = DesignFlowConfig(crossbar_dim=4, delta_min=delta_min, seed=0)
+    with pytest.raises(ValueError, match="delta_min"):
+        run_design_flow(layered_demo_snn(), two_core_platform(), cfg)
+
+
 def test_flow_all_rounds_infeasible_reports():
     g = layered_demo_snn()
     hw = all_to_all_platform(1, dim=2)  # cannot even host one cluster

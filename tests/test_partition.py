@@ -1,9 +1,13 @@
 """Partitioning: random init, swap descent, clustered-graph construction."""
 
+from dataclasses import replace
+
 import pytest
 
-from conftest import demo_clustered, demo_partition, feasible_dim, random_snn
-from oracles import copy_partition, exhaustive_min_cost, improving_swap
+from conftest import (demo_clustered, demo_partition, feasible_dim,
+                      layered_snn, random_snn)
+from oracles import (copy_partition, exhaustive_min_cost, improving_swap,
+                     reference_kl_refine)
 
 from snnflow.errors import GraphValidationError, InfeasiblePartitionError
 from snnflow.partition import (Partition, build_clustered_graph,
@@ -139,6 +143,102 @@ def test_kl_cost_never_increases_many_seeds():
         before = communication_cost(g, p0)
         after = communication_cost(g, kl_refine(g, p0))
         assert after <= before
+
+
+def _refine_cases():
+    # (graph, crossbar dim, init seed) covering random and layered nets
+    for seed in range(24):
+        g = random_snn(seed, n_neurons=10 + seed % 9, edge_prob=0.35)
+        yield g, feasible_dim(g, floor=4), seed
+    for layers in ([4, 4, 4], [8, 8, 8]):
+        for seed in range(4):
+            g = layered_snn(seed, layers)
+            yield g, feasible_dim(g, floor=4), seed
+
+
+def _assert_matches_reference(g, p, delta_min):
+    got_trace, want_trace = [], []
+    got = kl_refine(g, p, delta_min, trace=got_trace)
+    want = reference_kl_refine(g, p, delta_min, trace=want_trace)
+    assert got == want
+    assert got_trace == want_trace
+    return got, got_trace
+
+
+@pytest.mark.parametrize("count_input_fanin", [True, False])
+@pytest.mark.parametrize("delta_min", [0.0, 6.0])
+def test_kl_matches_pair_scan_reference(delta_min, count_input_fanin):
+    accepted = 0
+    for g, dim, seed in _refine_cases():
+        p = init_partition(g, dim, seed, count_input_fanin)
+        _, trace = _assert_matches_reference(g, p, delta_min)
+        accepted += sum(len(rec["accepted"]) for rec in trace)
+    assert accepted > 0
+
+
+def test_kl_matches_reference_on_dyadic_spike_counts():
+    # quarters and halves add exactly in any order, so the gain table
+    # and the reference's per-synapse sums must agree bit for bit
+    fractions = (0.25, 2.5, 0.5, 1.75, 3.25)
+    for seed in range(10):
+        g = random_snn(seed, n_neurons=14, edge_prob=0.4)
+        g = replace(g, synapses=tuple(
+            replace(s, spikes=s.spikes + fractions[k % len(fractions)])
+            for k, s in enumerate(g.synapses)))
+        p = init_partition(g, feasible_dim(g, floor=4), seed)
+        got, trace = _assert_matches_reference(g, p, 0.0)
+        assert trace[-1]["cost"] == communication_cost(g, got)
+
+
+@pytest.mark.parametrize("delta_min", [-1.0, float("nan")])
+def test_kl_rejects_negative_or_nan_delta_min(demo_snn, delta_min):
+    with pytest.raises(ValueError, match="delta_min"):
+        kl_refine(demo_snn, demo_partition(), delta_min=delta_min)
+
+
+def test_kl_last_trace_cost_is_the_cut_of_the_result():
+    for g, dim, seed in _refine_cases():
+        trace = []
+        refined = kl_refine(g, init_partition(g, dim, seed), trace=trace)
+        assert trace[-1]["cost"] == communication_cost(g, refined)
+
+
+def test_kl_delta_min_stops_after_first_small_sweep():
+    stopped_early = 0
+    for g, dim, seed in _refine_cases():
+        p = init_partition(g, dim, seed)
+        full = []
+        kl_refine(g, p, 0.0, trace=full)
+        if len(full) < 3:
+            continue
+        delta_min = full[1]["delta"]
+        trace = []
+        refined = kl_refine(g, p, delta_min, trace=trace)
+        stop = next(k for k, rec in enumerate(full)
+                    if rec["delta"] <= delta_min)
+        assert trace == full[:stop + 1]
+        assert communication_cost(g, refined) == trace[-1]["cost"]
+        stopped_early += stop + 1 < len(full)
+    assert stopped_early > 0
+
+
+def test_kl_without_input_fanin_takes_swaps_inputs_would_block():
+    # a -> b carries the only cut; moving b next to a would give that
+    # cluster sources {ia, a, ib}: three with inputs counted, one without
+    g = SnnGraph(
+        tuple(Neuron.make(x) for x in ("a", "b", "c", "d")),
+        (InputSource("ia", 1), InputSource("ib", 1)),
+        (Synapse("ia", "a", 1.0, 1), Synapse("ib", "b", 1.0, 1),
+         Synapse("a", "b", 1.0, 10)))
+    assignment = {"a": 0, "c": 0, "b": 1, "d": 1}
+    counted = Partition(assignment, 2, crossbar_dim=2)
+    free = Partition(assignment, 2, crossbar_dim=2, count_input_fanin=False)
+    assert kl_refine(g, counted).assignment == assignment
+    refined, _ = _assert_matches_reference(g, free, 0.0)
+    refined.validate(g)
+    assert communication_cost(g, refined) == 0
+    with pytest.raises(GraphValidationError, match="distinct sources"):
+        replace(refined, count_input_fanin=True).validate(g)
 
 
 def test_build_single_cluster(demo_snn):
