@@ -16,7 +16,8 @@ from .lif import (LifParams, SpikeTrain, constant_current_isi, estimate_rates,
 from .partition import (Cluster, ClusterEdge, ClusteredSnnGraph, Partition,
                         build_clustered_graph, communication_cost,
                         init_partition, iterate_partitions, kl_refine,
-                        load_clustered_graph, save_clustered_graph)
+                        load_clustered_graph, partition_round, round_seeds,
+                        save_clustered_graph)
 from .sdfg import (Actor, Channel, DeadlockReport, Sdfg, ThroughputResult,
                    check_deadlock, lift_to_sdfg, load_sdfg,
                    minimum_buffer_allocation, repetition_vector, save_sdfg,

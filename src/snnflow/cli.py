@@ -59,13 +59,7 @@ class RunConfig:
 
     @staticmethod
     def load(path: str) -> "RunConfig":
-        with open(path, "r", encoding="utf-8") as fh:
-            try:
-                doc = yaml.safe_load(fh)
-            except yaml.YAMLError as exc:
-                raise ConfigError(f"{path}: not valid YAML: {exc}") from exc
-        if not isinstance(doc, dict) or doc.get("format") != CONFIG_FORMAT:
-            raise ConfigError(f"{path}: expected a {CONFIG_FORMAT!r} document")
+        doc = snn_graph._load_yaml(path, CONFIG_FORMAT)
         known = {f.name for f in fields(RunConfig)}
         unknown = set(doc) - known - {"format"}
         if unknown:
@@ -85,10 +79,6 @@ class RunConfig:
             raise ConfigError(f"bad sweep settings: {exc}") from exc
 
     def flow_config(self) -> dse.DesignFlowConfig:
-        if self.crossbar_dim < 1:
-            raise ConfigError("crossbar_dim must be >= 1")
-        if self.eta < 1:
-            raise ConfigError("eta must be >= 1")
         jobs = self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
         return dse.DesignFlowConfig(
             crossbar_dim=self.crossbar_dim, eta=self.eta,
@@ -110,11 +100,15 @@ def _merged_config(args) -> RunConfig:
         if value is not None:
             overrides[name] = value
     cfg = replace(cfg, **overrides)
-    # checked here rather than in flow_config, so `partition` sees it too:
-    # a negative or NaN threshold would never stop the swap descent
+    # checked here rather than in flow_config, so every command sees them;
+    # a negative or NaN delta_min would never stop the swap descent
     if not isinstance(cfg.delta_min, (int, float)) or not cfg.delta_min >= 0:
         raise ConfigError(
             f"delta_min must be a number >= 0, got {cfg.delta_min!r}")
+    for name in ("eta", "crossbar_dim"):
+        value = getattr(cfg, name)
+        if not isinstance(value, int) or value < 1:
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     if cfg.output_dir is None:
         cfg.output_dir = os.environ.get(OUTPUT_DIR_ENV, "snnflow-out")
     return cfg
@@ -166,15 +160,12 @@ def cmd_partition(args) -> int:
     _require(cfg, "snn")
     g = snn_graph.load_snn_graph(cfg.snn)
     os.makedirs(cfg.output_dir, exist_ok=True)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.eta)
     log_rows = []
-    for r in range(cfg.eta):
-        rng = np.random.default_rng(children[r].spawn(2)[0])
-        p = partition.init_partition(g, cfg.crossbar_dim, rng,
-                                     cfg.count_input_fanin)
-        initial = partition.communication_cost(g, p)
+    for r, (kl_seed, _) in enumerate(partition.round_seeds(cfg.seed, cfg.eta)):
         trace: list[dict] = []
-        p = partition.kl_refine(g, p, cfg.delta_min, trace=trace)
+        p, initial = partition.partition_round(
+            g, cfg.crossbar_dim, kl_seed, cfg.delta_min,
+            cfg.count_input_fanin, trace=trace)
         log_rows.append((r, 0, 0.0, initial))
         for rec in trace:
             log_rows.append((r, rec["sweep"], rec["delta"], rec["cost"]))
@@ -263,9 +254,7 @@ def _write_explore_outputs(cfg: RunConfig, result: "dse.DesignFlowResult",
                 "config": {k: v for k, v in asdict(cfg).items()},
                 "round_seeds": [f"spawn({cfg.seed})[{r}]"
                                 for r in range(cfg.eta)]}
-    with open(os.path.join(out_dir, "manifest.yaml"), "w",
-              encoding="utf-8") as fh:
-        yaml.safe_dump(manifest, fh, sort_keys=False)
+    snn_graph._dump_yaml(manifest, os.path.join(out_dir, "manifest.yaml"))
 
     with open(os.path.join(out_dir, "pareto.csv"), "w", newline="",
               encoding="utf-8") as fh:
@@ -294,10 +283,8 @@ def _write_explore_outputs(cfg: RunConfig, result: "dse.DesignFlowResult",
         }
         if p.solution is not None:
             record["solution"] = p.solution.to_record()
-        path = os.path.join(points_dir,
-                            f"point_{p.round_index}_{p.step_index}.yaml")
-        with open(path, "w", encoding="utf-8") as fh:
-            yaml.safe_dump(record, fh, sort_keys=False)
+        snn_graph._dump_yaml(record, os.path.join(
+            points_dir, f"point_{p.round_index}_{p.step_index}.yaml"))
 
     for rr in result.rounds:
         if rr.clustered is not None:

@@ -22,7 +22,7 @@ from .mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution, SwarmConfig,
                       _share_to_scale, build_schedules, evaluate_mapping,
                       search_mapping)
 from .partition import (ClusteredSnnGraph, build_clustered_graph,
-                        communication_cost, init_partition, kl_refine)
+                        communication_cost, partition_round, round_seeds)
 from .sdfg import (DEFAULT_STATE_BUDGET, Sdfg, ThroughputResult,
                    buffer_quantum, check_deadlock, exact_time, lift_to_sdfg,
                    minimum_buffer_allocation, repetition_vector,
@@ -205,7 +205,6 @@ class RoundResult:
 class DesignFlowResult:
     front: ParetoFront
     rounds: list[RoundResult]
-    incremental_front: ParetoFront
     points: list[DesignPoint]
 
 
@@ -227,12 +226,13 @@ def pipeline_rate_bound(g: Sdfg, hw: HardwareGraph, exec_time_scale) -> float:
 
 
 def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
-               round_index: int, seed_seq: np.random.SeedSequence) -> RoundResult:
+               round_index: int,
+               seeds: tuple[np.random.SeedSequence, np.random.SeedSequence]
+               ) -> RoundResult:
     out = RoundResult(round_index)
-    kl_seed, pso_parent = seed_seq.spawn(2)
-    rng = np.random.default_rng(kl_seed)
-    p = init_partition(g, cfg.crossbar_dim, rng, cfg.count_input_fanin)
-    p = kl_refine(g, p, cfg.delta_min)
+    kl_seed, pso_parent = seeds
+    p, _ = partition_round(g, cfg.crossbar_dim, kl_seed, cfg.delta_min,
+                           cfg.count_input_fanin)
     out.cut_cost = communication_cost(g, p)
     cg = build_clustered_graph(g, p)
     out.clustered = cg
@@ -298,53 +298,40 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
                     cfg: DesignFlowConfig) -> DesignFlowResult:
     """Full exploration: eta partition rounds x buffer sweep x mapping search.
 
-    Rounds are independent and reproducible: a master seed spawns one
-    child seed stream per round, so identical configurations give
+    Rounds are independent and reproducible: :func:`round_seeds` gives
+    each round its own seed streams, so identical configurations give
     identical fronts regardless of the parallelism degree.  Rounds that
     fail analysis (deadlocked clusterings, infeasible mappings) are
     recorded and skipped; if every round fails, the first error kind is
-    raised.  A budget overrun raises with the partial result attached.
+    raised.  When round ``k`` is the first to exceed the state budget,
+    :class:`BudgetExceededError` is raised with a partial result
+    attached: rounds ``0..k``, their design points, and the Pareto front
+    of those points.
     """
-    if cfg.eta < 1:
-        raise ValueError("eta must be >= 1")
+    seeds = round_seeds(cfg.seed, cfg.eta)
     if not cfg.delta_min >= 0:
         raise ValueError(f"delta_min must be >= 0, got {cfg.delta_min!r}")
     hw.validate()
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.eta)
     jobs = max(1, cfg.jobs)
     if jobs == 1 or cfg.eta == 1:
-        rounds = [_run_round(g, hw, cfg, r, children[r])
-                  for r in range(cfg.eta)]
+        rounds = [_run_round(g, hw, cfg, r, seeds[r]) for r in range(cfg.eta)]
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.eta)) as pool:
-            futures = [pool.submit(_run_round, g, hw, cfg, r, children[r])
+            futures = [pool.submit(_run_round, g, hw, cfg, r, seeds[r])
                        for r in range(cfg.eta)]
             rounds = [f.result() for f in futures]
 
-    # incremental per-round filtering (streaming view); kept points always
-    # precede newer ones so tie-breaking matches the one-shot filter
-    incremental_points: list[DesignPoint] = []
-    consumed = 0
-    all_points = _points_from_rounds(rounds)
-    for rr in rounds:
-        fresh = [p for p in all_points[consumed:]
-                 if p.round_index == rr.round_index]
-        consumed += len(fresh)
-        incremental_points = list(
-            pareto_filter(incremental_points + fresh).points)
-        if rr.error_kind == "budget":
-            partial = DesignFlowResult(
-                front=ParetoFront(tuple(incremental_points)),
-                rounds=rounds[:rr.round_index + 1],
-                incremental_front=ParetoFront(tuple(incremental_points)),
-                points=all_points[:consumed])
-            raise BudgetExceededError(rr.error, partial=partial)
-
-    if not all_points:
+    over_budget = next((rr for rr in rounds if rr.error_kind == "budget"),
+                       None)
+    if over_budget is not None:
+        rounds = rounds[:over_budget.round_index + 1]
+    points = _points_from_rounds(rounds)
+    result = DesignFlowResult(front=pareto_filter(points), rounds=rounds,
+                              points=points)
+    if over_budget is not None:
+        raise BudgetExceededError(over_budget.error, partial=result)
+    if not points:
         errors = [rr.error or "no design points" for rr in rounds]
         raise InfeasibleMappingError(
             "all rounds infeasible: " + "; ".join(errors))
-    front = pareto_filter(all_points)
-    return DesignFlowResult(front=front, rounds=rounds,
-                            incremental_front=ParetoFront(tuple(incremental_points)),
-                            points=all_points)
+    return result

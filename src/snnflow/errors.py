@@ -11,7 +11,11 @@ class SnnflowError(Exception):
 
 
 class GraphFormatError(SnnflowError):
-    """A graph file could not be parsed against its documented schema."""
+    """An input file could not be parsed against its documented schema.
+
+    Covers every file the toolchain reads: graphs, spike trains and run
+    configs.  Unknown keys in a run config are a :class:`ConfigError`.
+    """
 
 
 class GraphValidationError(SnnflowError):

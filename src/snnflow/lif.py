@@ -13,10 +13,8 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, replace
 
-import yaml
-
 from .errors import ConfigError, GraphFormatError
-from .snn_graph import SnnGraph
+from .snn_graph import SnnGraph, _dump_yaml, _load_yaml
 
 TRAINS_FORMAT = "spike-trains/1"
 
@@ -203,14 +201,7 @@ def constant_current_isi(params: LifParams, current: float) -> float:
 
 def load_spike_trains(path: str) -> list[dict[str, SpikeTrain]]:
     """Read a spike-train file: one train per input per frame."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
-    except yaml.YAMLError as exc:
-        raise GraphFormatError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("format") != TRAINS_FORMAT:
-        raise GraphFormatError(
-            f"{path}: expected a {TRAINS_FORMAT!r} document")
+    doc = _load_yaml(path, TRAINS_FORMAT)
     frame_length = doc.get("frame_length")
     if not isinstance(frame_length, (int, float)) or frame_length <= 0:
         raise GraphFormatError(f"{path}: frame_length must be positive")
@@ -234,5 +225,4 @@ def save_spike_trains(frames: list[dict[str, SpikeTrain]], path: str) -> None:
         "frames": [{iid: list(tr.times) for iid, tr in sorted(fr.items())}
                    for fr in frames],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+    _dump_yaml(doc, path)

@@ -5,8 +5,7 @@ grid.  Positions decode to assignments by per-cluster argmax followed by
 a greedy capacity repair; each feasible assignment is scored by the
 throughput of the mapped, scheduled dataflow graph.  Position and
 velocity updates follow the plain attraction rule toward personal and
-global bests (no inertia term, no random coefficients) unless the
-optional knobs are switched on.
+global bests, with no inertia term and no random coefficients.
 """
 
 from __future__ import annotations
@@ -56,8 +55,6 @@ class SwarmConfig:
     phi1: float = 1.5
     phi2: float = 1.5
     v_max: float = 0.5
-    inertia: float | None = None    # optional inertia weight, off by default
-    stochastic: bool = False        # canonical random coefficients, off by default
     seed: int | None = None
 
     def __post_init__(self):
@@ -310,7 +307,6 @@ class Swarm:
     gbest_position: np.ndarray | None = None
     gbest_period: float = math.inf
     gbest_solution: MappingSolution | None = None
-    rng: np.random.Generator | None = None
     history: list[float] = field(default_factory=list)
 
 
@@ -320,8 +316,7 @@ def init_swarm(cfg: SwarmConfig, dims: int,
     velocities = rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.particles, dims))
     return Swarm(positions=positions, velocities=velocities,
                  best_positions=positions.copy(),
-                 best_periods=np.full(cfg.particles, math.inf),
-                 rng=rng)
+                 best_periods=np.full(cfg.particles, math.inf))
 
 
 def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
@@ -332,16 +327,10 @@ def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
     swarm only evaluates the initial positions.
     """
     if swarm.gbest_position is not None:
-        w = 1.0 if cfg.inertia is None else cfg.inertia
-        if cfg.stochastic:
-            r1 = swarm.rng.uniform(size=swarm.positions.shape)
-            r2 = swarm.rng.uniform(size=swarm.positions.shape)
-        else:
-            r1 = r2 = 1.0
         swarm.velocities = (
-            w * swarm.velocities
-            + cfg.phi1 * r1 * (swarm.best_positions - swarm.positions)
-            + cfg.phi2 * r2 * (swarm.gbest_position - swarm.positions))
+            swarm.velocities
+            + cfg.phi1 * (swarm.best_positions - swarm.positions)
+            + cfg.phi2 * (swarm.gbest_position - swarm.positions))
         np.clip(swarm.velocities, -cfg.v_max, cfg.v_max, out=swarm.velocities)
         swarm.positions = swarm.positions + swarm.velocities
         np.clip(swarm.positions, 0.0, 1.0, out=swarm.positions)
@@ -376,7 +365,6 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     dims = len(g.actors) * len(hw.cores)
     swarm = init_swarm(cfg, dims, rng)
     cache: dict[tuple, tuple[float, MappingSolution | None]] = {}
-    best_by_key: dict[tuple, MappingSolution] = {}
 
     def fitness(theta: np.ndarray) -> float:
         try:
@@ -394,7 +382,6 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
                 cache[key] = (math.inf, None)
         period, sol = cache[key]
         if sol is not None:
-            best_by_key[key] = sol
             if swarm.gbest_solution is None \
                     or period < swarm.gbest_solution.throughput.period:
                 swarm.gbest_solution = sol

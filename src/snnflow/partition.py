@@ -23,11 +23,10 @@ from collections import defaultdict
 from dataclasses import dataclass
 
 import numpy as np
-import yaml
 
 from .errors import (GraphFormatError, GraphValidationError,
                      InfeasiblePartitionError)
-from .snn_graph import SnnGraph, Synapse
+from .snn_graph import SnnGraph, Synapse, _dump_yaml, _load_yaml
 
 CLUSTERED_FORMAT = "clustered-snn/1"
 
@@ -391,25 +390,46 @@ def build_clustered_graph(g: SnnGraph, p: Partition) -> ClusteredSnnGraph:
     return ClusteredSnnGraph(clusters, edges)
 
 
+def round_seeds(seed: int | None, eta: int
+                ) -> list[tuple[np.random.SeedSequence, np.random.SeedSequence]]:
+    """The ``(partition seed, mapping seed)`` pair of each of ``eta`` rounds.
+
+    Round ``r`` takes the two streams spawned by
+    ``SeedSequence(seed).spawn(eta)[r]``, so a seed gives the same
+    clusterings in :func:`iterate_partitions`, in
+    :func:`snnflow.dse.run_design_flow` and in the CLI, and a round's
+    streams do not depend on ``eta`` or on which process runs it.
+    """
+    if eta < 1:
+        raise ValueError("eta must be >= 1")
+    return [tuple(child.spawn(2))
+            for child in np.random.SeedSequence(seed).spawn(eta)]
+
+
+def partition_round(g: SnnGraph, crossbar_dim: int,
+                    seed: np.random.SeedSequence, delta_min: float = 0.0,
+                    count_input_fanin: bool = True,
+                    trace: list | None = None) -> tuple[Partition, float]:
+    """One partition round: random init from ``seed``, then swap descent.
+
+    Returns the refined partition and the cut of the initial one.
+    ``trace`` collects the per-sweep records of :func:`kl_refine`.
+    """
+    p = init_partition(g, crossbar_dim, np.random.default_rng(seed),
+                       count_input_fanin)
+    initial = communication_cost(g, p)
+    return kl_refine(g, p, delta_min, trace=trace), initial
+
+
 def iterate_partitions(g: SnnGraph, crossbar_dim: int, eta: int,
                        delta_min: float = 0.0,
                        seed: int | None = None,
                        count_input_fanin: bool = True) -> list[ClusteredSnnGraph]:
-    """Run ``eta`` independent partition rounds (random init + descent).
-
-    Round ``r`` draws its initial partition from the first of two
-    streams spawned by ``SeedSequence(seed).spawn(eta)[r]``, as
-    :func:`snnflow.dse.run_design_flow` does, so a seed gives the same
-    clusterings here, in the design flow and in the CLI.
-    """
-    if eta < 1:
-        raise ValueError("eta must be >= 1")
-    children = np.random.SeedSequence(seed).spawn(eta)
+    """Run ``eta`` independent partition rounds seeded by :func:`round_seeds`."""
     out = []
-    for r in range(eta):
-        rng = np.random.default_rng(children[r].spawn(2)[0])
-        p = init_partition(g, crossbar_dim, rng, count_input_fanin)
-        p = kl_refine(g, p, delta_min)
+    for kl_seed, _ in round_seeds(seed, eta):
+        p, _ = partition_round(g, crossbar_dim, kl_seed, delta_min,
+                               count_input_fanin)
         out.append(build_clustered_graph(g, p))
     return out
 
@@ -459,16 +479,9 @@ def clustered_graph_from_dict(doc: dict, ctx: str = "<clustered>") -> ClusteredS
 
 
 def save_clustered_graph(cg: ClusteredSnnGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(clustered_graph_to_dict(cg), fh, sort_keys=False)
+    _dump_yaml(clustered_graph_to_dict(cg), path)
 
 
 def load_clustered_graph(path: str) -> ClusteredSnnGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise GraphFormatError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GraphFormatError(f"{path}: expected a mapping at top level")
-    return clustered_graph_from_dict(doc, ctx=path)
+    return clustered_graph_from_dict(_load_yaml(path, CLUSTERED_FORMAT),
+                                     ctx=path)

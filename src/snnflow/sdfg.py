@@ -24,13 +24,11 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 
-import yaml
-
 from .errors import (BudgetExceededError, DeadlockError, GraphFormatError,
                      GraphValidationError, InconsistentGraphError,
                      InfeasibleCapacityError, InfeasibleMappingError)
 from .partition import ClusteredSnnGraph
-from .snn_graph import HardwareGraph
+from .snn_graph import HardwareGraph, _dump_yaml, _load_yaml
 
 logger = logging.getLogger(__name__)
 
@@ -752,16 +750,8 @@ def sdfg_from_dict(doc: dict, ctx: str = "<sdfg>") -> Sdfg:
 
 
 def save_sdfg(g: Sdfg, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(sdfg_to_dict(g), fh, sort_keys=False)
+    _dump_yaml(sdfg_to_dict(g), path)
 
 
 def load_sdfg(path: str) -> Sdfg:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:
-            raise GraphFormatError(f"{path}: not valid YAML: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise GraphFormatError(f"{path}: expected a mapping at top level")
-    return sdfg_from_dict(doc, ctx=path)
+    return sdfg_from_dict(_load_yaml(path, SDFG_FORMAT), ctx=path)

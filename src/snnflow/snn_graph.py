@@ -221,11 +221,15 @@ class GraphStats:
 
 
 def _load_yaml(path: str, expected_format: str) -> dict:
+    """Read a YAML document whose top-level ``format`` is ``expected_format``.
+
+    Every file the toolchain reads goes through here.  Invalid YAML, a
+    top level that is not a mapping and a wrong ``format`` raise
+    :class:`GraphFormatError` naming ``path``.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = yaml.safe_load(fh)
-    except FileNotFoundError:
-        raise
     except yaml.YAMLError as exc:
         raise GraphFormatError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -235,6 +239,12 @@ def _load_yaml(path: str, expected_format: str) -> dict:
         raise GraphFormatError(
             f"{path}: format is {fmt!r}, expected {expected_format!r}")
     return doc
+
+
+def _dump_yaml(doc: dict, path: str) -> None:
+    """Write ``doc`` to ``path`` as YAML, keys in insertion order."""
+    with open(path, "w", encoding="utf-8") as fh:
+        yaml.safe_dump(doc, fh, sort_keys=False)
 
 
 _REQUIRED = object()
@@ -290,8 +300,7 @@ def snn_graph_to_dict(g: SnnGraph) -> dict:
 
 
 def save_snn_graph(g: SnnGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(snn_graph_to_dict(g), fh, sort_keys=False)
+    _dump_yaml(snn_graph_to_dict(g), path)
 
 
 def hardware_graph_from_dict(doc: dict, ctx: str = "<hardware-graph>") -> HardwareGraph:
@@ -338,8 +347,7 @@ def hardware_graph_to_dict(hw: HardwareGraph) -> dict:
 
 
 def save_hardware_graph(hw: HardwareGraph, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(hardware_graph_to_dict(hw), fh, sort_keys=False)
+    _dump_yaml(hardware_graph_to_dict(hw), path)
 
 
 def compute_graph_stats(g: SnnGraph) -> GraphStats:

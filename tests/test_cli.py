@@ -9,7 +9,10 @@ from conftest import layered_demo_snn, two_core_platform
 from oracles import dominance_front
 
 from snnflow.cli import main
-from snnflow.partition import load_clustered_graph
+from snnflow.dse import DesignFlowConfig, run_design_flow
+from snnflow.mapping import SwarmConfig
+from snnflow.partition import (iterate_partitions, load_clustered_graph,
+                               save_clustered_graph)
 from snnflow.snn_graph import load_snn_graph, save_hardware_graph, save_snn_graph
 
 
@@ -261,3 +264,91 @@ def test_bad_delta_min_config_exits_2(files, tmp_path, capsys, command, value):
     assert main([command, "--config", str(cfg),
                  "-o", str(tmp_path / "out")]) == 2
     assert "delta_min" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["partition", "explore"])
+@pytest.mark.parametrize("flag,value", [("--eta", "-2"), ("--eta", "0"),
+                                        ("--crossbar-dim", "0")])
+def test_bad_round_count_or_crossbar_flag_exits_2(files, tmp_path, capsys,
+                                                  command, flag, value):
+    code = main([command, "--snn", files["snn"], "--hardware", files["hw"],
+                 flag, value, "-o", str(tmp_path / "out")])
+    assert code == 2
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "explore"])
+@pytest.mark.parametrize("name,value", [("eta", 0), ("eta", "3"),
+                                        ("crossbar_dim", -1),
+                                        ("crossbar_dim", 2.5)])
+def test_bad_round_count_or_crossbar_config_exits_2(files, tmp_path, capsys,
+                                                    command, name, value):
+    cfg = tmp_path / "run.yaml"
+    doc = {"format": "run-config/1", "snn": files["snn"],
+           "hardware": files["hw"], "crossbar_dim": 4, name: value}
+    cfg.write_text(yaml.safe_dump(doc))
+    assert main([command, "--config", str(cfg),
+                 "-o", str(tmp_path / "out")]) == 2
+    assert name in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["stats", "rates", "analyze", "map",
+                                     "explore"])
+@pytest.mark.parametrize("content", ["items: [1, 2\n", "- 1\n- 2\n",
+                                     "format: wrong/1\n"],
+                         ids=["invalid_yaml", "top_level_list",
+                              "wrong_format"])
+def test_malformed_input_file_exits_2(files, tmp_path, capsys, command,
+                                      content):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(content)
+    argv = {
+        "stats": ["stats", str(bad)],
+        "rates": ["rates", "--snn", files["snn"], "--trains", str(bad),
+                  "-o", str(tmp_path / "rated.yaml")],
+        "analyze": ["analyze", str(bad)],
+        "map": ["map", str(bad), "--hardware", files["hw"]],
+        "explore": ["explore", "--config", str(bad)],
+    }[command]
+    assert main(argv) == 2
+    assert "bad.yaml" in capsys.readouterr().err
+
+
+def test_explore_budget_exceeded_exits_3_with_partial_outputs(
+        files, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert main(explore_args(files, out) + ["--state-budget", "2"]) == 3
+    assert "budget exceeded" in capsys.readouterr().err
+    # round 0 already runs out, so the partial front holds no points
+    with open(out / "pareto.csv", newline="") as fh:
+        assert list(csv.reader(fh)) == [
+            ["throughput", "total_buffer", "round", "step", "solution"]]
+    assert (out / "manifest.yaml").exists()
+    assert (out / "round_0.yaml").exists()
+    assert not (out / "round_1.yaml").exists()
+
+
+def test_partition_explore_and_library_share_round_seeds(files, tmp_path,
+                                                         capsys):
+    parts, run = tmp_path / "parts", tmp_path / "run"
+    assert main(["partition", "--snn", files["snn"], "--crossbar-dim", "4",
+                 "--eta", "3", "--seed", "11", "-o", str(parts)]) == 0
+    assert main(explore_args(files, run, eta="3", seed="11")) == 0
+    g = load_snn_graph(files["snn"])
+    library = iterate_partitions(g, 4, 3, seed=11)
+    for r, cg in enumerate(library):
+        save_clustered_graph(cg, tmp_path / f"lib_{r}.yaml")
+        want = (tmp_path / f"lib_{r}.yaml").read_bytes()
+        assert (parts / f"round_{r}.yaml").read_bytes() == want
+        assert (run / f"round_{r}.yaml").read_bytes() == want
+
+    cfg = DesignFlowConfig(crossbar_dim=4, eta=3, seed=11, jobs=1,
+                           swarm=SwarmConfig(particles=2, iterations=1))
+    flow = run_design_flow(g, two_core_platform(), cfg)
+    assert [rr.clustered for rr in flow.rounds] == library
+    with open(parts / "cost_log.csv", newline="") as fh:
+        last_cost = {int(row["round"]): float(row["cost"])
+                     for row in csv.DictReader(fh)}
+    assert last_cost == {rr.round_index: rr.cut_cost for rr in flow.rounds}

@@ -6,6 +6,7 @@ import pytest
 from conftest import all_to_all_platform, layered_demo_snn, two_core_platform
 from oracles import dominance_front
 
+from snnflow import dse
 from snnflow.dse import (DesignFlowConfig, DesignPoint, SweepConfig,
                          min_buffer_for_throughput, pareto_filter,
                          pipeline_rate_bound, run_design_flow, sweep_buffers)
@@ -13,7 +14,7 @@ from snnflow.mapping import SwarmConfig
 from snnflow.partition import iterate_partitions
 from snnflow.sdfg import (Actor, Channel, Sdfg, execute, lift_to_sdfg,
                           self_timed_throughput)
-from snnflow.errors import InfeasibleMappingError
+from snnflow.errors import BudgetExceededError, InfeasibleMappingError
 
 
 def point(thr, buf, order) -> DesignPoint:
@@ -167,12 +168,46 @@ def test_flow_front_passes_dominance_oracle():
     assert got == sorted(got)
 
 
-def test_flow_incremental_front_agrees_with_final():
-    g = layered_demo_snn()
-    res = run_design_flow(g, two_core_platform(), small_flow_config(eta=4))
-    assert [(p.throughput, p.total_buffer, p.order)
-            for p in res.incremental_front.points] == \
-        [(p.throughput, p.total_buffer, p.order) for p in res.front.points]
+def fail_round_with_budget(monkeypatch, failing_round):
+    """Make the mapping search of round ``failing_round`` exceed the budget.
+
+    Rounds run in order with ``jobs=1`` and each opens with one
+    ``partition_round`` call, so counting those calls tells the round.
+    """
+    started = []
+    real_round, real_search = dse.partition_round, dse.search_mapping
+
+    def counting_round(*args, **kwargs):
+        started.append(len(started))
+        return real_round(*args, **kwargs)
+
+    def search(*args, **kwargs):
+        if started[-1] == failing_round:
+            raise BudgetExceededError("state budget exhausted")
+        return real_search(*args, **kwargs)
+
+    monkeypatch.setattr(dse, "partition_round", counting_round)
+    monkeypatch.setattr(dse, "search_mapping", search)
+
+
+@pytest.mark.parametrize("failing_round", [0, 1, 2])
+def test_flow_budget_error_keeps_the_rounds_before_it(monkeypatch,
+                                                      failing_round):
+    g, hw, cfg = layered_demo_snn(), two_core_platform(), small_flow_config()
+    full = run_design_flow(g, hw, cfg)
+    assert all(rr.sweep for rr in full.rounds)  # every round has points
+    fail_round_with_budget(monkeypatch, failing_round)
+    with pytest.raises(BudgetExceededError) as info:
+        run_design_flow(g, hw, cfg)
+    partial = info.value.partial
+    assert [rr.round_index for rr in partial.rounds] == \
+        list(range(failing_round + 1))
+    assert partial.rounds[-1].error_kind == "budget"
+    key = lambda pts: [(p.throughput, p.total_buffer, p.round_index,
+                        p.step_index, p.order) for p in pts]
+    assert key(partial.points) == \
+        key(p for p in full.points if p.round_index < failing_round)
+    assert key(partial.front.points) == key(dominance_front(partial.points))
 
 
 def test_flow_deterministic_and_parallel_identical():

@@ -1,0 +1,43 @@
+"""Guards against duplicated pipelines growing back into the package.
+
+Each job below has one implementation; a second copy elsewhere in
+``src/snnflow`` fails here rather than drifting apart from the first.
+"""
+
+import ast
+from pathlib import Path
+
+import snnflow
+
+PACKAGE = Path(snnflow.__file__).parent
+
+
+def calls_by_function():
+    """``(module, enclosing top-level function, call text)`` of every call."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    yield path.name, owner, ast.unparse(node.func)
+
+
+def callers_of(*names):
+    return sorted({(module, owner)
+                   for module, owner, func in calls_by_function()
+                   if func.split(".")[-1] in names})
+
+
+def test_one_yaml_reader_and_one_file_writer():
+    assert callers_of("safe_load") == [("snn_graph.py", "_load_yaml")]
+    # cmd_map prints its record, so it formats the YAML itself
+    assert callers_of("safe_dump") == [("cli.py", "cmd_map"),
+                                       ("snn_graph.py", "_dump_yaml")]
+
+
+def test_one_partition_round_pipeline():
+    assert callers_of("init_partition", "kl_refine") == \
+        [("partition.py", "partition_round")]
+    assert callers_of("spawn") == [("dse.py", "_run_round"),
+                                   ("partition.py", "round_seeds")]

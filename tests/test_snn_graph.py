@@ -7,7 +7,11 @@ import pytest
 from conftest import layered_demo_snn, random_snn
 from oracles import floyd_warshall_stats
 
-from snnflow.errors import GraphFormatError, GraphValidationError
+from snnflow.cli import RunConfig
+from snnflow.errors import ConfigError, GraphFormatError, GraphValidationError
+from snnflow.lif import load_spike_trains
+from snnflow.partition import load_clustered_graph
+from snnflow.sdfg import load_sdfg
 from snnflow.snn_graph import (Core, HardwareGraph, InputSource, Link, Neuron,
                                SnnGraph, Synapse, compute_graph_stats,
                                hardware_graph_to_dict, hardware_graph_from_dict,
@@ -73,6 +77,32 @@ def test_parse_error_carries_context(tmp_path):
     path.write_text("format: snn-graph/1\nneurons: [{id: N1]\n")
     with pytest.raises(GraphFormatError, match="broken.yaml"):
         load_snn_graph(str(path))
+
+
+BAD_DOCUMENTS = {
+    "invalid_yaml": "format: x\nitems: [1, 2\n",
+    "top_level_list": "- format\n- 1\n",
+    "wrong_format": "format: wrong/1\n",
+}
+
+
+@pytest.mark.parametrize("bad", sorted(BAD_DOCUMENTS))
+@pytest.mark.parametrize("loader", [
+    load_snn_graph, load_hardware_graph, load_spike_trains, load_sdfg,
+    load_clustered_graph, RunConfig.load],
+    ids=lambda f: f.__qualname__)
+def test_every_loader_rejects_malformed_documents(tmp_path, loader, bad):
+    path = tmp_path / "bad.yaml"
+    path.write_text(BAD_DOCUMENTS[bad])
+    with pytest.raises(GraphFormatError, match="bad.yaml"):
+        loader(str(path))
+
+
+def test_unknown_config_key_is_a_config_error(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("format: run-config/1\nbogus: 1\n")
+    with pytest.raises(ConfigError, match="bogus"):
+        RunConfig.load(str(path))
 
 
 def test_missing_required_field(tmp_path):
