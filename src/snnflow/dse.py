@@ -294,6 +294,17 @@ def _points_from_rounds(rounds: list[RoundResult]) -> list[DesignPoint]:
     return points
 
 
+def _until_over_budget(results) -> list[RoundResult]:
+    """Rounds in order, up to and including the first over budget; the
+    rounds after it are never drawn from ``results``."""
+    rounds = []
+    for rr in results:
+        rounds.append(rr)
+        if rr.error_kind == "budget":
+            break
+    return rounds
+
+
 def run_design_flow(g: SnnGraph, hw: HardwareGraph,
                     cfg: DesignFlowConfig) -> DesignFlowResult:
     """Full exploration: eta partition rounds x buffer sweep x mapping search.
@@ -302,8 +313,12 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     each round its own seed streams, so identical configurations give
     identical fronts regardless of the parallelism degree.  Rounds that
     fail analysis (deadlocked clusterings, infeasible mappings) are
-    recorded and skipped; if every round fails, the first error kind is
-    raised.  When round ``k`` is the first to exceed the state budget,
+    recorded and skipped.  If no round yields a design point,
+    :class:`InfeasibleMappingError` is raised, its message listing every
+    round's error, whatever their kinds (all deadlocks included).  When
+    round ``k`` is the first to exceed the state budget, no later round
+    starts (with ``jobs > 1``, the rounds no worker has taken yet are
+    cancelled, and the ones already taken are waited for) and
     :class:`BudgetExceededError` is raised with a partial result
     attached: rounds ``0..k``, their design points, and the Pareto front
     of those points.
@@ -314,17 +329,16 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     hw.validate()
     jobs = max(1, cfg.jobs)
     if jobs == 1 or cfg.eta == 1:
-        rounds = [_run_round(g, hw, cfg, r, seeds[r]) for r in range(cfg.eta)]
+        rounds = _until_over_budget(_run_round(g, hw, cfg, r, seeds[r])
+                                    for r in range(cfg.eta))
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.eta)) as pool:
             futures = [pool.submit(_run_round, g, hw, cfg, r, seeds[r])
                        for r in range(cfg.eta)]
-            rounds = [f.result() for f in futures]
+            rounds = _until_over_budget(f.result() for f in futures)
+            pool.shutdown(cancel_futures=True)
 
-    over_budget = next((rr for rr in rounds if rr.error_kind == "budget"),
-                       None)
-    if over_budget is not None:
-        rounds = rounds[:over_budget.round_index + 1]
+    over_budget = rounds[-1] if rounds[-1].error_kind == "budget" else None
     points = _points_from_rounds(rounds)
     result = DesignFlowResult(front=pareto_filter(points), rounds=rounds,
                               points=points)

@@ -15,6 +15,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -99,7 +100,7 @@ def validate_mapping(g: Sdfg, hw: HardwareGraph,
     token traffic against the bandwidth caps, and route existence for
     every inter-core channel.
     """
-    cores = {c.id: c for c in hw.cores}
+    cores = hw._cores[2]
     for a in g.actors:
         if a.id not in mapping:
             raise InfeasibleMappingError(f"cluster {a.id!r} is unmapped")
@@ -163,16 +164,20 @@ def decode_position(theta: np.ndarray, g: Sdfg,
     highest component.  Raises :class:`InfeasibleMappingError` when the
     demand cannot be repaired.
     """
-    clusters = g.actor_ids()
-    cores = sorted(hw.core_ids())
+    clusters, weight_vec = g._weights
+    cores, cap_vec, _ = hw._cores
+    grid = np.asarray(theta, dtype=float).reshape(len(clusters), len(cores))
+    # argmax keeps the first maximum, so ties go to the lowest core id;
+    # it refuses a 0 x 0 grid, which decodes to the empty assignment
+    pick = grid.argmax(axis=1) if clusters else np.zeros(0, dtype=np.intp)
+    assign = {cl: cores[j] for cl, j in zip(clusters, pick.tolist())}
+    if not (np.bincount(pick, weight_vec, len(cores)) > cap_vec).any():
+        return assign
+
     cl_index = {cl: i for i, cl in enumerate(clusters)}
     core_index = {c: j for j, c in enumerate(cores)}
     weights = {a.id: a.weight for a in g.actors}
     caps = {c.id: c.crossbar_dim for c in hw.cores}
-    grid = np.asarray(theta, dtype=float).reshape(len(clusters), len(cores))
-
-    assign = {clusters[i]: cores[int(np.argmax(grid[i]))]
-              for i in range(len(clusters))}
     load: dict[str, int] = defaultdict(int)
     for cl, core in assign.items():
         load[core] += weights[cl]
@@ -270,6 +275,7 @@ def _schedules_from_log(res: ExecutionResult, mapping: dict[str, str]
             for core in sorted(reduced)}
 
 
+@lru_cache(maxsize=32, typed=True)
 def _share_to_scale(share) -> object:
     share = exact_time(share)
     if not 0 < share <= 1:

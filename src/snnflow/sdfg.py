@@ -24,6 +24,8 @@ from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
 
+import numpy as np
+
 from .errors import (BudgetExceededError, DeadlockError, GraphFormatError,
                      GraphValidationError, InconsistentGraphError,
                      InfeasibleCapacityError, InfeasibleMappingError)
@@ -126,6 +128,31 @@ class Sdfg:
     def _repetition(self) -> dict[str, int]:
         # a raised error leaves nothing cached, so it is raised again
         return _solve_balance(self)
+
+    @cached_property
+    def _weights(self) -> tuple[list[str], np.ndarray]:
+        # actor ids in declaration order and their weights as a vector;
+        # not validated, since positions are decoded before any check
+        return self.actor_ids(), np.array([a.weight for a in self.actors],
+                                          dtype=float)
+
+    @cached_property
+    def _tables(self) -> tuple:
+        # (ids, index, in_ch, out_ch, qv) of the validated, solved graph:
+        # actor ids, id -> position, per-actor (channel, rate) inputs and
+        # outputs, and the repetition vector in ids order.  Like
+        # _repetition, a failing graph caches nothing and raises again.
+        self.validate()
+        ids = tuple(self.actor_ids())
+        index = {a: i for i, a in enumerate(ids)}
+        in_ch: list[list[tuple[int, int]]] = [[] for _ in ids]
+        out_ch: list[list[tuple[int, int]]] = [[] for _ in ids]
+        for i, c in enumerate(self.channels):
+            in_ch[index[c.dst]].append((i, c.cons))
+            out_ch[index[c.src]].append((i, c.prod))
+        q = self._repetition
+        return (ids, index, tuple(map(tuple, in_ch)),
+                tuple(map(tuple, out_ch)), tuple(q[a] for a in ids))
 
 
 @dataclass(frozen=True)
@@ -382,10 +409,8 @@ class _Simulation:
                  schedules: dict[str, "object"] | None = None,
                  list_mode: bool = False,
                  state_budget: int = DEFAULT_STATE_BUDGET):
-        g.validate()
         self.g = g
-        self.ids = g.actor_ids()
-        self.index = {a: i for i, a in enumerate(self.ids)}
+        self.ids, self.index, self.in_ch, self.out_ch, self.qv = g._tables
         self.exec = [exact_time(exec_times[a] if exec_times else g.actor(a).exec_time)
                      for a in self.ids]
         nch = len(g.channels)
@@ -395,13 +420,6 @@ class _Simulation:
         self.latency = [0] * nch
         for i, lat in (latencies or {}).items():
             self.latency[i] = exact_time(lat)
-        self.in_ch: list[list[tuple[int, int]]] = [[] for _ in self.ids]
-        self.out_ch: list[list[tuple[int, int]]] = [[] for _ in self.ids]
-        for i, c in enumerate(g.channels):
-            self.in_ch[self.index[c.dst]].append((i, c.cons))
-            self.out_ch[self.index[c.src]].append((i, c.prod))
-        self.q = repetition_vector(g)
-        self.qv = [self.q[a] for a in self.ids]
         self.completions = [0] * len(self.ids)
         self.inflight = [0] * len(self.ids)
         self.budget = state_budget
@@ -547,8 +565,8 @@ class _Simulation:
             key.append(tuple(tuple(self.queues[c]) for c in self.cores))
         return tuple(key)
 
-    def _iterations(self) -> int:
-        return min(c // q for c, q in zip(self.completions, self.qv))
+    def _iterations(self, completions) -> int:
+        return min(c // q for c, q in zip(completions, self.qv))
 
     def _count_blocking(self) -> None:
         for a in range(len(self.ids)):
@@ -607,8 +625,9 @@ class _Simulation:
             self._count_blocking()
             key = self._snapshot(now)
             if key in seen:
-                t0, it0, log0, done0 = seen[key]
-                d_iter = self._iterations() - it0
+                t0, log0, done0 = seen[key]
+                it0 = self._iterations(done0)
+                d_iter = self._iterations(self.completions) - it0
                 if d_iter <= 0:
                     # the periodic part will repeat forever, so actors that
                     # made no progress across the period never fire again
@@ -634,8 +653,7 @@ class _Simulation:
                     log_cycle_start=log0,
                     iterations_per_cycle=d_iter,
                     block_counts=dict(self.block_counts))
-            seen[key] = (now, self._iterations(), len(self.firing_log),
-                         tuple(self.completions))
+            seen[key] = (now, len(self.firing_log), tuple(self.completions))
             if len(seen) > self.budget:
                 raise BudgetExceededError(
                     f"no recurrent state within {self.budget} states")
@@ -662,7 +680,7 @@ def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
     core_of: dict[str, str] = {}
     if platform is not None and mapping is not None:
         routed = platform.routed_latencies()
-        cores = {c.id: c for c in platform.cores}
+        cores = platform._cores[2]
         for a in g.actors:
             if a.id not in mapping:
                 raise InfeasibleMappingError(f"actor {a.id!r} is unmapped")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
+import numpy as np
 import yaml
 
 from .errors import GraphFormatError, GraphValidationError
@@ -207,6 +208,14 @@ class HardwareGraph:
                     if (i, j) not in dist or alt < dist[(i, j)]:
                         dist[(i, j)] = alt
         return dist
+
+    @cached_property
+    def _cores(self) -> tuple[list[str], np.ndarray, dict[str, Core]]:
+        # sorted core ids, their crossbar capacities in that order, and
+        # the {id: Core} table, for the per-mapping checks and decode
+        by_id = {c.id: c for c in self.cores}
+        ids = sorted(self.core_ids())
+        return ids, np.array([by_id[c].crossbar_dim for c in ids]), by_id
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ exhaustive cycle enumeration or by a second simulator built on explicit
 credit channels with the opposite tie-breaking, repetition vectors by
 Gaussian elimination over exact rationals, Pareto fronts by the direct
 O(n^2) dominance scan, swap descent by re-summing the synapses each
-candidate swap touches instead of keeping gain tables.
+candidate swap touches instead of keeping gain tables, swarm decode by
+one ``argmax`` per cluster row over freshly built core tables.
 """
 
 from __future__ import annotations
@@ -17,11 +18,13 @@ from fractions import Fraction
 from collections import defaultdict
 
 import networkx as nx
+import numpy as np
 
+from snnflow.errors import InfeasibleMappingError
 from snnflow.partition import (Partition, _cluster_fanin_counts,
                                communication_cost)
 from snnflow.sdfg import Sdfg
-from snnflow.snn_graph import SnnGraph, Synapse
+from snnflow.snn_graph import HardwareGraph, SnnGraph, Synapse
 
 
 # ------------------------------------------------------------ graph stats
@@ -465,3 +468,61 @@ def reference_kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
         if sweep_delta <= delta_min:
             break
     return state.to_partition()
+
+
+# ------------------------------------------------ mapping oracles
+
+def reference_decode_position(theta: np.ndarray, g: Sdfg,
+                              hw: HardwareGraph) -> dict[str, str]:
+    """Map a real-valued position to a feasible cluster-to-core assignment.
+
+    Each cluster goes to the core with its largest position component
+    (ties to the lowest core id); clusters are then moved off overloaded
+    cores, lowest component first, to the feasible core with the next
+    highest component.  Raises :class:`InfeasibleMappingError` when the
+    demand cannot be repaired.
+    """
+    clusters = g.actor_ids()
+    cores = sorted(hw.core_ids())
+    cl_index = {cl: i for i, cl in enumerate(clusters)}
+    core_index = {c: j for j, c in enumerate(cores)}
+    weights = {a.id: a.weight for a in g.actors}
+    caps = {c.id: c.crossbar_dim for c in hw.cores}
+    grid = np.asarray(theta, dtype=float).reshape(len(clusters), len(cores))
+
+    assign = {clusters[i]: cores[int(np.argmax(grid[i]))]
+              for i in range(len(clusters))}
+    load: dict[str, int] = defaultdict(int)
+    for cl, core in assign.items():
+        load[core] += weights[cl]
+
+    def overloaded() -> str | None:
+        for core in cores:
+            if load[core] > caps[core]:
+                return core
+        return None
+
+    while (core := overloaded()) is not None:
+        residents = sorted((cl for cl in clusters if assign[cl] == core),
+                           key=lambda cl: (grid[cl_index[cl],
+                                                core_index[core]], cl))
+        moved = False
+        for cl in residents:
+            row = grid[cl_index[cl]]
+            for j in np.argsort(-row, kind="stable"):
+                candidate = cores[int(j)]
+                if candidate == core:
+                    continue
+                if load[candidate] + weights[cl] <= caps[candidate]:
+                    assign[cl] = candidate
+                    load[core] -= weights[cl]
+                    load[candidate] += weights[cl]
+                    moved = True
+                    break
+            if moved:
+                break
+        if not moved:
+            raise InfeasibleMappingError(
+                f"cannot repair overload on core {core!r}: total demand "
+                f"exceeds platform capacity")
+    return assign

@@ -173,6 +173,7 @@ def fail_round_with_budget(monkeypatch, failing_round):
 
     Rounds run in order with ``jobs=1`` and each opens with one
     ``partition_round`` call, so counting those calls tells the round.
+    Returns the list of rounds started, which grows as they start.
     """
     started = []
     real_round, real_search = dse.partition_round, dse.search_mapping
@@ -188,6 +189,7 @@ def fail_round_with_budget(monkeypatch, failing_round):
 
     monkeypatch.setattr(dse, "partition_round", counting_round)
     monkeypatch.setattr(dse, "search_mapping", search)
+    return started
 
 
 @pytest.mark.parametrize("failing_round", [0, 1, 2])
@@ -196,9 +198,10 @@ def test_flow_budget_error_keeps_the_rounds_before_it(monkeypatch,
     g, hw, cfg = layered_demo_snn(), two_core_platform(), small_flow_config()
     full = run_design_flow(g, hw, cfg)
     assert all(rr.sweep for rr in full.rounds)  # every round has points
-    fail_round_with_budget(monkeypatch, failing_round)
+    started = fail_round_with_budget(monkeypatch, failing_round)
     with pytest.raises(BudgetExceededError) as info:
         run_design_flow(g, hw, cfg)
+    assert len(started) == failing_round + 1  # no round after it ran
     partial = info.value.partial
     assert [rr.round_index for rr in partial.rounds] == \
         list(range(failing_round + 1))
@@ -208,6 +211,19 @@ def test_flow_budget_error_keeps_the_rounds_before_it(monkeypatch,
     assert key(partial.points) == \
         key(p for p in full.points if p.round_index < failing_round)
     assert key(partial.front.points) == key(dominance_front(partial.points))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_flow_with_every_round_deadlocked_names_each_deadlock(jobs):
+    cfg = DesignFlowConfig(crossbar_dim=4, eta=3, seed=0, jobs=jobs)
+    with pytest.raises(InfeasibleMappingError) as info:
+        run_design_flow(layered_demo_snn(), two_core_platform(), cfg)
+    message = str(info.value)
+    assert message.startswith("all rounds infeasible: ")
+    per_round = message.removeprefix("all rounds infeasible: ").split("; ")
+    assert len(per_round) == cfg.eta
+    assert all(e.startswith("clustered graph deadlocks even with unbounded "
+                            "buffers: starving ") for e in per_round)
 
 
 def test_flow_deterministic_and_parallel_identical():

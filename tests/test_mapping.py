@@ -2,11 +2,13 @@
 
 import itertools
 import math
+import pickle
 
 import numpy as np
 import pytest
 
 from conftest import all_to_all_platform, demo_clustered, two_core_platform
+from oracles import reference_decode_position
 
 from snnflow.errors import InfeasibleMappingError
 from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
@@ -67,6 +69,47 @@ def test_decode_infeasible_when_demand_exceeds_capacity():
     hw = HardwareGraph((Core("t0", 2, 1), Core("t1", 2, 1)))
     with pytest.raises(InfeasibleMappingError):
         decode_position(np.full((5, 2), 0.5), g, hw)
+
+
+def decode_or_error(decode, theta, g, hw):
+    try:
+        return decode(theta, g, hw)
+    except InfeasibleMappingError as exc:
+        return f"infeasible: {exc}"
+
+
+def test_decode_matches_reference_decode():
+    rng = np.random.default_rng(5)
+    platforms = [
+        all_to_all_platform(3, dim=2),
+        # mixed crossbar sizes, cores declared out of id order
+        HardwareGraph((Core("t2", 3, 1), Core("t0", 1, 1), Core("t3", 2, 1),
+                       Core("t1", 4, 1))),
+    ]
+    seen = {"tie": 0, "repaired": 0, "infeasible": 0}
+    for hw in platforms:
+        n_cores = len(hw.cores)
+        for n in (1, 3, 5, 8):
+            g = Sdfg(tuple(Actor(f"c{i}", 1, int(w))
+                           for i, w in enumerate(rng.integers(1, 4, n))))
+            for _ in range(30):
+                theta = rng.uniform(size=n * n_cores)
+                for pos in (theta, np.round(theta * 2) / 2):
+                    want = decode_or_error(reference_decode_position,
+                                           pos, g, hw)
+                    assert decode_or_error(decode_position, pos, g, hw) \
+                        == want
+                    grid = pos.reshape(n, n_cores)
+                    seen["tie"] += any(
+                        np.sum(row == row.max()) > 1 for row in grid)
+                    if isinstance(want, str):
+                        seen["infeasible"] += 1
+                    else:
+                        cores = sorted(hw.core_ids())
+                        seen["repaired"] += want != {
+                            f"c{i}": cores[int(np.argmax(row))]
+                            for i, row in enumerate(grid)}
+    assert all(seen.values()), seen
 
 
 def test_validate_mapping_checks_connection_caps():
@@ -191,6 +234,29 @@ def test_evaluate_mapping_block_counts_match_a_separate_run(hw2):
         assert sol.throughput == ref.to_throughput()
         blocked += any(ref.block_counts.values())
     assert blocked
+
+
+def test_evaluate_mapping_repeats_on_the_same_objects(hw2):
+    g = demo_sdfg(buffer=19)
+    mapping = {"c0": "t0", "c1": "t0", "c2": "t1"}
+    first = evaluate_mapping(g, hw2, mapping)
+    assert evaluate_mapping(g, hw2, mapping) == first
+
+
+def test_graph_and_platform_with_filled_tables_survive_pickle(hw2):
+    # a graph or platform sent to a worker process is pickled with the
+    # tables it has built so far, which the copy must be able to use
+    g = demo_sdfg(buffer=38)
+    mapping = {"c0": "t0", "c1": "t1", "c2": "t1"}
+    sol = evaluate_mapping(g, hw2, mapping)
+    theta = np.random.default_rng(1).uniform(size=len(g.actors) * 2)
+    decoded = decode_position(theta, g, hw2)
+    run = execute(g, platform=hw2, mapping=mapping)
+    g_copy, hw_copy = pickle.loads(pickle.dumps((g, hw2)))
+    assert (g_copy, hw_copy) == (g, hw2)
+    assert evaluate_mapping(g_copy, hw_copy, mapping) == sol
+    assert decode_position(theta, g_copy, hw_copy) == decoded
+    assert execute(g_copy, platform=hw_copy, mapping=mapping) == run
 
 
 # ------------------------------------------------------------------ pso

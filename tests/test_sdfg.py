@@ -1,5 +1,6 @@
 """Dataflow analysis: lifting, consistency, deadlock, throughput, buffers."""
 
+import pickle
 from dataclasses import replace
 from fractions import Fraction
 
@@ -332,6 +333,38 @@ def test_engine_equals_explicit_reverse_channel_encoding():
 
 
 # ------------------------------------------------------------------ io
+
+# ------------------------------------------------- per-graph tables
+
+def test_invalid_graph_fails_every_execute():
+    g = Sdfg((Actor("a", 1),), (Channel("a", 1, "z", 1),))
+    for _ in range(2):  # a failure is not cached away
+        with pytest.raises(GraphValidationError, match="undeclared actor"):
+            execute(g)
+
+
+def test_graph_with_filled_tables_survives_pickle():
+    g = lift_to_sdfg(demo_clustered(), core_exec_time=2, default_buffer=40)
+    want = execute(g)  # builds the graph's tables
+    for _ in range(2):
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g
+        assert execute(copy) == want
+        g = copy
+
+
+def test_copied_graph_gets_fresh_tables():
+    g = cycle2(tau_a=1, tau_b=1, tokens=2)
+    assert execute(g).period_exact == 1  # builds the graph's tables
+    # a bounded buffer on a -> b holds a back until b has fired
+    assert execute(set_buffer_allocation(g, {0: 1})).period_exact == 2
+    # new rates: b fires twice per iteration, so an iteration takes longer
+    rated = replace(g, channels=(Channel("a", 2, "b", 1),
+                                 Channel("b", 1, "a", 2, tokens=2)))
+    res = execute(rated)
+    assert (res.period_exact, res.iterations_per_cycle) == (2, 1)
+    assert execute(g).period_exact == 1
+
 
 def test_sdfg_file_roundtrip(tmp_path):
     g = lift_to_sdfg(demo_clustered(), core_exec_time=2, default_buffer=40)
