@@ -25,8 +25,7 @@ from .partition import (ClusteredSnnGraph, build_clustered_graph,
                         communication_cost, partition_round, round_seeds)
 from .sdfg import (DEFAULT_STATE_BUDGET, Sdfg, ThroughputResult,
                    buffer_quantum, check_deadlock, exact_time, lift_to_sdfg,
-                   minimum_buffer_allocation, repetition_vector,
-                   set_buffer_allocation)
+                   minimum_buffer_allocation, set_buffer_allocation)
 from .snn_graph import HardwareGraph, SnnGraph
 
 logger = logging.getLogger(__name__)
@@ -216,11 +215,11 @@ def pipeline_rate_bound(g: Sdfg, hw: HardwareGraph, exec_time_scale) -> float:
     at least ``max(total/num_cores, busiest cluster)`` work.  A sweep can
     stop as soon as this rate is reached.
     """
-    q = repetition_vector(g)
+    qv = g._tables[4]
     scale = exact_time(exec_time_scale)
     tau = min(exact_time(c.exec_time) for c in hw.cores) * scale
-    total = sum(q[a.id] for a in g.actors)
-    busiest = max(q[a.id] for a in g.actors)
+    total = sum(qv)
+    busiest = max(qv)
     load = max(Fraction(total, len(hw.cores)), Fraction(busiest)) * tau
     return float(1 / load)
 
@@ -238,7 +237,6 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
     out.clustered = cg
     base_exec = max((c.exec_time for c in hw.cores), default=1)
     sdfg = lift_to_sdfg(cg, core_exec_time=base_exec, default_buffer=None)
-    repetition_vector(sdfg)
     report = check_deadlock(sdfg)
     if report is not None:
         out.error = (f"clustered graph deadlocks even with unbounded buffers: "

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DeadlockError, InfeasibleMappingError
 from .sdfg import (DEFAULT_STATE_BUDGET, ExecutionResult, Sdfg,
-                   ThroughputResult, exact_time, execute, repetition_vector)
+                   ThroughputResult, exact_time, execute, resolve_platform)
 from .snn_graph import HardwareGraph
 
 logger = logging.getLogger(__name__)
@@ -56,7 +56,6 @@ class SwarmConfig:
     phi1: float = 1.5
     phi2: float = 1.5
     v_max: float = 0.5
-    seed: int | None = None
 
     def __post_init__(self):
         if self.particles < 1 or self.iterations < 1:
@@ -94,22 +93,20 @@ def validate_mapping(g: Sdfg, hw: HardwareGraph,
                      mapping: dict[str, str]) -> None:
     """Check one-core-per-cluster plus every platform capacity.
 
-    Raises :class:`InfeasibleMappingError` naming the violated limit:
-    crossbar load (sum of cluster neuron counts), distinct incoming and
-    outgoing remote cores against the connection caps, per-iteration
-    token traffic against the bandwidth caps, and route existence for
-    every inter-core channel.
+    The placement is :func:`snnflow.sdfg.resolve_platform`'s: it raises
+    for an unmapped actor, an undeclared core and an inter-core channel
+    with no route.  This adds the capacity checks, raising
+    :class:`InfeasibleMappingError` naming the violated limit: crossbar
+    load (sum of cluster neuron counts), distinct incoming and outgoing
+    remote cores against the connection caps, and per-iteration token
+    traffic against the bandwidth caps.
     """
+    _, core_of, _ = resolve_platform(g, hw, mapping)
+    _, index, _, _, qv = g._tables
     cores = hw._cores[2]
-    for a in g.actors:
-        if a.id not in mapping:
-            raise InfeasibleMappingError(f"cluster {a.id!r} is unmapped")
-        if mapping[a.id] not in cores:
-            raise InfeasibleMappingError(
-                f"cluster {a.id!r} mapped to undeclared core {mapping[a.id]!r}")
     load: dict[str, int] = defaultdict(int)
-    for a in g.actors:
-        load[mapping[a.id]] += a.weight
+    for a, core in zip(g.actors, core_of):
+        load[core] += a.weight
     for cid, used in load.items():
         if used > cores[cid].crossbar_dim:
             raise InfeasibleMappingError(
@@ -120,19 +117,13 @@ def validate_mapping(g: Sdfg, hw: HardwareGraph,
     out_peers: dict[str, set[str]] = defaultdict(set)
     in_tokens: dict[str, int] = defaultdict(int)
     out_tokens: dict[str, int] = defaultdict(int)
-    q = repetition_vector(g)
-    routed = hw.routed_latencies()
-    for i, c in enumerate(g.channels):
-        src, dst = mapping[c.src], mapping[c.dst]
+    for c in g.channels:
+        src, dst = core_of[index[c.src]], core_of[index[c.dst]]
         if src == dst:
             continue
-        if (src, dst) not in routed:
-            raise InfeasibleMappingError(
-                f"no route from core {src!r} to core {dst!r} required by "
-                f"channel {i}")
         in_peers[dst].add(src)
         out_peers[src].add(dst)
-        traffic = c.prod * q[c.src]
+        traffic = c.prod * qv[index[c.src]]
         in_tokens[dst] += traffic
         out_tokens[src] += traffic
     for cid, core in cores.items():
@@ -170,48 +161,25 @@ def decode_position(theta: np.ndarray, g: Sdfg,
     # argmax keeps the first maximum, so ties go to the lowest core id;
     # it refuses a 0 x 0 grid, which decodes to the empty assignment
     pick = grid.argmax(axis=1) if clusters else np.zeros(0, dtype=np.intp)
-    assign = {cl: cores[j] for cl, j in zip(clusters, pick.tolist())}
-    if not (np.bincount(pick, weight_vec, len(cores)) > cap_vec).any():
-        return assign
-
-    cl_index = {cl: i for i, cl in enumerate(clusters)}
-    core_index = {c: j for j, c in enumerate(cores)}
-    weights = {a.id: a.weight for a in g.actors}
-    caps = {c.id: c.crossbar_dim for c in hw.cores}
-    load: dict[str, int] = defaultdict(int)
-    for cl, core in assign.items():
-        load[core] += weights[cl]
-
-    def overloaded() -> str | None:
-        for core in cores:
-            if load[core] > caps[core]:
-                return core
-        return None
-
-    while (core := overloaded()) is not None:
-        residents = sorted((cl for cl in clusters if assign[cl] == core),
-                           key=lambda cl: (grid[cl_index[cl],
-                                                core_index[core]], cl))
-        moved = False
-        for cl in residents:
-            row = grid[cl_index[cl]]
-            for j in np.argsort(-row, kind="stable"):
-                candidate = cores[int(j)]
-                if candidate == core:
-                    continue
-                if load[candidate] + weights[cl] <= caps[candidate]:
-                    assign[cl] = candidate
-                    load[core] -= weights[cl]
-                    load[candidate] += weights[cl]
-                    moved = True
-                    break
-            if moved:
+    load = np.bincount(pick, weight_vec, len(cores))
+    while (over := np.flatnonzero(load > cap_vec)).size:
+        j = int(over[0])
+        residents = sorted(np.flatnonzero(pick == j).tolist(),
+                           key=lambda i: (grid[i, j], clusters[i]))
+        for i in residents:
+            w = weight_vec[i]
+            k = next((k for k in np.argsort(-grid[i], kind="stable").tolist()
+                      if k != j and load[k] + w <= cap_vec[k]), None)
+            if k is not None:
+                pick[i] = k
+                load[j] -= w
+                load[k] += w
                 break
-        if not moved:
+        else:
             raise InfeasibleMappingError(
-                f"cannot repair overload on core {core!r}: total demand "
+                f"cannot repair overload on core {cores[j]!r}: total demand "
                 f"exceeds platform capacity")
-    return assign
+    return {cl: cores[j] for cl, j in zip(clusters, pick.tolist())}
 
 
 def _reduce_cycles(per_core: dict[str, list[str]], ipc: int
@@ -356,7 +324,8 @@ def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
 def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
                    time_wheel_share: float = DEFAULT_TIME_WHEEL_SHARE,
                    state_budget: int = DEFAULT_STATE_BUDGET,
-                   rng: np.random.Generator | None = None) -> MappingSolution:
+                   rng: np.random.Generator | int | None = None
+                   ) -> MappingSolution:
     """Swarm search over assignments, keeping the highest-throughput one.
 
     Every evaluated assignment satisfies the platform capacities;
@@ -364,10 +333,10 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     deadlocks, score as infeasible.  Raises
     :class:`InfeasibleMappingError` when no feasible assignment was found
     at all.  Budget errors from the underlying analysis propagate.
+    ``rng`` is a generator, a seed, or ``None`` for a fresh seed.
     """
     cfg = cfg or SwarmConfig()
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(rng)  # a Generator passes through as is
     dims = len(g.actors) * len(hw.cores)
     swarm = init_swarm(cfg, dims, rng)
     cache: dict[tuple, tuple[float, MappingSolution | None]] = {}

@@ -93,12 +93,6 @@ class Sdfg:
     def actor_ids(self) -> list[str]:
         return [a.id for a in self.actors]
 
-    def actor(self, aid: str) -> Actor:
-        for a in self.actors:
-            if a.id == aid:
-                return a
-        raise KeyError(aid)
-
     def validate(self) -> None:
         ids = set()
         for a in self.actors:
@@ -140,9 +134,10 @@ class Sdfg:
     def _tables(self) -> tuple:
         # (ids, index, in_ch, out_ch, qv) of the validated, solved graph:
         # actor ids, id -> position, per-actor (channel, rate) inputs and
-        # outputs, and the repetition vector in ids order.  Like
-        # _repetition, a failing graph caches nothing and raises again.
-        self.validate()
+        # outputs, and the repetition vector in ids order.  Solving the
+        # balance equations validates the graph first; like _repetition,
+        # a failing graph caches nothing and raises again.
+        q = self._repetition
         ids = tuple(self.actor_ids())
         index = {a: i for i, a in enumerate(ids)}
         in_ch: list[list[tuple[int, int]]] = [[] for _ in ids]
@@ -150,7 +145,6 @@ class Sdfg:
         for i, c in enumerate(self.channels):
             in_ch[index[c.dst]].append((i, c.cons))
             out_ch[index[c.src]].append((i, c.prod))
-        q = self._repetition
         return (ids, index, tuple(map(tuple, in_ch)),
                 tuple(map(tuple, out_ch)), tuple(q[a] for a in ids))
 
@@ -278,50 +272,44 @@ def check_deadlock(g: Sdfg) -> DeadlockReport | None:
     consumer, firing one actor never disables another, so a greedy order
     is conclusive.
     """
-    q = repetition_vector(g)
-    ids = g.actor_ids()
-    remaining = {a: q[a] for a in ids}
-    tokens = [c.tokens for c in g.channels]
-    in_ch: dict[str, list[int]] = defaultdict(list)
-    out_ch: dict[str, list[int]] = defaultdict(list)
-    for i, c in enumerate(g.channels):
-        in_ch[c.dst].append(i)
-        out_ch[c.src].append(i)
+    ids, _, in_ch, out_ch, qv = g._tables
+    channels = g.channels
+    remaining = list(qv)
+    tokens = [c.tokens for c in channels]
 
-    def blocked_reason(a: str) -> str | None:
+    def blocked_reason(a: int) -> str | None:
         # mirrors the timed firing rule: tokens checked on inputs, space
         # (capacity minus tokens) on outputs, with no same-step credit
-        for i in in_ch[a]:
-            c = g.channels[i]
-            if tokens[i] < c.cons:
-                return (f"needs {c.cons} tokens on channel {i} "
+        for i, need in in_ch[a]:
+            if tokens[i] < need:
+                c = channels[i]
+                return (f"needs {need} tokens on channel {i} "
                         f"({c.src!r} -> {c.dst!r}), has {tokens[i]}")
-        for i in out_ch[a]:
-            c = g.channels[i]
-            if c.capacity is None:
-                continue
-            if c.capacity - tokens[i] < c.prod:
-                return (f"needs {c.prod} space on channel {i} "
+        for i, amount in out_ch[a]:
+            c = channels[i]
+            if c.capacity is not None and c.capacity - tokens[i] < amount:
+                return (f"needs {amount} space on channel {i} "
                         f"({c.src!r} -> {c.dst!r}), capacity {c.capacity} "
                         f"holds {tokens[i]}")
         return None
 
     progress = True
-    while progress and any(remaining[a] > 0 for a in ids):
+    while progress and any(remaining):
         progress = False
-        for a in ids:
+        for a in range(len(ids)):
             while remaining[a] > 0 and blocked_reason(a) is None:
-                for i in in_ch[a]:
-                    tokens[i] -= g.channels[i].cons
-                for i in out_ch[a]:
-                    tokens[i] += g.channels[i].prod
+                for i, need in in_ch[a]:
+                    tokens[i] -= need
+                for i, amount in out_ch[a]:
+                    tokens[i] += amount
                 remaining[a] -= 1
                 progress = True
-    starving = tuple(a for a in ids if remaining[a] > 0)
+    starving = [a for a in range(len(ids)) if remaining[a] > 0]
     if not starving:
         return None
-    reasons = {a: blocked_reason(a) or "unknown" for a in starving}
-    return DeadlockReport(starving, dict(remaining),
+    reasons = {ids[a]: blocked_reason(a) or "unknown" for a in starving}
+    return DeadlockReport(tuple(ids[a] for a in starving),
+                          dict(zip(ids, remaining)),
                           {i: t for i, t in enumerate(tokens)}, reasons)
 
 
@@ -402,34 +390,28 @@ class _Simulation:
     END = 0
     ARRIVE = 1
 
-    def __init__(self, g: Sdfg, *,
-                 exec_times: dict[str, object] | None = None,
-                 latencies: dict[int, object] | None = None,
-                 core_of: dict[str, str] | None = None,
-                 schedules: dict[str, "object"] | None = None,
+    def __init__(self, g: Sdfg, exec_times: list, core_of: list,
+                 latency: list, *, schedules: dict[str, "object"] | None = None,
                  list_mode: bool = False,
                  state_budget: int = DEFAULT_STATE_BUDGET):
-        self.g = g
+        # exec_times and core_of run in g._tables actor order, latency in
+        # channel order, as resolve_platform returns them
         self.ids, self.index, self.in_ch, self.out_ch, self.qv = g._tables
-        self.exec = [exact_time(exec_times[a] if exec_times else g.actor(a).exec_time)
-                     for a in self.ids]
-        nch = len(g.channels)
+        self.exec = exec_times
+        self.core_of = core_of
+        self.latency = latency
         self.tokens = [c.tokens for c in g.channels]
         self.space = [None if c.capacity is None else c.capacity - c.tokens
                       for c in g.channels]
-        self.latency = [0] * nch
-        for i, lat in (latencies or {}).items():
-            self.latency[i] = exact_time(lat)
         self.completions = [0] * len(self.ids)
         self.inflight = [0] * len(self.ids)
         self.budget = state_budget
-        self.core_of = dict(core_of or {})
         self.schedules = schedules
         self.list_mode = list_mode
-        self.cores = sorted({*self.core_of.values()})
+        self.cores = sorted({c for c in core_of if c is not None})
         self.busy = {t: False for t in self.cores}
         if schedules is not None:
-            missing = [a for a in self.ids if a not in self.core_of]
+            missing = [a for a, c in zip(self.ids, core_of) if c is None]
             if missing:
                 raise InfeasibleMappingError(
                     f"actors {missing} have no core under the imposed schedules")
@@ -465,7 +447,7 @@ class _Simulation:
         heappush(self.heap, (now + self.exec[a], self.seq, self.END, a))
         self.inflight[a] += 1
         self.fire_starts += 1
-        self.firing_log.append((self.core_of.get(self.ids[a]), self.ids[a]))
+        self.firing_log.append((self.core_of[a], self.ids[a]))
         if self.fire_starts > self.budget:
             raise BudgetExceededError(
                 f"more than {self.budget} firings without a recurrent state")
@@ -484,7 +466,7 @@ class _Simulation:
                 self.seq += 1
                 heappush(self.heap, (now + lat, self.seq, self.ARRIVE,
                                      (ci, amount)))
-        core = self.core_of.get(self.ids[a])
+        core = self.core_of[a]
         if core is not None:
             self.busy[core] = False
 
@@ -514,7 +496,7 @@ class _Simulation:
             for a in range(len(self.ids)):
                 if (not self.queued[a] and self.inflight[a] == 0
                         and self._can_fire(a)):
-                    core = self.core_of.get(self.ids[a])
+                    core = self.core_of[a]
                     if core is None:
                         raise InfeasibleMappingError(
                             f"actor {self.ids[a]!r} has no core binding")
@@ -666,21 +648,31 @@ class _Simulation:
 
 def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
                      mapping: dict[str, str] | None,
-                     exec_time_scale=1) -> tuple[dict, dict, dict]:
-    """Resolve per-actor execution times and per-channel latencies.
+                     exec_time_scale=1) -> tuple[list, list, list]:
+    """Place the graph on a platform: ``(exec_times, core_of, latency)``.
 
-    Under a mapping each actor runs at its host core's execution time
-    (scaled, e.g. by the time-wheel share); channels between distinct
-    cores take the routed link latency.  Without a platform the actors'
-    own execution times apply.
+    ``exec_times`` and ``core_of`` list each actor's execution time and
+    host core in ``g._tables`` order; ``latency`` lists each channel's
+    token latency in channel order.  Under a mapping each actor runs at
+    its host core's execution time (scaled, e.g. by the time-wheel
+    share) and a channel between distinct cores takes the routed link
+    latency, 0 within one core.  Without a platform or a mapping the
+    actors' own execution times apply, no actor has a core and no
+    channel has latency.
+
+    This is the one check that a mapping places every actor on a
+    declared core and that a route joins the cores of every inter-core
+    channel; it raises :class:`InfeasibleMappingError` naming the
+    unmapped actor, the undeclared core or the missing route.  The
+    capacity checks are :func:`snnflow.mapping.validate_mapping`'s.
     """
-    scale = exact_time(exec_time_scale)
-    exec_times: dict[str, object] = {}
-    latencies: dict[int, object] = {}
-    core_of: dict[str, str] = {}
-    if platform is not None and mapping is not None:
-        routed = platform.routed_latencies()
+    if platform is None or mapping is None:
+        times = [a.exec_time for a in g.actors]
+        core_of = [None] * len(g.actors)
+        latency = [0] * len(g.channels)
+    else:
         cores = platform._cores[2]
+        core_of = []
         for a in g.actors:
             if a.id not in mapping:
                 raise InfeasibleMappingError(f"actor {a.id!r} is unmapped")
@@ -688,21 +680,26 @@ def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
             if core not in cores:
                 raise InfeasibleMappingError(
                     f"actor {a.id!r} mapped to undeclared core {core!r}")
-            core_of[a.id] = core
-            exec_times[a.id] = exact_time(cores[core].exec_time) * scale
+            core_of.append(core)
+        index = g._tables[1]
+        routed = platform.routed_latencies()
+        latency = []
         for i, c in enumerate(g.channels):
-            src, dst = core_of[c.src], core_of[c.dst]
+            src, dst = core_of[index[c.src]], core_of[index[c.dst]]
             if src == dst:
-                continue
-            if (src, dst) not in routed:
+                latency.append(0)
+            elif (src, dst) in routed:
+                latency.append(exact_time(routed[(src, dst)]))
+            else:
                 raise InfeasibleMappingError(
-                    f"no route from core {src!r} to core {dst!r} required by "
-                    f"channel {i}")
-            latencies[i] = exact_time(routed[(src, dst)])
-    else:
-        for a in g.actors:
-            exec_times[a.id] = exact_time(a.exec_time) * scale
-    return exec_times, latencies, core_of
+                    f"no route from core {src!r} to core {dst!r} required "
+                    f"by channel {i}")
+        times = [cores[c].exec_time for c in core_of]
+    # normalised again after scaling, so that an integral Fraction becomes
+    # an int: the steady-state hash digests the repr of the state
+    scale = exact_time(exec_time_scale)
+    return ([exact_time(exact_time(t) * scale) for t in times], core_of,
+            latency)
 
 
 def execute(g: Sdfg, *, schedules=None, platform: HardwareGraph | None = None,
@@ -710,12 +707,17 @@ def execute(g: Sdfg, *, schedules=None, platform: HardwareGraph | None = None,
             list_mode: bool = False,
             state_budget: int = DEFAULT_STATE_BUDGET) -> ExecutionResult:
     """Low-level entry point shared by throughput analysis and schedule
-    construction."""
-    exec_times, latencies, core_of = resolve_platform(
-        g, platform, mapping, exec_time_scale)
-    sim = _Simulation(g, exec_times=exec_times, latencies=latencies,
-                      core_of=core_of, schedules=schedules,
-                      list_mode=list_mode, state_budget=state_budget)
+    construction.
+
+    The placement (host cores, execution times, channel latencies, and
+    the unmapped-actor, undeclared-core and missing-route errors) comes
+    from :func:`resolve_platform`; platform capacities are not checked
+    here, :func:`snnflow.mapping.validate_mapping` does that.
+    """
+    sim = _Simulation(g, *resolve_platform(g, platform, mapping,
+                                           exec_time_scale),
+                      schedules=schedules, list_mode=list_mode,
+                      state_budget=state_budget)
     return sim.run()
 
 

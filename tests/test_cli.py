@@ -242,6 +242,29 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert main(["explore", "--config", str(cfg)]) == 2
 
 
+@pytest.mark.parametrize("command", ["map", "explore"])
+def test_swarm_seed_config_exits_2(files, tmp_path, capsys, command):
+    # the swarm draws from --seed (or the config's top-level seed); a
+    # seed under swarm: would be silently ignored, so it is refused
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "format": "run-config/1",
+        "snn": files["snn"], "hardware": files["hw"],
+        "crossbar_dim": 4, "eta": 1, "swarm": {"seed": 2}}))
+    if command == "map":
+        parts = tmp_path / "parts"
+        assert main(["partition", "--snn", files["snn"], "--crossbar-dim",
+                     "4", "--eta", "1", "--seed", "11", "-o",
+                     str(parts)]) == 0
+        argv = ["map", str(parts / "round_0.yaml"), "--config", str(cfg)]
+    else:
+        argv = ["explore", "--config", str(cfg), "--jobs", "1",
+                "-o", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert "bad swarm settings" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["partition", "explore"])
 @pytest.mark.parametrize("value", ["-1", "nan"])
 def test_bad_delta_min_flag_exits_2(files, tmp_path, capsys, command, value):

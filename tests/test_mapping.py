@@ -141,6 +141,33 @@ def test_validate_mapping_requires_route():
         validate_mapping(g, hw, {"c0": "t0", "c1": "t1", "c2": "t1"})
 
 
+@pytest.mark.parametrize("mapping, message", [
+    ({"c0": "t0", "c1": "t0"}, "actor 'c2' is unmapped"),
+    ({"c0": "t0", "c1": "t0", "c2": "t9"},
+     "actor 'c2' mapped to undeclared core 't9'"),
+    ({"c0": "t0", "c1": "t1", "c2": "t1"},
+     "no route from core 't0' to core 't1' required by channel 0"),
+], ids=["unmapped", "undeclared-core", "no-route"])
+def test_every_entry_point_gives_the_same_placement_error(mapping, message):
+    g = demo_sdfg()
+    hw = HardwareGraph((Core("t0", 8, 1), Core("t1", 8, 1)),
+                       (Link("t1", "t0", 1),))  # no route t0 -> t1
+    for entry in (lambda: validate_mapping(g, hw, mapping),
+                  lambda: execute(g, platform=hw, mapping=mapping),
+                  lambda: evaluate_mapping(g, hw, mapping)):
+        with pytest.raises(InfeasibleMappingError) as err:
+            entry()
+        assert str(err.value) == message
+
+
+def test_route_error_comes_before_overload():
+    g = demo_sdfg()
+    hw = HardwareGraph((Core("t0", 1, 1), Core("t1", 1, 1)),
+                       (Link("t1", "t0", 1),))  # no route t0 -> t1
+    with pytest.raises(InfeasibleMappingError, match="no route"):
+        validate_mapping(g, hw, {"c0": "t0", "c1": "t1", "c2": "t1"})
+
+
 # ------------------------------------------------------------ schedules
 
 def test_single_cluster_schedule_repeats_it():
@@ -290,7 +317,7 @@ def test_pso_particle_at_gbest_is_stationary():
 
 def test_pso_gbest_monotone_and_beats_initial_population(hw2):
     g = demo_sdfg(buffer=38)
-    cfg = SwarmConfig(particles=8, iterations=12, seed=5)
+    cfg = SwarmConfig(particles=8, iterations=12)
     rng = np.random.default_rng(7)
     swarm = init_swarm(cfg, dims=len(g.actors) * 2, rng=rng)
 
@@ -316,7 +343,7 @@ def test_search_symmetric_two_clusters(hw2):
         clusters=(Cluster("u", ("x",)), Cluster("v", ("y",))),
         edges=(ClusterEdge("u", "v", 3),))
     g = lift_to_sdfg(cg, core_exec_time=1, default_buffer=3)
-    sol = search_mapping(g, hw2, SwarmConfig(particles=4, iterations=6, seed=2))
+    sol = search_mapping(g, hw2, SwarmConfig(particles=4, iterations=6), rng=2)
     both = {evaluate_mapping(g, hw2, {"u": "t0", "v": "t1"}).throughput.throughput,
             evaluate_mapping(g, hw2, {"u": "t1", "v": "t0"}).throughput.throughput}
     assert len(both) == 1
@@ -346,8 +373,8 @@ def test_search_matches_exhaustive_enumeration():
         best = max(best, sol.throughput.throughput)
     hits = 0
     for seed in range(6):
-        sol = search_mapping(g, hw, SwarmConfig(particles=10, iterations=12,
-                                                seed=seed))
+        sol = search_mapping(g, hw, SwarmConfig(particles=10, iterations=12),
+                             rng=seed)
         assert sol.throughput.throughput <= best + 1e-12
         if sol.throughput.throughput == pytest.approx(best, rel=1e-12):
             hits += 1
@@ -356,8 +383,8 @@ def test_search_matches_exhaustive_enumeration():
 
 def test_search_deterministic_given_seed(hw2):
     g = demo_sdfg(buffer=19)
-    cfg = SwarmConfig(particles=6, iterations=8, seed=11)
-    a = search_mapping(g, hw2, cfg)
-    b = search_mapping(g, hw2, cfg)
+    cfg = SwarmConfig(particles=6, iterations=8)
+    a = search_mapping(g, hw2, cfg, rng=11)
+    b = search_mapping(g, hw2, cfg, rng=np.random.default_rng(11))
     assert a.mapping == b.mapping
     assert a.throughput == b.throughput

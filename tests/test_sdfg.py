@@ -228,6 +228,23 @@ def test_throughput_matches_reference_simulator_multirate():
     assert live >= 25
 
 
+@pytest.mark.parametrize("max_actors", [5, 8])
+def test_deadlock_verdict_matches_reference_simulator(max_actors):
+    # both directions: check_deadlock reports a stall exactly when the
+    # independent simulator finds no periodic regime
+    verdicts = set()
+    for seed in range(150):
+        g = random_multirate(seed, max_actors)
+        try:
+            reference_throughput(g)
+            oracle_live = True
+        except OracleDeadlock:
+            oracle_live = False
+        assert (check_deadlock(g) is None) == oracle_live, f"seed {seed}"
+        verdicts.add(oracle_live)
+    assert verdicts == {True, False}
+
+
 def test_chain_2_3_matches_reference():
     g = Sdfg((Actor("a", 1), Actor("b", 1)),
              (Channel("a", 2, "b", 3, tokens=0, capacity=12),

@@ -41,3 +41,11 @@ def test_one_partition_round_pipeline():
         [("partition.py", "partition_round")]
     assert callers_of("spawn") == [("dse.py", "_run_round"),
                                    ("partition.py", "round_seeds")]
+
+
+def test_one_placement():
+    # resolve_platform alone places a mapping on a platform; every other
+    # pass reads the cached per-graph tables, and only cmd_analyze, which
+    # prints the vector, asks for a fresh repetition vector
+    assert callers_of("routed_latencies") == [("sdfg.py", "resolve_platform")]
+    assert callers_of("repetition_vector") == [("cli.py", "cmd_analyze")]
