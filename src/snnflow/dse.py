@@ -303,6 +303,17 @@ def _until_over_budget(results) -> list[RoundResult]:
     return rounds
 
 
+def _cancel_on_budget(later):
+    """Done-callback for one round's future: when that round exceeded the
+    state budget, cancel the ``later`` rounds that no worker has taken."""
+    def callback(done):
+        if not done.cancelled() and done.exception() is None \
+                and done.result().error_kind == "budget":
+            for f in later:
+                f.cancel()
+    return callback
+
+
 def run_design_flow(g: SnnGraph, hw: HardwareGraph,
                     cfg: DesignFlowConfig) -> DesignFlowResult:
     """Full exploration: eta partition rounds x buffer sweep x mapping search.
@@ -315,8 +326,9 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     :class:`InfeasibleMappingError` is raised, its message listing every
     round's error, whatever their kinds (all deadlocks included).  When
     round ``k`` is the first to exceed the state budget, no later round
-    starts (with ``jobs > 1``, the rounds no worker has taken yet are
-    cancelled, and the ones already taken are waited for) and
+    starts (with ``jobs > 1``, as soon as any round reports a budget
+    error, the later rounds no worker has taken yet are cancelled; the
+    ones already taken and the earlier rounds are waited for) and
     :class:`BudgetExceededError` is raised with a partial result
     attached: rounds ``0..k``, their design points, and the Pareto front
     of those points.
@@ -333,6 +345,8 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.eta)) as pool:
             futures = [pool.submit(_run_round, g, hw, cfg, r, seeds[r])
                        for r in range(cfg.eta)]
+            for r, f in enumerate(futures):
+                f.add_done_callback(_cancel_on_budget(futures[r + 1:]))
             rounds = _until_over_budget(f.result() for f in futures)
             pool.shutdown(cancel_futures=True)
 

@@ -296,9 +296,13 @@ def init_swarm(cfg: SwarmConfig, dims: int,
 def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
     """One swarm update: move positions, evaluate, refresh bests.
 
-    ``fitness`` maps a position vector to a period (lower is better;
-    ``inf`` marks an infeasible decode).  The first call on a fresh
-    swarm only evaluates the initial positions.
+    ``fitness(position, limit)`` maps a position vector to a period
+    (lower is better; ``inf`` marks an infeasible decode).  ``limit`` is
+    the particle's best period so far, the only value a new period is
+    compared with; when fitness can prove that the period is at least
+    ``limit``, it may return any value ``>= limit`` instead.  The first
+    call on a fresh swarm only evaluates the initial positions, each
+    against a limit of ``inf``.
     """
     if swarm.gbest_position is not None:
         swarm.velocities = (
@@ -310,7 +314,7 @@ def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
         np.clip(swarm.positions, 0.0, 1.0, out=swarm.positions)
 
     for l in range(swarm.positions.shape[0]):
-        period = fitness(swarm.positions[l])
+        period = fitness(swarm.positions[l], swarm.best_periods[l])
         if period < swarm.best_periods[l]:
             swarm.best_periods[l] = period
             swarm.best_positions[l] = swarm.positions[l].copy()
@@ -319,6 +323,43 @@ def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
             swarm.gbest_position = swarm.positions[l].copy()
     swarm.history.append(swarm.gbest_period)
     return swarm
+
+
+def _period_lower_bound(g: Sdfg, exec_times: list, core_of: list,
+                        latency: list):
+    """Exact lower bound on the period of a mapped, scheduled graph.
+
+    The arguments are :func:`snnflow.sdfg.resolve_platform`'s placement.
+    The period is the maximum cycle ratio of the design's
+    inter-processor-communication graph (Reiter, JACM 1968; Sriram &
+    Bhattacharyya 2000), so any one cycle's ratio bounds it from below:
+
+    * a core fires its actors one at a time, ``q(a)`` times each per
+      iteration, so its load ``sum(q(a) * exec(a))`` is a cycle ratio;
+    * a bounded channel between two distinct actors with equal rates
+      closes a forward/credit cycle of weight ``exec(src) + latency +
+      exec(dst)`` that holds at most ``capacity // rate`` firings, taken
+      ``q(src)`` times per iteration.
+
+    Channels with unequal rates, self-loops and channels too small for
+    one firing are left to the analysis itself.
+    """
+    _, index, _, _, qv = g._tables
+    load: dict = defaultdict(int)
+    for core, q, t in zip(core_of, qv, exec_times):
+        load[core] += q * t
+    # the largest ratio so far as num / den, so that integer times stay
+    # in integer arithmetic
+    num, den = max(load.values(), default=0), 1
+    for ci, c in enumerate(g.channels):
+        if c.capacity is not None and c.prod == c.cons and c.src != c.dst \
+                and c.capacity >= c.prod:
+            s, d = index[c.src], index[c.dst]
+            weight = qv[s] * (exec_times[s] + latency[ci] + exec_times[d])
+            tokens = c.capacity // c.prod
+            if weight * den > num * tokens:
+                num, den = weight, tokens
+    return Fraction(num, den)
 
 
 def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
@@ -334,20 +375,47 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     :class:`InfeasibleMappingError` when no feasible assignment was found
     at all.  Budget errors from the underlying analysis propagate.
     ``rng`` is a generator, a seed, or ``None`` for a fresh seed.
+
+    An assignment is not evaluated when an exact lower bound on its
+    period (:func:`_period_lower_bound`) already reaches the particle's
+    best period: it could change neither that best nor the result, so
+    the search returns what the exhaustive scoring would.  Such a
+    skipped assignment cannot raise :class:`BudgetExceededError`, which
+    its evaluation might have done.  In the first swarm iteration every
+    particle's best is ``inf`` and only assignments that cannot be
+    placed at all are skipped.
     """
     cfg = cfg or SwarmConfig()
     rng = np.random.default_rng(rng)  # a Generator passes through as is
     dims = len(g.actors) * len(hw.cores)
     swarm = init_swarm(cfg, dims, rng)
+    # cache holds real evaluations only; bounds never enter it
     cache: dict[tuple, tuple[float, MappingSolution | None]] = {}
+    bounds: dict[tuple, tuple] = {}  # key -> (exact bound, as a float)
 
-    def fitness(theta: np.ndarray) -> float:
+    def period_bound(mapping: dict[str, str]) -> tuple:
+        try:
+            placement = resolve_platform(g, hw, mapping,
+                                         _share_to_scale(time_wheel_share))
+        except InfeasibleMappingError:
+            return math.inf, math.inf
+        bound = _period_lower_bound(g, *placement)
+        return bound, float(bound)
+
+    def fitness(theta: np.ndarray, limit: float) -> float:
         try:
             mapping = decode_position(theta, g, hw)
         except InfeasibleMappingError:
             return math.inf
         key = tuple(sorted(mapping.items()))
         if key not in cache:
+            if key not in bounds:
+                bounds[key] = period_bound(mapping)
+            bound, rounded = bounds[key]
+            # rounding to float is monotone, so only a tie between the
+            # rounded bound and the limit needs the exact comparison
+            if rounded > limit or (rounded == limit and bound >= limit):
+                return rounded
             try:
                 sol = evaluate_mapping(g, hw, mapping, time_wheel_share,
                                        state_budget)

@@ -7,12 +7,14 @@ credit channels with the opposite tie-breaking, repetition vectors by
 Gaussian elimination over exact rationals, Pareto fronts by the direct
 O(n^2) dominance scan, swap descent by re-summing the synapses each
 candidate swap touches instead of keeping gain tables, swarm decode by
-one ``argmax`` per cluster row over freshly built core tables.
+one ``argmax`` per cluster row over freshly built core tables, the
+swarm search by evaluating every distinct assignment it decodes.
 """
 
 from __future__ import annotations
 
 import bisect
+import math
 from fractions import Fraction
 
 from collections import defaultdict
@@ -20,10 +22,13 @@ from collections import defaultdict
 import networkx as nx
 import numpy as np
 
-from snnflow.errors import InfeasibleMappingError
+from snnflow.errors import DeadlockError, InfeasibleMappingError
+from snnflow.mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution,
+                             SwarmConfig, decode_position, evaluate_mapping,
+                             init_swarm, pso_step)
 from snnflow.partition import (Partition, _cluster_fanin_counts,
                                communication_cost)
-from snnflow.sdfg import Sdfg
+from snnflow.sdfg import DEFAULT_STATE_BUDGET, Sdfg
 from snnflow.snn_graph import HardwareGraph, SnnGraph, Synapse
 
 
@@ -526,3 +531,49 @@ def reference_decode_position(theta: np.ndarray, g: Sdfg,
                 f"cannot repair overload on core {core!r}: total demand "
                 f"exceeds platform capacity")
     return assign
+
+
+def reference_search_mapping(g: Sdfg, hw: HardwareGraph,
+                             cfg: SwarmConfig | None = None,
+                             time_wheel_share: float = DEFAULT_TIME_WHEEL_SHARE,
+                             state_budget: int = DEFAULT_STATE_BUDGET,
+                             rng: np.random.Generator | int | None = None
+                             ) -> MappingSolution:
+    """Swarm search that scores every distinct decoded assignment.
+
+    The same swarm as :func:`snnflow.mapping.search_mapping`, with no
+    lower-bound test: every assignment not seen before is validated,
+    scheduled and rated, whatever the particle's best period.
+    """
+    cfg = cfg or SwarmConfig()
+    rng = np.random.default_rng(rng)
+    dims = len(g.actors) * len(hw.cores)
+    swarm = init_swarm(cfg, dims, rng)
+    cache: dict[tuple, tuple[float, MappingSolution | None]] = {}
+
+    def fitness(theta: np.ndarray, limit: float) -> float:
+        try:
+            mapping = decode_position(theta, g, hw)
+        except InfeasibleMappingError:
+            return math.inf
+        key = tuple(sorted(mapping.items()))
+        if key not in cache:
+            try:
+                sol = evaluate_mapping(g, hw, mapping, time_wheel_share,
+                                       state_budget)
+                cache[key] = (sol.throughput.period, sol)
+            except (InfeasibleMappingError, DeadlockError):
+                cache[key] = (math.inf, None)
+        period, sol = cache[key]
+        if sol is not None:
+            if swarm.gbest_solution is None \
+                    or period < swarm.gbest_solution.throughput.period:
+                swarm.gbest_solution = sol
+        return period
+
+    for _ in range(cfg.iterations):
+        pso_step(swarm, fitness, cfg)
+    if swarm.gbest_solution is None:
+        raise InfeasibleMappingError(
+            "no feasible cluster-to-core assignment found by the search")
+    return swarm.gbest_solution

@@ -1,6 +1,6 @@
 """Smoke test of the benchmark harness in ``bench/``.
 
-One single-round operation of an explore workload and of the front
+One single-round operation of each explore workload and of the front
 workload (on one frame of spike trains), built, run, checked and
 fingerprinted the way ``bench/run.py`` does it, so that the harness
 keeps working as the library changes.
@@ -17,13 +17,14 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import workloads  # noqa: E402  (needs bench/ on the path)
 
 
-# Fingerprints of the two smoke runs (seed 1).  They pin the fronts and
-# partitions byte for byte: a change that moves either of them changes
-# the library's results, and must say so as a behaviour change.
+# Fingerprints of the smoke runs (seed 1).  They pin the fronts and
+# partitions byte for byte: a change that moves any of them changes the
+# library's results, and must say so as a behaviour change.
 @pytest.mark.parametrize("name, smaller, fingerprint", [
     ("explore-mesh16", {"rounds": 1}, "d4676b3834a7a1f8"),
     ("front-l96", {"rounds": 1, "frames": 1}, "49dd6e78ce974ee1"),
-], ids=["explore-mesh16", "front-l96"])
+    ("explore-a2a4", {"rounds": 1}, "263750fac91b9013"),
+], ids=["explore-mesh16", "front-l96", "explore-a2a4"])
 def test_one_round_passes_checks_and_repeats(tmp_path, name, smaller,
                                              fingerprint):
     wl = dataclasses.replace(workloads.WORKLOADS[name], **smaller)

@@ -1,5 +1,8 @@
 """Exploration driver: sweeps, Pareto filtering, the full flow."""
 
+import functools
+import time
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,8 @@ from conftest import all_to_all_platform, layered_demo_snn, two_core_platform
 from oracles import dominance_front
 
 from snnflow import dse
-from snnflow.dse import (DesignFlowConfig, DesignPoint, SweepConfig,
+from snnflow.dse import (DesignFlowConfig, DesignPoint, RoundResult,
+                         SweepConfig,
                          min_buffer_for_throughput, pareto_filter,
                          pipeline_rate_bound, run_design_flow, sweep_buffers)
 from snnflow.mapping import SwarmConfig
@@ -211,6 +215,55 @@ def test_flow_budget_error_keeps_the_rounds_before_it(monkeypatch,
     assert key(partial.points) == \
         key(p for p in full.points if p.round_index < failing_round)
     assert key(partial.front.points) == key(dominance_front(partial.points))
+
+
+_REAL_RUN_ROUND = dse._run_round
+
+
+def first_round_waits_second_over_budget(marks, g, hw, cfg, r, seeds):
+    """Round 0 runs for real, but with ``jobs > 1`` only once every round
+    from 2 on has started, or after a second; round 1 exceeds the budget
+    at once; the later rounds do nothing.  Each round leaves a mark in
+    ``marks`` when it starts, which a worker process can do too."""
+    (marks / f"started-{r}").touch()
+    if r == 1:
+        return RoundResult(1, error="budget exceeded: state budget exhausted",
+                           error_kind="budget")
+    if r > 1:
+        return RoundResult(r)
+    deadline = time.monotonic() + 1.0
+    while cfg.jobs > 1 and time.monotonic() < deadline and not all(
+            (marks / f"started-{k}").exists() for k in range(2, cfg.eta)):
+        time.sleep(0.01)
+    return _REAL_RUN_ROUND(g, hw, cfg, r, seeds)
+
+
+def test_parallel_flow_stops_taking_rounds_once_one_is_over_budget(
+        monkeypatch, tmp_path):
+    # round 1 is over budget while round 0 still runs.  Waiting for
+    # round 0 before cancelling would let the second worker start every
+    # later round; cancelling when round 1 reports leaves only those the
+    # pool had already queued (at most jobs + 1 of them)
+    g, hw = layered_demo_snn(), two_core_platform()
+    partials = {}
+    for jobs in (1, 2):
+        marks = tmp_path / f"jobs{jobs}"
+        marks.mkdir()
+        monkeypatch.setattr(dse, "_run_round", functools.partial(
+            first_round_waits_second_over_budget, marks))
+        with pytest.raises(BudgetExceededError) as info:
+            run_design_flow(g, hw, small_flow_config(eta=8, jobs=jobs))
+        partials[jobs] = info.value.partial
+        started = sorted(int(p.name.split("-")[1]) for p in marks.iterdir())
+        assert started[:2] == [0, 1]
+        assert started[-1] <= (1 if jobs == 1 else 4), started
+    key = lambda res: (
+        [(rr.round_index, rr.error_kind) for rr in res.rounds],
+        [(p.throughput, p.total_buffer, p.round_index, p.step_index, p.order)
+         for p in res.points],
+        [p.order for p in res.front.points])
+    assert key(partials[2]) == key(partials[1])
+    assert partials[1].points  # round 0 has design points
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

@@ -3,22 +3,30 @@
 import itertools
 import math
 import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from conftest import all_to_all_platform, demo_clustered, two_core_platform
-from oracles import reference_decode_position
+import oracles
+from conftest import (all_to_all_platform, demo_clustered, layered_snn,
+                      random_hsdf, random_multirate, two_core_platform)
+from oracles import reference_decode_position, reference_search_mapping
 
-from snnflow.errors import InfeasibleMappingError
+from snnflow import mapping as mapping_module
+from snnflow.errors import (BudgetExceededError, DeadlockError,
+                            InfeasibleMappingError)
 from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
+                             _period_lower_bound, _share_to_scale,
                              build_schedules, decode_position,
                              evaluate_mapping, init_swarm, pso_step,
                              search_mapping, validate_mapping)
+from snnflow.partition import (build_clustered_graph, partition_round,
+                               round_seeds)
 from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, Sdfg, execute,
                           lift_to_sdfg, minimum_buffer_allocation,
-                          repetition_vector, self_timed_throughput,
-                          set_buffer_allocation)
+                          repetition_vector, resolve_platform,
+                          self_timed_throughput, set_buffer_allocation)
 from snnflow.snn_graph import Core, HardwareGraph, Link
 
 
@@ -295,7 +303,7 @@ def test_pso_zero_phi_keeps_constant_velocity():
     swarm = init_swarm(cfg, dims=4, rng=rng)
     v0 = swarm.velocities.copy()
     p0 = swarm.positions.copy()
-    fitness = lambda theta: float(np.sum(theta))
+    fitness = lambda theta, limit: float(np.sum(theta))
     pso_step(swarm, fitness, cfg)   # evaluation only
     pso_step(swarm, fitness, cfg)   # now positions move by velocity
     assert np.allclose(swarm.velocities, v0)
@@ -308,7 +316,7 @@ def test_pso_particle_at_gbest_is_stationary():
     rng = np.random.default_rng(1)
     swarm = init_swarm(cfg, dims=3, rng=rng)
     swarm.velocities[:] = 0.0
-    fitness = lambda theta: 1.0
+    fitness = lambda theta, limit: 1.0
     pso_step(swarm, fitness, cfg)
     before = swarm.positions.copy()
     pso_step(swarm, fitness, cfg)
@@ -321,7 +329,7 @@ def test_pso_gbest_monotone_and_beats_initial_population(hw2):
     rng = np.random.default_rng(7)
     swarm = init_swarm(cfg, dims=len(g.actors) * 2, rng=rng)
 
-    def fitness(theta):
+    def fitness(theta, limit):
         try:
             mapping = decode_position(theta, g, hw2)
             return evaluate_mapping(g, hw2, mapping).throughput.period
@@ -388,3 +396,150 @@ def test_search_deterministic_given_seed(hw2):
     b = search_mapping(g, hw2, cfg, rng=np.random.default_rng(11))
     assert a.mapping == b.mapping
     assert a.throughput == b.throughput
+
+
+def test_search_budget_error_in_the_first_iteration_propagates(hw2):
+    # every particle's best is inf in the first iteration, so no
+    # assignment is skipped there and its budget error surfaces
+    g = demo_sdfg(buffer=38)
+    with pytest.raises(BudgetExceededError):
+        search_mapping(g, hw2, SwarmConfig(particles=3, iterations=4),
+                       state_budget=1, rng=0)
+
+
+# -------------------------------------------- pruning by a period bound
+
+def mixed_platform(rng, mesh: bool, caps: bool) -> HardwareGraph:
+    """Four cores of mixed speeds and crossbar sizes, joined all-to-all
+    or as a 2x2 mesh; with ``caps`` two cores accept one incoming and
+    one outgoing connection only, which rejects some assignments."""
+    cores = tuple(
+        Core(f"t{i}", int(rng.integers(2, 5)),
+             [1, 1.5, 2, 3][int(rng.integers(0, 4))],
+             in_connections=1 if caps and i < 2 else None,
+             out_connections=1 if caps and i < 2 else None)
+        for i in range(4))
+    pairs = ([(0, 1), (1, 3), (3, 2), (2, 0)] if mesh
+             else list(itertools.combinations(range(4), 2)))
+    links = tuple(Link(f"t{a}", f"t{b}", int(rng.integers(1, 3)))
+                  for i, j in pairs for a, b in ((i, j), (j, i)))
+    return HardwareGraph(cores, links)
+
+
+def lifted_layered(seed: int, buffer_factor: int) -> Sdfg:
+    """A partitioned, lifted layered net with every channel bounded at
+    ``buffer_factor`` times its single-firing minimum."""
+    net = layered_snn(seed, [4, 4, 4])
+    p, _ = partition_round(net, 4, round_seeds(seed, 1)[0][0])
+    g = lift_to_sdfg(build_clustered_graph(net, p), core_exec_time=1)
+    return set_buffer_allocation(
+        g, {i: cap * buffer_factor
+            for i, cap in minimum_buffer_allocation(g).items()})
+
+
+def random_design(seed: int) -> Sdfg:
+    kind = seed % 3
+    if kind == 0:
+        return random_hsdf(seed, max_actors=5)
+    if kind == 1:
+        return random_multirate(seed, max_actors=4)
+    return lifted_layered(seed, 1 + seed % 3)
+
+
+def search_or_error(search, *args, **kwargs):
+    try:
+        return search(*args, **kwargs).to_record()
+    except InfeasibleMappingError as exc:
+        return f"infeasible: {exc}"
+
+
+def test_pruned_search_equals_the_reference_search(monkeypatch):
+    evals = {"pruned": 0, "reference": 0}
+    seen = {"fraction times": 0, "found": 0, "capped": 0}
+
+    def counting(name, evaluate):
+        def wrapped(*args, **kwargs):
+            evals[name] += 1
+            try:
+                return evaluate(*args, **kwargs)
+            except InfeasibleMappingError as exc:
+                seen["capped"] += "connections" in str(exc)
+                raise
+        return wrapped
+
+    monkeypatch.setattr(mapping_module, "evaluate_mapping",
+                        counting("pruned", evaluate_mapping))
+    monkeypatch.setattr(oracles, "evaluate_mapping",
+                        counting("reference", evaluate_mapping))
+    rng = np.random.default_rng(2024)
+    cfg = SwarmConfig(particles=6, iterations=8)
+    for seed in range(30):
+        g = random_design(seed)
+        hw = mixed_platform(rng, mesh=seed % 2 == 1, caps=seed % 4 >= 2)
+        share = [1, 0.5, 1 / 3][seed % 3]
+        seen["fraction times"] += any(
+            isinstance(exact, Fraction) for exact in
+            resolve_platform(g, hw, {a: "t0" for a in g.actor_ids()},
+                             _share_to_scale(share))[0])
+        got = search_or_error(search_mapping, g, hw, cfg, share, rng=seed)
+        want = search_or_error(reference_search_mapping, g, hw, cfg, share,
+                               rng=seed)
+        assert got == want, f"seed {seed}"
+        seen["found"] += not isinstance(want, str)
+    assert all(seen.values()), seen
+    assert evals["pruned"] < evals["reference"], evals
+
+
+def test_period_lower_bound_is_below_the_scheduled_period():
+    rng = np.random.default_rng(7)
+    seen = {"live": 0, "ipc > 1": 0, "multirate": 0, "bounded self-loop": 0,
+            "below one firing": 0, "tight": 0}
+    for seed in range(60):
+        g = random_design(seed)
+        actors, channels = g.actors, list(g.channels)
+        if seed % 5 == 0:  # bound one self-loop
+            i = next(i for i, c in enumerate(channels) if c.src == c.dst)
+            channels[i] = Channel(channels[i].src, 1, channels[i].dst, 1,
+                                  tokens=1, capacity=2)
+        if seed % 7 == 0:  # a channel too small for one firing
+            actors += (Actor("x"),)
+            channels.append(Channel(actors[0].id, 2, "x", 2, tokens=0,
+                                    capacity=1))
+        g = Sdfg(actors, tuple(channels))
+        hw = mixed_platform(rng, mesh=seed % 2 == 0, caps=False)
+        share = [1, 0.5, 1 / 3][seed % 3]
+        scale = _share_to_scale(share)
+        cores = hw.core_ids()
+        mapping = {a: cores[int(rng.integers(0, len(cores)))]
+                   for a in g.actor_ids()}
+        bound = _period_lower_bound(g, *resolve_platform(g, hw, mapping,
+                                                         scale))
+        try:
+            schedules = build_schedules(g, hw, mapping, share)
+            res = execute(g, schedules=schedules, platform=hw,
+                          mapping=mapping, exec_time_scale=scale)
+        except DeadlockError:  # the period is infinite
+            seen["below one firing"] += seed % 7 == 0
+            continue
+        assert bound <= res.period_exact, f"seed {seed}"
+        seen["live"] += 1
+        seen["tight"] += bound == res.period_exact
+        seen["ipc > 1"] += res.iterations_per_cycle > 1
+        seen["multirate"] += any(c.prod != c.cons for c in g.channels)
+        seen["bounded self-loop"] += any(
+            c.src == c.dst and c.capacity is not None for c in g.channels)
+    assert all(seen.values()), seen
+
+
+def test_period_lower_bound_leaves_out_unequal_rates_and_small_buffers():
+    # one actor per core, and no core carries more than 2 per iteration.
+    # Taken as forward/credit cycles, a -> b (unequal rates) would claim
+    # 7, b -> c (no room for one firing) would divide by zero and c's
+    # bounded self-loop would claim 4
+    g = Sdfg((Actor("a"), Actor("b"), Actor("c")),
+             (Channel("a", 2, "b", 1, tokens=0, capacity=2),
+              Channel("b", 3, "c", 3, tokens=0, capacity=2),
+              Channel("c", 1, "c", 1, tokens=1, capacity=1)))
+    hw = all_to_all_platform(3, latency=5)
+    placement = resolve_platform(g, hw, {"a": "t0", "b": "t1", "c": "t2"})
+    assert _period_lower_bound(g, *placement) == 2  # q(b) * exec(b)
