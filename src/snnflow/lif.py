@@ -5,13 +5,31 @@ neuron's membrane with forward Euler, counts output spikes per frame, and
 writes the rounded per-frame averages back onto the graph.  Inter-spike
 timing is deliberately discarded downstream, so the integrator favours
 simplicity over waveform fidelity.
+
+:func:`estimate_rates` advances all neurons together, one array step per
+time step (clock-driven simulation, as surveyed by Brette et al., J.
+Comput. Neurosci. 2007).  Neurons take slots ``0..N-1`` of a spike-count
+vector, inputs the next ``I`` slots, and one last slot is always zero.
+Neuron ``j``'s in-synapses form column ``j`` of a ``(K, N)`` source-slot
+array and a ``(K, N)`` weight array, in ``g.synapses`` order, padded with
+the zero slot and weight ``0.0``.  Each step gathers the counts into a
+``(K, N)`` array, multiplies by the weights and adds the rows one at a
+time, then applies :func:`step_neuron`'s arithmetic elementwise.
+
+The result equals stepping each neuron through :func:`step_neuron` with
+the current from :func:`synaptic_current`, bit for bit.  The rows are
+added from a ``+0.0`` start in synapse order, which is the left-to-right
+order of :func:`synaptic_current`; a silent source adds a zero, which
+changes no sum.  The membrane update performs the same float operations
+in the same order, and numpy's float64 arithmetic rounds as Python's does.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import ConfigError, GraphFormatError
 from .snn_graph import SnnGraph, _dump_yaml, _load_yaml
@@ -90,9 +108,12 @@ def synaptic_current(incoming: list[tuple[int, float]], dt: float) -> float:
 
     ``incoming`` pairs each source's spike count in ``[t, t+dt)`` with its
     synaptic weight; every spike contributes ``weight / dt`` as a current
-    impulse spread over the step.
+    impulse spread over the step.  The products are added left to right.
     """
-    return sum(count * weight for count, weight in incoming) / dt
+    total = 0.0
+    for count, weight in incoming:
+        total += count * weight
+    return total / dt
 
 
 def _round_rate(x: float) -> int:
@@ -110,16 +131,21 @@ def estimate_rates(g: SnnGraph,
     from an input source receive the mean length of its trains.  The
     input sources' own ``spikes`` fields are refreshed to match.
 
-    Raises :class:`ConfigError` if any input lacks a train in some frame.
+    An input spike at time ``t`` lands in step ``int(t / dt)``.  When
+    ``frame_length / dt`` rounds down, the last spikes of a train can land
+    at or after step ``n_steps``: they count towards the input's own rate
+    but never reach a neuron.
+
+    Raises :class:`ConfigError` if any input lacks a train in some frame;
+    every frame is checked before any is simulated.
     """
     g.validate()
     base = params or LifParams()
     if not frames:
         raise ConfigError("at least one frame of input spike trains is required")
 
-    input_ids = set(g.input_ids())
-    per_neuron = {n.id: base.with_overrides(n.params_dict()) for n in g.neurons}
-    dts = {p.dt for p in per_neuron.values()} or {base.dt}
+    per_neuron = [base.with_overrides(n.params_dict()) for n in g.neurons]
+    dts = {p.dt for p in per_neuron} or {base.dt}
     if len(dts) != 1:
         raise ConfigError("all neurons must share one integration step dt")
     dt = dts.pop()
@@ -130,52 +156,78 @@ def estimate_rates(g: SnnGraph,
     frame_length = frame_lengths.pop() if frame_lengths else base.dt
     n_steps = max(1, int(round(frame_length / dt)))
 
-    in_weights: dict[str, list[tuple[str, float]]] = defaultdict(list)
-    for s in g.synapses:
-        in_weights[s.dst].append((s.src, s.weight))
-
     neuron_ids = g.neuron_ids()
-    fired_totals = {nid: 0 for nid in neuron_ids}
-    input_totals = {iid: 0 for iid in input_ids}
-
+    input_ids = g.input_ids()
     for fi, frame in enumerate(frames):
-        missing = input_ids - set(frame)
+        missing = set(input_ids) - set(frame)
         if missing:
             raise ConfigError(
                 f"frame {fi}: no spike train for input(s) {sorted(missing)}")
-        # bin input spikes by integration step
-        input_bins: dict[str, dict[int, int]] = {}
-        for iid in input_ids:
-            train = frame[iid]
-            bins: dict[int, int] = defaultdict(int)
-            for t in train.times:
-                bins[int(t / dt)] += 1
-            input_bins[iid] = bins
-            input_totals[iid] += len(train.times)
 
-        v = {nid: per_neuron[nid].v_rest for nid in neuron_ids}
-        fired_prev = {nid: 0 for nid in neuron_ids}
-        for step in range(n_steps):
-            fired_now = {}
-            for nid in neuron_ids:
-                pulses = []
-                for src, w in in_weights[nid]:
-                    if src in input_ids:
-                        count = input_bins[src].get(step, 0)
-                    else:
-                        count = fired_prev[src]
-                    if count:
-                        pulses.append((count, w))
-                i_s = synaptic_current(pulses, dt) if pulses else 0.0
-                v[nid], fired = step_neuron(v[nid], per_neuron[nid], i_s)
-                fired_now[nid] = 1 if fired else 0
-                if fired:
-                    fired_totals[nid] += 1
-            fired_prev = fired_now
+    n, n_in = len(neuron_ids), len(input_ids)
+    slot = {nid: i for i, nid in enumerate(neuron_ids + input_ids)}
+    v_rest = np.array([p.v_rest for p in per_neuron])
+    v_th = np.array([p.v_th for p in per_neuron])
+    tau_m = np.array([p.tau_m for p in per_neuron])
+    c_m = np.array([p.c_m for p in per_neuron])
+    i_inj = np.array([p.i_inj for p in per_neuron])
+
+    # column j lists neuron j's in-synapses in g.synapses order; short
+    # columns are padded with the always-zero slot n + n_in and weight 0.0
+    incoming: list[list[tuple[int, float]]] = [[] for _ in range(n)]
+    for s in g.synapses:
+        incoming[slot[s.dst]].append((slot[s.src], s.weight))
+    fan_in = max(map(len, incoming), default=0)
+    src = np.full((fan_in, n), n + n_in, dtype=np.intp)
+    weight = np.zeros((fan_in, n))
+    for j, column in enumerate(incoming):
+        for k, (i, w) in enumerate(column):
+            src[k, j] = i
+            weight[k, j] = w
+
+    # 0 * inf is nan, so non-finite weights multiply only where a source
+    # fired; with finite weights a silent source's term is a zero, which
+    # leaves the running sum unchanged
+    silent_is_zero = bool(np.isfinite(weight).all())
+
+    # neurons' spikes of the previous step, inputs' of this one, then 0
+    counts = np.zeros(n + n_in + 1)
+    fired_totals = np.zeros(n, dtype=np.int64)
+    input_totals = [0] * n_in
+    for frame in frames:
+        drive = np.zeros((n_steps, n_in))
+        for j, iid in enumerate(input_ids):
+            times = frame[iid].times
+            input_totals[j] += len(times)
+            for t in times:
+                b = int(t / dt)
+                if b < n_steps:
+                    drive[b, j] += 1
+
+        v = v_rest
+        counts[:n] = 0.0
+        # inf and nan propagate silently, as in Python float arithmetic
+        with np.errstate(over="ignore", invalid="ignore"):
+            for step in range(n_steps):
+                counts[n:n + n_in] = drive[step]
+                terms = counts[src]
+                if silent_is_zero:
+                    np.multiply(terms, weight, out=terms)
+                else:
+                    np.multiply(terms, weight, out=terms, where=terms != 0)
+                i_s = np.add.reduce(terms, axis=0, initial=0.0) / dt
+                leak = -(v - v_rest) / tau_m
+                v_new = v + dt * (leak + (i_s + i_inj) / c_m)
+                fired = (v >= v_th) | (v_new >= v_th)
+                v = np.where(fired, v_rest, v_new)
+                counts[:n] = fired
+                fired_totals += fired
 
     n_frames = len(frames)
-    mean_rate = {nid: fired_totals[nid] / n_frames for nid in neuron_ids}
-    mean_rate.update({iid: input_totals[iid] / n_frames for iid in input_ids})
+    mean_rate = {nid: total / n_frames
+                 for nid, total in zip(neuron_ids, fired_totals.tolist())}
+    mean_rate.update({iid: total / n_frames
+                      for iid, total in zip(input_ids, input_totals)})
 
     new_synapses = tuple(
         replace(s, spikes=float(_round_rate(mean_rate[s.src])))

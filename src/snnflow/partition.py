@@ -126,7 +126,8 @@ def init_partition(g: SnnGraph, crossbar_dim: int,
         changed = False
         for c in range(len(sizes)):
             while len(fanin[c]) > crossbar_dim:
-                victim = _pick_relocation_victim(c, assignment, neuron_fanin, fanin)
+                victim = _pick_relocation_victim(c, neurons, assignment,
+                                                 neuron_fanin, fanin)
                 dest = _find_destination(victim, c, sizes, fanin, neuron_fanin,
                                          crossbar_dim)
                 if dest is None:
@@ -140,9 +141,12 @@ def init_partition(g: SnnGraph, crossbar_dim: int,
     return p
 
 
-def _pick_relocation_victim(cluster: int, assignment, neuron_fanin, fanin):
+def _pick_relocation_victim(cluster: int, neurons, assignment, neuron_fanin,
+                            fanin):
+    # ``neurons`` is every neuron id in sorted order, so ties go to the
+    # smallest id
     best, best_gain = None, -1
-    for nid in sorted(assignment):
+    for nid in neurons:
         if assignment[nid] != cluster:
             continue
         gain = sum(1 for src in neuron_fanin[nid]

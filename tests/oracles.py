@@ -8,21 +8,24 @@ Gaussian elimination over exact rationals, Pareto fronts by the direct
 O(n^2) dominance scan, swap descent by re-summing the synapses each
 candidate swap touches instead of keeping gain tables, swarm decode by
 one ``argmax`` per cluster row over freshly built core tables, the
-swarm search by evaluating every distinct assignment it decodes.
+swarm search by evaluating every distinct assignment it decodes, LIF
+rates by stepping one neuron at a time through ``step_neuron``.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from fractions import Fraction
-
 from collections import defaultdict
+from dataclasses import replace
+from fractions import Fraction
 
 import networkx as nx
 import numpy as np
 
-from snnflow.errors import DeadlockError, InfeasibleMappingError
+from snnflow.errors import ConfigError, DeadlockError, InfeasibleMappingError
+from snnflow.lif import (LifParams, SpikeTrain, _round_rate, step_neuron,
+                         synaptic_current)
 from snnflow.mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution,
                              SwarmConfig, decode_position, evaluate_mapping,
                              init_swarm, pso_step)
@@ -577,3 +580,90 @@ def reference_search_mapping(g: Sdfg, hw: HardwareGraph,
         raise InfeasibleMappingError(
             "no feasible cluster-to-core assignment found by the search")
     return swarm.gbest_solution
+
+
+# ------------------------------------------------ rate oracle
+
+def reference_estimate_rates(g: SnnGraph,
+                             params: LifParams | None = None,
+                             frames: list[dict[str, SpikeTrain]] | None = None
+                             ) -> SnnGraph:
+    """LIF rate estimate, one neuron and one synapse at a time.
+
+    Every neuron steps through :func:`step_neuron` with the current that
+    :func:`synaptic_current` sums over its firing sources, in
+    ``g.synapses`` order.  A missing train is found only when its frame
+    is reached.
+    """
+    g.validate()
+    base = params or LifParams()
+    if not frames:
+        raise ConfigError("at least one frame of input spike trains is required")
+
+    input_ids = set(g.input_ids())
+    per_neuron = {n.id: base.with_overrides(n.params_dict()) for n in g.neurons}
+    dts = {p.dt for p in per_neuron.values()} or {base.dt}
+    if len(dts) != 1:
+        raise ConfigError("all neurons must share one integration step dt")
+    dt = dts.pop()
+
+    frame_lengths = {tr.frame_length for fr in frames for tr in fr.values()}
+    if len(frame_lengths) > 1:
+        raise ConfigError("all spike trains must share one frame length")
+    frame_length = frame_lengths.pop() if frame_lengths else base.dt
+    n_steps = max(1, int(round(frame_length / dt)))
+
+    in_weights: dict[str, list[tuple[str, float]]] = defaultdict(list)
+    for s in g.synapses:
+        in_weights[s.dst].append((s.src, s.weight))
+
+    neuron_ids = g.neuron_ids()
+    fired_totals = {nid: 0 for nid in neuron_ids}
+    input_totals = {iid: 0 for iid in input_ids}
+
+    for fi, frame in enumerate(frames):
+        missing = input_ids - set(frame)
+        if missing:
+            raise ConfigError(
+                f"frame {fi}: no spike train for input(s) {sorted(missing)}")
+        # bin input spikes by integration step
+        input_bins: dict[str, dict[int, int]] = {}
+        for iid in input_ids:
+            train = frame[iid]
+            bins: dict[int, int] = defaultdict(int)
+            for t in train.times:
+                bins[int(t / dt)] += 1
+            input_bins[iid] = bins
+            input_totals[iid] += len(train.times)
+
+        v = {nid: per_neuron[nid].v_rest for nid in neuron_ids}
+        fired_prev = {nid: 0 for nid in neuron_ids}
+        for step in range(n_steps):
+            fired_now = {}
+            for nid in neuron_ids:
+                pulses = []
+                for src, w in in_weights[nid]:
+                    if src in input_ids:
+                        count = input_bins[src].get(step, 0)
+                    else:
+                        count = fired_prev[src]
+                    if count:
+                        pulses.append((count, w))
+                i_s = synaptic_current(pulses, dt) if pulses else 0.0
+                v[nid], fired = step_neuron(v[nid], per_neuron[nid], i_s)
+                fired_now[nid] = 1 if fired else 0
+                if fired:
+                    fired_totals[nid] += 1
+            fired_prev = fired_now
+
+    n_frames = len(frames)
+    mean_rate = {nid: fired_totals[nid] / n_frames for nid in neuron_ids}
+    mean_rate.update({iid: input_totals[iid] / n_frames for iid in input_ids})
+
+    new_synapses = tuple(
+        replace(s, spikes=float(_round_rate(mean_rate[s.src])))
+        for s in g.synapses)
+    new_inputs = tuple(
+        replace(i, spikes=float(_round_rate(mean_rate[i.id])))
+        for i in g.inputs)
+    return replace(g, synapses=new_synapses, inputs=new_inputs)

@@ -2,8 +2,11 @@
 
 import math
 
+import numpy as np
 import pytest
 
+from conftest import layered_snn, random_snn
+from oracles import reference_estimate_rates
 from snnflow.errors import ConfigError
 from snnflow.lif import (LifParams, SpikeTrain, constant_current_isi,
                          estimate_rates, load_spike_trains, save_spike_trains,
@@ -182,6 +185,153 @@ def test_missing_train_is_a_config_error():
     g = _driven_pair()
     with pytest.raises(ConfigError, match="stim"):
         estimate_rates(g, PARAMS, [{}])
+
+
+def test_missing_train_in_a_later_frame_names_that_frame():
+    g = _driven_pair()
+    frames = [{"stim": SpikeTrain((0.001,), 0.01)}, {}]
+    with pytest.raises(ConfigError,
+                       match=r"frame 1: no spike train for input\(s\) \['stim'\]"):
+        estimate_rates(g, PARAMS, frames)
+
+
+def test_spikes_past_the_last_step_count_only_for_the_input():
+    # 0.01004 / 1e-4 rounds to 100 steps, but the spikes at 0.01 and
+    # 0.01002 fall in step 100: the input's rate counts them, yet they
+    # never drive its neuron
+    g = _driven_pair()
+    frames = [{"stim": SpikeTrain((0.001, 0.01, 0.01002), 0.01004)}]
+    out = estimate_rates(g, PARAMS, frames)
+    by_pair = {(s.src, s.dst): s.spikes for s in out.synapses}
+    assert out.inputs[0].spikes == 3
+    assert by_pair[("stim", "src")] == 3
+    assert by_pair[("src", "t1")] == by_pair[("src", "t2")] == 1
+    assert out == reference_estimate_rates(g, PARAMS, frames)
+
+
+def _rate_case(seed: int):
+    """A random net, parameter overrides and spike trains for one seed.
+
+    Every case has a tonic neuron with no in-synapses, a neuron that
+    never fires and whose out-synapses carry inf, -inf and nan weights,
+    negative weights, and a shuffled synapse order.  Seeds cycle through
+    a random net, a layered net with fan-in up to 12 and a net without
+    inputs; the frame length sometimes leaves a tail past the last step.
+    """
+    rng = np.random.default_rng(seed)
+    kind = seed % 3
+    if kind == 0:
+        base = random_snn(seed, n_neurons=int(rng.integers(10, 28)),
+                          n_inputs=int(rng.integers(1, 4)), edge_prob=0.5)
+    elif kind == 1:
+        base = layered_snn(seed, [4, 12, 6], fanout=int(rng.integers(6, 13)))
+    else:
+        base = random_snn(seed, n_neurons=int(rng.integers(6, 20)),
+                          n_inputs=0, edge_prob=0.4)
+    ranges = {"v_rest": (-70e-3, -60e-3), "v_th": (-58e-3, -45e-3),
+              "r_m": (5e6, 2e7), "c_m": (0.5e-9, 2e-9),
+              "i_inj": (-0.5e-9, 2.5e-9)}
+    neurons = []
+    for n in base.neurons:
+        overrides = {k: float(rng.uniform(lo, hi))
+                     for k, (lo, hi) in ranges.items() if rng.random() < 0.4}
+        neurons.append(Neuron.make(n.id, overrides))
+    ids = [n.id for n in neurons]
+    targets = [str(t) for t in rng.choice(ids, size=3, replace=False)]
+    neurons = [Neuron.make(n.id, {**n.params_dict(), "i_inj": 1e-6})
+               if n.id in targets else n for n in neurons]
+    neurons += [Neuron.make("tonic", {"i_inj": 2e-9}), Neuron.make("quiet")]
+
+    synapses = [Synapse(s.src, s.dst, float(rng.normal(6e-12, 8e-12)))
+                for s in base.synapses]
+    synapses += [Synapse("tonic", t, float(rng.normal(6e-12, 8e-12)))
+                 for t in rng.choice(ids, size=4, replace=False)]
+    synapses += [Synapse("quiet", t, w)
+                 for t, w in zip(targets, (math.inf, -math.inf, math.nan))]
+    order = rng.permutation(len(synapses))
+    g = SnnGraph(tuple(neurons), base.inputs,
+                 tuple(synapses[i] for i in order))
+
+    frame_length = 0.01004 if rng.random() < 0.5 else 0.02
+    frames = []
+    for _ in range(int(rng.integers(1, 4))):
+        frame = {}
+        for iid in g.input_ids():
+            times = set(np.round(rng.uniform(0.0, frame_length,
+                                             size=rng.poisson(25)), 5))
+            if frame_length == 0.01004:
+                times.add(0.01001)
+            frame[iid] = SpikeTrain(
+                tuple(sorted(float(t) for t in times if t < frame_length)),
+                frame_length)
+        frames.append(frame)
+    return g, frames, targets
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_vectorised_rates_equal_the_reference(seed):
+    g, frames, targets = _rate_case(seed)
+    ref = reference_estimate_rates(g, PARAMS, frames)
+    assert estimate_rates(g, PARAMS, frames) == ref
+    # the non-finite weights sit on a silent source, and their targets fire
+    rate = {s.src: s.spikes for s in ref.synapses}
+    assert rate["quiet"] == 0
+    assert all(rate.get(t, 1) > 0 for t in targets)
+
+
+def test_rates_add_synapse_terms_left_to_right():
+    # twelve inputs fire together into one neuron; added left to right,
+    # 1.0 absorbs every 2**-53 term and the sum stays 1.0, whereas any
+    # other order (pairwise, reversed) exceeds 1.0 and reaches v_th
+    params = LifParams(dt=2.0 ** -13)  # dt divides and multiplies exactly
+    inputs = tuple(InputSource(f"in{k:02d}") for k in range(12))
+    weights = [1.0] + [2.0 ** -53] * 11
+    edge = Neuron.make("edge", {"v_rest": 0.0, "r_m": 1.0, "c_m": 1.0,
+                                "v_th": math.nextafter(1.0, 2.0)})
+    g = SnnGraph((edge, Neuron.make("sink")), inputs,
+                 tuple(Synapse(i.id, "edge", w) for i, w in zip(inputs, weights))
+                 + (Synapse("edge", "sink", 0.0),))
+    frames = [{i.id: SpikeTrain((0.0,), 4 * params.dt) for i in inputs}]
+    out = estimate_rates(g, params, frames)
+    assert out == reference_estimate_rates(g, params, frames)
+    assert out.synapses[-1].spikes == 0
+
+
+def test_membrane_update_rounds_as_step_neuron():
+    # each neuron's threshold is set to the highest voltage step_neuron
+    # reaches in two steps (or to the next float above it), so any other
+    # rounding of the membrane update flips one neuron of the pair; rest
+    # near 0 V and tau_m near dt keep every term of the update in play
+    rng = np.random.default_rng(5)
+    neurons, inputs, synapses, frame = [], [], [], {}
+    for k in range(200):
+        overrides = {"v_rest": float(rng.uniform(-1e-3, 1e-3)),
+                     "r_m": float(rng.uniform(5e4, 2e5)),
+                     "c_m": float(rng.uniform(0.5e-9, 2e-9)),
+                     "i_inj": float(rng.uniform(1e-10, 2e-8))}
+        count = 1 + k % 2
+        w = float(rng.uniform(1e-13, 2e-12))
+        p = PARAMS.with_overrides({**overrides, "v_th": 1.0})
+        v1, _ = step_neuron(p.v_rest, p,
+                            synaptic_current([(count, w)], PARAMS.dt))
+        v2, _ = step_neuron(v1, p, 0.0)
+        knife = max(v1, v2)
+        assert knife > p.v_rest
+        for name, v_th in ((f"fire{k}", knife),
+                           (f"calm{k}", math.nextafter(knife, math.inf))):
+            neurons.append(Neuron.make(name, {**overrides, "v_th": v_th}))
+            inputs.append(InputSource(f"in_{name}"))
+            synapses += [Synapse(f"in_{name}", name, w),
+                         Synapse(name, "sink", 0.0)]
+            frame[f"in_{name}"] = SpikeTrain((0.0, 5e-5)[:count],
+                                             2 * PARAMS.dt)
+    neurons.append(Neuron.make("sink"))
+    g = SnnGraph(tuple(neurons), tuple(inputs), tuple(synapses))
+    out = estimate_rates(g, PARAMS, [frame])
+    assert out == reference_estimate_rates(g, PARAMS, [frame])
+    rate = {s.src: s.spikes for s in out.synapses}
+    assert all(rate[f"fire{k}"] == 1 and rate[f"calm{k}"] == 0
+               for k in range(200))
 
 
 def test_bad_params_rejected():

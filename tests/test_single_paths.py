@@ -49,3 +49,10 @@ def test_one_placement():
     # prints the vector, asks for a fresh repetition vector
     assert callers_of("routed_latencies") == [("sdfg.py", "resolve_platform")]
     assert callers_of("repetition_vector") == [("cli.py", "cmd_analyze")]
+
+
+def test_one_membrane_integrator():
+    # estimate_rates steps all neurons as arrays; the scalar helpers stay
+    # public, and tests/oracles.py steps its reference through them, but
+    # nothing in the package falls back to them
+    assert callers_of("step_neuron", "synaptic_current") == []
