@@ -324,7 +324,8 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     fail analysis (deadlocked clusterings, infeasible mappings) are
     recorded and skipped.  If no round yields a design point,
     :class:`InfeasibleMappingError` is raised, its message listing every
-    round's error, whatever their kinds (all deadlocks included).  When
+    round's error, whatever their kinds (all deadlocks included); on a
+    platform with no cores it is raised before any round.  When
     round ``k`` is the first to exceed the state budget, no later round
     starts (with ``jobs > 1``, as soon as any round reports a budget
     error, the later rounds no worker has taken yet are cancelled; the
@@ -337,6 +338,8 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     if not cfg.delta_min >= 0:
         raise ValueError(f"delta_min must be >= 0, got {cfg.delta_min!r}")
     hw.validate()
+    if not hw.cores:
+        raise InfeasibleMappingError("the platform declares no cores")
     jobs = max(1, cfg.jobs)
     if jobs == 1 or cfg.eta == 1:
         rounds = _until_over_budget(_run_round(g, hw, cfg, r, seeds[r])

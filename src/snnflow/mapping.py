@@ -68,11 +68,12 @@ class SwarmConfig:
 class MappingSolution:
     """A feasible cluster-to-core assignment with its schedule and rate.
 
-    ``block_counts`` comes from the same run that gave ``throughput``:
-    per bounded channel, how often a lack of space on it held back an
-    otherwise ready firing.  The buffer sweep grows the worst channel.
-    It is analysis output rather than part of the design, so
-    :meth:`to_record` leaves it out.
+    ``block_counts`` comes from the same run that gave ``throughput``,
+    the self-timed run under ``schedules`` (the list-scheduling run that
+    built them counts nothing): per bounded channel, how often a lack of
+    space on it held back an otherwise ready firing.  The buffer sweep
+    grows the worst channel.  It is analysis output rather than part of
+    the design, so :meth:`to_record` leaves it out.
     """
 
     mapping: dict[str, str]
@@ -101,7 +102,11 @@ def validate_mapping(g: Sdfg, hw: HardwareGraph,
     remote cores against the connection caps, and per-iteration token
     traffic against the bandwidth caps.
     """
-    _, core_of, _ = resolve_platform(g, hw, mapping)
+    _check_capacities(g, hw, resolve_platform(g, hw, mapping)[1])
+
+
+def _check_capacities(g: Sdfg, hw: HardwareGraph, core_of: list) -> None:
+    # validate_mapping's capacity checks on a placement's core_of
     _, index, _, _, qv = g._tables
     cores = hw._cores[2]
     load: dict[str, int] = defaultdict(int)
@@ -153,15 +158,69 @@ def decode_position(theta: np.ndarray, g: Sdfg,
     (ties to the lowest core id); clusters are then moved off overloaded
     cores, lowest component first, to the feasible core with the next
     highest component.  Raises :class:`InfeasibleMappingError` when the
-    demand cannot be repaired.
+    demand cannot be repaired, or when there are clusters but no cores.
     """
+    clusters = g._weights[0]
+    cores = hw._cores[0]
+    grids = np.asarray(theta, dtype=float).reshape(1, len(clusters),
+                                                   len(cores))
+    picks, loads, over = _argmax_picks(grids, g, hw)
+    if over.size:
+        _repair(grids[0], picks[0], loads[0], g, hw)
+    return {cl: cores[j] for cl, j in zip(clusters, picks[0].tolist())}
+
+
+def _decode_swarm(positions: np.ndarray, g: Sdfg, hw: HardwareGraph
+                  ) -> list[tuple[int, ...] | None]:
+    """:func:`decode_position` of every row of ``positions`` at once.
+
+    Each row decodes to its host cores as indexes into the sorted core
+    ids, in cluster order, or to ``None`` when its demand cannot be
+    repaired.  Only the rows that overload a core are repaired.
+    """
+    grids = np.asarray(positions, dtype=float).reshape(
+        len(positions), len(g._weights[0]), len(hw._cores[0]))
+    picks, loads, over = _argmax_picks(grids, g, hw)
+    rows: list[tuple[int, ...] | None] = list(map(tuple, picks.tolist()))
+    for l in over.tolist():
+        try:
+            _repair(grids[l], picks[l], loads[l], g, hw)
+            rows[l] = tuple(picks[l].tolist())
+        except InfeasibleMappingError:
+            rows[l] = None
+    return rows
+
+
+def _argmax_picks(grids: np.ndarray, g: Sdfg, hw: HardwareGraph) -> tuple:
+    """Per-cluster argmax core of each ``(clusters, cores)`` grid.
+
+    Returns the picks ``(P, clusters)``, the per-core loads ``(P,
+    cores)`` and the indexes of the rows that overload some core.
+    """
+    n_rows, n_clusters, n_cores = grids.shape
+    if n_clusters and not n_cores:
+        raise InfeasibleMappingError(
+            f"no core to host {n_clusters} clusters: the platform declares "
+            f"no cores")
+    weight_vec = g._weights[1]
+    cap_vec = hw._cores[1]
+    # argmax keeps the first maximum, so ties go to the lowest core id;
+    # it refuses an empty row, and no clusters decode to no picks
+    picks = (grids.argmax(axis=2) if n_clusters
+             else np.zeros((n_rows, 0), dtype=np.intp))
+    # one bincount for all rows: row l's picks count in bins l * n_cores on
+    offsets = np.arange(n_rows)[:, None] * n_cores
+    loads = np.bincount((picks + offsets).ravel(), np.tile(weight_vec, n_rows),
+                        n_rows * n_cores).reshape(n_rows, n_cores)
+    return picks, loads, np.flatnonzero((loads > cap_vec).any(axis=1))
+
+
+def _repair(grid: np.ndarray, pick: np.ndarray, load: np.ndarray,
+            g: Sdfg, hw: HardwareGraph) -> None:
+    """Move clusters off overloaded cores, in place on one row's ``pick``
+    and ``load``; raises :class:`InfeasibleMappingError` when stuck."""
     clusters, weight_vec = g._weights
     cores, cap_vec, _ = hw._cores
-    grid = np.asarray(theta, dtype=float).reshape(len(clusters), len(cores))
-    # argmax keeps the first maximum, so ties go to the lowest core id;
-    # it refuses a 0 x 0 grid, which decodes to the empty assignment
-    pick = grid.argmax(axis=1) if clusters else np.zeros(0, dtype=np.intp)
-    load = np.bincount(pick, weight_vec, len(cores))
     while (over := np.flatnonzero(load > cap_vec)).size:
         j = int(over[0])
         residents = sorted(np.flatnonzero(pick == j).tolist(),
@@ -179,7 +238,6 @@ def decode_position(theta: np.ndarray, g: Sdfg,
             raise InfeasibleMappingError(
                 f"cannot repair overload on core {cores[j]!r}: total demand "
                 f"exceeds platform capacity")
-    return {cl: cores[j] for cl, j in zip(clusters, pick.tolist())}
 
 
 def _reduce_cycles(per_core: dict[str, list[str]], ipc: int
@@ -217,10 +275,17 @@ def build_schedules(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
     Inter-core token latency participates in the run, and actor firings
     take the host core's execution time divided by its time-wheel share.
     """
-    scale = _share_to_scale(time_wheel_share)
+    placement = resolve_platform(g, hw, mapping,
+                                 _share_to_scale(time_wheel_share))
+    return _list_schedules(g, placement, mapping, state_budget)
+
+
+def _list_schedules(g: Sdfg, placement: tuple, mapping: dict[str, str],
+                    state_budget: int) -> dict[str, StaticOrderSchedule]:
+    # build_schedules on resolve_platform's placement of the mapping
     try:
-        res = execute(g, platform=hw, mapping=mapping, list_mode=True,
-                      exec_time_scale=scale, state_budget=state_budget)
+        res = execute(g, placement=placement, list_mode=True,
+                      state_budget=state_budget)
     except DeadlockError as exc:
         raise DeadlockError(
             f"list scheduling deadlocked under mapping: {exc}",
@@ -257,14 +322,18 @@ def evaluate_mapping(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
                      state_budget: int = DEFAULT_STATE_BUDGET) -> MappingSolution:
     """Validate, schedule and rate one assignment.
 
+    The mapping is placed once: :func:`validate_mapping`'s checks, the
+    list-scheduling run of :func:`build_schedules` and the rating run
+    all read the same :func:`snnflow.sdfg.resolve_platform` placement.
     The rating is one self-timed run under the built schedules; its
     throughput and its per-channel block counts both go into the
     returned solution, so a caller needs no second run for either.
     """
-    validate_mapping(g, hw, mapping)
-    schedules = build_schedules(g, hw, mapping, time_wheel_share, state_budget)
-    res = execute(g, schedules=schedules, platform=hw, mapping=mapping,
-                  exec_time_scale=_share_to_scale(time_wheel_share),
+    placement = resolve_platform(g, hw, mapping,
+                                 _share_to_scale(time_wheel_share))
+    _check_capacities(g, hw, placement[1])
+    schedules = _list_schedules(g, placement, mapping, state_budget)
+    res = execute(g, placement=placement, schedules=schedules,
                   state_budget=state_budget)
     return MappingSolution(dict(mapping), schedules, res.to_throughput(),
                            res.block_counts)
@@ -296,13 +365,15 @@ def init_swarm(cfg: SwarmConfig, dims: int,
 def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
     """One swarm update: move positions, evaluate, refresh bests.
 
-    ``fitness(position, limit)`` maps a position vector to a period
-    (lower is better; ``inf`` marks an infeasible decode).  ``limit`` is
-    the particle's best period so far, the only value a new period is
-    compared with; when fitness can prove that the period is at least
-    ``limit``, it may return any value ``>= limit`` instead.  The first
-    call on a fresh swarm only evaluates the initial positions, each
-    against a limit of ``inf``.
+    The whole swarm is evaluated in one call: ``fitness(positions,
+    limits)`` takes the ``(particles, dims)`` positions and returns one
+    period per row, in row order (lower is better; ``inf`` marks an
+    infeasible decode).  ``limits[l]`` is particle ``l``'s best period
+    so far, the only value its new period is compared with; when
+    fitness can prove that a period is at least its limit, it may
+    return any value ``>=`` the limit instead.  The bests are then
+    refreshed row by row.  The first call on a fresh swarm only
+    evaluates the initial positions, each against a limit of ``inf``.
     """
     if swarm.gbest_position is not None:
         swarm.velocities = (
@@ -313,8 +384,8 @@ def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
         swarm.positions = swarm.positions + swarm.velocities
         np.clip(swarm.positions, 0.0, 1.0, out=swarm.positions)
 
-    for l in range(swarm.positions.shape[0]):
-        period = fitness(swarm.positions[l], swarm.best_periods[l])
+    periods = fitness(swarm.positions, swarm.best_periods)
+    for l, period in enumerate(periods):
         if period < swarm.best_periods[l]:
             swarm.best_periods[l] = period
             swarm.best_positions[l] = swarm.positions[l].copy()
@@ -376,6 +447,11 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     at all.  Budget errors from the underlying analysis propagate.
     ``rng`` is a generator, a seed, or ``None`` for a fresh seed.
 
+    Each swarm iteration decodes all positions in one batch, as
+    :func:`decode_position` would one by one, and scores the rows in
+    order through :func:`pso_step`'s batch ``fitness``.  Each distinct
+    assignment is bounded and evaluated at most once per search.
+
     An assignment is not evaluated when an exact lower bound on its
     period (:func:`_period_lower_bound`) already reaches the particle's
     best period: it could change neither that best nor the result, so
@@ -389,46 +465,56 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     rng = np.random.default_rng(rng)  # a Generator passes through as is
     dims = len(g.actors) * len(hw.cores)
     swarm = init_swarm(cfg, dims, rng)
-    # cache holds real evaluations only; bounds never enter it
+    clusters, cores = g._weights[0], hw._cores[0]
+    scale = _share_to_scale(time_wheel_share)
+    # both keyed by a decoded row's picks; cache holds real evaluations
+    # only, bounds never enter it
     cache: dict[tuple, tuple[float, MappingSolution | None]] = {}
-    bounds: dict[tuple, tuple] = {}  # key -> (exact bound, as a float)
+    bounds: dict[tuple, tuple] = {}  # picks -> (bound, float, float exact?)
 
     def period_bound(mapping: dict[str, str]) -> tuple:
         try:
-            placement = resolve_platform(g, hw, mapping,
-                                         _share_to_scale(time_wheel_share))
+            placement = resolve_platform(g, hw, mapping, scale)
         except InfeasibleMappingError:
-            return math.inf, math.inf
+            return math.inf, math.inf, True
         bound = _period_lower_bound(g, *placement)
-        return bound, float(bound)
+        rounded = float(bound)
+        return bound, rounded, rounded == bound
 
-    def fitness(theta: np.ndarray, limit: float) -> float:
-        try:
-            mapping = decode_position(theta, g, hw)
-        except InfeasibleMappingError:
+    def assignment(picks: tuple) -> dict[str, str]:
+        return {cl: cores[j] for cl, j in zip(clusters, picks)}
+
+    def score(picks: tuple | None, limit: float) -> float:
+        if picks is None:
             return math.inf
-        key = tuple(sorted(mapping.items()))
-        if key not in cache:
-            if key not in bounds:
-                bounds[key] = period_bound(mapping)
-            bound, rounded = bounds[key]
+        if picks not in cache:
+            if picks not in bounds:
+                bounds[picks] = period_bound(assignment(picks))
+            bound, rounded, exact = bounds[picks]
             # rounding to float is monotone, so only a tie between the
-            # rounded bound and the limit needs the exact comparison
-            if rounded > limit or (rounded == limit and bound >= limit):
+            # rounded bound and the limit needs the exact comparison, and
+            # not even that when the bound is a float itself
+            if rounded > limit or (rounded == limit
+                                   and (exact or bound >= limit)):
                 return rounded
+            mapping = assignment(picks)
             try:
                 sol = evaluate_mapping(g, hw, mapping, time_wheel_share,
                                        state_budget)
-                cache[key] = (sol.throughput.period, sol)
+                cache[picks] = (sol.throughput.period, sol)
             except (InfeasibleMappingError, DeadlockError) as exc:
                 logger.debug("assignment %s rejected: %s", mapping, exc)
-                cache[key] = (math.inf, None)
-        period, sol = cache[key]
+                cache[picks] = (math.inf, None)
+        period, sol = cache[picks]
         if sol is not None:
             if swarm.gbest_solution is None \
                     or period < swarm.gbest_solution.throughput.period:
                 swarm.gbest_solution = sol
         return period
+
+    def fitness(positions: np.ndarray, limits: np.ndarray) -> list[float]:
+        return [score(picks, limit) for picks, limit in
+                zip(_decode_swarm(positions, g, hw), limits.tolist())]
 
     for _ in range(cfg.iterations):
         pso_step(swarm, fitness, cfg)

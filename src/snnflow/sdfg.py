@@ -148,6 +148,19 @@ class Sdfg:
         return (ids, index, tuple(map(tuple, in_ch)),
                 tuple(map(tuple, out_ch)), tuple(q[a] for a in ids))
 
+    @cached_property
+    def _bounded(self) -> tuple:
+        # (in_ch, out_ch) of _tables cut down to the bounded channels,
+        # the only ones whose space a run tracks
+        _, _, in_ch, out_ch, _ = self._tables
+        channels = self.channels
+
+        def keep(per_actor):
+            return tuple(tuple((ci, rate) for ci, rate in pairs
+                               if channels[ci].capacity is not None)
+                         for pairs in per_actor)
+        return keep(in_ch), keep(out_ch)
+
 
 @dataclass(frozen=True)
 class ThroughputResult:
@@ -358,7 +371,13 @@ def total_buffer_size(alloc: dict[int, int | None]) -> int:
 @dataclass(frozen=True)
 class ExecutionResult:
     """Full outcome of one self-timed run (internal superset of
-    :class:`ThroughputResult`)."""
+    :class:`ThroughputResult`).
+
+    ``block_counts`` maps each bounded channel to the number of
+    recorded states in which a lack of space on it held back an actor
+    whose input tokens were all there.  A ``list_mode`` run, which only
+    builds static orders, counts nothing and leaves it empty.
+    """
 
     period_exact: object
     throughput: float
@@ -397,6 +416,7 @@ class _Simulation:
         # exec_times and core_of run in g._tables actor order, latency in
         # channel order, as resolve_platform returns them
         self.ids, self.index, self.in_ch, self.out_ch, self.qv = g._tables
+        self.in_bounded, self.out_bounded = g._bounded
         self.exec = exec_times
         self.core_of = core_of
         self.latency = latency
@@ -431,18 +451,16 @@ class _Simulation:
         for ci, need in self.in_ch[a]:
             if tokens[ci] < need:
                 return False
-        for ci, amount in self.out_ch[a]:
-            s = space[ci]
-            if s is not None and s < amount:
+        for ci, amount in self.out_bounded[a]:
+            if space[ci] < amount:
                 return False
         return True
 
     def _start(self, a: int, now) -> None:
         for ci, need in self.in_ch[a]:
             self.tokens[ci] -= need
-        for ci, amount in self.out_ch[a]:
-            if self.space[ci] is not None:
-                self.space[ci] -= amount
+        for ci, amount in self.out_bounded[a]:
+            self.space[ci] -= amount
         self.seq += 1
         heappush(self.heap, (now + self.exec[a], self.seq, self.END, a))
         self.inflight[a] += 1
@@ -455,9 +473,8 @@ class _Simulation:
     def _end(self, a: int, now) -> None:
         self.inflight[a] -= 1
         self.completions[a] += 1
-        for ci, need in self.in_ch[a]:
-            if self.space[ci] is not None:
-                self.space[ci] += need
+        for ci, need in self.in_bounded[a]:
+            self.space[ci] += need
         for ci, amount in self.out_ch[a]:
             lat = self.latency[ci]
             if lat == 0:
@@ -519,17 +536,22 @@ class _Simulation:
     # -- state bookkeeping --------------------------------------------
 
     def _snapshot(self, now):
-        pending_ends = [[] for _ in self.ids]
+        # an idle actor's pending ends are the one shared empty tuple;
+        # space keeps None for an unbounded channel, see _state_hash
+        pending_ends = [()] * len(self.ids)
+        several = []
         arrivals = []
         for t, _, kind, payload in self.heap:
             if kind == self.END:
-                pending_ends[payload].append(t - now)
+                if pending_ends[payload]:
+                    several.append(payload)
+                pending_ends[payload] += (t - now,)
             else:
                 ci, amount = payload
                 arrivals.append((t - now, ci, amount))
-        key = [tuple(self.tokens),
-               tuple(-1 if s is None else s for s in self.space),
-               tuple(tuple(sorted(p)) for p in pending_ends),
+        for a in several:
+            pending_ends[a] = tuple(sorted(pending_ends[a]))
+        key = [tuple(self.tokens), tuple(self.space), tuple(pending_ends),
                tuple(sorted(arrivals))]
         if self.schedules is not None:
             cursors = []
@@ -547,25 +569,28 @@ class _Simulation:
             key.append(tuple(tuple(self.queues[c]) for c in self.cores))
         return tuple(key)
 
+    @staticmethod
+    def _state_hash(key: tuple) -> str:
+        # the digest reads -1 for an unbounded channel's space; which
+        # channels are unbounded is fixed per graph and a bounded one
+        # never holds negative space, so the mapping loses nothing
+        space = tuple(-1 if s is None else s for s in key[1])
+        state = (key[0], space, *key[2:])
+        return hashlib.sha1(repr(state).encode()).hexdigest()[:12]
+
     def _iterations(self, completions) -> int:
         return min(c // q for c, q in zip(completions, self.qv))
 
     def _count_blocking(self) -> None:
+        tokens, space, counts = self.tokens, self.space, self.block_counts
         for a in range(len(self.ids)):
-            blocked_on: list[int] = []
-            ok_inputs = True
             for ci, need in self.in_ch[a]:
-                if self.tokens[ci] < need:
-                    ok_inputs = False
+                if tokens[ci] < need:
                     break
-            if not ok_inputs:
-                continue
-            for ci, amount in self.out_ch[a]:
-                s = self.space[ci]
-                if s is not None and s < amount:
-                    blocked_on.append(ci)
-            for ci in blocked_on:
-                self.block_counts[ci] += 1
+            else:
+                for ci, amount in self.out_bounded[a]:
+                    if space[ci] < amount:
+                        counts[ci] += 1
 
     def _deadlock_state(self) -> dict:
         reasons = {}
@@ -574,9 +599,9 @@ class _Simulation:
             for ci, need in self.in_ch[a]:
                 if self.tokens[ci] < need:
                     why.append(f"channel {ci}: {self.tokens[ci]}/{need} tokens")
-            for ci, amount in self.out_ch[a]:
+            for ci, amount in self.out_bounded[a]:
                 s = self.space[ci]
-                if s is not None and s < amount:
+                if s < amount:
                     why.append(f"channel {ci}: {s}/{amount} space")
             if why:
                 reasons[aid] = "; ".join(why)
@@ -604,7 +629,8 @@ class _Simulation:
                     progressed = True
                 if not progressed:
                     break
-            self._count_blocking()
+            if not self.list_mode:  # schedule construction uses no counts
+                self._count_blocking()
             key = self._snapshot(now)
             if key in seen:
                 t0, log0, done0 = seen[key]
@@ -625,12 +651,11 @@ class _Simulation:
                 period = Fraction(span, d_iter)
                 if period.denominator == 1:
                     period = int(period)
-                digest = hashlib.sha1(repr(key).encode()).hexdigest()[:12]
                 return ExecutionResult(
                     period_exact=period,
                     throughput=float(Fraction(d_iter) / Fraction(span)),
                     transient_iterations=it0,
-                    steady_state_hash=digest,
+                    steady_state_hash=self._state_hash(key),
                     firing_log=tuple(self.firing_log),
                     log_cycle_start=log0,
                     iterations_per_cycle=d_iter,
@@ -705,19 +730,23 @@ def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
 def execute(g: Sdfg, *, schedules=None, platform: HardwareGraph | None = None,
             mapping: dict[str, str] | None = None, exec_time_scale=1,
             list_mode: bool = False,
-            state_budget: int = DEFAULT_STATE_BUDGET) -> ExecutionResult:
+            state_budget: int = DEFAULT_STATE_BUDGET,
+            placement: tuple | None = None) -> ExecutionResult:
     """Low-level entry point shared by throughput analysis and schedule
     construction.
 
     The placement (host cores, execution times, channel latencies, and
     the unmapped-actor, undeclared-core and missing-route errors) comes
     from :func:`resolve_platform`; platform capacities are not checked
-    here, :func:`snnflow.mapping.validate_mapping` does that.
+    here, :func:`snnflow.mapping.validate_mapping` does that.  A caller
+    that runs one mapping more than once may pass ``placement``, the
+    graph's :func:`resolve_platform` result, in place of ``platform``,
+    ``mapping`` and ``exec_time_scale``.
     """
-    sim = _Simulation(g, *resolve_platform(g, platform, mapping,
-                                           exec_time_scale),
-                      schedules=schedules, list_mode=list_mode,
-                      state_budget=state_budget)
+    if placement is None:
+        placement = resolve_platform(g, platform, mapping, exec_time_scale)
+    sim = _Simulation(g, *placement, schedules=schedules,
+                      list_mode=list_mode, state_budget=state_budget)
     return sim.run()
 
 

@@ -554,7 +554,7 @@ def reference_search_mapping(g: Sdfg, hw: HardwareGraph,
     swarm = init_swarm(cfg, dims, rng)
     cache: dict[tuple, tuple[float, MappingSolution | None]] = {}
 
-    def fitness(theta: np.ndarray, limit: float) -> float:
+    def score(theta: np.ndarray) -> float:
         try:
             mapping = decode_position(theta, g, hw)
         except InfeasibleMappingError:
@@ -573,6 +573,9 @@ def reference_search_mapping(g: Sdfg, hw: HardwareGraph,
                     or period < swarm.gbest_solution.throughput.period:
                 swarm.gbest_solution = sol
         return period
+
+    def fitness(positions: np.ndarray, limits: np.ndarray) -> list[float]:
+        return [score(theta) for theta in positions]
 
     for _ in range(cfg.iterations):
         pso_step(swarm, fitness, cfg)

@@ -34,3 +34,19 @@ def test_one_round_passes_checks_and_repeats(tmp_path, name, smaller,
     assert wl.check(inputs, flow_seed, first) == []
     again = wl.run(workloads.load_inputs(paths), flow_seed)
     assert wl.fingerprint(again) == wl.fingerprint(first) == fingerprint
+
+
+# Held-out fingerprints (seed 1009) of the explore workloads: a second
+# instance, so that a speed-up tuned against seed 1 alone cannot move
+# the other fronts unnoticed.
+@pytest.mark.parametrize("name, fingerprint", [
+    ("explore-a2a4", "e492a8fbb784428d"),
+    ("explore-mesh16", "634724264d0f3d66"),
+], ids=["explore-a2a4", "explore-mesh16"])
+def test_held_out_seed_fingerprint(tmp_path, name, fingerprint):
+    wl = dataclasses.replace(workloads.WORKLOADS[name], rounds=1)
+    paths, flow_seed = wl.write_inputs(1009, 0, str(tmp_path))
+    inputs = workloads.load_inputs(paths)
+    result = wl.run(inputs, flow_seed)
+    assert wl.check(inputs, flow_seed, result) == []
+    assert wl.fingerprint(result) == fingerprint

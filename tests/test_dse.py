@@ -6,7 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import all_to_all_platform, layered_demo_snn, two_core_platform
+from conftest import (all_to_all_platform, layered_demo_snn, layered_snn,
+                      two_core_platform)
 from oracles import dominance_front
 
 from snnflow import dse
@@ -19,6 +20,7 @@ from snnflow.partition import iterate_partitions
 from snnflow.sdfg import (Actor, Channel, Sdfg, execute, lift_to_sdfg,
                           self_timed_throughput)
 from snnflow.errors import BudgetExceededError, InfeasibleMappingError
+from snnflow.snn_graph import HardwareGraph
 
 
 def point(thr, buf, order) -> DesignPoint:
@@ -324,6 +326,19 @@ def test_flow_all_rounds_infeasible_reports():
     hw = all_to_all_platform(1, dim=2)  # cannot even host one cluster
     with pytest.raises(InfeasibleMappingError, match="all rounds"):
         run_design_flow(g, hw, small_flow_config(eta=2))
+
+
+def test_flow_on_a_platform_without_cores_fails_before_any_round(
+        monkeypatch):
+    # such a platform passes validate(); the rate bound would take the
+    # fastest of no cores
+    rounds = []
+    monkeypatch.setattr(dse, "_run_round",
+                        lambda *args: rounds.append(args) or RoundResult(0))
+    with pytest.raises(InfeasibleMappingError, match="no cores"):
+        run_design_flow(layered_snn(0, [4, 4, 4]), HardwareGraph((), ()),
+                        small_flow_config())
+    assert rounds == []
 
 
 def test_rate_bound_is_an_upper_bound():

@@ -17,7 +17,8 @@ from snnflow import mapping as mapping_module
 from snnflow.errors import (BudgetExceededError, DeadlockError,
                             InfeasibleMappingError)
 from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
-                             _period_lower_bound, _share_to_scale,
+                             _decode_swarm, _period_lower_bound,
+                             _share_to_scale,
                              build_schedules, decode_position,
                              evaluate_mapping, init_swarm, pso_step,
                              search_mapping, validate_mapping)
@@ -118,6 +119,58 @@ def test_decode_matches_reference_decode():
                             f"c{i}": cores[int(np.argmax(row))]
                             for i, row in enumerate(grid)}
     assert all(seen.values()), seen
+
+
+def test_swarm_decode_matches_reference_decode_row_by_row():
+    rng = np.random.default_rng(9)
+    platforms = [
+        all_to_all_platform(3, dim=2),
+        HardwareGraph((Core("t2", 3, 1), Core("t0", 1, 1), Core("t3", 2, 1),
+                       Core("t1", 4, 1))),
+    ]
+    seen = {"tie": 0, "repaired": 0, "infeasible": 0, "no clusters": 0}
+    for hw in platforms:
+        cores = sorted(hw.core_ids())
+        for n in (0, 1, 3, 5, 8):
+            g = Sdfg(tuple(Actor(f"c{i}", 1, int(w))
+                           for i, w in enumerate(rng.integers(1, 4, n))))
+            for particles in (1, 4, 20):
+                positions = rng.uniform(size=(particles, n * len(cores)))
+                # every other row on a grid of halves, so that rows tie
+                positions[::2] = np.round(positions[::2] * 2) / 2
+                rows = _decode_swarm(positions, g, hw)
+                assert len(rows) == particles
+                for theta, picks in zip(positions, rows):
+                    want = decode_or_error(reference_decode_position,
+                                           theta, g, hw)
+                    if isinstance(want, str):
+                        assert picks is None
+                        seen["infeasible"] += 1
+                        continue
+                    assert {f"c{i}": cores[j]
+                            for i, j in enumerate(picks)} == want
+                    grid = theta.reshape(n, len(cores))
+                    seen["tie"] += any(
+                        np.sum(row == row.max()) > 1 for row in grid)
+                    seen["repaired"] += want != {
+                        f"c{i}": cores[int(np.argmax(row))]
+                        for i, row in enumerate(grid)}
+                    seen["no clusters"] += n == 0
+    assert all(seen.values()), seen
+
+
+def test_decoders_refuse_clusters_without_cores():
+    g = pipeline_sdfg(2)
+    hw = HardwareGraph((), ())
+    hw.validate()  # a platform may declare no cores
+    with pytest.raises(InfeasibleMappingError, match="no core"):
+        decode_position(np.zeros(0), g, hw)
+    with pytest.raises(InfeasibleMappingError, match="no core"):
+        _decode_swarm(np.zeros((3, 0)), g, hw)
+    with pytest.raises(InfeasibleMappingError):
+        search_mapping(g, hw, SwarmConfig(particles=2, iterations=2), rng=0)
+    # with no clusters either, the assignment is empty
+    assert decode_position(np.zeros(0), Sdfg(()), hw) == {}
 
 
 def test_validate_mapping_checks_connection_caps():
@@ -303,7 +356,8 @@ def test_pso_zero_phi_keeps_constant_velocity():
     swarm = init_swarm(cfg, dims=4, rng=rng)
     v0 = swarm.velocities.copy()
     p0 = swarm.positions.copy()
-    fitness = lambda theta, limit: float(np.sum(theta))
+    fitness = lambda positions, limits: [float(np.sum(theta))
+                                         for theta in positions]
     pso_step(swarm, fitness, cfg)   # evaluation only
     pso_step(swarm, fitness, cfg)   # now positions move by velocity
     assert np.allclose(swarm.velocities, v0)
@@ -316,7 +370,7 @@ def test_pso_particle_at_gbest_is_stationary():
     rng = np.random.default_rng(1)
     swarm = init_swarm(cfg, dims=3, rng=rng)
     swarm.velocities[:] = 0.0
-    fitness = lambda theta, limit: 1.0
+    fitness = lambda positions, limits: [1.0] * len(positions)
     pso_step(swarm, fitness, cfg)
     before = swarm.positions.copy()
     pso_step(swarm, fitness, cfg)
@@ -329,12 +383,15 @@ def test_pso_gbest_monotone_and_beats_initial_population(hw2):
     rng = np.random.default_rng(7)
     swarm = init_swarm(cfg, dims=len(g.actors) * 2, rng=rng)
 
-    def fitness(theta, limit):
+    def period(theta):
         try:
             mapping = decode_position(theta, g, hw2)
             return evaluate_mapping(g, hw2, mapping).throughput.period
         except InfeasibleMappingError:
             return math.inf
+
+    def fitness(positions, limits):
+        return [period(theta) for theta in positions]
 
     pso_step(swarm, fitness, cfg)
     initial_best = swarm.gbest_period

@@ -12,11 +12,13 @@ from oracles import (OracleDeadlock, gaussian_repetition, mcm_period,
 
 from snnflow.errors import (DeadlockError, GraphValidationError,
                             InconsistentGraphError, InfeasibleCapacityError)
+from snnflow.mapping import build_schedules
 from snnflow.sdfg import (Actor, Channel, DeadlockReport, Sdfg, check_deadlock,
                           execute, lift_to_sdfg, load_sdfg,
                           minimum_buffer_allocation, repetition_vector,
                           save_sdfg, sdfg_from_dict, sdfg_to_dict,
                           self_timed_throughput, set_buffer_allocation)
+from snnflow.snn_graph import Core, HardwareGraph, Link
 
 
 def cycle2(tau_a=2, tau_b=3, tokens=1) -> Sdfg:
@@ -267,6 +269,39 @@ def test_determinism_same_result():
         a = self_timed_throughput(g)
         b = self_timed_throughput(g)
         assert a == b
+
+
+def two_core_loop():
+    """Three actors in a loop over two cores of unequal speed.  The
+    recurring state holds an unbounded channel and, on the slow link
+    from ``b`` back to ``c``'s core, a token still in flight."""
+    hw = HardwareGraph((Core("t0", 4, 1), Core("t1", 4, 2)),
+                       (Link("t0", "t1", 2), Link("t1", "t0", 3)))
+    g = Sdfg((Actor("a"), Actor("b"), Actor("c")),
+             (Channel("a", 1, "b", 1, tokens=0, capacity=2),
+              Channel("b", 1, "c", 1, tokens=0),
+              Channel("c", 1, "a", 1, tokens=3),
+              Channel("a", 1, "a", 1, tokens=1),
+              Channel("b", 1, "b", 1, tokens=1),
+              Channel("c", 1, "c", 1, tokens=1)))
+    return g, hw, {"a": "t0", "b": "t1", "c": "t0"}
+
+
+def test_steady_state_hash_is_pinned():
+    # the hash digests the recurring state and appears in every record,
+    # so a change to the state layout must show here.  In free mode "a"
+    # has no self-loop and two firings in flight, and a -> b is unbounded
+    free = Sdfg((Actor("a", 3), Actor("b", 1)),
+                (Channel("a", 1, "b", 1, tokens=0),
+                 Channel("b", 1, "a", 1, tokens=2, capacity=2)))
+    res = execute(free)
+    assert (res.period_exact, res.steady_state_hash) == (2, "7017f43dd4d0")
+    g, hw, m = two_core_loop()
+    res = execute(g, platform=hw, mapping=m, list_mode=True)
+    assert (res.period_exact, res.steady_state_hash) == (3, "849c6cd03a1e")
+    res = execute(g, schedules=build_schedules(g, hw, m), platform=hw,
+                  mapping=m)
+    assert (res.period_exact, res.steady_state_hash) == (3, "aa82cc024e9a")
 
 
 def test_conservation_over_one_iteration():

@@ -7,7 +7,10 @@ Each job below has one implementation; a second copy elsewhere in
 import ast
 from pathlib import Path
 
+from conftest import all_to_all_platform, demo_clustered
+
 import snnflow
+from snnflow import mapping, sdfg
 
 PACKAGE = Path(snnflow.__file__).parent
 
@@ -56,3 +59,24 @@ def test_one_membrane_integrator():
     # public, and tests/oracles.py steps its reference through them, but
     # nothing in the package falls back to them
     assert callers_of("step_neuron", "synaptic_current") == []
+
+
+def test_one_capacity_repair():
+    # decode_position and the swarm's batch decode share one repair
+    assert callers_of("argsort") == [("mapping.py", "_repair")]
+
+
+def test_evaluate_mapping_places_once(monkeypatch):
+    place, calls = sdfg.resolve_platform, []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return place(*args, **kwargs)
+
+    for module in (sdfg, mapping):  # every binding of the function
+        monkeypatch.setattr(module, "resolve_platform", counting)
+    g = sdfg.lift_to_sdfg(demo_clustered(), core_exec_time=1,
+                          default_buffer=64)
+    mapping.evaluate_mapping(g, all_to_all_platform(2),
+                             {"c0": "t0", "c1": "t1", "c2": "t1"})
+    assert len(calls) == 1
