@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DeadlockError, InfeasibleMappingError
 from .sdfg import (DEFAULT_STATE_BUDGET, ExecutionResult, Sdfg,
-                   ThroughputResult, exact_time, execute, resolve_platform)
+                   ThroughputResult, _Simulation, exact_time,
+                   resolve_platform)
 from .snn_graph import HardwareGraph
 
 logger = logging.getLogger(__name__)
@@ -69,11 +70,13 @@ class MappingSolution:
     """A feasible cluster-to-core assignment with its schedule and rate.
 
     ``block_counts`` comes from the same run that gave ``throughput``,
-    the self-timed run under ``schedules`` (the list-scheduling run that
-    built them counts nothing): per bounded channel, how often a lack of
-    space on it held back an otherwise ready firing.  The buffer sweep
-    grows the worst channel.  It is analysis output rather than part of
-    the design, so :meth:`to_record` leaves it out.
+    the self-timed run under ``schedules``, which
+    :func:`evaluate_mapping` replays from the states of the
+    list-scheduling run that built them: per bounded channel, in how
+    many recorded states a lack of space on it held back an otherwise
+    ready firing.  The buffer sweep grows the worst channel.  It is
+    analysis output rather than part of the design, so
+    :meth:`to_record` leaves it out.
     """
 
     mapping: dict[str, str]
@@ -218,26 +221,36 @@ def _argmax_picks(grids: np.ndarray, g: Sdfg, hw: HardwareGraph) -> tuple:
 def _repair(grid: np.ndarray, pick: np.ndarray, load: np.ndarray,
             g: Sdfg, hw: HardwareGraph) -> None:
     """Move clusters off overloaded cores, in place on one row's ``pick``
-    and ``load``; raises :class:`InfeasibleMappingError` when stuck."""
+    and ``load``; raises :class:`InfeasibleMappingError` when stuck.
+
+    The row is small, so the moves run on Python lists: one stable
+    ``argsort`` ranks every cluster's cores up front, and ``pick`` and
+    ``load`` are written back once the row is repaired.
+    """
     clusters, weight_vec = g._weights
     cores, cap_vec, _ = hw._cores
-    while (over := np.flatnonzero(load > cap_vec)).size:
-        j = int(over[0])
-        residents = sorted(np.flatnonzero(pick == j).tolist(),
-                           key=lambda i: (grid[i, j], clusters[i]))
+    rows, weights, caps = grid.tolist(), weight_vec.tolist(), cap_vec.tolist()
+    ranked = np.argsort(-grid, axis=1, kind="stable").tolist()
+    picks, loads = pick.tolist(), load.tolist()
+    while over := [k for k, cap in enumerate(caps) if loads[k] > cap]:
+        j = over[0]
+        residents = sorted((i for i, k in enumerate(picks) if k == j),
+                           key=lambda i: (rows[i][j], clusters[i]))
         for i in residents:
-            w = weight_vec[i]
-            k = next((k for k in np.argsort(-grid[i], kind="stable").tolist()
-                      if k != j and load[k] + w <= cap_vec[k]), None)
+            w = weights[i]
+            k = next((k for k in ranked[i]
+                      if k != j and loads[k] + w <= caps[k]), None)
             if k is not None:
-                pick[i] = k
-                load[j] -= w
-                load[k] += w
+                picks[i] = k
+                loads[j] -= w
+                loads[k] += w
                 break
         else:
             raise InfeasibleMappingError(
                 f"cannot repair overload on core {cores[j]!r}: total demand "
                 f"exceeds platform capacity")
+    pick[:] = picks
+    load[:] = loads
 
 
 def _reduce_cycles(per_core: dict[str, list[str]], ipc: int
@@ -283,14 +296,22 @@ def build_schedules(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
 def _list_schedules(g: Sdfg, placement: tuple, mapping: dict[str, str],
                     state_budget: int) -> dict[str, StaticOrderSchedule]:
     # build_schedules on resolve_platform's placement of the mapping
-    try:
-        res = execute(g, placement=placement, list_mode=True,
+    return _schedules_from_log(_list_run(g, placement, state_budget)[1],
+                               mapping)
+
+
+def _list_run(g: Sdfg, placement: tuple, state_budget: int
+              ) -> tuple[_Simulation, ExecutionResult]:
+    # the list-scheduling run and its result; the finished simulation
+    # keeps the recorded states that _Simulation.replay reads
+    sim = _Simulation(g, *placement, list_mode=True,
                       state_budget=state_budget)
+    try:
+        return sim, sim.run()
     except DeadlockError as exc:
         raise DeadlockError(
             f"list scheduling deadlocked under mapping: {exc}",
             state=exc.state) from exc
-    return _schedules_from_log(res, mapping)
 
 
 def _schedules_from_log(res: ExecutionResult, mapping: dict[str, str]
@@ -320,21 +341,27 @@ def _share_to_scale(share) -> object:
 def evaluate_mapping(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
                      time_wheel_share: float = DEFAULT_TIME_WHEEL_SHARE,
                      state_budget: int = DEFAULT_STATE_BUDGET) -> MappingSolution:
-    """Validate, schedule and rate one assignment.
+    """Validate, schedule and rate one assignment with one simulation.
 
-    The mapping is placed once: :func:`validate_mapping`'s checks, the
-    list-scheduling run of :func:`build_schedules` and the rating run
-    all read the same :func:`snnflow.sdfg.resolve_platform` placement.
-    The rating is one self-timed run under the built schedules; its
-    throughput and its per-channel block counts both go into the
-    returned solution, so a caller needs no second run for either.
+    The mapping is placed once: :func:`validate_mapping`'s checks and
+    the list-scheduling run of :func:`build_schedules` read the same
+    :func:`snnflow.sdfg.resolve_platform` placement.  The rating is
+    that of the self-timed run under the built schedules, as
+    ``execute(..., schedules=...)`` gives it, but it is not run: under
+    its own static orders the mapped graph fires every actor at the
+    instant the list-scheduling run did, so
+    :meth:`snnflow.sdfg._Simulation.replay` reads the rating's
+    recurring state, period, steady-state hash and per-channel block
+    counts off the states that run recorded.  The throughput and the
+    block counts both go into the returned solution, so a caller needs
+    no further run for either.
     """
     placement = resolve_platform(g, hw, mapping,
                                  _share_to_scale(time_wheel_share))
     _check_capacities(g, hw, placement[1])
-    schedules = _list_schedules(g, placement, mapping, state_budget)
-    res = execute(g, placement=placement, schedules=schedules,
-                  state_budget=state_budget)
+    sim, listed = _list_run(g, placement, state_budget)
+    schedules = _schedules_from_log(listed, mapping)
+    res = sim.replay(schedules)
     return MappingSolution(dict(mapping), schedules, res.to_throughput(),
                            res.block_counts)
 

@@ -151,7 +151,8 @@ class Sdfg:
     @cached_property
     def _bounded(self) -> tuple:
         # (in_ch, out_ch) of _tables cut down to the bounded channels,
-        # the only ones whose space a run tracks
+        # the only ones whose space a run tracks, and the (in_ch, bounded
+        # out_ch) pairs of the actors that a lack of space can block
         _, _, in_ch, out_ch, _ = self._tables
         channels = self.channels
 
@@ -159,7 +160,9 @@ class Sdfg:
             return tuple(tuple((ci, rate) for ci, rate in pairs
                                if channels[ci].capacity is not None)
                          for pairs in per_actor)
-        return keep(in_ch), keep(out_ch)
+        out_bounded = keep(out_ch)
+        return keep(in_ch), out_bounded, tuple(
+            (ins, outs) for ins, outs in zip(in_ch, out_bounded) if outs)
 
 
 @dataclass(frozen=True)
@@ -376,7 +379,9 @@ class ExecutionResult:
     ``block_counts`` maps each bounded channel to the number of
     recorded states in which a lack of space on it held back an actor
     whose input tokens were all there.  A ``list_mode`` run, which only
-    builds static orders, counts nothing and leaves it empty.
+    builds static orders, counts nothing and leaves it empty; the
+    counts of the run under the orders it built come from
+    :meth:`_Simulation.replay`, which reads them off its recorded states.
     """
 
     period_exact: object
@@ -404,6 +409,12 @@ class _Simulation:
     cursor, one firing at a time), ``list_mode`` (FIFO ready lists per
     core, used to construct static orders).  Ties at equal time resolve
     by actor id, then core id.
+
+    A run keeps its recorded states in order in ``states`` (state key
+    -> time, firing-log length and completions) and the recurring one
+    in ``recurring``.  After a ``list_mode`` run, :meth:`replay` derives
+    from them the run under the static orders built from its firing
+    log, without simulating it again.
     """
 
     END = 0
@@ -416,7 +427,7 @@ class _Simulation:
         # exec_times and core_of run in g._tables actor order, latency in
         # channel order, as resolve_platform returns them
         self.ids, self.index, self.in_ch, self.out_ch, self.qv = g._tables
-        self.in_bounded, self.out_bounded = g._bounded
+        self.in_bounded, self.out_bounded, self.blockable = g._bounded
         self.exec = exec_times
         self.core_of = core_of
         self.latency = latency
@@ -581,39 +592,123 @@ class _Simulation:
     def _iterations(self, completions) -> int:
         return min(c // q for c, q in zip(completions, self.qv))
 
-    def _count_blocking(self) -> None:
-        tokens, space, counts = self.tokens, self.space, self.block_counts
-        for a in range(len(self.ids)):
-            for ci, need in self.in_ch[a]:
+    def _count_blocking(self, tokens, space, counts) -> None:
+        # one state's blocked channels, added to counts
+        for in_ch, out_bounded in self.blockable:
+            for ci, need in in_ch:
                 if tokens[ci] < need:
                     break
             else:
-                for ci, amount in self.out_bounded[a]:
+                for ci, amount in out_bounded:
                     if space[ci] < amount:
                         counts[ci] += 1
 
-    def _deadlock_state(self) -> dict:
+    def _deadlock_state(self, tokens, space, completions) -> dict:
         reasons = {}
         for a, aid in enumerate(self.ids):
             why = []
             for ci, need in self.in_ch[a]:
-                if self.tokens[ci] < need:
-                    why.append(f"channel {ci}: {self.tokens[ci]}/{need} tokens")
+                if tokens[ci] < need:
+                    why.append(f"channel {ci}: {tokens[ci]}/{need} tokens")
             for ci, amount in self.out_bounded[a]:
-                s = self.space[ci]
+                s = space[ci]
                 if s < amount:
                     why.append(f"channel {ci}: {s}/{amount} space")
             if why:
                 reasons[aid] = "; ".join(why)
-        return {"tokens": {i: t for i, t in enumerate(self.tokens)},
+        return {"tokens": {i: t for i, t in enumerate(tokens)},
                 "starving": reasons,
-                "completions": dict(zip(self.ids, self.completions))}
+                "completions": dict(zip(self.ids, completions))}
+
+    def _recurrence(self, key, now, log_len, done, first, block_counts
+                    ) -> ExecutionResult:
+        # the result of a run whose state key, reached at time now with
+        # log_len firings started and done completions, repeats first
+        t0, log0, done0 = first
+        it0 = self._iterations(done0)
+        d_iter = self._iterations(done) - it0
+        if d_iter <= 0:
+            # the periodic part will repeat forever, so actors that
+            # made no progress across the period never fire again
+            stuck = [self.ids[a] for a in range(len(self.ids))
+                     if done[a] == done0[a]]
+            state = self._deadlock_state(key[0], key[1], done)
+            state["starving"] = {a: state["starving"].get(a, "stuck")
+                                 for a in stuck}
+            raise DeadlockError(
+                f"actors {stuck} starve while the rest cycle", state=state)
+        span = now - t0
+        period = Fraction(span, d_iter)
+        if period.denominator == 1:
+            period = int(period)
+        return ExecutionResult(
+            period_exact=period,
+            throughput=float(Fraction(d_iter) / Fraction(span)),
+            transient_iterations=it0,
+            steady_state_hash=self._state_hash(key),
+            firing_log=tuple(self.firing_log[:log_len]),
+            log_cycle_start=log0,
+            iterations_per_cycle=d_iter,
+            block_counts=dict(block_counts))
+
+    def replay(self, schedules) -> ExecutionResult:
+        """The run under ``schedules``, read off this finished
+        ``list_mode`` run, whose firing log built them.
+
+        Imposed on the same placement, static orders built from a list
+        run fire every actor at the instant that run did.  A core frees
+        at the same time in both runs, and the actor at its cursor is
+        the one the list run took next from that core's ready list,
+        which it started as soon as the core was free and the actor
+        ready, as the run under the orders does.  A ready actor stays
+        ready until it starts, because starting an actor takes tokens
+        only from its own input channels and space only from its own
+        output channels.  The run under the orders therefore passes
+        through the list run's states, with the same tokens, space,
+        pending ends and arrivals.  Its key replaces the
+        ready lists by the per-core cursors: the start counts of the
+        firing-log prefix, reduced by each order's transient and cycle
+        lengths.  The list run's recurring state closes a cycle of
+        every order, so that run stops at the list run's last state or
+        earlier; this walks the states in order to the first repeated
+        key and counts blocked channels on each one up to it, as that
+        run would.  Its state and firing budgets cannot be exceeded,
+        since the list run did not exceed them.
+        """
+        at = {core: i for i, core in enumerate(self.cores)}
+        # a cursor that reaches the end of its order's cycle goes back to
+        # the cycle's start: (end, start) per core, no end without a cycle
+        wrap = []
+        for core in self.cores:
+            sched = schedules.get(core)
+            if sched is None or not sched.cycle:
+                wrap.append((-1, 0))
+            else:
+                nt = len(sched.transient)
+                wrap.append((nt + len(sched.cycle), nt))
+        cursors = [0] * len(self.cores)
+        log, logged = self.firing_log, 0
+        seen: dict[tuple, tuple] = {}
+        counts: dict[int, int] = defaultdict(int)
+        for state, record in (*self.states.items(), self.recurring):
+            log_len = record[1]
+            for core, _ in log[logged:log_len]:
+                i = at[core]
+                end, start = wrap[i]
+                cursors[i] = start if cursors[i] + 1 == end else cursors[i] + 1
+            logged = log_len
+            self._count_blocking(state[0], state[1], counts)
+            key = state[:4] + (tuple(cursors),)
+            if key in seen:
+                return self._recurrence(key, *record, seen[key], counts)
+            seen[key] = record
+        raise AssertionError("replayed states end without a repeated key")
 
     # -- main loop ----------------------------------------------------
 
     def run(self) -> ExecutionResult:
         now = 0
-        seen: dict[tuple, tuple] = {}
+        seen = self.states = {}
         while True:
             while True:
                 progressed = False
@@ -630,44 +725,23 @@ class _Simulation:
                 if not progressed:
                     break
             if not self.list_mode:  # schedule construction uses no counts
-                self._count_blocking()
+                self._count_blocking(self.tokens, self.space,
+                                     self.block_counts)
             key = self._snapshot(now)
+            record = (now, len(self.firing_log), tuple(self.completions))
             if key in seen:
-                t0, log0, done0 = seen[key]
-                it0 = self._iterations(done0)
-                d_iter = self._iterations(self.completions) - it0
-                if d_iter <= 0:
-                    # the periodic part will repeat forever, so actors that
-                    # made no progress across the period never fire again
-                    stuck = [self.ids[a] for a in range(len(self.ids))
-                             if self.completions[a] == done0[a]]
-                    state = self._deadlock_state()
-                    state["starving"] = {a: state["starving"].get(a, "stuck")
-                                         for a in stuck}
-                    raise DeadlockError(
-                        f"actors {stuck} starve while the rest cycle",
-                        state=state)
-                span = now - t0
-                period = Fraction(span, d_iter)
-                if period.denominator == 1:
-                    period = int(period)
-                return ExecutionResult(
-                    period_exact=period,
-                    throughput=float(Fraction(d_iter) / Fraction(span)),
-                    transient_iterations=it0,
-                    steady_state_hash=self._state_hash(key),
-                    firing_log=tuple(self.firing_log),
-                    log_cycle_start=log0,
-                    iterations_per_cycle=d_iter,
-                    block_counts=dict(self.block_counts))
-            seen[key] = (now, len(self.firing_log), tuple(self.completions))
+                self.recurring = key, record
+                return self._recurrence(key, *record, seen[key],
+                                        self.block_counts)
+            seen[key] = record
             if len(seen) > self.budget:
                 raise BudgetExceededError(
                     f"no recurrent state within {self.budget} states")
             if not self.heap:
                 raise DeadlockError(
                     "execution stalled with no fireable actor",
-                    state=self._deadlock_state())
+                    state=self._deadlock_state(self.tokens, self.space,
+                                               self.completions))
             now = self.heap[0][0]
 
 

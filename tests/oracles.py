@@ -8,8 +8,10 @@ Gaussian elimination over exact rationals, Pareto fronts by the direct
 O(n^2) dominance scan, swap descent by re-summing the synapses each
 candidate swap touches instead of keeping gain tables, swarm decode by
 one ``argmax`` per cluster row over freshly built core tables, the
-swarm search by evaluating every distinct assignment it decodes, LIF
-rates by stepping one neuron at a time through ``step_neuron``.
+swarm search by evaluating every distinct assignment it decodes, an
+assignment's rating by a second, scheduled simulation instead of a
+replay of the list-scheduling run, LIF rates by stepping one neuron at
+a time through ``step_neuron``.
 """
 
 from __future__ import annotations
@@ -27,11 +29,12 @@ from snnflow.errors import ConfigError, DeadlockError, InfeasibleMappingError
 from snnflow.lif import (LifParams, SpikeTrain, _round_rate, step_neuron,
                          synaptic_current)
 from snnflow.mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution,
-                             SwarmConfig, decode_position, evaluate_mapping,
-                             init_swarm, pso_step)
+                             SwarmConfig, _check_capacities, _list_schedules,
+                             _share_to_scale, decode_position,
+                             evaluate_mapping, init_swarm, pso_step)
 from snnflow.partition import (Partition, _cluster_fanin_counts,
                                communication_cost)
-from snnflow.sdfg import DEFAULT_STATE_BUDGET, Sdfg
+from snnflow.sdfg import DEFAULT_STATE_BUDGET, Sdfg, execute, resolve_platform
 from snnflow.snn_graph import HardwareGraph, SnnGraph, Synapse
 
 
@@ -583,6 +586,28 @@ def reference_search_mapping(g: Sdfg, hw: HardwareGraph,
         raise InfeasibleMappingError(
             "no feasible cluster-to-core assignment found by the search")
     return swarm.gbest_solution
+
+
+def reference_evaluate_mapping(g: Sdfg, hw: HardwareGraph,
+                               mapping: dict[str, str],
+                               time_wheel_share: float = DEFAULT_TIME_WHEEL_SHARE,
+                               state_budget: int = DEFAULT_STATE_BUDGET
+                               ) -> MappingSolution:
+    """Validate, schedule and rate one assignment with two simulations.
+
+    The list-scheduling run builds the static orders, then a second,
+    self-timed run under those orders gives the throughput and the
+    block counts, where :func:`snnflow.mapping.evaluate_mapping` replays
+    the first run's recorded states instead.
+    """
+    placement = resolve_platform(g, hw, mapping,
+                                 _share_to_scale(time_wheel_share))
+    _check_capacities(g, hw, placement[1])
+    schedules = _list_schedules(g, placement, mapping, state_budget)
+    res = execute(g, placement=placement, schedules=schedules,
+                  state_budget=state_budget)
+    return MappingSolution(dict(mapping), schedules, res.to_throughput(),
+                           res.block_counts)
 
 
 # ------------------------------------------------ rate oracle

@@ -12,10 +12,11 @@ import oracles
 from conftest import (all_to_all_platform, demo_clustered, layered_snn,
                       random_hsdf, random_multirate, two_core_platform)
 from oracles import reference_decode_position, reference_search_mapping
+from test_sdfg import two_core_loop
 
 from snnflow import mapping as mapping_module
 from snnflow.errors import (BudgetExceededError, DeadlockError,
-                            InfeasibleMappingError)
+                            InfeasibleMappingError, SnnflowError)
 from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
                              _decode_swarm, _period_lower_bound,
                              _share_to_scale,
@@ -331,6 +332,34 @@ def test_evaluate_mapping_repeats_on_the_same_objects(hw2):
     assert evaluate_mapping(g, hw2, mapping) == first
 
 
+def test_evaluated_state_layout_is_pinned():
+    # the rating's recurring state, its hash and its block counts go into
+    # every record and drive the buffer sweep, so a change to the state
+    # key or to the cursor reduction must show here.  The second design
+    # repeats every 4 iterations with a fractional period
+    g, hw, mapping = two_core_loop()
+
+    def pinned(sol):
+        t = sol.throughput
+        return (t.period, t.steady_state_hash, t.transient_length,
+                sol.block_counts)
+
+    sol = evaluate_mapping(g, hw, mapping)
+    assert pinned(sol) == (13 / 3, "bf4339465537", 0, {0: 2})
+    g = Sdfg((Actor("a0"), Actor("a1"), Actor("a2")),
+             (Channel("a0", 1, "a0", 1, tokens=1),
+              Channel("a1", 1, "a1", 1, tokens=1),
+              Channel("a2", 1, "a2", 1, tokens=1),
+              Channel("a2", 1, "a1", 1, tokens=1, capacity=4)))
+    hw = HardwareGraph((Core("t0", 4, 2), Core("t1", 4, 1.5),
+                        Core("t3", 3, 2.5)),
+                       (Link("t1", "t3", 2), Link("t3", "t1", 2)))
+    sol = evaluate_mapping(g, hw, {"a0": "t0", "a1": "t3", "a2": "t1"},
+                           1 / 3)
+    assert {s.iterations_per_cycle for s in sol.schedules.values()} == {4}
+    assert pinned(sol) == (7.500000000000001, "8b24a4ef4f02", 3, {3: 10})
+
+
 def test_graph_and_platform_with_filled_tables_survive_pickle(hw2):
     # a graph or platform sent to a worker process is pickled with the
     # tables it has built so far, which the copy must be able to use
@@ -545,6 +574,44 @@ def test_pruned_search_equals_the_reference_search(monkeypatch):
         seen["found"] += not isinstance(want, str)
     assert all(seen.values()), seen
     assert evals["pruned"] < evals["reference"], evals
+
+
+def evaluate_or_error(evaluate, *args):
+    try:
+        return evaluate(*args)
+    except SnnflowError as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+def test_evaluate_mapping_equals_the_two_run_reference():
+    rng = np.random.default_rng(31)
+    seen = {"ipc > 1": 0, "fractional period": 0, "blocked": 0,
+            "list deadlock": 0, "over budget": 0, "capped": 0}
+    for case in range(210):
+        g = random_design(case)
+        if case % 7 == 0:  # a channel too small for one firing
+            g = Sdfg(g.actors + (Actor("x"),), g.channels + (
+                Channel(g.actors[0].id, 2, "x", 2, tokens=0, capacity=1),))
+        hw = mixed_platform(rng, mesh=case % 2 == 1, caps=case % 4 >= 2)
+        cores = hw.core_ids()
+        mapping = {a: cores[int(rng.integers(0, len(cores)))]
+                   for a in g.actor_ids()}
+        args = (g, hw, mapping, [1, 0.5, 1 / 3][case % 3],
+                8 if case % 10 == 9 else DEFAULT_STATE_BUDGET)
+        want = evaluate_or_error(oracles.reference_evaluate_mapping, *args)
+        assert evaluate_or_error(evaluate_mapping, *args) == want, \
+            f"case {case}"
+        if isinstance(want, MappingSolution):
+            seen["ipc > 1"] += any(s.iterations_per_cycle > 1
+                                   for s in want.schedules.values())
+            seen["fractional period"] += want.throughput.period % 1 != 0
+            seen["blocked"] += any(want.block_counts.values())
+        else:
+            kind, message = want
+            seen["list deadlock"] += message.startswith("list scheduling")
+            seen["over budget"] += kind is BudgetExceededError
+            seen["capped"] += "connections" in message
+    assert all(seen.values()), seen
 
 
 def test_period_lower_bound_is_below_the_scheduled_period():

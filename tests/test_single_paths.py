@@ -80,3 +80,23 @@ def test_evaluate_mapping_places_once(monkeypatch):
     mapping.evaluate_mapping(g, all_to_all_platform(2),
                              {"c0": "t0", "c1": "t1", "c2": "t1"})
     assert len(calls) == 1
+
+
+def test_evaluate_mapping_runs_one_simulation(monkeypatch):
+    # the rating is replayed from the list-scheduling run's states; a
+    # second, scheduled run would show here as a second call
+    run, calls = sdfg._Simulation.run, []
+
+    def counting(self):
+        calls.append(self)
+        return run(self)
+
+    monkeypatch.setattr(sdfg._Simulation, "run", counting)
+    g = sdfg.lift_to_sdfg(demo_clustered(), core_exec_time=1,
+                          default_buffer=64)
+    hw = all_to_all_platform(2)
+    for assignment in ({"c0": "t0", "c1": "t1", "c2": "t1"},
+                       {"c0": "t0", "c1": "t0", "c2": "t0"}):
+        calls.clear()
+        mapping.evaluate_mapping(g, hw, assignment)
+        assert len(calls) == 1
