@@ -1,10 +1,11 @@
 """Design-flow orchestration: partition rounds, buffer sweeps, Pareto fronts.
 
-Each of ``eta`` rounds draws an independent random partition, refines it,
-lifts the clustered network to a dataflow graph and sweeps buffer
-allocations from the minimum feasible sizes upward, re-optimizing (or
-reusing) the cluster-to-core assignment at every allocation.  The union
-of all (throughput, total buffer) points is reduced to its Pareto front.
+Each of ``eta`` rounds clusters the network along its own random
+topological order, refines the clusters, lifts the clustered network to
+a dataflow graph and sweeps buffer allocations from the minimum feasible
+sizes upward, re-optimizing (or reusing) the cluster-to-core assignment
+at every allocation.  The union of all (throughput, total buffer) points
+is reduced to its Pareto front.
 """
 
 from __future__ import annotations
@@ -19,8 +20,7 @@ import numpy as np
 from .errors import (BudgetExceededError, DeadlockError,
                      InfeasibleMappingError)
 from .mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution, SwarmConfig,
-                      _share_to_scale, build_schedules, evaluate_mapping,
-                      search_mapping)
+                      _share_to_scale, evaluate_mapping, search_mapping)
 from .partition import (ClusteredSnnGraph, build_clustered_graph,
                         communication_cost, partition_round, round_seeds)
 from .sdfg import (DEFAULT_STATE_BUDGET, Sdfg, ThroughputResult,

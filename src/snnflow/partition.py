@@ -3,9 +3,15 @@
 A partition assigns every neuron to exactly one cluster subject to two
 crossbar constraints: a cluster may hold at most ``crossbar_dim`` neurons
 and may draw from at most ``crossbar_dim`` distinct pre-synaptic sources
-(input sources count by default).  Starting from a seeded random
-assignment, pairwise swap descent reduces the number of spikes crossing
-cluster boundaries until a full sweep finds no strictly improving swap.
+(input sources count by default).  The start cuts a seeded random
+topological order of the neurons into contiguous clusters, so every
+synapse of an acyclic network runs from a cluster to itself or to a
+later one and the cluster graph has no cycle (the level-constrained,
+acyclic partitioning of Herrmann et al., SIAM J. Sci. Comput. 2019, and
+Moreira et al., SEA 2017).  Pairwise swap descent then reduces the
+number of spikes crossing cluster boundaries, taking only swaps that
+keep every synapse running forward, until a full sweep finds no
+strictly improving swap.
 
 The descent keeps Kernighan-Lin gain tables: per neuron, the spikes it
 exchanges with each cluster, so a swap's cost change is an O(1) formula
@@ -18,6 +24,7 @@ to the plain pair-scan definition (see :func:`kl_refine`).
 
 from __future__ import annotations
 
+import heapq
 import math
 from collections import defaultdict
 from dataclasses import dataclass
@@ -84,7 +91,18 @@ def _cluster_fanin_counts(g: SnnGraph, p: Partition) -> dict[int, dict[str, int]
 def init_partition(g: SnnGraph, crossbar_dim: int,
                    rng: np.random.Generator | int | None = None,
                    count_input_fanin: bool = True) -> Partition:
-    """Random initial partition repaired to satisfy both crossbar limits.
+    """Contiguous clusters along a seeded random topological order.
+
+    The order is Kahn's algorithm over the neuron-to-neuron synapses
+    (self-loops left out), with ties among ready neurons broken by a
+    random priority drawn from ``rng``.  Walking it, a neuron joins the
+    current cluster unless that cluster is full or the neuron's sources
+    would push its distinct fan-in past ``crossbar_dim``; then a new
+    cluster opens.  Clusters are numbered in walk order, so on an acyclic
+    network every synapse runs from a cluster to itself or to a later
+    one, and the cluster graph is acyclic.  On a cyclic network, when no
+    neuron is ready the smallest unplaced id is taken next, so the walk
+    always ends; the synapses that close a cycle may then run backward.
 
     Raises :class:`InfeasiblePartitionError` when a single neuron already
     has more distinct pre-synaptic sources than the crossbar admits.
@@ -95,86 +113,55 @@ def init_partition(g: SnnGraph, crossbar_dim: int,
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
 
-    input_ids = set(g.input_ids())
-    neuron_fanin: dict[str, set[str]] = defaultdict(set)
-    for s in g.synapses:
-        if s.src in input_ids and not count_input_fanin:
-            continue
-        neuron_fanin[s.dst].add(s.src)
-    for nid, sources in neuron_fanin.items():
-        if len(sources) > crossbar_dim:
-            raise InfeasiblePartitionError(
-                f"neuron {nid!r} has {len(sources)} distinct pre-synaptic "
-                f"sources; no {crossbar_dim}x{crossbar_dim} crossbar can host it")
-
     neurons = sorted(g.neuron_ids())
+    index = {nid: i for i, nid in enumerate(neurons)}
+    n = len(neurons)
+    sources: list[set[str]] = [set() for _ in range(n)]
+    succ: list[list[int]] = [[] for _ in range(n)]
+    indeg = [0] * n
+    for s in g.synapses:
+        j = index[s.dst]
+        i = index.get(s.src)
+        if i is not None:
+            if i != j:
+                succ[i].append(j)
+                indeg[j] += 1
+        elif not count_input_fanin:
+            continue
+        sources[j].add(s.src)
+    for j, srcs in enumerate(sources):
+        if len(srcs) > crossbar_dim:
+            raise InfeasiblePartitionError(
+                f"neuron {neurons[j]!r} has {len(srcs)} distinct pre-synaptic "
+                f"sources; no {crossbar_dim}x{crossbar_dim} crossbar can host it")
     if not neurons:
         return Partition({}, 1, crossbar_dim, count_input_fanin)
-    order = list(neurons)
-    rng.shuffle(order)
-    k = max(1, math.ceil(len(neurons) / crossbar_dim))
-    assignment = {nid: i % k for i, nid in enumerate(order)}
-    p = Partition(assignment, k, crossbar_dim, count_input_fanin)
 
-    # repair fan-in overflows by relocating neurons, growing clusters as needed
-    fanin = _cluster_fanin_counts(g, p)
-    sizes = [0] * k
-    for c in assignment.values():
-        sizes[c] += 1
-    changed = True
-    while changed:
-        changed = False
-        for c in range(len(sizes)):
-            while len(fanin[c]) > crossbar_dim:
-                victim = _pick_relocation_victim(c, neurons, assignment,
-                                                 neuron_fanin, fanin)
-                dest = _find_destination(victim, c, sizes, fanin, neuron_fanin,
-                                         crossbar_dim)
-                if dest is None:
-                    dest = len(sizes)
-                    sizes.append(0)
-                    fanin[dest] = defaultdict(int)
-                _move(victim, c, dest, assignment, sizes, fanin, neuron_fanin)
-                changed = True
-    p = Partition(assignment, len(sizes), crossbar_dim, count_input_fanin)
-    p.validate(g)
-    return p
-
-
-def _pick_relocation_victim(cluster: int, neurons, assignment, neuron_fanin,
-                            fanin):
-    # ``neurons`` is every neuron id in sorted order, so ties go to the
-    # smallest id
-    best, best_gain = None, -1
-    for nid in neurons:
-        if assignment[nid] != cluster:
-            continue
-        gain = sum(1 for src in neuron_fanin[nid]
-                   if fanin[cluster].get(src, 0) == 1)
-        if gain > best_gain:
-            best, best_gain = nid, gain
-    return best
-
-
-def _find_destination(nid, src_cluster, sizes, fanin, neuron_fanin, limit):
-    for c in range(len(sizes)):
-        if c == src_cluster or sizes[c] >= limit:
-            continue
-        extra = sum(1 for s in neuron_fanin[nid] if fanin[c].get(s, 0) == 0)
-        if len(fanin[c]) + extra <= limit:
-            return c
-    return None
-
-
-def _move(nid, src_c, dst_c, assignment, sizes, fanin, neuron_fanin):
-    assignment[nid] = dst_c
-    sizes[src_c] -= 1
-    sizes[dst_c] += 1
-    for s in neuron_fanin[nid]:
-        fanin[src_c][s] -= 1
-        if fanin[src_c][s] == 0:
-            del fanin[src_c][s]
-        fanin[dst_c][s] += 1
+    priority = rng.permutation(n).tolist()
+    ready = [(priority[i], i) for i in range(n) if indeg[i] == 0]
+    heapq.heapify(ready)
+    placed = [False] * n
+    assignment: dict[str, int] = {}
+    cluster, size, fanin = 0, 0, set()
+    smallest = 0  # every id below it is placed
+    for _ in range(n):
+        if ready:
+            i = heapq.heappop(ready)[1]
+        else:  # a cycle: no neuron is ready, so take the smallest unplaced
+            while placed[smallest]:
+                smallest += 1
+            i = smallest
+        placed[i] = True
+        for j in succ[i]:
+            indeg[j] -= 1
+            if indeg[j] == 0 and not placed[j]:
+                heapq.heappush(ready, (priority[j], j))
+        if size == crossbar_dim or len(fanin | sources[i]) > crossbar_dim:
+            cluster, size, fanin = cluster + 1, 0, set()
+        assignment[neurons[i]] = cluster
+        size += 1
+        fanin |= sources[i]
+    return Partition(assignment, cluster + 1, crossbar_dim, count_input_fanin)
 
 
 def communication_cost(g: SnnGraph, p: Partition) -> float:
@@ -195,7 +182,13 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
 
     Scans all neuron pairs ``i < j`` in sorted-id order and keeps the
     first swap found that strictly lowers the cost while both touched
-    clusters stay within the crossbar limits.  Sweeps repeat until the
+    clusters stay within the crossbar limits and the cluster order holds.
+    The order rule: a swap is rejected if, after it, any neuron-to-neuron
+    synapse incident to ``i`` or ``j`` runs from a higher cluster index
+    to a lower one.  From a start whose synapses all run forward, as
+    :func:`init_partition` builds on an acyclic network, the cluster
+    graph therefore stays acyclic.  The rule is an O(degree) check, made
+    only for swaps that lower the cost.  Sweeps repeat until the
     total improvement of a sweep is at most ``delta_min``, which must be
     a number >= 0 (a negative or NaN threshold could never be met).
     ``trace``, when given, collects one record per sweep: ``sweep``,
@@ -238,11 +231,15 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
 
     w: list[dict[int, float]] = [{} for _ in range(n)]
     sources: list[set[int]] = [set() for _ in range(n)]
+    succ: list[set[int]] = [set() for _ in range(n)]
+    pred: list[set[int]] = [set() for _ in range(n)]
     for s in g.synapses:
         i, j = index[s.src], index[s.dst]
         if i < n and i != j:
             w[i][j] = w[i].get(j, 0.0) + s.spikes
             w[j][i] = w[j].get(i, 0.0) + s.spikes
+            succ[i].add(j)
+            pred[j].add(i)
         if i < n or p.count_input_fanin:
             sources[j].add(i)
     conn = [[0.0] * p.cluster_count for _ in range(n)]
@@ -265,6 +262,18 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
         for src in lose:
             count -= f[src] == 1 and src not in gain
         return count <= p.crossbar_dim
+
+    def ordered(x: int, c: int, y: int) -> bool:
+        # every synapse of neuron x runs forward once x sits in cluster c
+        # and its swap partner y in x's old cluster
+        old = a[x]
+        for z in pred[x]:
+            if (old if z == y else a[z]) > c:
+                return False
+        for z in succ[x]:
+            if (old if z == y else a[z]) < c:
+                return False
+        return True
 
     def move(x: int, old: int, new: int) -> None:
         a[x] = new
@@ -294,7 +303,8 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
                 conn_j = conn[j]
                 delta = (conn_i[ca] - conn_i[cb] + conn_j[cb] - conn_j[ca]
                          + 2 * w_i.get(j, 0.0))
-                if delta >= 0 or not (fits(ca, sources[i], sources[j])
+                if delta >= 0 or not (ordered(i, cb, j) and ordered(j, ca, i)
+                                      and fits(ca, sources[i], sources[j])
                                       and fits(cb, sources[j], sources[i])):
                     continue
                 move(i, ca, cb)
@@ -414,7 +424,7 @@ def partition_round(g: SnnGraph, crossbar_dim: int,
                     seed: np.random.SeedSequence, delta_min: float = 0.0,
                     count_input_fanin: bool = True,
                     trace: list | None = None) -> tuple[Partition, float]:
-    """One partition round: random init from ``seed``, then swap descent.
+    """One partition round: topological start from ``seed``, then swap descent.
 
     Returns the refined partition and the cut of the initial one.
     ``trace`` collects the per-sweep records of :func:`kl_refine`.

@@ -238,7 +238,9 @@ def repetition_vector(g: Sdfg) -> dict[str, int]:
 def _solve_balance(g: Sdfg) -> dict[str, int]:
     g.validate()
     ids = g.actor_ids()
-    adj: dict[str, list[tuple[str, Fraction, int]]] = defaultdict(list)
+    # per actor: (neighbour, num, den, channel) with q[neighbour] equal
+    # to q[actor] * num / den
+    adj: dict[str, list[tuple[str, int, int, int]]] = defaultdict(list)
     for i, c in enumerate(g.channels):
         if c.src == c.dst:
             if c.prod != c.cons:
@@ -246,38 +248,46 @@ def _solve_balance(g: Sdfg) -> dict[str, int]:
                     f"self-loop on {c.src!r} (channel {i}) has unequal rates "
                     f"{c.prod}/{c.cons}")
             continue
-        ratio = Fraction(c.prod, c.cons)
-        adj[c.src].append((c.dst, ratio, i))
-        adj[c.dst].append((c.src, 1 / ratio, i))
+        adj[c.src].append((c.dst, c.prod, c.cons, i))
+        adj[c.dst].append((c.src, c.cons, c.prod, i))
 
-    q: dict[str, Fraction] = {}
+    # q as reduced (numerator, denominator) pairs: equal pairs are equal
+    # fractions, and a channel with equal rates passes its pair on as is
+    q: dict[str, tuple[int, int]] = {}
+    counts: dict[str, int] = {}
     for root in ids:
         if root in q:
             continue
-        q[root] = Fraction(1)
+        q[root] = (1, 1)
         component = [root]
         stack = [root]
         while stack:
             u = stack.pop()
-            for v, ratio, ci in adj[u]:
-                expected = q[u] * ratio
+            num, den = q[u]
+            for v, p, c, ci in adj[u]:
+                if p == c:
+                    expected = num, den
+                else:
+                    n, d = num * p, den * c
+                    k = math.gcd(n, d)
+                    expected = n // k, d // k
                 if v in q:
                     if q[v] != expected:
-                        c = g.channels[ci]
+                        ch = g.channels[ci]
                         raise InconsistentGraphError(
                             f"balance equations have no non-zero solution; "
-                            f"channel {ci} ({c.src!r} -{c.prod}/{c.cons}-> "
-                            f"{c.dst!r}) closes an inconsistent cycle")
+                            f"channel {ci} ({ch.src!r} -{ch.prod}/{ch.cons}-> "
+                            f"{ch.dst!r}) closes an inconsistent cycle")
                 else:
                     q[v] = expected
                     component.append(v)
                     stack.append(v)
-        scale = math.lcm(*(q[v].denominator for v in component))
-        counts = [int(q[v] * scale) for v in component]
-        g_all = math.gcd(*counts)
-        for v, n in zip(component, counts):
-            q[v] = Fraction(n // g_all)
-    return {v: int(q[v]) for v in ids}
+        scale = math.lcm(*(q[v][1] for v in component))
+        ints = [q[v][0] * (scale // q[v][1]) for v in component]
+        g_all = math.gcd(*ints)
+        for v, n in zip(component, ints):
+            counts[v] = n // g_all
+    return {v: counts[v] for v in ids}
 
 
 def check_deadlock(g: Sdfg) -> DeadlockReport | None:

@@ -329,7 +329,9 @@ def copy_partition(p):
 
 
 def improving_swap(g, p):
-    """An (i, j) swap that is valid and strictly reduces cut cost, or None."""
+    """An (i, j) swap that is valid, leaves no synapse touching ``i`` or
+    ``j`` running from a higher cluster index to a lower one, and strictly
+    reduces cut cost, or None."""
     from snnflow.partition import Partition, communication_cost
     from snnflow.errors import GraphValidationError
     base = communication_cost(g, p)
@@ -345,6 +347,9 @@ def improving_swap(g, p):
             try:
                 candidate.validate(g)
             except GraphValidationError:
+                continue
+            if any(s.src in assignment and assignment[s.src] > assignment[s.dst]
+                   for s in g.synapses if {s.src, s.dst} & {ni, nj}):
                 continue
             if communication_cost(g, candidate) < base:
                 return ni, nj
@@ -374,7 +379,8 @@ def exhaustive_min_cost(g, crossbar_dim: int, max_clusters: int):
 # The pair-scan definition of swap descent that ``kl_refine`` implements
 # with gain tables: every swap's cost change is re-summed over the
 # synapses it touches, and every improving swap is applied, checked
-# against the fan-in limit and rolled back if it breaks it.
+# against the fan-in limit and the cluster order, and rolled back if it
+# breaks either.
 
 class _SwapState:
     """Mutable partition state with O(degree) swap application/rollback."""
@@ -429,9 +435,16 @@ class _SwapState:
         self.fanin[to_c][src] += 1
 
     def swap_valid(self, ni: str, nj: str) -> bool:
-        ci, cj = self.assignment[ni], self.assignment[nj]
+        # called with the swap applied: both clusters within the fan-in
+        # limit, and no synapse touching either neuron runs backward
+        a = self.assignment
+        ci, cj = a[ni], a[nj]
         ok = (len(self.fanin[ci]) <= self.crossbar_dim
               and len(self.fanin[cj]) <= self.crossbar_dim)
+        for s in self.in_edges[ni] + self.out_edges[ni] \
+                + self.in_edges[nj] + self.out_edges[nj]:
+            if s.src in a and a[s.src] > a[s.dst]:
+                ok = False
         return ok
 
     def to_partition(self) -> Partition:
@@ -444,8 +457,9 @@ def reference_kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
     """Pairwise swap descent on the inter-cluster spike count.
 
     Scans all neuron pairs in a deterministic order; a swap is kept only
-    when both touched clusters stay within the crossbar limits and the
-    cost strictly decreases.  Sweeps repeat until the total improvement
+    when both touched clusters stay within the crossbar limits, no
+    synapse touching the two neurons runs from a higher cluster index to
+    a lower one, and the cost strictly decreases.  Sweeps repeat until the total improvement
     of a sweep is at most ``delta_min``.  ``trace``, when given, collects
     one record per sweep with its accepted swap deltas and end cost.
     """

@@ -6,8 +6,8 @@ import time
 import numpy as np
 import pytest
 
-from conftest import (all_to_all_platform, layered_demo_snn, layered_snn,
-                      two_core_platform)
+from conftest import (all_to_all_platform, feasible_dim, layered_demo_snn,
+                      layered_snn, random_snn, two_core_platform)
 from oracles import dominance_front
 
 from snnflow import dse
@@ -17,10 +17,11 @@ from snnflow.dse import (DesignFlowConfig, DesignPoint, RoundResult,
                          pipeline_rate_bound, run_design_flow, sweep_buffers)
 from snnflow.mapping import SwarmConfig
 from snnflow.partition import iterate_partitions
-from snnflow.sdfg import (Actor, Channel, Sdfg, execute, lift_to_sdfg,
-                          self_timed_throughput)
+from snnflow.sdfg import (Actor, Channel, Sdfg, check_deadlock, execute,
+                          lift_to_sdfg, self_timed_throughput)
 from snnflow.errors import BudgetExceededError, InfeasibleMappingError
-from snnflow.snn_graph import HardwareGraph
+from snnflow.snn_graph import (HardwareGraph, InputSource, Neuron, SnnGraph,
+                               Synapse)
 
 
 def point(thr, buf, order) -> DesignPoint:
@@ -268,17 +269,52 @@ def test_parallel_flow_stops_taking_rounds_once_one_is_over_budget(
     assert partials[1].points  # round 0 has design points
 
 
+def neuron_ring(n: int) -> SnnGraph:
+    """``n`` neurons in one directed cycle, fed by a single input."""
+    neurons = tuple(Neuron.make(f"n{i}") for i in range(n))
+    synapses = (Synapse("in", "n0", 1.0, 3),) + tuple(
+        Synapse(f"n{i}", f"n{(i + 1) % n}", 1.0, 3) for i in range(n))
+    return SnnGraph(neurons, (InputSource("in", 3),), synapses)
+
+
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_flow_with_every_round_deadlocked_names_each_deadlock(jobs):
+    # a ring longer than one crossbar holds is cut into several clusters,
+    # and its zero-token cut channels close a cycle in every round
     cfg = DesignFlowConfig(crossbar_dim=4, eta=3, seed=0, jobs=jobs)
     with pytest.raises(InfeasibleMappingError) as info:
-        run_design_flow(layered_demo_snn(), two_core_platform(), cfg)
+        run_design_flow(neuron_ring(6), two_core_platform(), cfg)
     message = str(info.value)
     assert message.startswith("all rounds infeasible: ")
     per_round = message.removeprefix("all rounds infeasible: ").split("; ")
     assert len(per_round) == cfg.eta
     assert all(e.startswith("clustered graph deadlocks even with unbounded "
                             "buffers: starving ") for e in per_round)
+
+
+def _liveness_cases():
+    # (graph, crossbar dim) over layered and random feed-forward nets
+    for layers in ([4, 4, 4], [8, 8, 8], [24] * 4):
+        for seed in range(3):
+            g = layered_snn(seed, layers)
+            yield g, max(4, feasible_dim(g))
+    for seed in range(6):
+        g = random_snn(seed)
+        yield g, max(4, feasible_dim(g))
+
+
+def test_every_round_of_a_feed_forward_net_is_live_and_yields_points():
+    hw = all_to_all_platform(4, dim=64)
+    for k, (g, dim) in enumerate(_liveness_cases()):
+        for cg in iterate_partitions(g, dim, eta=3, seed=k):
+            assert check_deadlock(lift_to_sdfg(cg)) is None
+        cfg = DesignFlowConfig(
+            crossbar_dim=dim, eta=1, seed=k, jobs=1,
+            swarm=SwarmConfig(particles=4, iterations=2),
+            sweep=SweepConfig(plateau=1))
+        res = run_design_flow(g, hw, cfg)
+        assert res.points
+        assert all(rr.error is None for rr in res.rounds)
 
 
 def test_flow_deterministic_and_parallel_identical():

@@ -1,4 +1,4 @@
-"""Partitioning: random init, swap descent, clustered-graph construction."""
+"""Partitioning: topological init, swap descent, clustered-graph construction."""
 
 from dataclasses import replace
 
@@ -64,6 +64,34 @@ def test_init_counts_inputs_against_fanin_by_default():
 def test_init_deterministic_per_seed():
     g = random_snn(3, n_neurons=14)
     assert init_partition(g, 5, 123) == init_partition(g, 5, 123)
+
+
+def backward_synapses(g: SnnGraph, p: Partition) -> list[Synapse]:
+    a = p.assignment
+    return [s for s in g.synapses if s.src in a and a[s.src] > a[s.dst]]
+
+
+def test_init_runs_every_synapse_forward_on_acyclic_nets():
+    for g, dim, seed in _refine_cases():
+        p = init_partition(g, dim, seed)
+        p.validate(g)
+        assert backward_synapses(g, p) == []
+
+
+def test_init_terminates_on_a_cyclic_net():
+    # a ring of ten neurons plus a chord: Kahn's algorithm finds no ready
+    # neuron at all, so the walk must pick its own way in
+    neurons = tuple(Neuron.make(f"n{i}") for i in range(10))
+    syn = tuple(Synapse(f"n{i}", f"n{(i + 1) % 10}", 1.0, 2)
+                for i in range(10)) + (Synapse("n3", "n7", 1.0, 5),)
+    g = SnnGraph(neurons, (), syn)
+    for seed in range(5):
+        p = init_partition(g, 4, seed)
+        p.validate(g)
+        assert p.cluster_count >= 3
+        assert backward_synapses(g, p)  # a cycle cannot run all forward
+        assert init_partition(g, 4, seed) == p
+        kl_refine(g, p).validate(g)
 
 
 def test_cost_zero_when_single_cluster():
@@ -154,6 +182,17 @@ def _refine_cases():
         for seed in range(4):
             g = layered_snn(seed, layers)
             yield g, feasible_dim(g, floor=4), seed
+
+
+def test_kl_never_creates_a_backward_synapse_from_an_ordered_start():
+    accepted = 0
+    for g, dim, seed in _refine_cases():
+        p = init_partition(g, dim, seed)
+        trace = []
+        refined = kl_refine(g, p, trace=trace)
+        assert backward_synapses(g, refined) == []
+        accepted += sum(len(rec["accepted"]) for rec in trace)
+    assert accepted > 0
 
 
 def _assert_matches_reference(g, p, delta_min):
