@@ -61,8 +61,11 @@ class SwarmConfig:
     def __post_init__(self):
         if self.particles < 1 or self.iterations < 1:
             raise ValueError("particles and iterations must be >= 1")
-        if self.phi1 < 0 or self.phi2 < 0:
-            raise ValueError("acceleration constants must be >= 0")
+        # NaN fails every comparison, so test for the valid range
+        if not (0 <= self.phi1 < math.inf and 0 <= self.phi2 < math.inf):
+            raise ValueError("acceleration constants must be finite and >= 0")
+        if not 0 <= self.v_max < math.inf:
+            raise ValueError("v_max must be finite and >= 0")
 
 
 @dataclass(frozen=True)

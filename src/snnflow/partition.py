@@ -18,8 +18,14 @@ exchanges with each cluster, so a swap's cost change is an O(1) formula
 rather than a re-sum over the synapses it touches; and per cluster, the
 synapse count of each pre-synaptic source, so the fan-in limit is
 checked by counting the sources a swap would leave and add, without
-applying it.  With integer spike counts the partitions are bit-identical
-to the plain pair-scan definition (see :func:`kl_refine`).
+applying it.  It visits only the pairs that could pass: a neuron may
+move only within its order band, between its predecessors' highest
+cluster and its successors' lowest, and a swap can lower the cut only
+if one neuron has a neighbour in the other's cluster, so each sweep
+costs O(N x crossbar x degree) rather than O(N^2).  Those pairs are
+visited in the order of a scan over all pairs, and the others would all
+be rejected, so with integer spike counts the partitions are
+bit-identical to the plain pair-scan definition (see :func:`kl_refine`).
 """
 
 from __future__ import annotations
@@ -180,22 +186,24 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
               trace: list | None = None) -> Partition:
     """Pairwise swap descent on the inter-cluster spike count.
 
-    Scans all neuron pairs ``i < j`` in sorted-id order and keeps the
-    first swap found that strictly lowers the cost while both touched
-    clusters stay within the crossbar limits and the cluster order holds.
-    The order rule: a swap is rejected if, after it, any neuron-to-neuron
-    synapse incident to ``i`` or ``j`` runs from a higher cluster index
-    to a lower one.  From a start whose synapses all run forward, as
-    :func:`init_partition` builds on an acyclic network, the cluster
-    graph therefore stays acyclic.  The rule is an O(degree) check, made
-    only for swaps that lower the cost.  Sweeps repeat until the
-    total improvement of a sweep is at most ``delta_min``, which must be
-    a number >= 0 (a negative or NaN threshold could never be met).
-    ``trace``, when given, collects one record per sweep: ``sweep``,
-    ``delta`` (the sweep's improvement), ``cost`` (the cut after it) and
-    ``accepted``, the ``(ni, nj, gain)`` of each kept swap.
+    Visits neuron pairs ``i < j`` in sorted-id order, ``i`` ascending and
+    then ``j`` ascending, and takes each swap that strictly lowers the
+    cost while both touched clusters stay within the crossbar limits and
+    the cluster order holds; after a taken swap the visit goes on with
+    the next ``j`` and ``i`` in its new cluster.  The order rule: a swap
+    is rejected if, after it, any neuron-to-neuron synapse incident to
+    ``i`` or ``j`` runs from a higher cluster index to a lower one.  From
+    a start whose synapses all run forward, as :func:`init_partition`
+    builds on an acyclic network, the cluster graph therefore stays
+    acyclic.  The rule is an O(degree) check, made only for swaps that
+    lower the cost.  Sweeps repeat until the total improvement of a sweep
+    is at most ``delta_min``, which must be a number >= 0 (a negative or
+    NaN threshold could never be met).  ``trace``, when given, collects
+    one record per sweep: ``sweep``, ``delta`` (the sweep's improvement),
+    ``cost`` (the cut after it) and ``accepted``, the ``(ni, nj, gain)``
+    of each kept swap.
 
-    Neurons are numbered in sorted-id order and three tables are kept:
+    Neurons are numbered in sorted-id order and these tables are kept:
 
     * ``conn[i][c]``, the spikes on neuron-to-neuron synapses between
       neuron ``i`` and cluster ``c`` in both directions (self-loops left
@@ -203,21 +211,48 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
     * ``w[i][j]``, the spikes between neurons ``i`` and ``j`` in both
       directions;
     * per cluster, the number of synapses each pre-synaptic source
-      sends into it, and the number of distinct sources.
+      sends into it, and the number of distinct sources;
+    * per neuron ``x``, its band ``lo[x]..hi[x]``: ``lo[x]`` is the
+      highest cluster among its predecessors (-1 if it has none) and
+      ``hi[x]`` the lowest among its successors (the cluster count if
+      none); per cluster, its members and the neurons whose band starts
+      or ends there.
 
     The cost change of swapping ``i`` in cluster ``A`` with ``j`` in
     ``B`` is then ``conn[i][A] - conn[i][B] + conn[j][B] - conn[j][A] +
     2 w[i][j]``, the negated Kernighan-Lin gain, in O(1).  The fan-in check
     counts the distinct sources ``A`` and ``B`` would have after the
     swap in O(in-degree), without applying it; only an accepted swap
-    updates the fan-in counts and the ``conn`` rows of the two neurons'
-    neighbours, in O(degree).
+    updates the fan-in counts, the ``conn`` rows of the two neurons'
+    neighbours and the bands of their predecessors and successors, in
+    O(degree^2).
 
-    The result and the trace are bit-identical to evaluating every swap
-    by re-summing the spikes of the touched synapses whenever spike
-    counts are integers, as :func:`snnflow.lif.estimate_rates` produces.
-    For arbitrary non-integral counts the gain is summed in another
-    order and may differ from that definition in the last bit.
+    Only pairs that could pass are visited (the boundary refinement of
+    Fiduccia and Mattheyses, DAC 1982, inside the level band of Herrmann
+    et al., SIAM J. Sci. Comput. 2019).  The order rule can hold only if
+    ``B`` lies in ``i``'s band and ``A`` in ``j``'s, including when ``j``
+    is ``i``'s own predecessor or successor, since ``j`` then sits at an
+    end of the band.  Spike counts are >= 0, so the cost can fall only if
+    ``i`` has a neighbour in ``B`` or ``j`` one in ``A``, and inside
+    ``x``'s band the only clusters holding a neighbour of ``x`` are
+    ``lo[x]`` and ``hi[x]``.  So ``i``'s partners are the members of
+    clusters ``lo[i]`` and ``hi[i]`` and the neurons whose band starts or
+    ends at ``A``, each kept only if both bands admit the swap: O(crossbar
+    x degree) candidates per neuron and sweep instead of all N.  With
+    exact gains the pairs left out are ones a scan over all pairs would
+    reject, and the visit order is that scan's, so the same swaps are
+    taken.
+
+    With integer spike counts, as :func:`snnflow.lif.estimate_rates`
+    produces, or dyadic ones, the tables hold exact sums, so the result
+    and the trace are bit-identical to scanning every pair and
+    re-summing the spikes of the touched synapses.  With other
+    non-integral counts the gain is summed in another order and may
+    differ from that definition in the last bit, and ``conn`` may keep a
+    rounding residue where a neuron no longer exchanges spikes with a
+    cluster; a scan over all pairs could then take a swap whose exact
+    gain is <= 0 on the strength of that residue, which this visit
+    skips.
     """
     if not delta_min >= 0:
         raise ValueError(f"delta_min must be >= 0, got {delta_min!r}")
@@ -242,15 +277,30 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
             pred[j].add(i)
         if i < n or p.count_input_fanin:
             sources[j].add(i)
-    conn = [[0.0] * p.cluster_count for _ in range(n)]
+    k = p.cluster_count
+    conn = [[0.0] * k for _ in range(n)]
     for i in range(n):
         for j, spikes in w[i].items():
             conn[i][a[j]] += spikes
-    fan = [[0] * len(index) for _ in range(p.cluster_count)]
+    fan = [[0] * len(index) for _ in range(k)]
     for j in range(n):
         for src in sources[j]:
             fan[a[j]][src] += 1
     distinct = [len(f) - f.count(0) for f in fan]
+    # the bands, and per cluster its members and the neurons whose band
+    # starts or ends there.  Each table has an extra last slot, which -1
+    # also indexes: the band ends -1 and k land there, where no neuron is
+    # a member, and partners() looks up lo_at and hi_at only at clusters.
+    cluster_of = a.__getitem__
+    lo = [max(map(cluster_of, pred[x]), default=-1) for x in range(n)]
+    hi = [min(map(cluster_of, succ[x]), default=k) for x in range(n)]
+    members: list[set[int]] = [set() for _ in range(k + 1)]
+    lo_at: list[set[int]] = [set() for _ in range(k + 1)]
+    hi_at: list[set[int]] = [set() for _ in range(k + 1)]
+    for x in range(n):
+        members[a[x]].add(x)
+        lo_at[lo[x]].add(x)
+        hi_at[hi[x]].add(x)
 
     def fits(c: int, lose: set[int], gain: set[int]) -> bool:
         # distinct sources of cluster c once a neuron fed by `lose`
@@ -275,8 +325,19 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
                 return False
         return True
 
+    def partners(i: int, after: int) -> list[int]:
+        # the j > after, ascending, that pass the band and neighbourhood
+        # tests with i (see the docstring)
+        ca, lo_i, hi_i = a[i], lo[i], hi[i]
+        pool = members[lo_i] | members[hi_i] | lo_at[ca] | hi_at[ca]
+        return sorted([j for j in pool
+                       if j > after and a[j] != ca and lo_i <= a[j] <= hi_i
+                       and lo[j] <= ca <= hi[j]])
+
     def move(x: int, old: int, new: int) -> None:
         a[x] = new
+        members[old].remove(x)
+        members[new].add(x)
         for y, spikes in w[x].items():
             conn[y][old] -= spikes
             conn[y][new] += spikes
@@ -289,29 +350,42 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
             if f_new[src] == 1:
                 distinct[new] += 1
 
-    cost = communication_cost(g, p)
+    # the running cut feeds only the trace
+    cost = communication_cost(g, p) if trace is not None else 0.0
     sweep = 0
     while True:
         sweep_delta = 0.0
         accepted: list[tuple[str, str, float]] = []
         for i in range(n):
             conn_i, w_i = conn[i], w[i]
-            for j in range(i + 1, n):
-                ca, cb = a[i], a[j]
-                if ca == cb:
-                    continue
-                conn_j = conn[j]
-                delta = (conn_i[ca] - conn_i[cb] + conn_j[cb] - conn_j[ca]
-                         + 2 * w_i.get(j, 0.0))
-                if delta >= 0 or not (ordered(i, cb, j) and ordered(j, ca, i)
-                                      and fits(ca, sources[i], sources[j])
-                                      and fits(cb, sources[j], sources[i])):
-                    continue
-                move(i, ca, cb)
-                move(j, cb, ca)
-                cost += delta
-                sweep_delta += -delta
-                accepted.append((neurons[i], neurons[j], -delta))
+            j = i
+            while True:  # one pass over i's partners per accepted swap
+                for j in partners(i, j):
+                    ca, cb = a[i], a[j]
+                    conn_j = conn[j]
+                    delta = (conn_i[ca] - conn_i[cb] + conn_j[cb] - conn_j[ca]
+                             + 2 * w_i.get(j, 0.0))
+                    if delta >= 0 or not (
+                            ordered(i, cb, j) and ordered(j, ca, i)
+                            and fits(ca, sources[i], sources[j])
+                            and fits(cb, sources[j], sources[i])):
+                        continue
+                    move(i, ca, cb)
+                    move(j, cb, ca)
+                    for x in succ[i] | succ[j]:
+                        lo_at[lo[x]].remove(x)
+                        lo[x] = max(map(cluster_of, pred[x]))
+                        lo_at[lo[x]].add(x)
+                    for x in pred[i] | pred[j]:
+                        hi_at[hi[x]].remove(x)
+                        hi[x] = min(map(cluster_of, succ[x]))
+                        hi_at[hi[x]].add(x)
+                    cost += delta
+                    sweep_delta += -delta
+                    accepted.append((neurons[i], neurons[j], -delta))
+                    break
+                else:
+                    break
         sweep += 1
         if trace is not None:
             trace.append({"sweep": sweep, "delta": sweep_delta,

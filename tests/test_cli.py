@@ -289,6 +289,20 @@ def test_bad_delta_min_config_exits_2(files, tmp_path, capsys, command, value):
     assert "delta_min" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("swarm", [{"v_max": -0.5}, {"v_max": float("nan")},
+                                   {"phi1": float("nan")},
+                                   {"phi2": float("inf")}])
+def test_bad_swarm_config_exits_2(files, tmp_path, capsys, swarm):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "format": "run-config/1", "snn": files["snn"],
+        "hardware": files["hw"], "crossbar_dim": 4, "swarm": swarm}))
+    assert main(["explore", "--config", str(cfg),
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "bad swarm settings" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["partition", "explore"])
 @pytest.mark.parametrize("flag,value", [("--eta", "-2"), ("--eta", "0"),
                                         ("--crossbar-dim", "0")])

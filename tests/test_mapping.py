@@ -378,6 +378,17 @@ def test_graph_and_platform_with_filled_tables_survive_pickle(hw2):
 
 # ------------------------------------------------------------------ pso
 
+@pytest.mark.parametrize("settings,name", [
+    ({"v_max": -0.5}, "v_max"), ({"v_max": math.nan}, "v_max"),
+    ({"v_max": math.inf}, "v_max"), ({"phi1": math.nan}, "acceleration"),
+    ({"phi2": math.inf}, "acceleration"), ({"phi1": -1.0}, "acceleration")])
+def test_swarm_config_rejects_settings_that_garble_the_search(settings, name):
+    # np.clip(v, -v_max, v_max) with a negative v_max pins every velocity
+    # to v_max, and NaN or infinite constants poison every position
+    with pytest.raises(ValueError, match=f"{name}.*finite and >= 0"):
+        SwarmConfig(**settings)
+
+
 def test_pso_zero_phi_keeps_constant_velocity():
     cfg = SwarmConfig(particles=3, iterations=2, phi1=0.0, phi2=0.0,
                       v_max=0.5)

@@ -280,6 +280,155 @@ def test_kl_without_input_fanin_takes_swaps_inputs_would_block():
         replace(refined, count_input_fanin=True).validate(g)
 
 
+def _accepted(trace) -> list[tuple[str, str, float]]:
+    return [swap for rec in trace for swap in rec["accepted"]]
+
+
+# Larger nets, where each neuron's partners are a small share of all
+# neurons.  Every (delta_min, count_input_fanin) setting runs on each
+# size and crossbar; the 192-neuron net takes each setting once, as the
+# reference re-sums every pair's synapses.
+_AT_SIZE = (
+    [(24, dim, delta_min, fanin) for dim in ("16", "feasible")
+     for delta_min in (0.0, 6.0) for fanin in (True, False)]
+    + [(48, "16", 0.0, True), (48, "16", 6.0, False),
+       (48, "feasible", 6.0, True), (48, "feasible", 0.0, False)])
+
+
+@pytest.mark.parametrize("width,dim,delta_min,count_input_fanin", _AT_SIZE)
+def test_kl_matches_reference_on_layered_nets_at_size(width, dim, delta_min,
+                                                      count_input_fanin):
+    g = layered_snn(width, [width] * 4)
+    crossbar = 16 if dim == "16" else feasible_dim(g)
+    p = init_partition(g, crossbar, width, count_input_fanin)
+    _, trace = _assert_matches_reference(g, p, delta_min)
+    assert _accepted(trace)
+
+
+@pytest.mark.parametrize("count_input_fanin", [True, False])
+@pytest.mark.parametrize("delta_min", [0.0, 6.0])
+def test_kl_matches_reference_on_random_nets_up_to_40_neurons(
+        delta_min, count_input_fanin):
+    accepted = 0
+    for seed in range(6):
+        g = random_snn(100 + seed, n_neurons=30 + 2 * seed, edge_prob=0.15)
+        p = init_partition(g, feasible_dim(g, floor=4), seed,
+                           count_input_fanin)
+        _, trace = _assert_matches_reference(g, p, delta_min)
+        accepted += len(_accepted(trace))
+    assert accepted > 0
+
+
+def _dyadic(g: SnnGraph) -> SnnGraph:
+    fractions = (0.25, 2.5, 0.5, 1.75, 3.25, 0.125)
+    return replace(g, synapses=tuple(
+        replace(s, spikes=s.spikes + fractions[k % len(fractions)])
+        for k, s in enumerate(g.synapses)))
+
+
+@pytest.mark.parametrize("delta_min", [0.0, 6.0])
+def test_kl_matches_reference_on_dyadic_counts_at_48_neurons(delta_min):
+    accepted = 0
+    for seed, g in enumerate((layered_snn(3, [12] * 4),
+                              random_snn(7, n_neurons=48, edge_prob=0.08),
+                              random_snn(8, n_neurons=56, edge_prob=0.06))):
+        g = _dyadic(g)
+        p = init_partition(g, feasible_dim(g, floor=6), seed)
+        got, trace = _assert_matches_reference(g, p, delta_min)
+        assert trace[-1]["cost"] == communication_cost(g, got)
+        accepted += len(_accepted(trace))
+    assert accepted > 0
+
+
+# Each partner source on its own: in the first graph only i has a
+# neighbour in j's cluster, in the second only j has one in i's.
+def test_kl_takes_a_swap_that_gains_only_through_i():
+    # a -> u (10 spikes) is the cut; b has no synapse at all
+    g = SnnGraph(tuple(Neuron.make(x) for x in ("a", "b", "u")), (),
+                 (Synapse("a", "u", 1.0, 10),))
+    p = Partition({"a": 0, "b": 1, "u": 1}, 2, crossbar_dim=2)
+    refined, trace = _assert_matches_reference(g, p, 0.0)
+    assert _accepted(trace) == [("a", "b", 10.0)]
+    assert communication_cost(g, refined) == 0
+
+
+def test_kl_takes_a_swap_that_gains_only_through_j():
+    # v -> b (7 spikes) is the cut; a has no synapse at all
+    g = SnnGraph(tuple(Neuron.make(x) for x in ("a", "b", "v")), (),
+                 (Synapse("v", "b", 1.0, 7),))
+    p = Partition({"a": 0, "v": 0, "b": 1}, 2, crossbar_dim=2)
+    refined, trace = _assert_matches_reference(g, p, 0.0)
+    assert _accepted(trace) == [("a", "b", 7.0)]
+    assert communication_cost(g, refined) == 0
+
+
+@pytest.mark.parametrize("a_to_b", [True, False])
+def test_kl_swaps_partners_that_are_each_others_neighbours(a_to_b):
+    # a and b share a synapse that runs backward; the swap turns it
+    # forward and pulls c's 5 spikes inside.  b sits at an end of a's
+    # band and a at an end of b's, as predecessor and successor.
+    if a_to_b:  # b is a's successor
+        syn = (Synapse("a", "b", 1.0, 1), Synapse("a", "c", 1.0, 5))
+        assignment = {"a": 1, "b": 0, "c": 0}
+    else:  # b is a's predecessor
+        syn = (Synapse("b", "a", 1.0, 1), Synapse("c", "a", 1.0, 5))
+        assignment = {"a": 0, "b": 1, "c": 1}
+    g = SnnGraph(tuple(Neuron.make(x) for x in ("a", "b", "c")), (), syn)
+    p = Partition(assignment, 2, crossbar_dim=2)
+    refined, trace = _assert_matches_reference(g, p, 0.0)
+    assert _accepted(trace)[0] == ("a", "b", 5.0)
+    assert backward_synapses(g, refined) == []
+
+
+def inverted_bands(g: SnnGraph, p: Partition) -> int:
+    """Neurons with a predecessor in a higher cluster than a successor."""
+    a = p.assignment
+    lo: dict[str, int] = {}
+    hi: dict[str, int] = {}
+    for s in g.synapses:
+        if s.src in a and s.src != s.dst:
+            lo[s.dst] = max(lo.get(s.dst, -1), a[s.src])
+            hi[s.src] = min(hi.get(s.src, p.cluster_count), a[s.dst])
+    return sum(lo.get(x, -1) > hi.get(x, p.cluster_count) for x in a)
+
+
+def _round_robin_starts():
+    for seed, layers in enumerate(([8, 8, 8], [6, 6, 6, 6], [12, 12, 12])):
+        g = layered_snn(seed, layers)
+        neurons = sorted(n.id for n in g.neurons)
+        # two neurons a cluster, so twice the largest fan-in fits
+        k = len(neurons) // 2
+        p = Partition({x: i % k for i, x in enumerate(neurons)}, k,
+                      crossbar_dim=2 * feasible_dim(g))
+        yield g, p
+
+
+def _cyclic_starts():
+    # random_snn only draws synapses i -> j with i < j; add some back
+    for seed in range(6):
+        g = random_snn(seed, n_neurons=16 + seed, edge_prob=0.25)
+        ids = [n.id for n in g.neurons]
+        back = tuple(Synapse(ids[-1 - k], ids[k], 1.0, 3 + k)
+                     for k in range(0, len(ids) // 2, 2))
+        g = replace(g, synapses=g.synapses + back)
+        yield g, init_partition(g, feasible_dim(g, floor=4), seed)
+
+
+@pytest.mark.parametrize("starts", [_round_robin_starts, _cyclic_starts])
+@pytest.mark.parametrize("delta_min", [0.0, 6.0])
+def test_kl_matches_reference_from_starts_that_run_backward(starts,
+                                                            delta_min):
+    inverted = accepted = 0
+    for g, p in starts():
+        p.validate(g)
+        assert backward_synapses(g, p)
+        inverted += inverted_bands(g, p)
+        _, trace = _assert_matches_reference(g, p, delta_min)
+        accepted += len(_accepted(trace))
+    assert inverted > 0
+    assert accepted > 0
+
+
 def test_build_single_cluster(demo_snn):
     p = Partition({n.id: 0 for n in demo_snn.neurons}, 1, crossbar_dim=16)
     cg = build_clustered_graph(demo_snn, p)
