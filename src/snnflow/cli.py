@@ -163,16 +163,15 @@ def cmd_partition(args) -> int:
     log_rows = []
     for r, (kl_seed, _) in enumerate(partition.round_seeds(cfg.seed, cfg.eta)):
         trace: list[dict] = []
-        p, initial = partition.partition_round(
+        p = partition.partition_round(
             g, cfg.crossbar_dim, kl_seed, cfg.delta_min,
             cfg.count_input_fanin, trace=trace)
-        log_rows.append((r, 0, 0.0, initial))
-        for rec in trace:
+        for rec in trace:  # sweep 0 is the start
             log_rows.append((r, rec["sweep"], rec["delta"], rec["cost"]))
         cg = partition.build_clustered_graph(g, p)
         path = os.path.join(cfg.output_dir, f"round_{r}.yaml")
         partition.save_clustered_graph(cg, path)
-        print(f"round {r}: cost {initial} -> "
+        print(f"round {r}: cost {trace[0]['cost']} -> "
               f"{partition.communication_cost(g, p)}, "
               f"{len(cg.clusters)} clusters, wrote {path}")
     log_path = os.path.join(cfg.output_dir, "cost_log.csv")

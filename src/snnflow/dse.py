@@ -230,8 +230,8 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
                ) -> RoundResult:
     out = RoundResult(round_index)
     kl_seed, pso_parent = seeds
-    p, _ = partition_round(g, cfg.crossbar_dim, kl_seed, cfg.delta_min,
-                           cfg.count_input_fanin)
+    p = partition_round(g, cfg.crossbar_dim, kl_seed, cfg.delta_min,
+                        cfg.count_input_fanin)
     out.cut_cost = communication_cost(g, p)
     cg = build_clustered_graph(g, p)
     out.clustered = cg

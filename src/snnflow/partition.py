@@ -26,6 +26,10 @@ costs O(N x crossbar x degree) rather than O(N^2).  Those pairs are
 visited in the order of a scan over all pairs, and the others would all
 be rejected, so with integer spike counts the partitions are
 bit-identical to the plain pair-scan definition (see :func:`kl_refine`).
+The network-only tables (neuron numbering, neighbours, sources and the
+spikes between neighbours) come from the graph's adjacency view, built
+and validated once per graph; each round builds only the gain, fan-in
+and band tables, which depend on the partition.
 """
 
 from __future__ import annotations
@@ -60,8 +64,8 @@ class Partition:
         return out
 
     def validate(self, g: SnnGraph) -> None:
-        neuron_ids = set(g.neuron_ids())
-        if set(self.assignment) != neuron_ids:
+        neuron_ids, index, *_, sources = g._adjacency
+        if set(self.assignment) != set(neuron_ids):
             raise GraphValidationError(
                 "partition must assign every neuron exactly once")
         for nid, c in self.assignment.items():
@@ -74,24 +78,13 @@ class Partition:
                 raise GraphValidationError(
                     f"cluster {c} holds {len(neurons)} neurons "
                     f"(limit {self.crossbar_dim})")
-        fanin = _cluster_fanin_counts(g, self)
-        for c, sources in fanin.items():
-            if len(sources) > self.crossbar_dim:
+        sources = sources[bool(self.count_input_fanin)]
+        for c, neurons in enumerate(members):
+            fanin = set().union(*(sources[index[nid]] for nid in neurons))
+            if len(fanin) > self.crossbar_dim:
                 raise GraphValidationError(
-                    f"cluster {c} draws from {len(sources)} distinct sources "
+                    f"cluster {c} draws from {len(fanin)} distinct sources "
                     f"(limit {self.crossbar_dim})")
-
-
-def _cluster_fanin_counts(g: SnnGraph, p: Partition) -> dict[int, dict[str, int]]:
-    """Per cluster: synapse-count per distinct pre-synaptic source."""
-    input_ids = set(g.input_ids())
-    fanin: dict[int, dict[str, int]] = {c: defaultdict(int)
-                                        for c in range(p.cluster_count)}
-    for s in g.synapses:
-        if s.src in input_ids and not p.count_input_fanin:
-            continue
-        fanin[p.assignment[s.dst]][s.src] += 1
-    return fanin
 
 
 def init_partition(g: SnnGraph, crossbar_dim: int,
@@ -115,26 +108,13 @@ def init_partition(g: SnnGraph, crossbar_dim: int,
     """
     if crossbar_dim < 1:
         raise InfeasiblePartitionError("crossbar dimension must be >= 1")
-    g.validate()
+    neurons, _, succ, pred, _, sources = g._adjacency
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
 
-    neurons = sorted(g.neuron_ids())
-    index = {nid: i for i, nid in enumerate(neurons)}
     n = len(neurons)
-    sources: list[set[str]] = [set() for _ in range(n)]
-    succ: list[list[int]] = [[] for _ in range(n)]
-    indeg = [0] * n
-    for s in g.synapses:
-        j = index[s.dst]
-        i = index.get(s.src)
-        if i is not None:
-            if i != j:
-                succ[i].append(j)
-                indeg[j] += 1
-        elif not count_input_fanin:
-            continue
-        sources[j].add(s.src)
+    sources = sources[bool(count_input_fanin)]
+    indeg = [len(before) for before in pred]
     for j, srcs in enumerate(sources):
         if len(srcs) > crossbar_dim:
             raise InfeasiblePartitionError(
@@ -162,11 +142,11 @@ def init_partition(g: SnnGraph, crossbar_dim: int,
             indeg[j] -= 1
             if indeg[j] == 0 and not placed[j]:
                 heapq.heappush(ready, (priority[j], j))
-        if size == crossbar_dim or len(fanin | sources[i]) > crossbar_dim:
+        if size == crossbar_dim or len(fanin.union(sources[i])) > crossbar_dim:
             cluster, size, fanin = cluster + 1, 0, set()
         assignment[neurons[i]] = cluster
         size += 1
-        fanin |= sources[i]
+        fanin.update(sources[i])
     return Partition(assignment, cluster + 1, crossbar_dim, count_input_fanin)
 
 
@@ -203,13 +183,13 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
     ``cost`` (the cut after it) and ``accepted``, the ``(ni, nj, gain)``
     of each kept swap.
 
-    Neurons are numbered in sorted-id order and these tables are kept:
+    Neurons are numbered in sorted-id order.  The graph's adjacency view
+    gives their neighbours, sources and ``w[i][j]``, the spikes between
+    neurons ``i`` and ``j`` in both directions; each call builds:
 
     * ``conn[i][c]``, the spikes on neuron-to-neuron synapses between
       neuron ``i`` and cluster ``c`` in both directions (self-loops left
       out);
-    * ``w[i][j]``, the spikes between neurons ``i`` and ``j`` in both
-      directions;
     * per cluster, the number of synapses each pre-synaptic source
       sends into it, and the number of distinct sources;
     * per neuron ``x``, its band ``lo[x]..hi[x]``: ``lo[x]`` is the
@@ -257,26 +237,10 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
     if not delta_min >= 0:
         raise ValueError(f"delta_min must be >= 0, got {delta_min!r}")
     p.validate(g)
-    neurons = sorted(p.assignment)
-    index = {nid: i for i, nid in enumerate(neurons)}
+    neurons, index, succ, pred, w, sources = g._adjacency
+    sources = sources[bool(p.count_input_fanin)]
     n = len(neurons)
-    for src in g.input_ids():  # inputs are numbered after the neurons
-        index.setdefault(src, len(index))
     a = [p.assignment[nid] for nid in neurons]
-
-    w: list[dict[int, float]] = [{} for _ in range(n)]
-    sources: list[set[int]] = [set() for _ in range(n)]
-    succ: list[set[int]] = [set() for _ in range(n)]
-    pred: list[set[int]] = [set() for _ in range(n)]
-    for s in g.synapses:
-        i, j = index[s.src], index[s.dst]
-        if i < n and i != j:
-            w[i][j] = w[i].get(j, 0.0) + s.spikes
-            w[j][i] = w[j].get(i, 0.0) + s.spikes
-            succ[i].add(j)
-            pred[j].add(i)
-        if i < n or p.count_input_fanin:
-            sources[j].add(i)
     k = p.cluster_count
     conn = [[0.0] * k for _ in range(n)]
     for i in range(n):
@@ -372,11 +336,11 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
                         continue
                     move(i, ca, cb)
                     move(j, cb, ca)
-                    for x in succ[i] | succ[j]:
+                    for x in {*succ[i], *succ[j]}:
                         lo_at[lo[x]].remove(x)
                         lo[x] = max(map(cluster_of, pred[x]))
                         lo_at[lo[x]].add(x)
-                    for x in pred[i] | pred[j]:
+                    for x in {*pred[i], *pred[j]}:
                         hi_at[hi[x]].remove(x)
                         hi[x] = min(map(cluster_of, succ[x]))
                         hi_at[hi[x]].add(x)
@@ -497,16 +461,19 @@ def round_seeds(seed: int | None, eta: int
 def partition_round(g: SnnGraph, crossbar_dim: int,
                     seed: np.random.SeedSequence, delta_min: float = 0.0,
                     count_input_fanin: bool = True,
-                    trace: list | None = None) -> tuple[Partition, float]:
+                    trace: list | None = None) -> Partition:
     """One partition round: topological start from ``seed``, then swap descent.
 
-    Returns the refined partition and the cut of the initial one.
-    ``trace`` collects the per-sweep records of :func:`kl_refine`.
+    Returns the refined partition.  ``trace``, when given, collects a
+    sweep-0 record of the start (``delta`` 0.0, ``cost`` its cut, no
+    swaps accepted), then the per-sweep records of :func:`kl_refine`.
     """
     p = init_partition(g, crossbar_dim, np.random.default_rng(seed),
                        count_input_fanin)
-    initial = communication_cost(g, p)
-    return kl_refine(g, p, delta_min, trace=trace), initial
+    if trace is not None:
+        trace.append({"sweep": 0, "delta": 0.0,
+                      "cost": communication_cost(g, p), "accepted": []})
+    return kl_refine(g, p, delta_min, trace=trace)
 
 
 def iterate_partitions(g: SnnGraph, crossbar_dim: int, eta: int,
@@ -516,8 +483,8 @@ def iterate_partitions(g: SnnGraph, crossbar_dim: int, eta: int,
     """Run ``eta`` independent partition rounds seeded by :func:`round_seeds`."""
     out = []
     for kl_seed, _ in round_seeds(seed, eta):
-        p, _ = partition_round(g, crossbar_dim, kl_seed, delta_min,
-                               count_input_fanin)
+        p = partition_round(g, crossbar_dim, kl_seed, delta_min,
+                            count_input_fanin)
         out.append(build_clustered_graph(g, p))
     return out
 

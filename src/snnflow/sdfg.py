@@ -456,7 +456,8 @@ class _Simulation:
             if missing:
                 raise InfeasibleMappingError(
                     f"actors {missing} have no core under the imposed schedules")
-            self.cursor = {t: 0 for t in self.cores}
+            self.orders = self._orders(schedules)
+            self.cursor = [0] * len(self.cores)
         self.queues: dict[str, deque[int]] = {t: deque() for t in self.cores}
         self.queued = [False] * len(self.ids)
         self.heap: list[tuple] = []
@@ -508,27 +509,42 @@ class _Simulation:
         if core is not None:
             self.busy[core] = False
 
-    def _schedule_next(self, core: str) -> int | None:
-        sched = self.schedules.get(core)
-        if sched is None or (not sched.transient and not sched.cycle):
-            return None
-        pos = self.cursor[core]
-        nt = len(sched.transient)
-        if pos < nt:
-            return self.index[sched.transient[pos]]
-        return self.index[sched.cycle[(pos - nt) % len(sched.cycle)]]
+    def _orders(self, schedules) -> list[tuple[tuple[int, ...], int, int]]:
+        # per core, its static order (transient, then cycle) as actor
+        # indices and (end, restart): a cursor reaching end goes back to
+        # restart, the cycle's start.  Without a cycle end is -1, and the
+        # core fires nothing once its transient is done.
+        out = []
+        for core in self.cores:
+            sched = schedules.get(core)
+            nt = 0 if sched is None else len(sched.transient)
+            names = () if sched is None else (*sched.transient, *sched.cycle)
+            order = []
+            for aid in names:
+                a = self.index.get(aid)
+                if a is None or self.core_of[a] != core:
+                    where = ("is no actor of the graph" if a is None else
+                             f"runs on core {self.core_of[a]!r}")
+                    raise InfeasibleMappingError(
+                        f"the static order of core {core!r} names actor "
+                        f"{aid!r}, which {where}")
+                order.append(a)
+            end = len(order) if len(order) > nt else -1
+            out.append((tuple(order), end, nt))
+        return out
 
     def _fire_phase(self, now) -> int:
         started = 0
         if self.schedules is not None:
-            for core in self.cores:
+            for c, core in enumerate(self.cores):
                 if self.busy[core]:
                     continue
-                a = self._schedule_next(core)
-                if a is not None and self._can_fire(a):
-                    self._start(a, now)
+                order, end, restart = self.orders[c]
+                pos = self.cursor[c]
+                if pos < len(order) and self._can_fire(order[pos]):
+                    self._start(order[pos], now)
                     self.busy[core] = True
-                    self.cursor[core] += 1
+                    self.cursor[c] = restart if pos + 1 == end else pos + 1
                     started += 1
         elif self.list_mode:
             for a in range(len(self.ids)):
@@ -574,18 +590,8 @@ class _Simulation:
             pending_ends[a] = tuple(sorted(pending_ends[a]))
         key = [tuple(self.tokens), tuple(self.space), tuple(pending_ends),
                tuple(sorted(arrivals))]
-        if self.schedules is not None:
-            cursors = []
-            for core in self.cores:
-                sched = self.schedules.get(core)
-                pos = self.cursor[core]
-                if sched is None or not sched.cycle:
-                    cursors.append(pos)
-                else:
-                    nt = len(sched.transient)
-                    cursors.append(pos if pos < nt
-                                   else nt + (pos - nt) % len(sched.cycle))
-            key.append(tuple(cursors))
+        if self.schedules is not None:  # the cursors are kept wrapped
+            key.append(tuple(self.cursor))
         if self.list_mode:
             key.append(tuple(tuple(self.queues[c]) for c in self.cores))
         return tuple(key)
@@ -686,16 +692,7 @@ class _Simulation:
         since the list run did not exceed them.
         """
         at = {core: i for i, core in enumerate(self.cores)}
-        # a cursor that reaches the end of its order's cycle goes back to
-        # the cycle's start: (end, start) per core, no end without a cycle
-        wrap = []
-        for core in self.cores:
-            sched = schedules.get(core)
-            if sched is None or not sched.cycle:
-                wrap.append((-1, 0))
-            else:
-                nt = len(sched.transient)
-                wrap.append((nt + len(sched.cycle), nt))
+        wrap = [(end, restart) for _, end, restart in self._orders(schedules)]
         cursors = [0] * len(self.cores)
         log, logged = self.firing_log, 0
         seen: dict[tuple, tuple] = {}

@@ -106,6 +106,35 @@ class SnnGraph:
                 raise GraphValidationError(
                     f"synapse ({s.src!r}, {s.dst!r}) has negative spikes per frame")
 
+    @cached_property
+    def _adjacency(self) -> tuple:
+        # (neurons, index, succ, pred, w, sources), read-only and shared by
+        # every partition round: sorted neuron ids, id -> number (inputs
+        # after the neurons), per neuron its successors and predecessors
+        # (no self-loops), spikes to each neighbour both ways summed in
+        # synapse order, and distinct sources, sources[False] without the
+        # inputs and [True] with them.  Sorted tuples, not sets, as the
+        # view lives as long as the graph.  A failing graph caches nothing.
+        self.validate()
+        neurons = tuple(sorted(self.neuron_ids()))
+        n = len(neurons)
+        index = {nid: i for i, nid in enumerate((*neurons, *self.input_ids()))}
+        succ, pred, own, fed = ([set() for _ in range(n)] for _ in range(4))
+        w: list[dict[int, float]] = [{} for _ in range(n)]
+        for s in self.synapses:
+            i, j = index[s.src], index[s.dst]
+            fed[j].add(i)
+            if i < n:
+                own[j].add(i)
+            if i < n and i != j:
+                succ[i].add(j)
+                pred[j].add(i)
+                w[i][j] = w[i].get(j, 0.0) + s.spikes
+                w[j][i] = w[j].get(i, 0.0) + s.spikes
+        succ, pred, own, fed = (tuple(tuple(sorted(x)) for x in sets)
+                                for sets in (succ, pred, own, fed))
+        return neurons, index, succ, pred, tuple(w), (own, fed)
+
 
 @dataclass(frozen=True)
 class Core:

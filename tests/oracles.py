@@ -32,8 +32,7 @@ from snnflow.mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution,
                              SwarmConfig, _check_capacities, _list_schedules,
                              _share_to_scale, decode_position,
                              evaluate_mapping, init_swarm, pso_step)
-from snnflow.partition import (Partition, _cluster_fanin_counts,
-                               communication_cost)
+from snnflow.partition import Partition, communication_cost
 from snnflow.sdfg import DEFAULT_STATE_BUDGET, Sdfg, execute, resolve_platform
 from snnflow.snn_graph import HardwareGraph, SnnGraph, Synapse
 
@@ -381,6 +380,18 @@ def exhaustive_min_cost(g, crossbar_dim: int, max_clusters: int):
 # synapses it touches, and every improving swap is applied, checked
 # against the fan-in limit and the cluster order, and rolled back if it
 # breaks either.
+
+def _cluster_fanin_counts(g: SnnGraph, p: Partition) -> dict[int, dict[str, int]]:
+    """Per cluster: synapse-count per distinct pre-synaptic source."""
+    input_ids = set(g.input_ids())
+    fanin: dict[int, dict[str, int]] = {c: defaultdict(int)
+                                        for c in range(p.cluster_count)}
+    for s in g.synapses:
+        if s.src in input_ids and not p.count_input_fanin:
+            continue
+        fanin[p.assignment[s.dst]][s.src] += 1
+    return fanin
+
 
 class _SwapState:
     """Mutable partition state with O(degree) swap application/rollback."""

@@ -19,7 +19,8 @@ from snnflow.mapping import SwarmConfig
 from snnflow.partition import iterate_partitions
 from snnflow.sdfg import (Actor, Channel, Sdfg, check_deadlock, execute,
                           lift_to_sdfg, self_timed_throughput)
-from snnflow.errors import BudgetExceededError, InfeasibleMappingError
+from snnflow.errors import (BudgetExceededError, DeadlockError,
+                            InfeasibleMappingError)
 from snnflow.snn_graph import (HardwareGraph, InputSource, Neuron, SnnGraph,
                                Synapse)
 
@@ -133,6 +134,28 @@ def test_sweep_series_non_decreasing_many_graphs():
         points = sweep_buffers(g, pure_evaluator, SweepConfig(plateau=3))
         rates = [p.throughput.throughput for p in points]
         assert rates == sorted(rates), f"trial {trial}"
+
+
+def multirate_pair() -> Sdfg:
+    """``a -2/3-> b``: at its minimum capacity, 3, ``a`` fires once and
+    both actors wait, so the sweep must start from a uniform multiple."""
+    return Sdfg((Actor("a"), Actor("b")),
+                (Channel("a", 2, "b", 3, 0, None),
+                 Channel("a", 1, "a", 1, tokens=1),
+                 Channel("b", 1, "b", 1, tokens=1)))
+
+
+def test_sweep_escalates_a_deadlocked_minimum_allocation():
+    points = sweep_buffers(multirate_pair(), pure_evaluator,
+                           SweepConfig(plateau=2))
+    assert points[0].allocation == ((0, 6),)
+
+
+def test_sweep_without_a_live_uniform_level_raises_deadlock():
+    with pytest.raises(DeadlockError,
+                       match="no uniform buffer allocation avoids deadlock"):
+        sweep_buffers(multirate_pair(), pure_evaluator,
+                      SweepConfig(max_uniform_level=1))
 
 
 # ----------------------------------------------------------------- flow

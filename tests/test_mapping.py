@@ -527,7 +527,7 @@ def lifted_layered(seed: int, buffer_factor: int) -> Sdfg:
     """A partitioned, lifted layered net with every channel bounded at
     ``buffer_factor`` times its single-firing minimum."""
     net = layered_snn(seed, [4, 4, 4])
-    p, _ = partition_round(net, 4, round_seeds(seed, 1)[0][0])
+    p = partition_round(net, 4, round_seeds(seed, 1)[0][0])
     g = lift_to_sdfg(build_clustered_graph(net, p), core_exec_time=1)
     return set_buffer_allocation(
         g, {i: cap * buffer_factor

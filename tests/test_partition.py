@@ -512,3 +512,12 @@ def test_partition_validation_rejects_bad_assignments(demo_snn):
     too_big = Partition({n.id: 0 for n in demo_snn.neurons}, 1, crossbar_dim=4)
     with pytest.raises(GraphValidationError, match="neurons"):
         too_big.validate(demo_snn)
+
+
+def test_partition_checks_reject_an_invalid_network():
+    # the checks read the network's adjacency view, which validates it
+    g = replace(chain(2), synapses=chain(2).synapses * 2)
+    p = Partition({"n0": 0, "n1": 1}, 2, crossbar_dim=4)
+    for check in (p.validate, lambda g: kl_refine(g, p)):
+        with pytest.raises(GraphValidationError, match="duplicate synapse"):
+            check(g)

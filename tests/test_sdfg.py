@@ -11,8 +11,9 @@ from oracles import (OracleDeadlock, gaussian_repetition, mcm_period,
                      reference_throughput)
 
 from snnflow.errors import (DeadlockError, GraphValidationError,
-                            InconsistentGraphError, InfeasibleCapacityError)
-from snnflow.mapping import build_schedules
+                            InconsistentGraphError, InfeasibleCapacityError,
+                            InfeasibleMappingError)
+from snnflow.mapping import StaticOrderSchedule, build_schedules
 from snnflow.sdfg import (Actor, Channel, DeadlockReport, Sdfg, check_deadlock,
                           execute, lift_to_sdfg, load_sdfg,
                           minimum_buffer_allocation, repetition_vector,
@@ -302,6 +303,29 @@ def test_steady_state_hash_is_pinned():
     res = execute(g, schedules=build_schedules(g, hw, m), platform=hw,
                   mapping=m)
     assert (res.period_exact, res.steady_state_hash) == (3, "aa82cc024e9a")
+
+
+@pytest.mark.parametrize("actor, where", [
+    ("zz", "is no actor of the graph"), ("b", "runs on core 't1'")],
+    ids=["unknown-actor", "actor-on-another-core"])
+def test_imposed_order_naming_a_foreign_actor_is_infeasible(actor, where):
+    g, hw, m = two_core_loop()
+    schedules = build_schedules(g, hw, m)
+    schedules["t0"] = replace(schedules["t0"],
+                              cycle=schedules["t0"].cycle + (actor,))
+    message = f"core 't0' names actor '{actor}', which {where}"
+    with pytest.raises(InfeasibleMappingError, match=message):
+        self_timed_throughput(g, schedules=schedules, platform=hw, mapping=m)
+
+
+def test_transient_only_order_fires_nothing_after_its_transient():
+    # the core runs "a" once and then idles, so the graph stalls
+    g = Sdfg((Actor("a"),), (Channel("a", 1, "a", 1, tokens=1),))
+    hw = HardwareGraph((Core("t0", 4, 1),))
+    schedules = {"t0": StaticOrderSchedule("t0", ("a",), (), 1)}
+    with pytest.raises(DeadlockError, match="stalled"):
+        self_timed_throughput(g, schedules=schedules, platform=hw,
+                              mapping={"a": "t0"})
 
 
 def test_conservation_over_one_iteration():

@@ -5,12 +5,16 @@ Each job below has one implementation; a second copy elsewhere in
 """
 
 import ast
+import copy
 from pathlib import Path
 
-from conftest import all_to_all_platform, demo_clustered
+from conftest import (all_to_all_platform, demo_clustered, layered_demo_snn,
+                      layered_snn)
 
 import snnflow
 from snnflow import mapping, sdfg
+from snnflow.partition import init_partition, iterate_partitions, kl_refine
+from snnflow.snn_graph import SnnGraph
 
 PACKAGE = Path(snnflow.__file__).parent
 
@@ -100,3 +104,44 @@ def test_evaluate_mapping_runs_one_simulation(monkeypatch):
         calls.clear()
         mapping.evaluate_mapping(g, hw, assignment)
         assert len(calls) == 1
+
+
+def graph_readers(module, attribute):
+    """Top-level functions and classes of ``module`` that read
+    ``g.<attribute>``, ``g`` being the package's name for a graph."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    return sorted({top.name for top in tree.body for node in ast.walk(top)
+                   if isinstance(node, ast.Attribute)
+                   and node.attr == attribute
+                   and isinstance(node.value, ast.Name)
+                   and node.value.id == "g"})
+
+
+def test_one_adjacency_walk_per_network():
+    # the start, the partition check and the descent read the graph's
+    # adjacency view; only the cut and the clustered graph, which need
+    # the synapses themselves, walk them
+    assert graph_readers("partition.py", "synapses") == \
+        ["build_clustered_graph", "communication_cost"]
+
+
+def test_partition_rounds_validate_the_network_once(monkeypatch):
+    g, validate, calls = layered_demo_snn(), SnnGraph.validate, []
+
+    def counting(self):
+        calls.append(self)
+        return validate(self)
+
+    monkeypatch.setattr(SnnGraph, "validate", counting)
+    iterate_partitions(g, 8, 3, seed=0)
+    assert len(calls) == 1
+
+
+def test_refine_leaves_the_adjacency_view_unchanged():
+    g = layered_snn(0, [6, 6, 6])
+    view = g._adjacency
+    before = copy.deepcopy(view)
+    for seed in (0, 1):
+        kl_refine(g, init_partition(g, 8, seed))
+    assert g._adjacency is view
+    assert view == before
