@@ -51,7 +51,6 @@ class RunConfig:
     seed: int = 0
     time_wheel_share: float = mapping.DEFAULT_TIME_WHEEL_SHARE
     state_budget: int = sdfg.DEFAULT_STATE_BUDGET
-    count_input_fanin: bool = True
     jobs: int = 0  # 0: use the available hardware parallelism
     output_dir: str | None = None
     swarm: dict = field(default_factory=dict)
@@ -85,8 +84,7 @@ class RunConfig:
             delta_min=self.delta_min, swarm=self.swarm_config(),
             sweep=self.sweep_config(), seed=self.seed,
             time_wheel_share=self.time_wheel_share,
-            state_budget=self.state_budget,
-            count_input_fanin=self.count_input_fanin, jobs=jobs)
+            state_budget=self.state_budget, jobs=jobs)
 
 
 def _merged_config(args) -> RunConfig:
@@ -163,9 +161,8 @@ def cmd_partition(args) -> int:
     log_rows = []
     for r, (kl_seed, _) in enumerate(partition.round_seeds(cfg.seed, cfg.eta)):
         trace: list[dict] = []
-        p = partition.partition_round(
-            g, cfg.crossbar_dim, kl_seed, cfg.delta_min,
-            cfg.count_input_fanin, trace=trace)
+        p = partition.partition_round(g, cfg.crossbar_dim, kl_seed,
+                                      cfg.delta_min, trace=trace)
         for rec in trace:  # sweep 0 is the start
             log_rows.append((r, rec["sweep"], rec["delta"], rec["cost"]))
         cg = partition.build_clustered_graph(g, p)

@@ -186,7 +186,6 @@ class DesignFlowConfig:
     seed: int | None = None
     time_wheel_share: float = DEFAULT_TIME_WHEEL_SHARE
     state_budget: int = DEFAULT_STATE_BUDGET
-    count_input_fanin: bool = True
     jobs: int = 1
 
 
@@ -230,8 +229,7 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
                ) -> RoundResult:
     out = RoundResult(round_index)
     kl_seed, pso_parent = seeds
-    p = partition_round(g, cfg.crossbar_dim, kl_seed, cfg.delta_min,
-                        cfg.count_input_fanin)
+    p = partition_round(g, cfg.crossbar_dim, kl_seed, cfg.delta_min)
     out.cut_cost = communication_cost(g, p)
     cg = build_clustered_graph(g, p)
     out.clustered = cg

@@ -32,7 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConfigError, GraphFormatError
-from .snn_graph import SnnGraph, _dump_yaml, _load_yaml
+from .snn_graph import (SnnGraph, _dump_yaml, _entries, _field, _list_of,
+                        _load_yaml, _number)
 
 TRAINS_FORMAT = "spike-trains/1"
 
@@ -136,8 +137,14 @@ def estimate_rates(g: SnnGraph,
     at or after step ``n_steps``: they count towards the input's own rate
     but never reach a neuron.
 
-    Raises :class:`ConfigError` if any input lacks a train in some frame;
-    every frame is checked before any is simulated.
+    The frame length is the trains' common one.  When no frame holds a
+    train, as on a network without inputs, it falls back to ``params.dt``
+    (the default's when ``params`` is ``None``), so that a frame is one
+    step unless per-neuron overrides change ``dt``.
+
+    Raises :class:`ConfigError` if any input lacks a train in some frame
+    or a frame holds a train for an id that is not an input; every frame
+    is checked before any is simulated.
     """
     g.validate()
     base = params or LifParams()
@@ -150,12 +157,6 @@ def estimate_rates(g: SnnGraph,
         raise ConfigError("all neurons must share one integration step dt")
     dt = dts.pop()
 
-    frame_lengths = {tr.frame_length for fr in frames for tr in fr.values()}
-    if len(frame_lengths) > 1:
-        raise ConfigError("all spike trains must share one frame length")
-    frame_length = frame_lengths.pop() if frame_lengths else base.dt
-    n_steps = max(1, int(round(frame_length / dt)))
-
     neuron_ids = g.neuron_ids()
     input_ids = g.input_ids()
     for fi, frame in enumerate(frames):
@@ -163,6 +164,17 @@ def estimate_rates(g: SnnGraph,
         if missing:
             raise ConfigError(
                 f"frame {fi}: no spike train for input(s) {sorted(missing)}")
+        stray = set(frame) - set(input_ids)
+        if stray:
+            raise ConfigError(
+                f"frame {fi}: spike trains for {sorted(stray)}, which are "
+                f"not inputs")
+
+    frame_lengths = {tr.frame_length for fr in frames for tr in fr.values()}
+    if len(frame_lengths) > 1:
+        raise ConfigError("all spike trains must share one frame length")
+    frame_length = frame_lengths.pop() if frame_lengths else base.dt
+    n_steps = max(1, int(round(frame_length / dt)))
 
     n, n_in = len(neuron_ids), len(input_ids)
     slot = {nid: i for i, nid in enumerate(neuron_ids + input_ids)}
@@ -254,18 +266,14 @@ def constant_current_isi(params: LifParams, current: float) -> float:
 def load_spike_trains(path: str) -> list[dict[str, SpikeTrain]]:
     """Read a spike-train file: one train per input per frame."""
     doc = _load_yaml(path, TRAINS_FORMAT)
-    frame_length = doc.get("frame_length")
-    if not isinstance(frame_length, (int, float)) or frame_length <= 0:
+    frame_length = _field(doc, "frame_length", path, _number)
+    if not frame_length > 0:
         raise GraphFormatError(f"{path}: frame_length must be positive")
-    frames = []
-    for fi, frame in enumerate(doc.get("frames") or []):
-        if not isinstance(frame, dict):
-            raise GraphFormatError(f"{path}: frame {fi} must be a mapping")
-        frames.append({
-            str(iid): SpikeTrain(tuple(float(t) for t in times or ()),
-                                 float(frame_length))
-            for iid, times in frame.items()})
-    return frames
+    times = _list_of(float)
+    return [{str(iid): SpikeTrain(_field(frame, iid, where, times),
+                                  float(frame_length))
+             for iid in frame}
+            for where, frame in _entries(doc, "frames", path)]
 
 
 def save_spike_trains(frames: list[dict[str, SpikeTrain]], path: str) -> None:

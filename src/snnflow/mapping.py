@@ -293,12 +293,6 @@ def build_schedules(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
     """
     placement = resolve_platform(g, hw, mapping,
                                  _share_to_scale(time_wheel_share))
-    return _list_schedules(g, placement, mapping, state_budget)
-
-
-def _list_schedules(g: Sdfg, placement: tuple, mapping: dict[str, str],
-                    state_budget: int) -> dict[str, StaticOrderSchedule]:
-    # build_schedules on resolve_platform's placement of the mapping
     return _schedules_from_log(_list_run(g, placement, state_budget)[1],
                                mapping)
 

@@ -2,16 +2,16 @@
 
 A partition assigns every neuron to exactly one cluster subject to two
 crossbar constraints: a cluster may hold at most ``crossbar_dim`` neurons
-and may draw from at most ``crossbar_dim`` distinct pre-synaptic sources
-(input sources count by default).  The start cuts a seeded random
-topological order of the neurons into contiguous clusters, so every
-synapse of an acyclic network runs from a cluster to itself or to a
-later one and the cluster graph has no cycle (the level-constrained,
-acyclic partitioning of Herrmann et al., SIAM J. Sci. Comput. 2019, and
-Moreira et al., SEA 2017).  Pairwise swap descent then reduces the
-number of spikes crossing cluster boundaries, taking only swaps that
-keep every synapse running forward, until a full sweep finds no
-strictly improving swap.
+and may draw from at most ``crossbar_dim`` distinct pre-synaptic sources.
+Input sources count among them, as each source takes a crossbar row.
+The start cuts a seeded random topological order of the neurons into
+contiguous clusters, so every synapse of an acyclic network runs from a
+cluster to itself or to a later one and the cluster graph has no cycle
+(the level-constrained, acyclic partitioning of Herrmann et al., SIAM J.
+Sci. Comput. 2019, and Moreira et al., SEA 2017).  Pairwise swap descent
+then reduces the number of spikes crossing cluster boundaries, taking
+only swaps that keep every synapse running forward, until a full sweep
+finds no strictly improving swap.
 
 The descent keeps Kernighan-Lin gain tables: per neuron, the spikes it
 exchanges with each cluster, so a swap's cost change is an O(1) formula
@@ -37,13 +37,14 @@ from __future__ import annotations
 import heapq
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import (GraphFormatError, GraphValidationError,
                      InfeasiblePartitionError)
-from .snn_graph import SnnGraph, Synapse, _dump_yaml, _load_yaml
+from .snn_graph import (SnnGraph, Synapse, _dump_yaml, _entries, _field,
+                        _list_of, _load_yaml, _synapses)
 
 CLUSTERED_FORMAT = "clustered-snn/1"
 
@@ -55,7 +56,6 @@ class Partition:
     assignment: dict[str, int]
     cluster_count: int
     crossbar_dim: int
-    count_input_fanin: bool = True
 
     def clusters(self) -> list[list[str]]:
         out: list[list[str]] = [[] for _ in range(self.cluster_count)]
@@ -78,7 +78,6 @@ class Partition:
                 raise GraphValidationError(
                     f"cluster {c} holds {len(neurons)} neurons "
                     f"(limit {self.crossbar_dim})")
-        sources = sources[bool(self.count_input_fanin)]
         for c, neurons in enumerate(members):
             fanin = set().union(*(sources[index[nid]] for nid in neurons))
             if len(fanin) > self.crossbar_dim:
@@ -88,8 +87,7 @@ class Partition:
 
 
 def init_partition(g: SnnGraph, crossbar_dim: int,
-                   rng: np.random.Generator | int | None = None,
-                   count_input_fanin: bool = True) -> Partition:
+                   rng: np.random.Generator | int | None = None) -> Partition:
     """Contiguous clusters along a seeded random topological order.
 
     The order is Kahn's algorithm over the neuron-to-neuron synapses
@@ -113,7 +111,6 @@ def init_partition(g: SnnGraph, crossbar_dim: int,
         rng = np.random.default_rng(rng)
 
     n = len(neurons)
-    sources = sources[bool(count_input_fanin)]
     indeg = [len(before) for before in pred]
     for j, srcs in enumerate(sources):
         if len(srcs) > crossbar_dim:
@@ -121,7 +118,7 @@ def init_partition(g: SnnGraph, crossbar_dim: int,
                 f"neuron {neurons[j]!r} has {len(srcs)} distinct pre-synaptic "
                 f"sources; no {crossbar_dim}x{crossbar_dim} crossbar can host it")
     if not neurons:
-        return Partition({}, 1, crossbar_dim, count_input_fanin)
+        return Partition({}, 1, crossbar_dim)
 
     priority = rng.permutation(n).tolist()
     ready = [(priority[i], i) for i in range(n) if indeg[i] == 0]
@@ -147,7 +144,7 @@ def init_partition(g: SnnGraph, crossbar_dim: int,
         assignment[neurons[i]] = cluster
         size += 1
         fanin.update(sources[i])
-    return Partition(assignment, cluster + 1, crossbar_dim, count_input_fanin)
+    return Partition(assignment, cluster + 1, crossbar_dim)
 
 
 def communication_cost(g: SnnGraph, p: Partition) -> float:
@@ -238,7 +235,6 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
         raise ValueError(f"delta_min must be >= 0, got {delta_min!r}")
     p.validate(g)
     neurons, index, succ, pred, w, sources = g._adjacency
-    sources = sources[bool(p.count_input_fanin)]
     n = len(neurons)
     a = [p.assignment[nid] for nid in neurons]
     k = p.cluster_count
@@ -357,7 +353,7 @@ def kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
         if sweep_delta <= delta_min:
             break
     return Partition({nid: a[index[nid]] for nid in p.assignment},
-                     p.cluster_count, p.crossbar_dim, p.count_input_fanin)
+                     p.cluster_count, p.crossbar_dim)
 
 
 @dataclass(frozen=True)
@@ -394,12 +390,6 @@ class ClusteredSnnGraph:
 
     def cluster_ids(self) -> list[str]:
         return [c.id for c in self.clusters]
-
-    def cluster(self, cid: str) -> Cluster:
-        for c in self.clusters:
-            if c.id == cid:
-                return c
-        raise KeyError(cid)
 
     def total_spikes(self) -> float:
         """Cut tokens plus everything absorbed inside clusters."""
@@ -460,7 +450,6 @@ def round_seeds(seed: int | None, eta: int
 
 def partition_round(g: SnnGraph, crossbar_dim: int,
                     seed: np.random.SeedSequence, delta_min: float = 0.0,
-                    count_input_fanin: bool = True,
                     trace: list | None = None) -> Partition:
     """One partition round: topological start from ``seed``, then swap descent.
 
@@ -468,8 +457,7 @@ def partition_round(g: SnnGraph, crossbar_dim: int,
     sweep-0 record of the start (``delta`` 0.0, ``cost`` its cut, no
     swaps accepted), then the per-sweep records of :func:`kl_refine`.
     """
-    p = init_partition(g, crossbar_dim, np.random.default_rng(seed),
-                       count_input_fanin)
+    p = init_partition(g, crossbar_dim, np.random.default_rng(seed))
     if trace is not None:
         trace.append({"sweep": 0, "delta": 0.0,
                       "cost": communication_cost(g, p), "accepted": []})
@@ -478,30 +466,24 @@ def partition_round(g: SnnGraph, crossbar_dim: int,
 
 def iterate_partitions(g: SnnGraph, crossbar_dim: int, eta: int,
                        delta_min: float = 0.0,
-                       seed: int | None = None,
-                       count_input_fanin: bool = True) -> list[ClusteredSnnGraph]:
+                       seed: int | None = None) -> list[ClusteredSnnGraph]:
     """Run ``eta`` independent partition rounds seeded by :func:`round_seeds`."""
     out = []
     for kl_seed, _ in round_seeds(seed, eta):
-        p = partition_round(g, crossbar_dim, kl_seed, delta_min,
-                            count_input_fanin)
+        p = partition_round(g, crossbar_dim, kl_seed, delta_min)
         out.append(build_clustered_graph(g, p))
     return out
 
 
 def clustered_graph_to_dict(cg: ClusteredSnnGraph) -> dict:
-    def syn(s: Synapse) -> dict:
-        return {"src": s.src, "dst": s.dst, "weight": s.weight,
-                "spikes": s.spikes}
     return {
         "format": CLUSTERED_FORMAT,
         "clusters": [{"id": c.id,
                       "neurons": list(c.neurons),
-                      "synapses": [syn(s) for s in c.synapses],
-                      "input_feeds": [syn(s) for s in c.input_feeds]}
+                      "synapses": list(map(asdict, c.synapses)),
+                      "input_feeds": list(map(asdict, c.input_feeds))}
                      for c in cg.clusters],
-        "edges": [{"src": e.src, "dst": e.dst, "tokens": e.tokens}
-                  for e in cg.edges],
+        "edges": list(map(asdict, cg.edges)),
     }
 
 
@@ -510,19 +492,18 @@ def clustered_graph_from_dict(doc: dict, ctx: str = "<clustered>") -> ClusteredS
         raise GraphFormatError(
             f"{ctx}: format is {doc.get('format')!r}, expected {CLUSTERED_FORMAT!r}")
 
-    def syn(e: dict) -> Synapse:
-        return Synapse(str(e["src"]), str(e["dst"]),
-                       float(e.get("weight", 1.0)), float(e.get("spikes", 0.0)))
-
     clusters = tuple(
-        Cluster(str(e["id"]), tuple(str(n) for n in e.get("neurons") or ()),
-                tuple(syn(s) for s in e.get("synapses") or ()),
-                tuple(syn(s) for s in e.get("input_feeds") or ()))
-        for e in doc.get("clusters") or [])
+        Cluster(_field(e, "id", where, str),
+                _field(e, "neurons", where, _list_of(str), ()),
+                _synapses(e, "synapses", where),
+                _synapses(e, "input_feeds", where))
+        for where, e in _entries(doc, "clusters", ctx))
     ids = {c.id for c in clusters}
     edges = []
-    for e in doc.get("edges") or []:
-        edge = ClusterEdge(str(e["src"]), str(e["dst"]), int(e["tokens"]))
+    for where, e in _entries(doc, "edges", ctx):
+        edge = ClusterEdge(_field(e, "src", where, str),
+                           _field(e, "dst", where, str),
+                           _field(e, "tokens", where, int))
         if edge.src not in ids or edge.dst not in ids:
             raise GraphValidationError(
                 f"{ctx}: edge ({edge.src!r}, {edge.dst!r}) references an "

@@ -19,7 +19,7 @@ import hashlib
 import logging
 import math
 from collections import defaultdict, deque
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
@@ -30,7 +30,8 @@ from .errors import (BudgetExceededError, DeadlockError, GraphFormatError,
                      GraphValidationError, InconsistentGraphError,
                      InfeasibleCapacityError, InfeasibleMappingError)
 from .partition import ClusteredSnnGraph
-from .snn_graph import HardwareGraph, _dump_yaml, _load_yaml
+from .snn_graph import (HardwareGraph, _dump_yaml, _entries, _field,
+                        _load_yaml, _number)
 
 logger = logging.getLogger(__name__)
 
@@ -377,10 +378,6 @@ def buffer_quantum(c: Channel) -> int:
     return math.gcd(c.prod, c.cons)
 
 
-def total_buffer_size(alloc: dict[int, int | None]) -> int:
-    return sum(v for v in alloc.values() if v is not None)
-
-
 @dataclass(frozen=True)
 class ExecutionResult:
     """Full outcome of one self-timed run (internal superset of
@@ -513,9 +510,10 @@ class _Simulation:
         # per core, its static order (transient, then cycle) as actor
         # indices and (end, restart): a cursor reaching end goes back to
         # restart, the cycle's start.  Without a cycle end is -1, and the
-        # core fires nothing once its transient is done.
-        out = []
-        for core in self.cores:
+        # core fires nothing once its transient is done.  The order of a
+        # core that hosts nothing is checked too: it may name no actor.
+        orders = {}
+        for core in sorted({*self.cores, *schedules}):
             sched = schedules.get(core)
             nt = 0 if sched is None else len(sched.transient)
             names = () if sched is None else (*sched.transient, *sched.cycle)
@@ -530,8 +528,8 @@ class _Simulation:
                         f"{aid!r}, which {where}")
                 order.append(a)
             end = len(order) if len(order) > nt else -1
-            out.append((tuple(order), end, nt))
-        return out
+            orders[core] = (tuple(order), end, nt)
+        return [orders[core] for core in self.cores]
 
     def _fire_phase(self, now) -> int:
         started = 0
@@ -811,21 +809,18 @@ def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
 def execute(g: Sdfg, *, schedules=None, platform: HardwareGraph | None = None,
             mapping: dict[str, str] | None = None, exec_time_scale=1,
             list_mode: bool = False,
-            state_budget: int = DEFAULT_STATE_BUDGET,
-            placement: tuple | None = None) -> ExecutionResult:
-    """Low-level entry point shared by throughput analysis and schedule
-    construction.
+            state_budget: int = DEFAULT_STATE_BUDGET) -> ExecutionResult:
+    """One self-timed run of the graph, the entry point of throughput
+    analysis.
 
     The placement (host cores, execution times, channel latencies, and
     the unmapped-actor, undeclared-core and missing-route errors) comes
     from :func:`resolve_platform`; platform capacities are not checked
-    here, :func:`snnflow.mapping.validate_mapping` does that.  A caller
-    that runs one mapping more than once may pass ``placement``, the
-    graph's :func:`resolve_platform` result, in place of ``platform``,
-    ``mapping`` and ``exec_time_scale``.
+    here, :func:`snnflow.mapping.validate_mapping` does that.
+    ``list_mode`` runs the list scheduler that
+    :func:`snnflow.mapping.build_schedules` builds static orders with.
     """
-    if placement is None:
-        placement = resolve_platform(g, platform, mapping, exec_time_scale)
+    placement = resolve_platform(g, platform, mapping, exec_time_scale)
     sim = _Simulation(g, *placement, schedules=schedules,
                       list_mode=list_mode, state_budget=state_budget)
     return sim.run()
@@ -855,10 +850,7 @@ def sdfg_to_dict(g: Sdfg) -> dict:
         {"id": a.id, "exec_time": a.exec_time}
         | ({"weight": a.weight} if a.weight != 1 else {})
         for a in g.actors]
-    doc["channels"] = [
-        {"src": c.src, "prod": c.prod, "dst": c.dst, "cons": c.cons,
-         "tokens": c.tokens, "capacity": c.capacity}
-        for c in g.channels]
+    doc["channels"] = [asdict(c) for c in g.channels]
     return doc
 
 
@@ -867,13 +859,16 @@ def sdfg_from_dict(doc: dict, ctx: str = "<sdfg>") -> Sdfg:
         raise GraphFormatError(
             f"{ctx}: format is {doc.get('format')!r}, expected {SDFG_FORMAT!r}")
     actors = tuple(
-        Actor(str(e["id"]), e.get("exec_time", 1), int(e.get("weight", 1)))
-        for e in doc.get("actors") or [])
+        Actor(_field(e, "id", where, str),
+              _field(e, "exec_time", where, _number, 1),
+              _field(e, "weight", where, int, 1))
+        for where, e in _entries(doc, "actors", ctx))
     channels = tuple(
-        Channel(str(e["src"]), int(e["prod"]), str(e["dst"]), int(e["cons"]),
-                int(e.get("tokens", 0)),
-                None if e.get("capacity") is None else int(e["capacity"]))
-        for e in doc.get("channels") or [])
+        Channel(_field(e, "src", where, str), _field(e, "prod", where, int),
+                _field(e, "dst", where, str), _field(e, "cons", where, int),
+                _field(e, "tokens", where, int, 0),
+                _field(e, "capacity", where, int, None))
+        for where, e in _entries(doc, "channels", ctx))
     g = Sdfg(actors, channels)
     g.validate()
     return g

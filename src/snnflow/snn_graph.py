@@ -10,7 +10,7 @@ the violated rule.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 from types import MappingProxyType
 
@@ -112,28 +112,27 @@ class SnnGraph:
         # every partition round: sorted neuron ids, id -> number (inputs
         # after the neurons), per neuron its successors and predecessors
         # (no self-loops), spikes to each neighbour both ways summed in
-        # synapse order, and distinct sources, sources[False] without the
-        # inputs and [True] with them.  Sorted tuples, not sets, as the
-        # view lives as long as the graph.  A failing graph caches nothing.
+        # synapse order, and distinct pre-synaptic sources, inputs
+        # included: each takes a crossbar row.  Sorted tuples, not sets,
+        # as the view lives as long as the graph.  A failing graph caches
+        # nothing.
         self.validate()
         neurons = tuple(sorted(self.neuron_ids()))
         n = len(neurons)
         index = {nid: i for i, nid in enumerate((*neurons, *self.input_ids()))}
-        succ, pred, own, fed = ([set() for _ in range(n)] for _ in range(4))
+        succ, pred, sources = ([set() for _ in range(n)] for _ in range(3))
         w: list[dict[int, float]] = [{} for _ in range(n)]
         for s in self.synapses:
             i, j = index[s.src], index[s.dst]
-            fed[j].add(i)
-            if i < n:
-                own[j].add(i)
+            sources[j].add(i)
             if i < n and i != j:
                 succ[i].add(j)
                 pred[j].add(i)
                 w[i][j] = w[i].get(j, 0.0) + s.spikes
                 w[j][i] = w[j].get(i, 0.0) + s.spikes
-        succ, pred, own, fed = (tuple(tuple(sorted(x)) for x in sets)
-                                for sets in (succ, pred, own, fed))
-        return neurons, index, succ, pred, tuple(w), (own, fed)
+        succ, pred, sources = (tuple(tuple(sorted(x)) for x in sets)
+                               for sets in (succ, pred, sources))
+        return neurons, index, succ, pred, tuple(w), sources
 
 
 @dataclass(frozen=True)
@@ -184,12 +183,6 @@ class HardwareGraph:
 
     def core_ids(self) -> list[str]:
         return [c.id for c in self.cores]
-
-    def core(self, core_id: str) -> Core:
-        for c in self.cores:
-            if c.id == core_id:
-                return c
-        raise KeyError(core_id)
 
     def validate(self) -> None:
         ids = set()
@@ -288,34 +281,80 @@ def _dump_yaml(doc: dict, path: str) -> None:
 _REQUIRED = object()
 
 
-def _field(entry: dict, key: str, ctx: str, default=_REQUIRED):
-    if key in entry:
-        return entry[key]
-    if default is _REQUIRED:
+def _field(entry: dict, key: str, ctx: str, convert, default=_REQUIRED):
+    # convert(entry[key]), or default when the key is absent or holds the
+    # default itself (null, for a None default).  ctx names the file and
+    # the entry; a missing field or a value convert rejects raises
+    # GraphFormatError naming both.
+    value = entry.get(key, default)
+    if value is _REQUIRED:
         raise GraphFormatError(f"{ctx}: missing required field {key!r}")
-    return default
+    if value is default:
+        return value
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise GraphFormatError(
+            f"{ctx}: field {key!r} has the bad value {value!r} ({exc})"
+        ) from None
+
+
+def _entries(doc: dict, section: str, ctx: str, names: bool = False):
+    # (context, entry) of each mapping in the list doc[section], the
+    # context naming the file and the entry; with names, a string s
+    # stands for {"id": s}
+    items = doc.get(section) or []
+    if not isinstance(items, list):
+        raise GraphFormatError(f"{ctx}: {section!r} must be a list")
+    for k, e in enumerate(items):
+        where = f"{ctx}: {section}[{k}]"
+        if names and isinstance(e, str):
+            e = {"id": e}
+        if not isinstance(e, dict):
+            raise GraphFormatError(f"{where} must be a mapping, got {e!r}")
+        yield where, e
+
+
+def _number(value):
+    # an int or a float, unconverted: an integral value stays an int, so
+    # that saved files and hashes do not change
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError("not a number")
+    return value
+
+
+def _list_of(convert):
+    # the converter of a list, null for an empty one, to a tuple
+    def items(value) -> tuple:
+        if value is not None and not isinstance(value, list):
+            raise TypeError("not a list")
+        return tuple(map(convert, value or ()))
+    return items
+
+
+def _params(value) -> dict:
+    if not isinstance(value, dict):
+        raise TypeError("not a mapping")
+    return {str(k): _number(v) for k, v in value.items()}
+
+
+def _synapses(doc: dict, section: str, ctx: str) -> tuple[Synapse, ...]:
+    return tuple(Synapse(_field(e, "src", where, str),
+                         _field(e, "dst", where, str),
+                         _field(e, "weight", where, float, 1.0),
+                         _field(e, "spikes", where, float, 0.0))
+                 for where, e in _entries(doc, section, ctx))
 
 
 def snn_graph_from_dict(doc: dict, ctx: str = "<snn-graph>") -> SnnGraph:
-    neurons = []
-    for e in doc.get("neurons") or []:
-        if isinstance(e, str):
-            neurons.append(Neuron.make(e))
-        else:
-            neurons.append(Neuron.make(str(_field(e, "id", ctx)),
-                                       e.get("params")))
-    inputs = []
-    for e in doc.get("inputs") or []:
-        inputs.append(InputSource(str(_field(e, "id", ctx)),
-                                  float(e.get("spikes", 0.0))))
-    synapses = []
-    for e in doc.get("synapses") or []:
-        synapses.append(Synapse(
-            src=str(_field(e, "src", ctx)),
-            dst=str(_field(e, "dst", ctx)),
-            weight=float(e.get("weight", 1.0)),
-            spikes=float(e.get("spikes", 0.0))))
-    g = SnnGraph(tuple(neurons), tuple(inputs), tuple(synapses))
+    neurons = [Neuron.make(_field(e, "id", where, str),
+                           _field(e, "params", where, _params, None))
+               for where, e in _entries(doc, "neurons", ctx, names=True)]
+    inputs = [InputSource(_field(e, "id", where, str),
+                          _field(e, "spikes", where, float, 0.0))
+              for where, e in _entries(doc, "inputs", ctx)]
+    g = SnnGraph(tuple(neurons), tuple(inputs),
+                 _synapses(doc, "synapses", ctx))
     g.validate()
     return g
 
@@ -330,10 +369,8 @@ def snn_graph_to_dict(g: SnnGraph) -> dict:
     doc["neurons"] = [
         {"id": n.id} | ({"params": n.params_dict()} if n.params else {})
         for n in g.neurons]
-    doc["inputs"] = [{"id": i.id, "spikes": i.spikes} for i in g.inputs]
-    doc["synapses"] = [
-        {"src": s.src, "dst": s.dst, "weight": s.weight, "spikes": s.spikes}
-        for s in g.synapses]
+    doc["inputs"] = [asdict(i) for i in g.inputs]
+    doc["synapses"] = [asdict(s) for s in g.synapses]
     return doc
 
 
@@ -342,21 +379,17 @@ def save_snn_graph(g: SnnGraph, path: str) -> None:
 
 
 def hardware_graph_from_dict(doc: dict, ctx: str = "<hardware-graph>") -> HardwareGraph:
-    cores = []
-    for e in doc.get("cores") or []:
-        cores.append(Core(
-            id=str(_field(e, "id", ctx)),
-            crossbar_dim=int(_field(e, "crossbar_dim", ctx)),
-            exec_time=e.get("exec_time", 1),
-            in_connections=e.get("in_connections"),
-            out_connections=e.get("out_connections"),
-            in_bandwidth=e.get("in_bandwidth"),
-            out_bandwidth=e.get("out_bandwidth")))
-    links = []
-    for e in doc.get("links") or []:
-        links.append(Link(src=str(_field(e, "src", ctx)),
-                          dst=str(_field(e, "dst", ctx)),
-                          latency=e.get("latency", 0)))
+    cores = [Core(id=_field(e, "id", where, str),
+                  crossbar_dim=_field(e, "crossbar_dim", where, int),
+                  exec_time=_field(e, "exec_time", where, _number, 1),
+                  **{name: _field(e, name, where, _number, None)
+                     for name in ("in_connections", "out_connections",
+                                  "in_bandwidth", "out_bandwidth")})
+             for where, e in _entries(doc, "cores", ctx)]
+    links = [Link(src=_field(e, "src", where, str),
+                  dst=_field(e, "dst", where, str),
+                  latency=_field(e, "latency", where, _number, 0))
+             for where, e in _entries(doc, "links", ctx)]
     hw = HardwareGraph(tuple(cores), tuple(links))
     hw.validate()
     return hw
@@ -369,18 +402,10 @@ def load_hardware_graph(path: str) -> HardwareGraph:
 
 def hardware_graph_to_dict(hw: HardwareGraph) -> dict:
     doc: dict = {"format": HW_FORMAT}
-    doc["cores"] = []
-    for c in hw.cores:
-        entry: dict = {"id": c.id, "crossbar_dim": c.crossbar_dim,
-                       "exec_time": c.exec_time}
-        for name in ("in_connections", "out_connections",
-                     "in_bandwidth", "out_bandwidth"):
-            v = getattr(c, name)
-            if v is not None:
-                entry[name] = v
-        doc["cores"].append(entry)
-    doc["links"] = [{"src": l.src, "dst": l.dst, "latency": l.latency}
-                    for l in hw.links]
+    # a cap left at None (unconstrained) is left out
+    doc["cores"] = [{k: v for k, v in asdict(c).items() if v is not None}
+                    for c in hw.cores]
+    doc["links"] = [asdict(l) for l in hw.links]
     return doc
 
 

@@ -29,11 +29,13 @@ from snnflow.errors import ConfigError, DeadlockError, InfeasibleMappingError
 from snnflow.lif import (LifParams, SpikeTrain, _round_rate, step_neuron,
                          synaptic_current)
 from snnflow.mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution,
-                             SwarmConfig, _check_capacities, _list_schedules,
-                             _share_to_scale, decode_position,
-                             evaluate_mapping, init_swarm, pso_step)
+                             SwarmConfig, _check_capacities, _list_run,
+                             _schedules_from_log, _share_to_scale,
+                             decode_position, evaluate_mapping, init_swarm,
+                             pso_step)
 from snnflow.partition import Partition, communication_cost
-from snnflow.sdfg import DEFAULT_STATE_BUDGET, Sdfg, execute, resolve_platform
+from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Sdfg, _Simulation,
+                          resolve_platform)
 from snnflow.snn_graph import HardwareGraph, SnnGraph, Synapse
 
 
@@ -323,8 +325,7 @@ def dominance_front(points):
 
 def copy_partition(p):
     from snnflow.partition import Partition
-    return Partition(dict(p.assignment), p.cluster_count, p.crossbar_dim,
-                     p.count_input_fanin)
+    return Partition(dict(p.assignment), p.cluster_count, p.crossbar_dim)
 
 
 def improving_swap(g, p):
@@ -341,8 +342,7 @@ def improving_swap(g, p):
                 continue
             assignment = dict(p.assignment)
             assignment[ni], assignment[nj] = assignment[nj], assignment[ni]
-            candidate = Partition(assignment, p.cluster_count,
-                                  p.crossbar_dim, p.count_input_fanin)
+            candidate = Partition(assignment, p.cluster_count, p.crossbar_dim)
             try:
                 candidate.validate(g)
             except GraphValidationError:
@@ -383,12 +383,9 @@ def exhaustive_min_cost(g, crossbar_dim: int, max_clusters: int):
 
 def _cluster_fanin_counts(g: SnnGraph, p: Partition) -> dict[int, dict[str, int]]:
     """Per cluster: synapse-count per distinct pre-synaptic source."""
-    input_ids = set(g.input_ids())
     fanin: dict[int, dict[str, int]] = {c: defaultdict(int)
                                         for c in range(p.cluster_count)}
     for s in g.synapses:
-        if s.src in input_ids and not p.count_input_fanin:
-            continue
         fanin[p.assignment[s.dst]][s.src] += 1
     return fanin
 
@@ -399,19 +396,16 @@ class _SwapState:
     def __init__(self, g: SnnGraph, p: Partition):
         self.assignment = dict(p.assignment)
         self.crossbar_dim = p.crossbar_dim
-        self.count_input_fanin = p.count_input_fanin
         self.cluster_count = p.cluster_count
         self.fanin = _cluster_fanin_counts(g, p)
         self.cost = communication_cost(g, p)
-        input_ids = set(g.input_ids())
         self.in_edges: dict[str, list[Synapse]] = defaultdict(list)
         self.out_edges: dict[str, list[Synapse]] = defaultdict(list)
         self.fanin_edges: dict[str, list[str]] = defaultdict(list)
         for s in g.synapses:
             if s.dst in self.assignment:
                 self.in_edges[s.dst].append(s)
-                if not (s.src in input_ids and not self.count_input_fanin):
-                    self.fanin_edges[s.dst].append(s.src)
+                self.fanin_edges[s.dst].append(s.src)
             if s.src in self.assignment:
                 self.out_edges[s.src].append(s)
 
@@ -460,7 +454,7 @@ class _SwapState:
 
     def to_partition(self) -> Partition:
         return Partition(dict(self.assignment), self.cluster_count,
-                         self.crossbar_dim, self.count_input_fanin)
+                         self.crossbar_dim)
 
 
 def reference_kl_refine(g: SnnGraph, p: Partition, delta_min: float = 0.0,
@@ -628,9 +622,10 @@ def reference_evaluate_mapping(g: Sdfg, hw: HardwareGraph,
     placement = resolve_platform(g, hw, mapping,
                                  _share_to_scale(time_wheel_share))
     _check_capacities(g, hw, placement[1])
-    schedules = _list_schedules(g, placement, mapping, state_budget)
-    res = execute(g, placement=placement, schedules=schedules,
-                  state_budget=state_budget)
+    schedules = _schedules_from_log(_list_run(g, placement, state_budget)[1],
+                                    mapping)
+    res = _Simulation(g, *placement, schedules=schedules,
+                      state_budget=state_budget).run()
     return MappingSolution(dict(mapping), schedules, res.to_throughput(),
                            res.block_counts)
 

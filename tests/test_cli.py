@@ -353,6 +353,53 @@ def test_malformed_input_file_exits_2(files, tmp_path, capsys, command,
     assert "bad.yaml" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command,content,field", [
+    ("analyze", "format: sdfg/1\nactors: [{id: a}]\n"
+                "channels: [{src: a, dst: a, cons: 1}]\n", "'prod'"),
+    ("map", "format: clustered-snn/1\nclusters: [{id: c0}, {id: c1}]\n"
+            "edges: [{src: c0, dst: c1}]\n", "'tokens'"),
+    ("stats", "format: snn-graph/1\nneurons: [a, b]\n"
+              "synapses: [{src: a, dst: b, weight: heavy}]\n", "'weight'"),
+    ("explore", "format: hardware-graph/1\n"
+                "cores: [{id: t0, crossbar_dim: four}]\n", "'crossbar_dim'"),
+    ("rates", "format: spike-trains/1\nframe_length: 0.01\n"
+              "frames: [{stim: [0.001, soon]}]\n", "'stim'"),
+    ("stats", "format: snn-graph/1\nneurons: [a]\nsynapses: [a]\n",
+     "synapses[0]"),
+], ids=["channel_without_prod", "edge_without_tokens", "word_weight",
+        "word_crossbar_dim", "word_spike_time", "entry_not_a_mapping"])
+def test_malformed_field_exits_2_naming_it(files, tmp_path, capsys, command,
+                                           content, field):
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(content)
+    argv = {
+        "stats": ["stats", str(bad)],
+        "rates": ["rates", "--snn", files["snn"], "--trains", str(bad),
+                  "-o", str(tmp_path / "rated.yaml")],
+        "analyze": ["analyze", str(bad)],
+        "map": ["map", str(bad), "--hardware", files["hw"]],
+        "explore": ["explore", "--snn", files["snn"], "--hardware", str(bad),
+                    "-o", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml" in err
+    assert field in err
+
+
+def test_removed_input_fanin_switch_is_an_unknown_config_key(files, tmp_path,
+                                                             capsys):
+    # input sources always count against a crossbar's rows
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "format": "run-config/1", "snn": files["snn"], "crossbar_dim": 4,
+        "count_input_fanin": False}))
+    assert main(["partition", "--config", str(cfg),
+                 "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "unknown config keys" in err and "count_input_fanin" in err
+
+
 def test_explore_budget_exceeded_exits_3_with_partial_outputs(
         files, tmp_path, capsys):
     out = tmp_path / "run"

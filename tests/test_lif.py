@@ -195,6 +195,19 @@ def test_missing_train_in_a_later_frame_names_that_frame():
         estimate_rates(g, PARAMS, frames)
 
 
+def test_train_for_an_id_that_is_no_input_is_refused():
+    # neither a neuron's id nor a typo'd key may set the frame length
+    # and then be ignored
+    g = _driven_pair()
+    frames = [{"stim": SpikeTrain((0.001,), 0.01)},
+              {"stim": SpikeTrain((), 0.01), "typo": SpikeTrain((), 0.5),
+               "t1": SpikeTrain((), 0.5)}]
+    with pytest.raises(ConfigError,
+                       match=r"frame 1: spike trains for \['t1', 'typo'\], "
+                             r"which are not inputs"):
+        estimate_rates(g, PARAMS, frames)
+
+
 def test_spikes_past_the_last_step_count_only_for_the_input():
     # 0.01004 / 1e-4 rounds to 100 steps, but the spikes at 0.01 and
     # 0.01002 fall in step 100: the input's rate counts them, yet they

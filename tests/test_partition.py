@@ -51,14 +51,14 @@ def test_init_infeasible_fanin():
 
 
 def test_init_counts_inputs_against_fanin_by_default():
+    # three input sources take three crossbar rows, one more than fit
     neurons = (Neuron.make("n0"),)
     inputs = tuple(InputSource(f"i{k}", 1) for k in range(3))
     syn = tuple(Synapse(f"i{k}", "n0", 1.0, 1) for k in range(3))
     g = SnnGraph(neurons, inputs, syn)
-    with pytest.raises(InfeasiblePartitionError):
+    with pytest.raises(InfeasiblePartitionError, match="n0"):
         init_partition(g, 2, 0)
-    p = init_partition(g, 2, 0, count_input_fanin=False)
-    p.validate(g)
+    init_partition(g, 3, 0).validate(g)
 
 
 def test_init_deterministic_per_seed():
@@ -204,12 +204,16 @@ def _assert_matches_reference(g, p, delta_min):
     return got, got_trace
 
 
-@pytest.mark.parametrize("count_input_fanin", [True, False])
-@pytest.mark.parametrize("delta_min", [0.0, 6.0])
-def test_kl_matches_pair_scan_reference(delta_min, count_input_fanin):
+# The reference-match cases keep the ids they had when they also ran
+# with input sources left out of the fan-in, hence the "-True" ending.
+_COUNTED = ["0.0-True", "6.0-True"]
+
+
+@pytest.mark.parametrize("delta_min", [0.0, 6.0], ids=_COUNTED)
+def test_kl_matches_pair_scan_reference(delta_min):
     accepted = 0
     for g, dim, seed in _refine_cases():
-        p = init_partition(g, dim, seed, count_input_fanin)
+        p = init_partition(g, dim, seed)
         _, trace = _assert_matches_reference(g, p, delta_min)
         accepted += sum(len(rec["accepted"]) for rec in trace)
     assert accepted > 0
@@ -263,7 +267,8 @@ def test_kl_delta_min_stops_after_first_small_sweep():
 
 def test_kl_without_input_fanin_takes_swaps_inputs_would_block():
     # a -> b carries the only cut; moving b next to a would give that
-    # cluster sources {ia, a, ib}: three with inputs counted, one without
+    # cluster the sources {ia, a, ib}, three rows of a 2x2 crossbar, so
+    # the inputs block the one swap that would remove the cut
     g = SnnGraph(
         tuple(Neuron.make(x) for x in ("a", "b", "c", "d")),
         (InputSource("ia", 1), InputSource("ib", 1)),
@@ -271,13 +276,12 @@ def test_kl_without_input_fanin_takes_swaps_inputs_would_block():
          Synapse("a", "b", 1.0, 10)))
     assignment = {"a": 0, "c": 0, "b": 1, "d": 1}
     counted = Partition(assignment, 2, crossbar_dim=2)
-    free = Partition(assignment, 2, crossbar_dim=2, count_input_fanin=False)
-    assert kl_refine(g, counted).assignment == assignment
-    refined, _ = _assert_matches_reference(g, free, 0.0)
-    refined.validate(g)
-    assert communication_cost(g, refined) == 0
+    refined, _ = _assert_matches_reference(g, counted, 0.0)
+    assert refined.assignment == assignment
+    assert communication_cost(g, refined) == 10
     with pytest.raises(GraphValidationError, match="distinct sources"):
-        replace(refined, count_input_fanin=True).validate(g)
+        Partition({"a": 0, "b": 0, "c": 1, "d": 1}, 2,
+                  crossbar_dim=2).validate(g)
 
 
 def _accepted(trace) -> list[tuple[str, str, float]]:
@@ -285,35 +289,27 @@ def _accepted(trace) -> list[tuple[str, str, float]]:
 
 
 # Larger nets, where each neuron's partners are a small share of all
-# neurons.  Every (delta_min, count_input_fanin) setting runs on each
-# size and crossbar; the 192-neuron net takes each setting once, as the
-# reference re-sums every pair's synapses.
-_AT_SIZE = (
-    [(24, dim, delta_min, fanin) for dim in ("16", "feasible")
-     for delta_min in (0.0, 6.0) for fanin in (True, False)]
-    + [(48, "16", 0.0, True), (48, "16", 6.0, False),
-       (48, "feasible", 6.0, True), (48, "feasible", 0.0, False)])
+# neurons.  Every delta_min runs on each size and crossbar.
+_AT_SIZE = [(width, dim, delta_min) for width in (24, 48)
+            for dim in ("16", "feasible") for delta_min in (0.0, 6.0)]
 
 
-@pytest.mark.parametrize("width,dim,delta_min,count_input_fanin", _AT_SIZE)
-def test_kl_matches_reference_on_layered_nets_at_size(width, dim, delta_min,
-                                                      count_input_fanin):
+@pytest.mark.parametrize("width,dim,delta_min", _AT_SIZE,
+                         ids=[f"{w}-{d}-{m}-True" for w, d, m in _AT_SIZE])
+def test_kl_matches_reference_on_layered_nets_at_size(width, dim, delta_min):
     g = layered_snn(width, [width] * 4)
     crossbar = 16 if dim == "16" else feasible_dim(g)
-    p = init_partition(g, crossbar, width, count_input_fanin)
+    p = init_partition(g, crossbar, width)
     _, trace = _assert_matches_reference(g, p, delta_min)
     assert _accepted(trace)
 
 
-@pytest.mark.parametrize("count_input_fanin", [True, False])
-@pytest.mark.parametrize("delta_min", [0.0, 6.0])
-def test_kl_matches_reference_on_random_nets_up_to_40_neurons(
-        delta_min, count_input_fanin):
+@pytest.mark.parametrize("delta_min", [0.0, 6.0], ids=_COUNTED)
+def test_kl_matches_reference_on_random_nets_up_to_40_neurons(delta_min):
     accepted = 0
     for seed in range(6):
         g = random_snn(100 + seed, n_neurons=30 + 2 * seed, edge_prob=0.15)
-        p = init_partition(g, feasible_dim(g, floor=4), seed,
-                           count_input_fanin)
+        p = init_partition(g, feasible_dim(g, floor=4), seed)
         _, trace = _assert_matches_reference(g, p, delta_min)
         accepted += len(_accepted(trace))
     assert accepted > 0

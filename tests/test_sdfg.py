@@ -318,6 +318,23 @@ def test_imposed_order_naming_a_foreign_actor_is_infeasible(actor, where):
         self_timed_throughput(g, schedules=schedules, platform=hw, mapping=m)
 
 
+@pytest.mark.parametrize("actor, where", [
+    ("a", "runs on core 't0'"), ("zz", "is no actor of the graph")],
+    ids=["hosted-actor", "unknown-actor"])
+def test_order_of_a_core_hosting_nothing_must_be_empty(actor, where):
+    g = Sdfg((Actor("a"),), (Channel("a", 1, "a", 1, tokens=1),))
+    hw = HardwareGraph((Core("t0", 4, 1), Core("t1", 4, 1)))
+    schedules = {"t0": StaticOrderSchedule("t0", (), ("a",), 1),
+                 "t1": StaticOrderSchedule("t1", (), (actor, "a"), 1)}
+    message = f"core 't1' names actor '{actor}', which {where}"
+    with pytest.raises(InfeasibleMappingError, match=message):
+        self_timed_throughput(g, schedules=schedules, platform=hw,
+                              mapping={"a": "t0"})
+    schedules["t1"] = StaticOrderSchedule("t1", (), (), 1)
+    assert self_timed_throughput(g, schedules=schedules, platform=hw,
+                                 mapping={"a": "t0"}).throughput == 1.0
+
+
 def test_transient_only_order_fires_nothing_after_its_transient():
     # the core runs "a" once and then idles, so the graph stalls
     g = Sdfg((Actor("a"),), (Channel("a", 1, "a", 1, tokens=1),))

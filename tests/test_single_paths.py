@@ -6,6 +6,7 @@ Each job below has one implementation; a second copy elsewhere in
 
 import ast
 import copy
+from dataclasses import fields
 from pathlib import Path
 
 from conftest import (all_to_all_platform, demo_clustered, layered_demo_snn,
@@ -13,7 +14,10 @@ from conftest import (all_to_all_platform, demo_clustered, layered_demo_snn,
 
 import snnflow
 from snnflow import mapping, sdfg
-from snnflow.partition import init_partition, iterate_partitions, kl_refine
+from snnflow.cli import RunConfig
+from snnflow.dse import DesignFlowConfig
+from snnflow.partition import (Partition, init_partition, iterate_partitions,
+                               kl_refine)
 from snnflow.snn_graph import SnnGraph
 
 PACKAGE = Path(snnflow.__file__).parent
@@ -68,6 +72,25 @@ def test_one_membrane_integrator():
 def test_one_capacity_repair():
     # decode_position and the swarm's batch decode share one repair
     assert callers_of("argsort") == [("mapping.py", "_repair")]
+
+
+def test_two_ways_into_the_simulator():
+    # a self-timed run (analysis) and the list-scheduling run that
+    # builds static orders and is replayed for their rating
+    assert callers_of("_Simulation") == [("mapping.py", "_list_run"),
+                                         ("sdfg.py", "execute")]
+
+
+def test_run_config_and_flow_config_hold_the_same_settings():
+    # the config file's flow settings are the library's, one for one
+    inputs = {"snn", "hardware", "trains", "output_dir"}
+    assert ({f.name for f in fields(RunConfig)} - inputs
+            == {f.name for f in fields(DesignFlowConfig)})
+
+
+def test_a_partition_holds_no_switches():
+    assert [f.name for f in fields(Partition)] == \
+        ["assignment", "cluster_count", "crossbar_dim"]
 
 
 def test_evaluate_mapping_places_once(monkeypatch):

@@ -11,7 +11,7 @@ from snnflow.cli import RunConfig
 from snnflow.errors import ConfigError, GraphFormatError, GraphValidationError
 from snnflow.lif import load_spike_trains
 from snnflow.partition import load_clustered_graph
-from snnflow.sdfg import load_sdfg
+from snnflow.sdfg import load_sdfg, sdfg_from_dict
 from snnflow.snn_graph import (Core, HardwareGraph, InputSource, Link, Neuron,
                                SnnGraph, Synapse, compute_graph_stats,
                                hardware_graph_to_dict, hardware_graph_from_dict,
@@ -110,6 +110,21 @@ def test_missing_required_field(tmp_path):
     path.write_text("format: snn-graph/1\nsynapses:\n  - {src: a}\n")
     with pytest.raises(GraphFormatError, match="dst"):
         load_snn_graph(str(path))
+
+
+def test_loaders_keep_integral_times_ints():
+    # times are checked, not converted: a float would change saved files
+    # and the steady-state hashes
+    hw = hardware_graph_from_dict({
+        "format": "hardware-graph/1",
+        "cores": [{"id": "t0", "crossbar_dim": 4, "exec_time": 2},
+                  {"id": "t1", "crossbar_dim": 4, "exec_time": 0.5}],
+        "links": [{"src": "t0", "dst": "t1", "latency": 3}]})
+    assert [type(c.exec_time) for c in hw.cores] == [int, float]
+    assert type(hw.links[0].latency) is int
+    g = sdfg_from_dict({"format": "sdfg/1",
+                        "actors": [{"id": "a", "exec_time": 3}]})
+    assert type(g.actors[0].exec_time) is int
 
 
 def test_roundtrip_random_graphs():
