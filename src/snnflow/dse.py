@@ -225,8 +225,10 @@ def pipeline_rate_bound(g: Sdfg, hw: HardwareGraph, exec_time_scale) -> float:
 
 def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
                round_index: int,
-               seeds: tuple[np.random.SeedSequence, np.random.SeedSequence]
-               ) -> RoundResult:
+               seeds: tuple[np.random.SeedSequence, np.random.SeedSequence],
+               table: dict) -> RoundResult:
+    # every search of the round reads and fills ``table``, the
+    # search_mapping table of the rounds run in this process
     out = RoundResult(round_index)
     kl_seed, pso_parent = seeds
     p = partition_round(g, cfg.crossbar_dim, kl_seed, cfg.delta_min)
@@ -251,7 +253,8 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
             pso_rng = np.random.default_rng(pso_parent.spawn(1)[0])
             sol = search_mapping(bounded, hw, cfg.swarm,
                                  time_wheel_share=cfg.time_wheel_share,
-                                 state_budget=cfg.state_budget, rng=pso_rng)
+                                 state_budget=cfg.state_budget, rng=pso_rng,
+                                 table=table)
             if cfg.sweep.mode == "reuse":
                 fixed_mapping = sol.mapping
         else:
@@ -331,6 +334,13 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     :class:`BudgetExceededError` is raised with a partial result
     attached: rounds ``0..k``, their design points, and the Pareto front
     of those points.
+
+    The rounds run in one process share one :func:`search_mapping`
+    table, so a design that an earlier search of the run rated (the
+    same bounded graph and assignment, as when two rounds give the same
+    partition) is not simulated again; the table is dropped when the
+    run returns.  With ``jobs > 1`` each round gets a fresh table and
+    no state crosses processes.
     """
     seeds = round_seeds(cfg.seed, cfg.eta)
     if not cfg.delta_min >= 0:
@@ -340,11 +350,12 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
         raise InfeasibleMappingError("the platform declares no cores")
     jobs = max(1, cfg.jobs)
     if jobs == 1 or cfg.eta == 1:
-        rounds = _until_over_budget(_run_round(g, hw, cfg, r, seeds[r])
+        table: dict = {}
+        rounds = _until_over_budget(_run_round(g, hw, cfg, r, seeds[r], table)
                                     for r in range(cfg.eta))
     else:
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.eta)) as pool:
-            futures = [pool.submit(_run_round, g, hw, cfg, r, seeds[r])
+            futures = [pool.submit(_run_round, g, hw, cfg, r, seeds[r], {})
                        for r in range(cfg.eta)]
             for r, f in enumerate(futures):
                 f.add_done_callback(_cancel_on_budget(futures[r + 1:]))

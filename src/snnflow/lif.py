@@ -27,7 +27,7 @@ in the same order, and numpy's float64 arithmetic rounds as Python's does.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -65,8 +65,22 @@ class LifParams:
     def tau_m(self) -> float:
         return self.c_m * self.r_m
 
-    def with_overrides(self, overrides: dict[str, float]) -> "LifParams":
-        return replace(self, **overrides) if overrides else self
+    def with_overrides(self, overrides: dict[str, float],
+                       owner: str = "overrides") -> "LifParams":
+        """A copy with ``overrides`` applied.  A key that names no
+        parameter, or a value the parameters refuse, raises
+        :class:`ConfigError` naming ``owner``."""
+        if not overrides:
+            return self
+        known = [f.name for f in fields(self)]
+        unknown = sorted(set(overrides) - set(known))
+        if unknown:
+            raise ConfigError(f"{owner}: unknown LIF parameter {unknown[0]!r} "
+                              f"(known: {', '.join(known)})")
+        try:
+            return replace(self, **overrides)
+        except ConfigError as exc:
+            raise ConfigError(f"{owner}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -144,14 +158,17 @@ def estimate_rates(g: SnnGraph,
 
     Raises :class:`ConfigError` if any input lacks a train in some frame
     or a frame holds a train for an id that is not an input; every frame
-    is checked before any is simulated.
+    is checked before any is simulated.  A neuron whose ``params`` name
+    a key that :class:`LifParams` lacks raises it too, naming the neuron
+    and the key.
     """
     g.validate()
     base = params or LifParams()
     if not frames:
         raise ConfigError("at least one frame of input spike trains is required")
 
-    per_neuron = [base.with_overrides(n.params_dict()) for n in g.neurons]
+    per_neuron = [base.with_overrides(n.params_dict(), f"neuron {n.id!r}")
+                  for n in g.neurons]
     dts = {p.dt for p in per_neuron} or {base.dt}
     if len(dts) != 1:
         raise ConfigError("all neurons must share one integration step dt")

@@ -460,8 +460,8 @@ def _period_lower_bound(g: Sdfg, exec_times: list, core_of: list,
 def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
                    time_wheel_share: float = DEFAULT_TIME_WHEEL_SHARE,
                    state_budget: int = DEFAULT_STATE_BUDGET,
-                   rng: np.random.Generator | int | None = None
-                   ) -> MappingSolution:
+                   rng: np.random.Generator | int | None = None,
+                   table: dict | None = None) -> MappingSolution:
     """Swarm search over assignments, keeping the highest-throughput one.
 
     Every evaluated assignment satisfies the platform capacities;
@@ -473,8 +473,19 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
 
     Each swarm iteration decodes all positions in one batch, as
     :func:`decode_position` would one by one, and scores the rows in
-    order through :func:`pso_step`'s batch ``fitness``.  Each distinct
-    assignment is bounded and evaluated at most once per search.
+    order through :func:`pso_step`'s batch ``fitness``.
+
+    Bounds and evaluations go into ``table``, a dict that the caller
+    may share between searches (``None`` gives this search a fresh
+    one).  It is keyed by everything an evaluation reads besides the
+    assignment: the graph by value, the platform, the time-wheel share
+    and the state budget; under that key it holds each assignment's
+    period bound and, once evaluated, its period and solution
+    (``None`` for a rejected one).  So each distinct assignment of one
+    graph on one platform is bounded and evaluated at most once for as
+    long as the table lives.  An evaluation that exceeds the state
+    budget is not stored.  A stored period where the bound would prune
+    is at least the bound, so sharing the table changes no result.
 
     An assignment is not evaluated when an exact lower bound on its
     period (:func:`_period_lower_bound`) already reaches the particle's
@@ -492,9 +503,10 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     clusters, cores = g._weights[0], hw._cores[0]
     scale = _share_to_scale(time_wheel_share)
     # both keyed by a decoded row's picks; cache holds real evaluations
-    # only, bounds never enter it
-    cache: dict[tuple, tuple[float, MappingSolution | None]] = {}
-    bounds: dict[tuple, tuple] = {}  # picks -> (bound, float, float exact?)
+    # only, bounds never enter it.  bounds: picks -> (bound, float, float
+    # exact?); cache: picks -> (period, solution or None)
+    bounds, cache = ({} if table is None else table).setdefault(
+        (g, hw, time_wheel_share, state_budget), ({}, {}))
 
     def period_bound(mapping: dict[str, str]) -> tuple:
         try:

@@ -44,7 +44,7 @@ import numpy as np
 from .errors import (GraphFormatError, GraphValidationError,
                      InfeasiblePartitionError)
 from .snn_graph import (SnnGraph, Synapse, _dump_yaml, _entries, _field,
-                        _list_of, _load_yaml, _synapses)
+                        _integer, _list_of, _load_yaml, _synapses)
 
 CLUSTERED_FORMAT = "clustered-snn/1"
 
@@ -503,7 +503,7 @@ def clustered_graph_from_dict(doc: dict, ctx: str = "<clustered>") -> ClusteredS
     for where, e in _entries(doc, "edges", ctx):
         edge = ClusterEdge(_field(e, "src", where, str),
                            _field(e, "dst", where, str),
-                           _field(e, "tokens", where, int))
+                           _field(e, "tokens", where, _integer))
         if edge.src not in ids or edge.dst not in ids:
             raise GraphValidationError(
                 f"{ctx}: edge ({edge.src!r}, {edge.dst!r}) references an "

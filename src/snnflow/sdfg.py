@@ -31,7 +31,7 @@ from .errors import (BudgetExceededError, DeadlockError, GraphFormatError,
                      InfeasibleCapacityError, InfeasibleMappingError)
 from .partition import ClusteredSnnGraph
 from .snn_graph import (HardwareGraph, _dump_yaml, _entries, _field,
-                        _load_yaml, _number)
+                        _integer, _load_yaml, _number)
 
 logger = logging.getLogger(__name__)
 
@@ -861,13 +861,13 @@ def sdfg_from_dict(doc: dict, ctx: str = "<sdfg>") -> Sdfg:
     actors = tuple(
         Actor(_field(e, "id", where, str),
               _field(e, "exec_time", where, _number, 1),
-              _field(e, "weight", where, int, 1))
+              _field(e, "weight", where, _integer, 1))
         for where, e in _entries(doc, "actors", ctx))
     channels = tuple(
-        Channel(_field(e, "src", where, str), _field(e, "prod", where, int),
-                _field(e, "dst", where, str), _field(e, "cons", where, int),
-                _field(e, "tokens", where, int, 0),
-                _field(e, "capacity", where, int, None))
+        Channel(_field(e, "src", where, str), _field(e, "prod", where, _integer),
+                _field(e, "dst", where, str), _field(e, "cons", where, _integer),
+                _field(e, "tokens", where, _integer, 0),
+                _field(e, "capacity", where, _integer, None))
         for where, e in _entries(doc, "channels", ctx))
     g = Sdfg(actors, channels)
     g.validate()

@@ -323,6 +323,16 @@ def _number(value):
     return value
 
 
+def _integer(value):
+    # an int, or a float with an integral value as that int; a bool, a
+    # fraction or any other type is refused rather than truncated
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError("not an integer")
+    return value
+
+
 def _list_of(convert):
     # the converter of a list, null for an empty one, to a tuple
     def items(value) -> tuple:
@@ -380,7 +390,7 @@ def save_snn_graph(g: SnnGraph, path: str) -> None:
 
 def hardware_graph_from_dict(doc: dict, ctx: str = "<hardware-graph>") -> HardwareGraph:
     cores = [Core(id=_field(e, "id", where, str),
-                  crossbar_dim=_field(e, "crossbar_dim", where, int),
+                  crossbar_dim=_field(e, "crossbar_dim", where, _integer),
                   exec_time=_field(e, "exec_time", where, _number, 1),
                   **{name: _field(e, name, where, _number, None)
                      for name in ("in_connections", "out_connections",

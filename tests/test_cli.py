@@ -63,6 +63,27 @@ def test_rates_roundtrip(files, tmp_path, capsys):
     assert len(rated.synapses) == 13
 
 
+@pytest.mark.parametrize("params,message", [
+    ("{tau: 0.1}", "unknown LIF parameter 'tau'"),
+    ("{dt: 0}", "dt must be positive")], ids=["unknown_key", "bad_value"])
+def test_rates_with_a_bad_neuron_parameter_exits_2_naming_it(
+        tmp_path, capsys, params, message):
+    net = tmp_path / "net.yaml"
+    net.write_text("format: snn-graph/1\n"
+                   f"neurons: [{{id: a, params: {params}}}]\n"
+                   "inputs: [{id: x}]\n"
+                   "synapses: [{src: x, dst: a}]\n")
+    trains = tmp_path / "trains.yaml"
+    trains.write_text("format: spike-trains/1\nframe_length: 0.01\n"
+                      "frames: [{x: [0.001]}]\n")
+    out = tmp_path / "rated.yaml"
+    assert main(["rates", "--snn", str(net), "--trains", str(trains),
+                 "-o", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"neuron 'a': {message}" in err
+    assert not out.exists()
+
+
 def test_partition_outputs_and_cost_log(files, tmp_path, capsys):
     out = tmp_path / "parts"
     code = main(["partition", "--snn", files["snn"], "--crossbar-dim", "4",
@@ -385,6 +406,31 @@ def test_malformed_field_exits_2_naming_it(files, tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert "bad.yaml" in err
     assert field in err
+
+
+@pytest.mark.parametrize("command,content,field", [
+    ("explore", "format: hardware-graph/1\n"
+                "cores: [{id: t0, crossbar_dim: 2.5}]\n", "'crossbar_dim'"),
+    ("analyze", "format: sdfg/1\nactors: [{id: a}, {id: b}]\n"
+                "channels: [{src: a, prod: 1, dst: b, cons: 1, "
+                "capacity: 2.5}]\n", "'capacity'"),
+    ("map", "format: clustered-snn/1\nclusters: [{id: c0}, {id: c1}]\n"
+            "edges: [{src: c0, dst: c1, tokens: 0.5}]\n", "'tokens'"),
+], ids=["hardware_crossbar_dim", "sdfg_capacity", "clustered_edge_tokens"])
+def test_fractional_integer_field_exits_2_naming_it(files, tmp_path, capsys,
+                                                    command, content, field):
+    # an integer field refuses a fraction rather than truncating it
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(content)
+    argv = {
+        "analyze": ["analyze", str(bad)],
+        "map": ["map", str(bad), "--hardware", files["hw"]],
+        "explore": ["explore", "--snn", files["snn"], "--hardware", str(bad),
+                    "-o", str(tmp_path / "out")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "bad.yaml" in err and field in err and "not an integer" in err
 
 
 def test_removed_input_fanin_switch_is_an_unknown_config_key(files, tmp_path,

@@ -10,7 +10,7 @@ from conftest import (all_to_all_platform, feasible_dim, layered_demo_snn,
                       layered_snn, random_snn, two_core_platform)
 from oracles import dominance_front
 
-from snnflow import dse
+from snnflow import dse, sdfg
 from snnflow.dse import (DesignFlowConfig, DesignPoint, RoundResult,
                          SweepConfig,
                          min_buffer_for_throughput, pareto_filter,
@@ -246,7 +246,7 @@ def test_flow_budget_error_keeps_the_rounds_before_it(monkeypatch,
 _REAL_RUN_ROUND = dse._run_round
 
 
-def first_round_waits_second_over_budget(marks, g, hw, cfg, r, seeds):
+def first_round_waits_second_over_budget(marks, g, hw, cfg, r, seeds, table):
     """Round 0 runs for real, but with ``jobs > 1`` only once every round
     from 2 on has started, or after a second; round 1 exceeds the budget
     at once; the later rounds do nothing.  Each round leaves a mark in
@@ -261,7 +261,7 @@ def first_round_waits_second_over_budget(marks, g, hw, cfg, r, seeds):
     while cfg.jobs > 1 and time.monotonic() < deadline and not all(
             (marks / f"started-{k}").exists() for k in range(2, cfg.eta)):
         time.sleep(0.01)
-    return _REAL_RUN_ROUND(g, hw, cfg, r, seeds)
+    return _REAL_RUN_ROUND(g, hw, cfg, r, seeds, table)
 
 
 def test_parallel_flow_stops_taking_rounds_once_one_is_over_budget(
@@ -349,6 +349,81 @@ def test_flow_deterministic_and_parallel_identical():
     key = lambda r: [(p.throughput, p.total_buffer, p.round_index,
                       p.step_index) for p in r.points]
     assert key(seq1) == key(seq2) == key(par)
+
+
+def flow_record(res):
+    """Everything a flow result holds, solutions as records."""
+    def sol(s):
+        return None if s is None else (s.to_record(), s.block_counts)
+    return (
+        [(rr.round_index, rr.cut_cost, rr.clustered, rr.error, rr.error_kind,
+          [(sp.allocation, sp.throughput, sol(sp.solution))
+           for sp in rr.sweep]) for rr in res.rounds],
+        [(p.throughput, p.total_buffer, p.round_index, p.step_index,
+          p.allocation, p.order, sol(p.solution)) for p in res.points],
+        [p.order for p in res.front.points])
+
+
+def fresh_table_per_search(monkeypatch):
+    """Give every search of the flow a table of its own."""
+    search = dse.search_mapping
+    monkeypatch.setattr(dse, "search_mapping",
+                        lambda *args, table, **kwargs: search(*args, **kwargs))
+
+
+def coinciding_and_differing_nets():
+    # at crossbar 4, [4, 4, 4] clusters one per layer in every round; the
+    # demo net's rounds partition it in several ways
+    return {"coinciding": layered_snn(0, [4, 4, 4]),
+            "differing": layered_demo_snn()}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("mode", ["nested", "reuse"])
+@pytest.mark.parametrize("net", ["coinciding", "differing"])
+def test_shared_table_gives_the_flow_of_fresh_tables(monkeypatch, net, mode,
+                                                     jobs):
+    g, hw = coinciding_and_differing_nets()[net], all_to_all_platform(4)
+    shared, fresh = [], []
+    for seed in (0, 1, 2):
+        cfg = small_flow_config(eta=4, seed=seed, jobs=jobs, mode=mode)
+        shared.append(run_design_flow(g, hw, cfg))
+    with monkeypatch.context() as m:
+        fresh_table_per_search(m)
+        for seed in (0, 1, 2):
+            cfg = small_flow_config(eta=4, seed=seed, jobs=jobs, mode=mode)
+            fresh.append(run_design_flow(g, hw, cfg))
+    for a, b in zip(shared, fresh):
+        assert flow_record(a) == flow_record(b)
+        assert a.points
+    partitions = {repr(rr.clustered) for res in shared for rr in res.rounds}
+    assert (len(partitions) == 1) == (net == "coinciding")
+
+
+def test_each_design_is_simulated_once_per_flow(monkeypatch):
+    run, keys = sdfg._Simulation.run, []
+
+    def counting(self):
+        # the bounded graph and the placement, as the simulation reads them
+        keys.append((self.ids, self.in_ch, self.out_ch, tuple(self.tokens),
+                     tuple(self.space), tuple(self.core_of), tuple(self.exec),
+                     tuple(self.latency)))
+        return run(self)
+
+    monkeypatch.setattr(sdfg._Simulation, "run", counting)
+    hw = all_to_all_platform(4)
+    runs = {}
+    for net, g in coinciding_and_differing_nets().items():
+        keys.clear()
+        run_design_flow(g, hw, small_flow_config(eta=4, seed=1))
+        assert len(keys) == len(set(keys)), net
+        runs[net] = len(keys)
+    keys.clear()
+    with monkeypatch.context() as m:
+        fresh_table_per_search(m)
+        run_design_flow(layered_snn(0, [4, 4, 4]), hw,
+                        small_flow_config(eta=4, seed=1))
+    assert runs["coinciding"] < len(keys)
 
 
 def test_flow_larger_eta_weakly_dominates_smaller():

@@ -81,6 +81,14 @@ def test_two_ways_into_the_simulator():
                                          ("sdfg.py", "execute")]
 
 
+def test_one_table_of_rated_designs():
+    # the search bounds and rates through the table it is given, and the
+    # reuse sweep rates its one kept mapping; a second cache of ratings
+    # would have to call these from somewhere else
+    assert callers_of("evaluate_mapping", "_period_lower_bound") == \
+        [("dse.py", "_run_round"), ("mapping.py", "search_mapping")]
+
+
 def test_run_config_and_flow_config_hold_the_same_settings():
     # the config file's flow settings are the library's, one for one
     inputs = {"snn", "hardware", "trains", "output_dir"}

@@ -127,6 +127,28 @@ def test_loaders_keep_integral_times_ints():
     assert type(g.actors[0].exec_time) is int
 
 
+def test_integer_fields_take_integral_floats_as_ints():
+    # YAML writes 4.0 for a count a tool computed as a float; a value
+    # with no fraction loads as the int, anything fractional is refused
+    hw = hardware_graph_from_dict({
+        "format": "hardware-graph/1",
+        "cores": [{"id": "t0", "crossbar_dim": 4.0}]})
+    assert type(hw.cores[0].crossbar_dim) is int
+    g = sdfg_from_dict({"format": "sdfg/1",
+                        "actors": [{"id": "a", "weight": 2.0}, {"id": "b"}],
+                        "channels": [{"src": "a", "prod": 2.0, "dst": "b",
+                                      "cons": 1, "tokens": 0.0,
+                                      "capacity": 4.0}]})
+    assert g.actors[0].weight == 2 and type(g.actors[0].weight) is int
+    c = g.channels[0]
+    assert [type(v) for v in (c.prod, c.tokens, c.capacity)] == [int] * 3
+    for bad in (True, "4", 2.5, float("nan"), float("inf")):
+        with pytest.raises(GraphFormatError, match="crossbar_dim"):
+            hardware_graph_from_dict({
+                "format": "hardware-graph/1",
+                "cores": [{"id": "t0", "crossbar_dim": bad}]})
+
+
 def test_roundtrip_random_graphs():
     for seed in range(10):
         g = random_snn(seed)
