@@ -103,10 +103,18 @@ def _merged_config(args) -> RunConfig:
     if not isinstance(cfg.delta_min, (int, float)) or not cfg.delta_min >= 0:
         raise ConfigError(
             f"delta_min must be a number >= 0, got {cfg.delta_min!r}")
-    for name in ("eta", "crossbar_dim"):
+    for name, least in (("eta", 1), ("crossbar_dim", 1), ("seed", 0),
+                        ("state_budget", 1), ("jobs", 0)):
         value = getattr(cfg, name)
-        if not isinstance(value, int) or value < 1:
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(value, bool) or not isinstance(value, int) \
+                or value < least:
+            raise ConfigError(
+                f"{name} must be an integer >= {least}, got {value!r}")
+    share = cfg.time_wheel_share
+    if isinstance(share, bool) or not isinstance(share, (int, float)) \
+            or not 0 < share <= 1:
+        raise ConfigError(
+            f"time_wheel_share must be a number in (0, 1], got {share!r}")
     if cfg.output_dir is None:
         cfg.output_dir = os.environ.get(OUTPUT_DIR_ENV, "snnflow-out")
     return cfg

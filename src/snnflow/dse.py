@@ -30,6 +30,11 @@ from .snn_graph import HardwareGraph, SnnGraph
 
 logger = logging.getLogger(__name__)
 
+# a sweep stops after this many design points, and its start escalates a
+# deadlocked minimum allocation by at most this uniform factor
+MAX_SWEEP_STEPS = 64
+MAX_UNIFORM_LEVEL = 64
+
 
 @dataclass(frozen=True)
 class DesignPoint:
@@ -58,12 +63,6 @@ class ParetoFront:
 
     def max_throughput(self) -> float:
         return max((p.throughput for p in self.points), default=0.0)
-
-
-def dominates(p: DesignPoint, q: DesignPoint) -> bool:
-    """Whether ``p`` is at least as good on both axes and better on one."""
-    return (p.throughput >= q.throughput and p.total_buffer <= q.total_buffer
-            and (p.throughput > q.throughput or p.total_buffer < q.total_buffer))
 
 
 def pareto_filter(points: list[DesignPoint]) -> ParetoFront:
@@ -99,12 +98,14 @@ def min_buffer_for_throughput(front: ParetoFront,
 @dataclass(frozen=True)
 class SweepConfig:
     plateau: int = 3           # stop after this many non-improving steps
-    max_steps: int = 64
-    max_uniform_level: int = 64
     mode: str = "nested"       # "nested": re-run the search per allocation;
                                # "reuse": search once, keep the mapping
 
     def __post_init__(self):
+        if isinstance(self.plateau, bool) or not isinstance(self.plateau, int) \
+                or self.plateau < 1:
+            raise ValueError(
+                f"plateau must be an integer >= 1, got {self.plateau!r}")
         if self.mode not in ("nested", "reuse"):
             raise ValueError(f"unknown sweep mode {self.mode!r}")
 
@@ -119,8 +120,10 @@ class SweepPoint:
         return sum(cap for _, cap in self.allocation)
 
 
-def _feasible_start(g: Sdfg, cfg: SweepConfig) -> dict[int, int]:
-    """Minimum allocation, escalated uniformly if it deadlocks."""
+def _feasible_start(g: Sdfg) -> dict[int, int]:
+    """Minimum allocation, escalated uniformly if it deadlocks: the
+    first of the multiples 2..:data:`MAX_UNIFORM_LEVEL` of it that does
+    not.  :class:`DeadlockError` when none of them avoids deadlock."""
     base = minimum_buffer_allocation(g)
     report = check_deadlock(set_buffer_allocation(g, base))
     if report is None:
@@ -128,7 +131,7 @@ def _feasible_start(g: Sdfg, cfg: SweepConfig) -> dict[int, int]:
     logger.warning("minimum buffer allocation deadlocks (%s); "
                    "searching for a uniform starting allocation",
                    report.reasons)
-    for level in range(2, cfg.max_uniform_level + 1):
+    for level in range(2, MAX_UNIFORM_LEVEL + 1):
         alloc = {i: cap * level for i, cap in base.items()}
         if check_deadlock(set_buffer_allocation(g, alloc)) is None:
             return alloc
@@ -145,11 +148,14 @@ def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
     block_counts, solution)``.  Starting from the minimum feasible
     allocation, each step adds one rate quantum to the channel whose
     fullness blocked the most firings in the previous run; the sweep
-    stops on a plateau, when no channel blocks, or once the
-    unbounded-buffer throughput is reached.
+    stops on a plateau of ``cfg.plateau`` non-improving steps, when no
+    channel blocks, once the unbounded-buffer throughput is reached, or
+    after :data:`MAX_SWEEP_STEPS` points.  A minimum allocation that
+    deadlocks is first scaled up uniformly, by at most
+    :data:`MAX_UNIFORM_LEVEL` (:func:`_feasible_start`).
     """
     cfg = cfg or SweepConfig()
-    alloc = _feasible_start(g, cfg)
+    alloc = _feasible_start(g)
     points: list[SweepPoint] = []
     best = -1.0
     stale = 0
@@ -165,7 +171,7 @@ def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
         if unbounded_throughput is not None \
                 and tr.throughput >= unbounded_throughput:
             break
-        if stale >= cfg.plateau or len(points) >= cfg.max_steps:
+        if stale >= cfg.plateau or len(points) >= MAX_SWEEP_STEPS:
             break
         managed = {i: n for i, n in blocks.items() if i in alloc and n > 0}
         if not managed:

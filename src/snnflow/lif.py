@@ -14,14 +14,15 @@ Neuron ``j``'s in-synapses form column ``j`` of a ``(K, N)`` source-slot
 array and a ``(K, N)`` weight array, in ``g.synapses`` order, padded with
 the zero slot and weight ``0.0``.  Each step gathers the counts into a
 ``(K, N)`` array, multiplies by the weights and adds the rows one at a
-time, then applies :func:`step_neuron`'s arithmetic elementwise.
+time, then applies the forward-Euler membrane update elementwise.
 
-The result equals stepping each neuron through :func:`step_neuron` with
-the current from :func:`synaptic_current`, bit for bit.  The rows are
-added from a ``+0.0`` start in synapse order, which is the left-to-right
-order of :func:`synaptic_current`; a silent source adds a zero, which
-changes no sum.  The membrane update performs the same float operations
-in the same order, and numpy's float64 arithmetic rounds as Python's does.
+The result equals, bit for bit, the scalar reference in
+``tests/oracles.py``, which steps one neuron at a time and sums each
+neuron's synaptic current left to right over its firing sources.  The
+rows are added from a ``+0.0`` start in synapse order, which is that
+left-to-right order; a silent source adds a zero, which changes no sum.
+The membrane update performs the same float operations in the same
+order, and numpy's float64 arithmetic rounds as Python's does.
 """
 
 from __future__ import annotations
@@ -101,34 +102,6 @@ class SpikeTrain:
             if t <= prev:
                 raise ConfigError("spike times must be strictly increasing")
             prev = t
-
-
-def step_neuron(v: float, params: LifParams,
-                synaptic_current: float) -> tuple[float, bool]:
-    """One forward-Euler step of the membrane equation.
-
-    Returns the new membrane voltage and whether the neuron fired.  A
-    firing neuron resets to the resting potential, so the returned
-    voltage never exceeds the threshold.
-    """
-    leak = -(v - params.v_rest) / params.tau_m
-    v_new = v + params.dt * (leak + (synaptic_current + params.i_inj) / params.c_m)
-    if v >= params.v_th or v_new >= params.v_th:
-        return params.v_rest, True
-    return v_new, False
-
-
-def synaptic_current(incoming: list[tuple[int, float]], dt: float) -> float:
-    """Total input current from spikes landing in the current step.
-
-    ``incoming`` pairs each source's spike count in ``[t, t+dt)`` with its
-    synaptic weight; every spike contributes ``weight / dt`` as a current
-    impulse spread over the step.  The products are added left to right.
-    """
-    total = 0.0
-    for count, weight in incoming:
-        total += count * weight
-    return total / dt
 
 
 def _round_rate(x: float) -> int:
@@ -265,19 +238,6 @@ def estimate_rates(g: SnnGraph,
         replace(i, spikes=float(_round_rate(mean_rate[i.id])))
         for i in g.inputs)
     return replace(g, synapses=new_synapses, inputs=new_inputs)
-
-
-def constant_current_isi(params: LifParams, current: float) -> float:
-    """Closed-form inter-spike interval under a constant input current.
-
-    Solves the RC charging equation from rest to threshold; returns
-    ``inf`` when the drive cannot reach the threshold.
-    """
-    drive = current * params.r_m
-    gap = params.v_th - params.v_rest
-    if drive <= gap:
-        return math.inf
-    return -params.tau_m * math.log(1.0 - gap / drive)
 
 
 def load_spike_trains(path: str) -> list[dict[str, SpikeTrain]]:

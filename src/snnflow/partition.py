@@ -369,10 +369,6 @@ class Cluster:
     synapses: tuple[Synapse, ...] = ()
     input_feeds: tuple[Synapse, ...] = ()
 
-    def absorbed_spikes(self) -> float:
-        return (sum(s.spikes for s in self.synapses)
-                + sum(s.spikes for s in self.input_feeds))
-
 
 @dataclass(frozen=True)
 class ClusterEdge:
@@ -387,14 +383,6 @@ class ClusteredSnnGraph:
 
     clusters: tuple[Cluster, ...]
     edges: tuple[ClusterEdge, ...] = ()
-
-    def cluster_ids(self) -> list[str]:
-        return [c.id for c in self.clusters]
-
-    def total_spikes(self) -> float:
-        """Cut tokens plus everything absorbed inside clusters."""
-        return (sum(e.tokens for e in self.edges)
-                + sum(c.absorbed_spikes() for c in self.clusters))
 
 
 def build_clustered_graph(g: SnnGraph, p: Partition) -> ClusteredSnnGraph:
@@ -437,10 +425,11 @@ def round_seeds(seed: int | None, eta: int
     """The ``(partition seed, mapping seed)`` pair of each of ``eta`` rounds.
 
     Round ``r`` takes the two streams spawned by
-    ``SeedSequence(seed).spawn(eta)[r]``, so a seed gives the same
-    clusterings in :func:`iterate_partitions`, in
-    :func:`snnflow.dse.run_design_flow` and in the CLI, and a round's
-    streams do not depend on ``eta`` or on which process runs it.
+    ``SeedSequence(seed).spawn(eta)[r]``.  :func:`snnflow.dse.run_design_flow`
+    and the CLI's ``partition`` command both pass round ``r``'s partition
+    seed to :func:`partition_round`, so a seed gives them the same
+    clusterings, and a round's streams do not depend on ``eta`` or on
+    which process runs it.
     """
     if eta < 1:
         raise ValueError("eta must be >= 1")
@@ -462,17 +451,6 @@ def partition_round(g: SnnGraph, crossbar_dim: int,
         trace.append({"sweep": 0, "delta": 0.0,
                       "cost": communication_cost(g, p), "accepted": []})
     return kl_refine(g, p, delta_min, trace=trace)
-
-
-def iterate_partitions(g: SnnGraph, crossbar_dim: int, eta: int,
-                       delta_min: float = 0.0,
-                       seed: int | None = None) -> list[ClusteredSnnGraph]:
-    """Run ``eta`` independent partition rounds seeded by :func:`round_seeds`."""
-    out = []
-    for kl_seed, _ in round_seeds(seed, eta):
-        p = partition_round(g, crossbar_dim, kl_seed, delta_min)
-        out.append(build_clustered_graph(g, p))
-    return out
 
 
 def clustered_graph_to_dict(cg: ClusteredSnnGraph) -> dict:

@@ -808,7 +808,6 @@ def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
 
 def execute(g: Sdfg, *, schedules=None, platform: HardwareGraph | None = None,
             mapping: dict[str, str] | None = None, exec_time_scale=1,
-            list_mode: bool = False,
             state_budget: int = DEFAULT_STATE_BUDGET) -> ExecutionResult:
     """One self-timed run of the graph, the entry point of throughput
     analysis.
@@ -816,13 +815,15 @@ def execute(g: Sdfg, *, schedules=None, platform: HardwareGraph | None = None,
     The placement (host cores, execution times, channel latencies, and
     the unmapped-actor, undeclared-core and missing-route errors) comes
     from :func:`resolve_platform`; platform capacities are not checked
-    here, :func:`snnflow.mapping.validate_mapping` does that.
-    ``list_mode`` runs the list scheduler that
-    :func:`snnflow.mapping.build_schedules` builds static orders with.
+    here, :func:`snnflow.mapping.validate_mapping` does that.  Without
+    ``schedules`` the run is free (any ready actor fires); with them,
+    each core follows its static order.  The list-scheduling run that
+    builds those orders is not entered here but through
+    :func:`snnflow.mapping._list_run`.
     """
     placement = resolve_platform(g, platform, mapping, exec_time_scale)
     sim = _Simulation(g, *placement, schedules=schedules,
-                      list_mode=list_mode, state_budget=state_budget)
+                      state_budget=state_budget)
     return sim.run()
 
 

@@ -9,6 +9,7 @@ the violated rule.
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
@@ -316,10 +317,12 @@ def _entries(doc: dict, section: str, ctx: str, names: bool = False):
 
 
 def _number(value):
-    # an int or a float, unconverted: an integral value stays an int, so
-    # that saved files and hashes do not change
+    # a finite int or float, unconverted: an integral value stays an int,
+    # so that saved files and hashes do not change
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError("not a number")
+    if not math.isfinite(value):
+        raise ValueError("not a finite number")
     return value
 
 

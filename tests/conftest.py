@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from snnflow.partition import Cluster, ClusterEdge, ClusteredSnnGraph, Partition
+from snnflow.partition import (Cluster, ClusterEdge, ClusteredSnnGraph,
+                               Partition, build_clustered_graph,
+                               partition_round, round_seeds)
 from snnflow.sdfg import Actor, Channel, Sdfg
 from snnflow.snn_graph import (Core, HardwareGraph, InputSource, Link, Neuron,
                                SnnGraph, Synapse)
@@ -64,6 +66,16 @@ def demo_clustered() -> ClusteredSnnGraph:
 @pytest.fixture
 def demo_snn() -> SnnGraph:
     return layered_demo_snn()
+
+
+def partition_rounds(g: SnnGraph, crossbar_dim: int, eta: int,
+                     delta_min: float = 0.0,
+                     seed: int | None = None) -> list[ClusteredSnnGraph]:
+    """The clustered graph of each of ``eta`` partition rounds, built from
+    the round seeds the way the design flow and the CLI build them."""
+    return [build_clustered_graph(
+                g, partition_round(g, crossbar_dim, kl_seed, delta_min))
+            for kl_seed, _ in round_seeds(seed, eta)]
 
 
 def two_core_platform(dim: int = 8) -> HardwareGraph:

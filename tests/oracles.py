@@ -11,7 +11,8 @@ one ``argmax`` per cluster row over freshly built core tables, the
 swarm search by evaluating every distinct assignment it decodes, an
 assignment's rating by a second, scheduled simulation instead of a
 replay of the list-scheduling run, LIF rates by stepping one neuron at
-a time through ``step_neuron``.
+a time through ``step_neuron``, a scalar forward-Euler step kept here
+with the closed-form inter-spike interval it is checked against.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ import networkx as nx
 import numpy as np
 
 from snnflow.errors import ConfigError, DeadlockError, InfeasibleMappingError
-from snnflow.lif import (LifParams, SpikeTrain, _round_rate, step_neuron,
-                         synaptic_current)
+from snnflow.lif import LifParams, SpikeTrain, _round_rate
 from snnflow.mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution,
                              SwarmConfig, _check_capacities, _list_run,
                              _schedules_from_log, _share_to_scale,
@@ -631,6 +631,47 @@ def reference_evaluate_mapping(g: Sdfg, hw: HardwareGraph,
 
 
 # ------------------------------------------------ rate oracle
+
+def step_neuron(v: float, params: LifParams,
+                synaptic_current: float) -> tuple[float, bool]:
+    """One forward-Euler step of the membrane equation.
+
+    Returns the new membrane voltage and whether the neuron fired.  A
+    firing neuron resets to the resting potential, so the returned
+    voltage never exceeds the threshold.
+    """
+    leak = -(v - params.v_rest) / params.tau_m
+    v_new = v + params.dt * (leak + (synaptic_current + params.i_inj) / params.c_m)
+    if v >= params.v_th or v_new >= params.v_th:
+        return params.v_rest, True
+    return v_new, False
+
+
+def synaptic_current(incoming: list[tuple[int, float]], dt: float) -> float:
+    """Total input current from spikes landing in the current step.
+
+    ``incoming`` pairs each source's spike count in ``[t, t+dt)`` with its
+    synaptic weight; every spike contributes ``weight / dt`` as a current
+    impulse spread over the step.  The products are added left to right.
+    """
+    total = 0.0
+    for count, weight in incoming:
+        total += count * weight
+    return total / dt
+
+
+def constant_current_isi(params: LifParams, current: float) -> float:
+    """Closed-form inter-spike interval under a constant input current.
+
+    Solves the RC charging equation from rest to threshold; returns
+    ``inf`` when the drive cannot reach the threshold.
+    """
+    drive = current * params.r_m
+    gap = params.v_th - params.v_rest
+    if drive <= gap:
+        return math.inf
+    return -params.tau_m * math.log(1.0 - gap / drive)
+
 
 def reference_estimate_rates(g: SnnGraph,
                              params: LifParams | None = None,

@@ -5,14 +5,13 @@ import csv
 import pytest
 import yaml
 
-from conftest import layered_demo_snn, two_core_platform
+from conftest import layered_demo_snn, partition_rounds, two_core_platform
 from oracles import dominance_front
 
 from snnflow.cli import main
 from snnflow.dse import DesignFlowConfig, run_design_flow
 from snnflow.mapping import SwarmConfig
-from snnflow.partition import (iterate_partitions, load_clustered_graph,
-                               save_clustered_graph)
+from snnflow.partition import load_clustered_graph, save_clustered_graph
 from snnflow.snn_graph import load_snn_graph, save_hardware_graph, save_snn_graph
 
 
@@ -337,6 +336,36 @@ def test_bad_round_count_or_crossbar_flag_exits_2(files, tmp_path, capsys,
 
 
 @pytest.mark.parametrize("command", ["partition", "explore"])
+@pytest.mark.parametrize("flag,value", [
+    ("--time-wheel-share", "0"), ("--time-wheel-share", "1.5"),
+    ("--time-wheel-share", "nan"), ("--seed", "-1"),
+    ("--state-budget", "-3"), ("--state-budget", "0"), ("--jobs", "-1")])
+def test_bad_flow_setting_flag_exits_2(files, tmp_path, capsys, command,
+                                       flag, value):
+    # checked before any work: left to the flow, these end in a
+    # traceback or, for the budget, in exit 3
+    code = main([command, "--snn", files["snn"], "--hardware", files["hw"],
+                 "--crossbar-dim", "4", flag, value,
+                 "-o", str(tmp_path / "out")])
+    assert code == 2
+    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sweep", [{"plateau": "3"}, {"plateau": 0}])
+def test_bad_sweep_config_exits_2(files, tmp_path, capsys, sweep):
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "format": "run-config/1", "snn": files["snn"],
+        "hardware": files["hw"], "crossbar_dim": 4, "sweep": sweep}))
+    assert main(["explore", "--config", str(cfg),
+                 "-o", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "bad sweep settings" in err and "plateau" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["partition", "explore"])
 @pytest.mark.parametrize("name,value", [("eta", 0), ("eta", "3"),
                                         ("crossbar_dim", -1),
                                         ("crossbar_dim", 2.5)])
@@ -374,6 +403,15 @@ def test_malformed_input_file_exits_2(files, tmp_path, capsys, command,
     assert "bad.yaml" in capsys.readouterr().err
 
 
+HW_WITH_LATENCY = ("format: hardware-graph/1\n"
+                   "cores: [{{id: t0, crossbar_dim: 8}}, "
+                   "{{id: t1, crossbar_dim: 8}}]\n"
+                   "links: [{{src: t0, dst: t1, latency: {}}}]\n")
+SDFG_WITH_EXEC_TIME = ("format: sdfg/1\nactors: [{{id: a, exec_time: {}}}]\n"
+                       "channels: [{{src: a, prod: 1, dst: a, cons: 1, "
+                       "tokens: 1}}]\n")
+
+
 @pytest.mark.parametrize("command,content,field", [
     ("analyze", "format: sdfg/1\nactors: [{id: a}]\n"
                 "channels: [{src: a, dst: a, cons: 1}]\n", "'prod'"),
@@ -387,8 +425,13 @@ def test_malformed_input_file_exits_2(files, tmp_path, capsys, command,
               "frames: [{stim: [0.001, soon]}]\n", "'stim'"),
     ("stats", "format: snn-graph/1\nneurons: [a]\nsynapses: [a]\n",
      "synapses[0]"),
+    ("explore", HW_WITH_LATENCY.format(".nan"), "'latency'"),
+    ("explore", HW_WITH_LATENCY.format(".inf"), "'latency'"),
+    ("analyze", SDFG_WITH_EXEC_TIME.format(".nan"), "'exec_time'"),
+    ("analyze", SDFG_WITH_EXEC_TIME.format("-.inf"), "'exec_time'"),
 ], ids=["channel_without_prod", "edge_without_tokens", "word_weight",
-        "word_crossbar_dim", "word_spike_time", "entry_not_a_mapping"])
+        "word_crossbar_dim", "word_spike_time", "entry_not_a_mapping",
+        "nan_latency", "inf_latency", "nan_exec_time", "minus_inf_exec_time"])
 def test_malformed_field_exits_2_naming_it(files, tmp_path, capsys, command,
                                            content, field):
     bad = tmp_path / "bad.yaml"
@@ -467,7 +510,7 @@ def test_partition_explore_and_library_share_round_seeds(files, tmp_path,
                  "--eta", "3", "--seed", "11", "-o", str(parts)]) == 0
     assert main(explore_args(files, run, eta="3", seed="11")) == 0
     g = load_snn_graph(files["snn"])
-    library = iterate_partitions(g, 4, 3, seed=11)
+    library = partition_rounds(g, 4, 3, seed=11)
     for r, cg in enumerate(library):
         save_clustered_graph(cg, tmp_path / f"lib_{r}.yaml")
         want = (tmp_path / f"lib_{r}.yaml").read_bytes()

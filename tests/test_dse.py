@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import (all_to_all_platform, feasible_dim, layered_demo_snn,
-                      layered_snn, random_snn, two_core_platform)
+                      layered_snn, partition_rounds, random_snn,
+                      two_core_platform)
 from oracles import dominance_front
 
 from snnflow import dse, sdfg
@@ -16,7 +17,6 @@ from snnflow.dse import (DesignFlowConfig, DesignPoint, RoundResult,
                          min_buffer_for_throughput, pareto_filter,
                          pipeline_rate_bound, run_design_flow, sweep_buffers)
 from snnflow.mapping import SwarmConfig
-from snnflow.partition import iterate_partitions
 from snnflow.sdfg import (Actor, Channel, Sdfg, check_deadlock, execute,
                           lift_to_sdfg, self_timed_throughput)
 from snnflow.errors import (BudgetExceededError, DeadlockError,
@@ -152,10 +152,19 @@ def test_sweep_escalates_a_deadlocked_minimum_allocation():
 
 
 def test_sweep_without_a_live_uniform_level_raises_deadlock():
+    # a two-actor cycle without tokens starves at every buffer size
+    g = Sdfg((Actor("a"), Actor("b")),
+             (Channel("a", 1, "b", 1, 0, None),
+              Channel("b", 1, "a", 1, 0, None)))
     with pytest.raises(DeadlockError,
                        match="no uniform buffer allocation avoids deadlock"):
-        sweep_buffers(multirate_pair(), pure_evaluator,
-                      SweepConfig(max_uniform_level=1))
+        sweep_buffers(g, pure_evaluator)
+
+
+@pytest.mark.parametrize("plateau", [0, -1, "3", 2.5, True])
+def test_sweep_config_refuses_a_plateau_below_one_step(plateau):
+    with pytest.raises(ValueError, match="plateau must be an integer >= 1"):
+        SweepConfig(plateau=plateau)
 
 
 # ----------------------------------------------------------------- flow
@@ -168,13 +177,13 @@ def small_flow_config(eta=3, seed=11, jobs=1, mode="nested") -> DesignFlowConfig
         seed=seed, jobs=jobs)
 
 
-def test_iterate_partitions_matches_the_flow_rounds():
+def test_partition_rounds_match_the_flow_rounds():
     g = layered_demo_snn()
     cfg = small_flow_config(eta=4)
     res = run_design_flow(g, two_core_platform(), cfg)
     assert any(rr.error is None for rr in res.rounds)
-    assert iterate_partitions(g, cfg.crossbar_dim, cfg.eta, cfg.delta_min,
-                              seed=cfg.seed) == \
+    assert partition_rounds(g, cfg.crossbar_dim, cfg.eta, cfg.delta_min,
+                            seed=cfg.seed) == \
         [rr.clustered for rr in res.rounds]
 
 
@@ -329,7 +338,7 @@ def _liveness_cases():
 def test_every_round_of_a_feed_forward_net_is_live_and_yields_points():
     hw = all_to_all_platform(4, dim=64)
     for k, (g, dim) in enumerate(_liveness_cases()):
-        for cg in iterate_partitions(g, dim, eta=3, seed=k):
+        for cg in partition_rounds(g, dim, eta=3, seed=k):
             assert check_deadlock(lift_to_sdfg(cg)) is None
         cfg = DesignFlowConfig(
             crossbar_dim=dim, eta=1, seed=k, jobs=1,

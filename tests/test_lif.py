@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import layered_snn, random_snn
-from oracles import reference_estimate_rates
+from oracles import (constant_current_isi, reference_estimate_rates,
+                     step_neuron, synaptic_current)
 from snnflow.errors import ConfigError
-from snnflow.lif import (LifParams, SpikeTrain, constant_current_isi,
-                         estimate_rates, load_spike_trains, save_spike_trains,
-                         step_neuron, synaptic_current)
+from snnflow.lif import (LifParams, SpikeTrain, estimate_rates,
+                         load_spike_trains, save_spike_trains)
 from snnflow.snn_graph import InputSource, Neuron, SnnGraph, Synapse
 
 PARAMS = LifParams()  # tau_m = 10 ms, threshold 15 mV above rest

@@ -5,7 +5,7 @@ from dataclasses import replace
 import pytest
 
 from conftest import (demo_clustered, demo_partition, feasible_dim,
-                      layered_snn, random_snn)
+                      layered_snn, partition_rounds, random_snn)
 from oracles import (copy_partition, exhaustive_min_cost, improving_swap,
                      reference_kl_refine)
 
@@ -13,7 +13,7 @@ from snnflow.errors import GraphValidationError, InfeasiblePartitionError
 from snnflow.partition import (Partition, build_clustered_graph,
                                clustered_graph_from_dict,
                                clustered_graph_to_dict, communication_cost,
-                               init_partition, iterate_partitions, kl_refine,
+                               init_partition, kl_refine,
                                load_clustered_graph, save_clustered_graph)
 from snnflow.snn_graph import InputSource, Neuron, SnnGraph, Synapse
 
@@ -435,7 +435,7 @@ def test_build_single_cluster(demo_snn):
 def test_build_demo_clustering_matches_hand_construction(demo_snn):
     cg = build_clustered_graph(demo_snn, demo_partition())
     expected = demo_clustered()
-    assert cg.cluster_ids() == expected.cluster_ids()
+    assert [c.id for c in cg.clusters] == [c.id for c in expected.clusters]
     for got, want in zip(cg.clusters, expected.clusters):
         assert got.neurons == want.neurons
         assert set(got.synapses) == set(want.synapses)
@@ -448,8 +448,11 @@ def test_build_preserves_spike_mass():
         g = random_snn(seed, n_neurons=12, edge_prob=0.35)
         p = init_partition(g, feasible_dim(g, floor=5), seed + 100)
         cg = build_clustered_graph(g, p)
-        assert cg.total_spikes() == pytest.approx(
-            sum(s.spikes for s in g.synapses))
+        # cut tokens plus everything absorbed inside clusters
+        total = (sum(e.tokens for e in cg.edges)
+                 + sum(s.spikes for c in cg.clusters
+                       for s in c.synapses + c.input_feeds))
+        assert total == pytest.approx(sum(s.spikes for s in g.synapses))
 
 
 def test_build_edge_tokens_match_cut_enumeration():
@@ -478,18 +481,18 @@ def test_empty_clusters_dropped(demo_snn):
     assert len(cg.clusters) == 3
 
 
-def test_iterate_partitions_counts_and_determinism(demo_snn):
-    outs = iterate_partitions(demo_snn, 4, eta=1, seed=5)
+def test_partition_rounds_counts_and_determinism(demo_snn):
+    outs = partition_rounds(demo_snn, 4, eta=1, seed=5)
     assert len(outs) == 1
-    a = iterate_partitions(demo_snn, 4, eta=5, seed=9)
-    b = iterate_partitions(demo_snn, 4, eta=5, seed=9)
+    a = partition_rounds(demo_snn, 4, eta=5, seed=9)
+    b = partition_rounds(demo_snn, 4, eta=5, seed=9)
     assert a == b
     assert len(a) == 5
 
 
-def test_iterate_partitions_explores_distinct_cuts():
+def test_partition_rounds_explore_distinct_cuts():
     g = random_snn(7, n_neurons=20, edge_prob=0.25)
-    outs = iterate_partitions(g, 6, eta=10, seed=0)
+    outs = partition_rounds(g, 6, eta=10, seed=0)
     cuts = {sum(e.tokens for e in cg.edges) for cg in outs}
     assert len(cuts) >= 2
 

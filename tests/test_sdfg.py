@@ -13,12 +13,13 @@ from oracles import (OracleDeadlock, gaussian_repetition, mcm_period,
 from snnflow.errors import (DeadlockError, GraphValidationError,
                             InconsistentGraphError, InfeasibleCapacityError,
                             InfeasibleMappingError)
-from snnflow.mapping import StaticOrderSchedule, build_schedules
-from snnflow.sdfg import (Actor, Channel, DeadlockReport, Sdfg, check_deadlock,
-                          execute, lift_to_sdfg, load_sdfg,
-                          minimum_buffer_allocation, repetition_vector,
-                          save_sdfg, sdfg_from_dict, sdfg_to_dict,
-                          self_timed_throughput, set_buffer_allocation)
+from snnflow.mapping import StaticOrderSchedule, _list_run, build_schedules
+from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, DeadlockReport,
+                          Sdfg, check_deadlock, execute, lift_to_sdfg,
+                          load_sdfg, minimum_buffer_allocation,
+                          repetition_vector, resolve_platform, save_sdfg,
+                          sdfg_from_dict, sdfg_to_dict, self_timed_throughput,
+                          set_buffer_allocation)
 from snnflow.snn_graph import Core, HardwareGraph, Link
 
 
@@ -298,7 +299,7 @@ def test_steady_state_hash_is_pinned():
     res = execute(free)
     assert (res.period_exact, res.steady_state_hash) == (2, "7017f43dd4d0")
     g, hw, m = two_core_loop()
-    res = execute(g, platform=hw, mapping=m, list_mode=True)
+    res = _list_run(g, resolve_platform(g, hw, m), DEFAULT_STATE_BUDGET)[1]
     assert (res.period_exact, res.steady_state_hash) == (3, "849c6cd03a1e")
     res = execute(g, schedules=build_schedules(g, hw, m), platform=hw,
                   mapping=m)

@@ -6,21 +6,26 @@ Each job below has one implementation; a second copy elsewhere in
 
 import ast
 import copy
+import importlib
+import inspect
 from dataclasses import fields
 from pathlib import Path
 
+import pytest
+
 from conftest import (all_to_all_platform, demo_clustered, layered_demo_snn,
-                      layered_snn)
+                      layered_snn, partition_rounds)
 
 import snnflow
-from snnflow import mapping, sdfg
+from snnflow import dse, mapping, sdfg
 from snnflow.cli import RunConfig
-from snnflow.dse import DesignFlowConfig
-from snnflow.partition import (Partition, init_partition, iterate_partitions,
-                               kl_refine)
+from snnflow.dse import DesignFlowConfig, SweepConfig
+from snnflow.partition import (Cluster, ClusteredSnnGraph, Partition,
+                               init_partition, kl_refine)
 from snnflow.snn_graph import SnnGraph
 
 PACKAGE = Path(snnflow.__file__).parent
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 
 def calls_by_function():
@@ -63,9 +68,8 @@ def test_one_placement():
 
 
 def test_one_membrane_integrator():
-    # estimate_rates steps all neurons as arrays; the scalar helpers stay
-    # public, and tests/oracles.py steps its reference through them, but
-    # nothing in the package falls back to them
+    # estimate_rates steps all neurons as arrays; the scalar step that
+    # tests/oracles.py steps its reference through is no package code
     assert callers_of("step_neuron", "synaptic_current") == []
 
 
@@ -164,7 +168,7 @@ def test_partition_rounds_validate_the_network_once(monkeypatch):
         return validate(self)
 
     monkeypatch.setattr(SnnGraph, "validate", counting)
-    iterate_partitions(g, 8, 3, seed=0)
+    partition_rounds(g, 8, 3, seed=0)
     assert len(calls) == 1
 
 
@@ -176,3 +180,86 @@ def test_refine_leaves_the_adjacency_view_unchanged():
         kl_refine(g, init_partition(g, 8, seed))
     assert g._adjacency is view
     assert view == before
+
+
+# names whose only callers were tests; each job keeps its one entry
+DELETED = {"partition": ("iterate_partitions",), "dse": ("dominates",),
+           "lif": ("step_neuron", "synaptic_current", "constant_current_isi")}
+
+
+@pytest.mark.parametrize("module,names", sorted(DELETED.items()))
+def test_deleted_names_stay_gone(module, names):
+    for namespace in (snnflow, importlib.import_module(f"snnflow.{module}")):
+        assert [n for n in names if hasattr(namespace, n)] == []
+
+
+def test_deleted_members_and_settings_stay_gone():
+    assert not hasattr(Cluster, "absorbed_spikes")
+    assert not {"cluster_ids", "total_spikes"} & set(dir(ClusteredSnnGraph))
+    assert [f.name for f in fields(SweepConfig)] == ["plateau", "mode"]
+    assert "list_mode" not in inspect.signature(sdfg.execute).parameters
+
+
+def bench_tree(name):
+    return ast.parse((BENCH / name).read_text(encoding="utf-8"))
+
+
+def bench_module_names(tree):
+    """Local name -> snnflow module of each ``from snnflow import ...``
+    and ``import snnflow`` in a bench file."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "snnflow":
+            for alias in node.names:
+                names[alias.asname or alias.name] = f"snnflow.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name == "snnflow":
+                    names[alias.asname or "snnflow"] = "snnflow"
+    return names
+
+
+def test_every_name_the_bench_traces_exists():
+    # bench/spans.py patches these by name, and its smoke test never
+    # installs the tracer, so a deleted one would fail only under --trace
+    tree = bench_tree("spans.py")
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [t.id for t in node.targets] == ["TRACED"])
+    missing = [f"{layer}.{name}" for layer, names in traced.items()
+               for name in names
+               if not hasattr(importlib.import_module(f"snnflow.{layer}"),
+                              name)]
+    assert missing == []
+    assert callable(getattr(snnflow.HardwareGraph, "routed_latencies", None))
+
+
+@pytest.mark.parametrize("name", ["spans.py", "checks.py", "workloads.py"])
+def test_every_package_attribute_the_bench_reads_exists(name):
+    # module.attribute reads and the keywords of module.attribute(...)
+    # calls; the bench also calls allocation_dict on a design point
+    tree = bench_tree(name)
+    modules = bench_module_names(tree)
+    assert modules
+    missing = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in modules:
+            owner = importlib.import_module(modules[node.value.id])
+            if not hasattr(owner, node.attr):
+                missing.append(ast.unparse(node))
+        elif isinstance(node, ast.Call) \
+                and isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id in modules:
+            owner = importlib.import_module(modules[node.func.value.id])
+            target = getattr(owner, node.func.attr, None)
+            if target is None:
+                continue  # reported as an attribute above
+            accepted = inspect.signature(target).parameters
+            missing += [f"{ast.unparse(node.func)}({kw.arg}=)"
+                        for kw in node.keywords
+                        if kw.arg is not None and kw.arg not in accepted]
+    assert missing == []
+    assert callable(dse.DesignPoint.allocation_dict)
