@@ -192,6 +192,7 @@ def cmd_partition(args) -> int:
 # --------------------------------------------------------------- analyze
 
 def cmd_analyze(args) -> int:
+    cfg = _merged_config(args)
     g = sdfg.load_sdfg(args.graph)
     q = sdfg.repetition_vector(g)
     print("repetition vector:")
@@ -200,11 +201,10 @@ def cmd_analyze(args) -> int:
     report = sdfg.check_deadlock(g)
     if report is not None:
         print("deadlock: yes")
-        for a in report.starving:
-            print(f"  {a}: {report.reasons[a]}")
+        print(f"  {report}")
         return EXIT_ANALYSIS
     print("deadlock: no")
-    tr = sdfg.self_timed_throughput(g, state_budget=args.state_budget)
+    tr = sdfg.self_timed_throughput(g, state_budget=cfg.state_budget)
     print(f"period      {tr.period!r}")
     print(f"throughput  {tr.throughput!r}")
     print(f"transient   {tr.transient_length} iterations")
@@ -227,9 +227,8 @@ def cmd_map(args) -> int:
     report = sdfg.check_deadlock(g)
     if report is not None:
         raise DeadlockError(
-            f"clustered graph deadlocks before mapping; starving actors: "
-            f"{', '.join(report.starving)}",
-            state={"reasons": report.reasons})
+            f"clustered graph deadlocks before mapping: {report}",
+            state=asdict(report))
     swarm_cfg = cfg.swarm_config()
     rng = np.random.default_rng(np.random.SeedSequence(cfg.seed))
     sol = mapping.search_mapping(g, hw, swarm_cfg,
@@ -372,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sp)
     sp.set_defaults(func=cmd_partition)
 
-    sp = sub.add_parser("analyze",
-                        help="consistency/deadlock/throughput of a dataflow graph")
+    sp = sub.add_parser("analyze", help="repetition vector, then a "
+                        "starving cycle (exit 1) or the throughput")
     sp.add_argument("graph")
     sp.add_argument("--state-budget", dest="state_budget", type=int,
-                    default=sdfg.DEFAULT_STATE_BUDGET)
+                    help="max states per execution before giving up")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("map", help="search a cluster-to-core mapping")

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -129,15 +129,14 @@ def _feasible_start(g: Sdfg) -> dict[int, int]:
     if report is None:
         return base
     logger.warning("minimum buffer allocation deadlocks (%s); "
-                   "searching for a uniform starting allocation",
-                   report.reasons)
+                   "searching for a uniform starting allocation", report)
     for level in range(2, MAX_UNIFORM_LEVEL + 1):
         alloc = {i: cap * level for i, cap in base.items()}
         if check_deadlock(set_buffer_allocation(g, alloc)) is None:
             return alloc
     raise DeadlockError(
-        "no uniform buffer allocation avoids deadlock",
-        state={"starving": report.reasons, "remaining": report.remaining})
+        f"no uniform buffer allocation avoids deadlock (at the minimum, "
+        f"{report})", state=asdict(report))
 
 
 def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
@@ -246,7 +245,7 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
     report = check_deadlock(sdfg)
     if report is not None:
         out.error = (f"clustered graph deadlocks even with unbounded buffers: "
-                     f"starving {list(report.starving)}")
+                     f"{report}")
         out.error_kind = "deadlock"
         return out
 

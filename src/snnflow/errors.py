@@ -37,8 +37,10 @@ class InconsistentGraphError(SnnflowError):
 class DeadlockError(SnnflowError):
     """Execution stalled with no fireable actor.
 
-    ``state`` carries a human-readable snapshot of channel occupancy and
-    the starving actors at the point of the stall.
+    ``state`` holds, from a timed run, ``tokens`` and ``space`` (``None``
+    unbounded) per channel and ``starving``, each starving actor's
+    reason; from :func:`snnflow.sdfg.check_deadlock`, the report's
+    ``starving`` actors and its starving ``cycle``.
     """
 
     def __init__(self, message: str, state: dict | None = None):

@@ -33,8 +33,8 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from .errors import ConfigError, GraphFormatError
-from .snn_graph import (SnnGraph, _dump_yaml, _entries, _field, _list_of,
-                        _load_yaml, _number)
+from .snn_graph import (SnnGraph, _dump_yaml, _entries, _field, _float,
+                        _list_of, _load_yaml)
 
 TRAINS_FORMAT = "spike-trains/1"
 
@@ -124,10 +124,8 @@ def estimate_rates(g: SnnGraph,
     at or after step ``n_steps``: they count towards the input's own rate
     but never reach a neuron.
 
-    The frame length is the trains' common one.  When no frame holds a
-    train, as on a network without inputs, it falls back to ``params.dt``
-    (the default's when ``params`` is ``None``), so that a frame is one
-    step unless per-neuron overrides change ``dt``.
+    The frame length is the trains' common one; a network without
+    inputs has none, and :class:`ConfigError` refuses it.
 
     Raises :class:`ConfigError` if any input lacks a train in some frame
     or a frame holds a train for an id that is not an input; every frame
@@ -161,9 +159,11 @@ def estimate_rates(g: SnnGraph,
                 f"not inputs")
 
     frame_lengths = {tr.frame_length for fr in frames for tr in fr.values()}
+    if not frame_lengths:
+        raise ConfigError("no input spike train gives the frame length")
     if len(frame_lengths) > 1:
         raise ConfigError("all spike trains must share one frame length")
-    frame_length = frame_lengths.pop() if frame_lengths else base.dt
+    frame_length = frame_lengths.pop()
     n_steps = max(1, int(round(frame_length / dt)))
 
     n, n_in = len(neuron_ids), len(input_ids)
@@ -243,12 +243,12 @@ def estimate_rates(g: SnnGraph,
 def load_spike_trains(path: str) -> list[dict[str, SpikeTrain]]:
     """Read a spike-train file: one train per input per frame."""
     doc = _load_yaml(path, TRAINS_FORMAT)
-    frame_length = _field(doc, "frame_length", path, _number)
+    frame_length = _field(doc, "frame_length", path, _float)
     if not frame_length > 0:
         raise GraphFormatError(f"{path}: frame_length must be positive")
-    times = _list_of(float)
+    times = _list_of(_float)
     return [{str(iid): SpikeTrain(_field(frame, iid, where, times),
-                                  float(frame_length))
+                                  frame_length)
              for iid in frame}
             for where, frame in _entries(doc, "frames", path)]
 

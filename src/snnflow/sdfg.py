@@ -23,6 +23,7 @@ from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,14 +182,35 @@ class ThroughputResult:
                 "steady_state_hash": self.steady_state_hash}
 
 
+class Wait(NamedTuple):
+    """Why an actor cannot fire: it needs tokens on an input channel or
+    space on a bounded output (``kind``) that ``peer`` must supply."""
+
+    actor: str
+    channel: int
+    kind: str
+    peer: str
+    needs: int
+    has: int
+
+    def __str__(self) -> str:
+        return (f"{self.actor!r} needs {self.needs} {self.kind} on channel "
+                f"{self.channel} {'from' if self.kind == 'tokens' else 'to'} "
+                f"{self.peer!r} (has {self.has})")
+
+
 @dataclass(frozen=True)
 class DeadlockReport:
-    """Stalled abstract-execution state: who starves and why."""
+    """Stalled abstract execution: the actors short of their repetition
+    count, in actor order, and one cycle among them, each entry waiting
+    on the next entry's actor and the last on the first's.  ``str`` is
+    the one-line report naming the cycle."""
 
     starving: tuple[str, ...]
-    remaining: dict[str, int]
-    tokens: dict[int, int]
-    reasons: dict[str, str]
+    cycle: tuple[Wait, ...]
+
+    def __str__(self) -> str:
+        return "starving cycle: " + ", ".join(map(str, self.cycle))
 
 
 def lift_to_sdfg(cg: ClusteredSnnGraph, core_exec_time=1,
@@ -291,53 +313,67 @@ def _solve_balance(g: Sdfg) -> dict[str, int]:
     return {v: counts[v] for v in ids}
 
 
+def _blocked_on(g: Sdfg, a: int, tokens, space) -> Wait | None:
+    # the firing rule's blocked test: actor a's first input short of
+    # tokens, else its first bounded output short of space
+    ids, _, in_ch, _, _ = g._tables
+    for ci, need in in_ch[a]:
+        if tokens[ci] < need:
+            return Wait(ids[a], ci, "tokens", g.channels[ci].src, need,
+                        tokens[ci])
+    for ci, amount in g._bounded[1][a]:
+        if space[ci] < amount:
+            return Wait(ids[a], ci, "space", g.channels[ci].dst, amount,
+                        space[ci])
+    return None
+
+
 def check_deadlock(g: Sdfg) -> DeadlockReport | None:
     """Abstractly execute one full iteration; report the stall if any.
 
-    Firings are instantaneous token moves (claim space and produce in one
-    step).  Because each channel has a unique producer and a unique
-    consumer, firing one actor never disables another, so a greedy order
-    is conclusive.
+    Firings are instantaneous moves of the tokens and space a timed run
+    keeps per channel.  Because each channel has a unique producer and a
+    unique consumer, firing one actor never disables another, so a
+    greedy order is conclusive.
+
+    The reported cycle follows each actor's first blocking channel to
+    its other end, from the first starving actor until one repeats.  It
+    closes among starving actors, each of them blocked: by the balance
+    equations, a producer done with its ``q`` firings would have left at
+    least ``cons`` tokens for the consumer it blocks, and a consumer done
+    with its firings at least ``prod`` space for the producer.
     """
-    ids, _, in_ch, out_ch, qv = g._tables
-    channels = g.channels
+    ids, index, in_ch, out_ch, qv = g._tables
+    in_bounded, out_bounded, _ = g._bounded
+    tokens = [c.tokens for c in g.channels]
+    space = [None if c.capacity is None else c.capacity - c.tokens
+             for c in g.channels]
     remaining = list(qv)
-    tokens = [c.tokens for c in channels]
-
-    def blocked_reason(a: int) -> str | None:
-        # mirrors the timed firing rule: tokens checked on inputs, space
-        # (capacity minus tokens) on outputs, with no same-step credit
-        for i, need in in_ch[a]:
-            if tokens[i] < need:
-                c = channels[i]
-                return (f"needs {need} tokens on channel {i} "
-                        f"({c.src!r} -> {c.dst!r}), has {tokens[i]}")
-        for i, amount in out_ch[a]:
-            c = channels[i]
-            if c.capacity is not None and c.capacity - tokens[i] < amount:
-                return (f"needs {amount} space on channel {i} "
-                        f"({c.src!r} -> {c.dst!r}), capacity {c.capacity} "
-                        f"holds {tokens[i]}")
-        return None
-
     progress = True
     while progress and any(remaining):
         progress = False
         for a in range(len(ids)):
-            while remaining[a] > 0 and blocked_reason(a) is None:
-                for i, need in in_ch[a]:
-                    tokens[i] -= need
-                for i, amount in out_ch[a]:
-                    tokens[i] += amount
+            while remaining[a] and not _blocked_on(g, a, tokens, space):
+                for ci, need in in_ch[a]:
+                    tokens[ci] -= need
+                for ci, amount in out_bounded[a]:
+                    space[ci] -= amount
+                for ci, need in in_bounded[a]:
+                    space[ci] += need
+                for ci, amount in out_ch[a]:
+                    tokens[ci] += amount
                 remaining[a] -= 1
                 progress = True
     starving = [a for a in range(len(ids)) if remaining[a] > 0]
     if not starving:
         return None
-    reasons = {ids[a]: blocked_reason(a) or "unknown" for a in starving}
-    return DeadlockReport(tuple(ids[a] for a in starving),
-                          dict(zip(ids, remaining)),
-                          {i: t for i, t in enumerate(tokens)}, reasons)
+    walk: dict[int, Wait] = {}
+    a = starving[0]
+    while a not in walk:
+        walk[a] = _blocked_on(g, a, tokens, space)
+        a = index[walk[a].peer]
+    return DeadlockReport(tuple(ids[s] for s in starving),
+                          tuple(walk.values())[list(walk).index(a):])
 
 
 def set_buffer_allocation(g: Sdfg, alloc: dict[int, int | None]) -> Sdfg:
@@ -433,6 +469,7 @@ class _Simulation:
                  state_budget: int = DEFAULT_STATE_BUDGET):
         # exec_times and core_of run in g._tables actor order, latency in
         # channel order, as resolve_platform returns them
+        self.g = g
         self.ids, self.index, self.in_ch, self.out_ch, self.qv = g._tables
         self.in_bounded, self.out_bounded, self.blockable = g._bounded
         self.exec = exec_times
@@ -617,23 +654,6 @@ class _Simulation:
                     if space[ci] < amount:
                         counts[ci] += 1
 
-    def _deadlock_state(self, tokens, space, completions) -> dict:
-        reasons = {}
-        for a, aid in enumerate(self.ids):
-            why = []
-            for ci, need in self.in_ch[a]:
-                if tokens[ci] < need:
-                    why.append(f"channel {ci}: {tokens[ci]}/{need} tokens")
-            for ci, amount in self.out_bounded[a]:
-                s = space[ci]
-                if s < amount:
-                    why.append(f"channel {ci}: {s}/{amount} space")
-            if why:
-                reasons[aid] = "; ".join(why)
-        return {"tokens": {i: t for i, t in enumerate(tokens)},
-                "starving": reasons,
-                "completions": dict(zip(self.ids, completions))}
-
     def _recurrence(self, key, now, log_len, done, first, block_counts
                     ) -> ExecutionResult:
         # the result of a run whose state key, reached at time now with
@@ -644,13 +664,12 @@ class _Simulation:
         if d_iter <= 0:
             # the periodic part will repeat forever, so actors that
             # made no progress across the period never fire again
-            stuck = [self.ids[a] for a in range(len(self.ids))
-                     if done[a] == done0[a]]
-            state = self._deadlock_state(key[0], key[1], done)
-            state["starving"] = {a: state["starving"].get(a, "stuck")
-                                 for a in stuck}
+            stuck = {self.ids[a]: _blocked_on(self.g, a, *key[:2])
+                     for a in range(len(self.ids)) if done[a] == done0[a]}
             raise DeadlockError(
-                f"actors {stuck} starve while the rest cycle", state=state)
+                f"actors {list(stuck)} starve while the rest cycle",
+                state={"tokens": key[0], "space": key[1], "starving": {
+                    aid: str(wait or "stuck") for aid, wait in stuck.items()}})
         span = now - t0
         period = Fraction(span, d_iter)
         if period.denominator == 1:
@@ -743,10 +762,12 @@ class _Simulation:
                 raise BudgetExceededError(
                     f"no recurrent state within {self.budget} states")
             if not self.heap:
+                waits = [_blocked_on(self.g, a, *key[:2])
+                         for a in range(len(self.ids))]
                 raise DeadlockError(
                     "execution stalled with no fireable actor",
-                    state=self._deadlock_state(self.tokens, self.space,
-                                               self.completions))
+                    state={"tokens": key[0], "space": key[1], "starving": {
+                        w.actor: str(w) for w in waits if w}})
             now = self.heap[0][0]
 
 

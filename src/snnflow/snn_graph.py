@@ -88,9 +88,9 @@ class SnnGraph:
             if i.id in input_ids or i.id in neuron_ids:
                 raise GraphValidationError(f"duplicate node id {i.id!r}")
             input_ids.add(i.id)
-            if i.spikes < 0:
+            if not i.spikes >= 0:
                 raise GraphValidationError(
-                    f"input {i.id!r} has negative spikes per frame")
+                    f"input {i.id!r} has negative or NaN spikes per frame")
         seen_pairs = set()
         for s in self.synapses:
             if s.src not in neuron_ids and s.src not in input_ids:
@@ -103,9 +103,10 @@ class SnnGraph:
                 raise GraphValidationError(
                     f"duplicate synapse ({s.src!r}, {s.dst!r})")
             seen_pairs.add((s.src, s.dst))
-            if s.spikes < 0:
+            if not s.spikes >= 0:
                 raise GraphValidationError(
-                    f"synapse ({s.src!r}, {s.dst!r}) has negative spikes per frame")
+                    f"synapse ({s.src!r}, {s.dst!r}) has negative or NaN "
+                    f"spikes per frame")
 
     @cached_property
     def _adjacency(self) -> tuple:
@@ -326,6 +327,11 @@ def _number(value):
     return value
 
 
+def _float(value):
+    # a finite number as a float, as spike counts, weights and times are
+    return float(_number(value))
+
+
 def _integer(value):
     # an int, or a float with an integral value as that int; a bool, a
     # fraction or any other type is refused rather than truncated
@@ -354,8 +360,8 @@ def _params(value) -> dict:
 def _synapses(doc: dict, section: str, ctx: str) -> tuple[Synapse, ...]:
     return tuple(Synapse(_field(e, "src", where, str),
                          _field(e, "dst", where, str),
-                         _field(e, "weight", where, float, 1.0),
-                         _field(e, "spikes", where, float, 0.0))
+                         _field(e, "weight", where, _float, 1.0),
+                         _field(e, "spikes", where, _float, 0.0))
                  for where, e in _entries(doc, section, ctx))
 
 
@@ -364,7 +370,7 @@ def snn_graph_from_dict(doc: dict, ctx: str = "<snn-graph>") -> SnnGraph:
                            _field(e, "params", where, _params, None))
                for where, e in _entries(doc, "neurons", ctx, names=True)]
     inputs = [InputSource(_field(e, "id", where, str),
-                          _field(e, "spikes", where, float, 0.0))
+                          _field(e, "spikes", where, _float, 0.0))
               for where, e in _entries(doc, "inputs", ctx)]
     g = SnnGraph(tuple(neurons), tuple(inputs),
                  _synapses(doc, "synapses", ctx))

@@ -697,9 +697,11 @@ def reference_estimate_rates(g: SnnGraph,
     dt = dts.pop()
 
     frame_lengths = {tr.frame_length for fr in frames for tr in fr.values()}
+    if not frame_lengths:
+        raise ConfigError("no input spike train gives the frame length")
     if len(frame_lengths) > 1:
         raise ConfigError("all spike trains must share one frame length")
-    frame_length = frame_lengths.pop() if frame_lengths else base.dt
+    frame_length = frame_lengths.pop()
     n_steps = max(1, int(round(frame_length / dt)))
 
     in_weights: dict[str, list[tuple[str, float]]] = defaultdict(list)

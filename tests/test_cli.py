@@ -137,7 +137,11 @@ def test_analyze_ok_and_failures(tmp_path, capsys):
             {"src": "a", "prod": 1, "dst": "b", "cons": 1, "tokens": 0},
             {"src": "b", "prod": 1, "dst": "a", "cons": 1, "tokens": 0}]}))
     assert main(["analyze", str(dead)]) == 1
-    assert "deadlock: yes" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "deadlock: yes" in out
+    assert ("  starving cycle: 'a' needs 1 tokens on channel 1 from 'b' "
+            "(has 0), 'b' needs 1 tokens on channel 0 from 'a' (has 0)\n"
+            in out)
 
     inconsistent = tmp_path / "inc.yaml"
     inconsistent.write_text(yaml.safe_dump({
@@ -162,6 +166,20 @@ def test_map_produces_record(files, tmp_path, capsys):
     record = yaml.safe_load(record_path.read_text())
     assert set(record) == {"mapping", "throughput", "schedules"}
     assert record["throughput"]["throughput"] > 0
+
+
+def test_map_of_a_deadlocked_clustering_names_the_cycle(files, tmp_path,
+                                                       capsys):
+    ring = tmp_path / "ring.yaml"
+    ring.write_text("format: clustered-snn/1\n"
+                    "clusters: [{id: c0, neurons: [a]}, {id: c1, neurons: [b]}]\n"
+                    "edges: [{src: c0, dst: c1, tokens: 2}, "
+                    "{src: c1, dst: c0, tokens: 2}]\n")
+    assert main(["map", str(ring), "--hardware", files["hw"]]) == 1
+    assert capsys.readouterr().err == (
+        "analysis failed: clustered graph deadlocks before mapping: starving "
+        "cycle: 'c0' needs 2 tokens on channel 1 from 'c1' (has 0), 'c1' "
+        "needs 2 tokens on channel 0 from 'c0' (has 0)\n")
 
 
 def explore_args(files, out, eta="3", seed="11", jobs="1"):
@@ -410,6 +428,19 @@ HW_WITH_LATENCY = ("format: hardware-graph/1\n"
 SDFG_WITH_EXEC_TIME = ("format: sdfg/1\nactors: [{{id: a, exec_time: {}}}]\n"
                        "channels: [{{src: a, prod: 1, dst: a, cons: 1, "
                        "tokens: 1}}]\n")
+SNN_WITH_SPIKES = ("format: snn-graph/1\nneurons: [a, b]\n"
+                   "inputs: [{{id: i, spikes: {1}}}]\n"
+                   "synapses: [{{src: i, dst: a}}, "
+                   "{{src: a, dst: b, spikes: {0}}}]\n")
+
+
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_analyze_refuses_a_state_budget_below_one(tmp_path, capsys, value):
+    # left to the run, a budget of -3 ends in exit 3 on a live graph
+    path = tmp_path / "one.yaml"
+    path.write_text(SDFG_WITH_EXEC_TIME.format(1))
+    assert main(["analyze", str(path), "--state-budget", value]) == 2
+    assert "state_budget" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command,content,field", [
@@ -429,9 +460,15 @@ SDFG_WITH_EXEC_TIME = ("format: sdfg/1\nactors: [{{id: a, exec_time: {}}}]\n"
     ("explore", HW_WITH_LATENCY.format(".inf"), "'latency'"),
     ("analyze", SDFG_WITH_EXEC_TIME.format(".nan"), "'exec_time'"),
     ("analyze", SDFG_WITH_EXEC_TIME.format("-.inf"), "'exec_time'"),
+    ("stats", SNN_WITH_SPIKES.format("'3'", 0), "'spikes'"),
+    ("stats", SNN_WITH_SPIKES.format(".nan", 0), "'spikes'"),
+    ("stats", SNN_WITH_SPIKES.format(1, ".nan"), "'spikes'"),
+    ("stats", SNN_WITH_SPIKES.format(1, "'3'"), "'spikes'"),
 ], ids=["channel_without_prod", "edge_without_tokens", "word_weight",
         "word_crossbar_dim", "word_spike_time", "entry_not_a_mapping",
-        "nan_latency", "inf_latency", "nan_exec_time", "minus_inf_exec_time"])
+        "nan_latency", "inf_latency", "nan_exec_time", "minus_inf_exec_time",
+        "string_synapse_spikes", "nan_synapse_spikes", "nan_input_spikes",
+        "string_input_spikes"])
 def test_malformed_field_exits_2_naming_it(files, tmp_path, capsys, command,
                                            content, field):
     bad = tmp_path / "bad.yaml"

@@ -17,6 +17,7 @@ from snnflow.dse import (DesignFlowConfig, DesignPoint, RoundResult,
                          min_buffer_for_throughput, pareto_filter,
                          pipeline_rate_bound, run_design_flow, sweep_buffers)
 from snnflow.mapping import SwarmConfig
+from snnflow.partition import round_seeds
 from snnflow.sdfg import (Actor, Channel, Sdfg, check_deadlock, execute,
                           lift_to_sdfg, self_timed_throughput)
 from snnflow.errors import (BudgetExceededError, DeadlockError,
@@ -159,6 +160,18 @@ def test_sweep_without_a_live_uniform_level_raises_deadlock():
     with pytest.raises(DeadlockError,
                        match="no uniform buffer allocation avoids deadlock"):
         sweep_buffers(g, pure_evaluator)
+
+
+def test_escalation_warning_and_error_name_the_starving_cycle(caplog):
+    g = Sdfg((Actor("a"), Actor("b")),
+             (Channel("a", 1, "b", 1, 0, None),
+              Channel("b", 1, "a", 1, 0, None)))
+    cycle = ("starving cycle: 'a' needs 1 tokens on channel 1 from 'b' "
+             "(has 0), 'b' needs 1 tokens on channel 0 from 'a' (has 0)")
+    with pytest.raises(DeadlockError) as info:
+        sweep_buffers(g, pure_evaluator)
+    assert str(info.value).endswith(f"(at the minimum, {cycle})")
+    assert f"minimum buffer allocation deadlocks ({cycle})" in caplog.text
 
 
 @pytest.mark.parametrize("plateau", [0, -1, "3", 2.5, True])
@@ -322,6 +335,21 @@ def test_flow_with_every_round_deadlocked_names_each_deadlock(jobs):
     assert len(per_round) == cfg.eta
     assert all(e.startswith("clustered graph deadlocks even with unbounded "
                             "buffers: starving ") for e in per_round)
+
+
+def test_a_deadlocked_ring_round_names_the_cycle_of_its_clusters():
+    cfg = DesignFlowConfig(crossbar_dim=4, eta=3, seed=0, jobs=1)
+    for r, seeds in enumerate(round_seeds(cfg.seed, cfg.eta)):
+        rr = dse._run_round(neuron_ring(6), two_core_platform(), cfg, r,
+                            seeds, {})
+        report = check_deadlock(lift_to_sdfg(rr.clustered))
+        assert rr.error == ("clustered graph deadlocks even with unbounded "
+                            f"buffers: {report}")
+        # the ring is cut into clusters that wait on each other in turn
+        assert len(report.cycle) > 1
+        assert sorted(w.actor for w in report.cycle) == \
+            sorted(c.id for c in rr.clustered.clusters)
+        assert all(w.kind == "tokens" for w in report.cycle)
 
 
 def _liveness_cases():

@@ -195,6 +195,17 @@ def test_missing_train_in_a_later_frame_names_that_frame():
         estimate_rates(g, PARAMS, frames)
 
 
+def test_rates_without_a_spike_train_are_refused():
+    # no train gives the frame length; a one-step frame would rate a
+    # neuron that fires every other step at one spike per frame
+    g = SnnGraph((Neuron.make("a", {"i_inj": 1e-6}), Neuron.make("b")), (),
+                 (Synapse("a", "b", 0.0),))
+    for rates in (estimate_rates, reference_estimate_rates):
+        with pytest.raises(ConfigError, match="no input spike train gives "
+                                              "the frame length"):
+            rates(g, PARAMS, [{}, {}])
+
+
 def test_train_for_an_id_that_is_no_input_is_refused():
     # neither a neuron's id nor a typo'd key may set the frame length
     # and then be ignored
@@ -228,8 +239,10 @@ def _rate_case(seed: int):
     Every case has a tonic neuron with no in-synapses, a neuron that
     never fires and whose out-synapses carry inf, -inf and nan weights,
     negative weights, and a shuffled synapse order.  Seeds cycle through
-    a random net, a layered net with fan-in up to 12 and a net without
-    inputs; the frame length sometimes leaves a tail past the last step.
+    a random net, a layered net with fan-in up to 12 and a net driven
+    only by injected current, whose one input has no synapse and empty
+    trains, which give the frame length; the frame length sometimes
+    leaves a tail past the last step.
     """
     rng = np.random.default_rng(seed)
     kind = seed % 3
@@ -241,6 +254,7 @@ def _rate_case(seed: int):
     else:
         base = random_snn(seed, n_neurons=int(rng.integers(6, 20)),
                           n_inputs=0, edge_prob=0.4)
+        base = SnnGraph(base.neurons, (InputSource("idle"),), base.synapses)
     ranges = {"v_rest": (-70e-3, -60e-3), "v_th": (-58e-3, -45e-3),
               "r_m": (5e6, 2e7), "c_m": (0.5e-9, 2e-9),
               "i_inj": (-0.5e-9, 2.5e-9)}
@@ -270,6 +284,9 @@ def _rate_case(seed: int):
     for _ in range(int(rng.integers(1, 4))):
         frame = {}
         for iid in g.input_ids():
+            if kind == 2:
+                frame[iid] = SpikeTrain((), frame_length)
+                continue
             times = set(np.round(rng.uniform(0.0, frame_length,
                                              size=rng.poisson(25)), 5))
             if frame_length == 0.01004:

@@ -176,6 +176,33 @@ def test_deadlock_agrees_with_timed_execution():
     assert checked == 80
 
 
+def test_every_deadlock_report_names_a_starving_cycle():
+    # each entry waits on the next entry's actor over its channel, a
+    # token wait as the channel's consumer and a space wait as its
+    # producer, and the last entry waits on the first
+    kinds = set()
+    for seed in range(150):
+        for g in (random_multirate(seed, 5), random_multirate(seed, 8),
+                  random_hsdf(seed)):
+            report = check_deadlock(g)
+            if report is None:
+                continue
+            cycle = report.cycle
+            actors = [w.actor for w in cycle]
+            assert len(set(actors)) == len(cycle) >= 1, f"seed {seed}"
+            for wait, after in zip(cycle, actors[1:] + actors[:1]):
+                c = g.channels[wait.channel]
+                ends = (c.dst, c.src) if wait.kind == "tokens" else \
+                    (c.src, c.dst)
+                assert ends == (wait.actor, after), f"seed {seed}"
+                assert wait.peer == after
+                assert wait.has < wait.needs
+                kinds.add(wait.kind)
+            assert set(actors) <= set(report.starving), f"seed {seed}"
+            assert check_deadlock(g) == report
+    assert kinds == {"tokens", "space"}
+
+
 # ----------------------------------------------------------- throughput
 
 def test_throughput_single_actor():

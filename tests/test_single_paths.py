@@ -85,6 +85,37 @@ def test_two_ways_into_the_simulator():
                                          ("sdfg.py", "execute")]
 
 
+def callers_by_method(*names):
+    """``(module, function or Class.method)`` of every call to ``names``."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            scopes = ([(f"{top.name}.{m.name}", m) for m in top.body
+                       if isinstance(m, ast.FunctionDef)]
+                      if isinstance(top, ast.ClassDef)
+                      else [(getattr(top, "name", "<module>"), top)])
+            for owner, scope in scopes:
+                found |= {(path.name, owner) for node in ast.walk(scope)
+                          if isinstance(node, ast.Call)
+                          and ast.unparse(node.func).split(".")[-1] in names}
+    return sorted(found)
+
+
+def test_one_deadlock_reason():
+    # one blocked test explains every stall: check_deadlock's report and
+    # a timed run's stall and stuck reports
+    assert callers_by_method("_blocked_on") == [
+        ("sdfg.py", "_Simulation._recurrence"), ("sdfg.py", "_Simulation.run"),
+        ("sdfg.py", "check_deadlock")]
+    assert [f.name for f in fields(sdfg.DeadlockReport)] == \
+        ["starving", "cycle"]
+    assert not hasattr(sdfg._Simulation, "_deadlock_state")
+    assert "blocked_reason" not in {
+        node.name for path in PACKAGE.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.FunctionDef)}
+
+
 def test_one_table_of_rated_designs():
     # the search bounds and rates through the table it is given, and the
     # reuse sweep rates its one kept mapping; a second cache of ratings

@@ -65,6 +65,16 @@ def test_negative_spikes_rejected():
         g.validate()
 
 
+def test_nan_spikes_rejected():
+    nan = float("nan")
+    for g in (SnnGraph((Neuron.make("N1"), Neuron.make("N2")), (),
+                       (Synapse("N1", "N2", 1.0, nan),)),
+              SnnGraph((Neuron.make("N1"),), (InputSource("I", nan),),
+                       (Synapse("I", "N1", 1.0, 1.0),))):
+        with pytest.raises(GraphValidationError, match="NaN"):
+            g.validate()
+
+
 def test_format_version_enforced(tmp_path):
     path = tmp_path / "bad.yaml"
     path.write_text("format: something-else/9\nneurons: []\n")
