@@ -152,7 +152,7 @@ def cmd_stats(args) -> int:
 def cmd_rates(args) -> int:
     g = snn_graph.load_snn_graph(args.snn)
     frames = lif.load_spike_trains(args.trains)
-    params = lif.LifParams(dt=args.dt) if args.dt else lif.LifParams()
+    params = lif.LifParams() if args.dt is None else lif.LifParams(dt=args.dt)
     annotated = lif.estimate_rates(g, params, frames)
     snn_graph.save_snn_graph(annotated, args.output)
     print(f"wrote {args.output}")
@@ -219,11 +219,12 @@ def cmd_map(args) -> int:
     cg = partition.load_clustered_graph(args.clustered)
     hw = snn_graph.load_hardware_graph(cfg.hardware)
     base_exec = max((c.exec_time for c in hw.cores), default=1)
-    g = sdfg.lift_to_sdfg(cg, core_exec_time=base_exec,
-                          default_buffer=args.buffer)
-    if args.buffer is None:
-        # open pipelines need back-pressure to reach a periodic regime
-        g = sdfg.set_buffer_allocation(g, sdfg.minimum_buffer_allocation(g))
+    g = sdfg.lift_to_sdfg(cg, core_exec_time=base_exec)
+    # open pipelines need back-pressure to reach a periodic regime
+    alloc = sdfg.minimum_buffer_allocation(g)
+    if args.buffer is not None:
+        alloc = dict.fromkeys(alloc, args.buffer)
+    g = sdfg.set_buffer_allocation(g, alloc)
     report = sdfg.check_deadlock(g)
     if report is not None:
         raise DeadlockError(
@@ -381,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("map", help="search a cluster-to-core mapping")
     sp.add_argument("clustered", help="clustered graph file")
     sp.add_argument("--buffer", type=int, default=None,
-                    help="uniform channel capacity (default unbounded)")
+                    help="uniform inter-cluster channel capacity (default: "
+                         "each channel's single-firing minimum)")
     sp.add_argument("--output", help="write the mapping record here")
     _add_config_flags(sp)
     sp.set_defaults(func=cmd_map)

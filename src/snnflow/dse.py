@@ -10,7 +10,6 @@ is reduced to its Pareto front.
 
 from __future__ import annotations
 
-import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
@@ -28,12 +27,8 @@ from .sdfg import (DEFAULT_STATE_BUDGET, Sdfg, ThroughputResult,
                    minimum_buffer_allocation, set_buffer_allocation)
 from .snn_graph import HardwareGraph, SnnGraph
 
-logger = logging.getLogger(__name__)
-
-# a sweep stops after this many design points, and its start escalates a
-# deadlocked minimum allocation by at most this uniform factor
+# a sweep stops after this many design points
 MAX_SWEEP_STEPS = 64
-MAX_UNIFORM_LEVEL = 64
 
 
 @dataclass(frozen=True)
@@ -121,22 +116,22 @@ class SweepPoint:
 
 
 def _feasible_start(g: Sdfg) -> dict[int, int]:
-    """Minimum allocation, escalated uniformly if it deadlocks: the
-    first of the multiples 2..:data:`MAX_UNIFORM_LEVEL` of it that does
-    not.  :class:`DeadlockError` when none of them avoids deadlock."""
+    """Minimum allocation; :class:`DeadlockError` naming the starving
+    cycle when it deadlocks.
+
+    A lifted graph that is live with unbounded buffers is live at its
+    minimum: the lift puts no tokens on inter-cluster channels, so such
+    a graph has no cycle among them, and every cycle of the bounded
+    graph then runs through a space edge or a self-loop that holds one
+    firing.  Only hand-built multirate graphs deadlock here.
+    """
     base = minimum_buffer_allocation(g)
     report = check_deadlock(set_buffer_allocation(g, base))
-    if report is None:
-        return base
-    logger.warning("minimum buffer allocation deadlocks (%s); "
-                   "searching for a uniform starting allocation", report)
-    for level in range(2, MAX_UNIFORM_LEVEL + 1):
-        alloc = {i: cap * level for i, cap in base.items()}
-        if check_deadlock(set_buffer_allocation(g, alloc)) is None:
-            return alloc
-    raise DeadlockError(
-        f"no uniform buffer allocation avoids deadlock (at the minimum, "
-        f"{report})", state=asdict(report))
+    if report is not None:
+        raise DeadlockError(
+            f"minimum buffer allocation deadlocks: {report}",
+            state=asdict(report))
+    return base
 
 
 def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
@@ -150,8 +145,7 @@ def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
     stops on a plateau of ``cfg.plateau`` non-improving steps, when no
     channel blocks, once the unbounded-buffer throughput is reached, or
     after :data:`MAX_SWEEP_STEPS` points.  A minimum allocation that
-    deadlocks is first scaled up uniformly, by at most
-    :data:`MAX_UNIFORM_LEVEL` (:func:`_feasible_start`).
+    deadlocks raises :class:`DeadlockError` (:func:`_feasible_start`).
     """
     cfg = cfg or SweepConfig()
     alloc = _feasible_start(g)
@@ -241,7 +235,7 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
     cg = build_clustered_graph(g, p)
     out.clustered = cg
     base_exec = max((c.exec_time for c in hw.cores), default=1)
-    sdfg = lift_to_sdfg(cg, core_exec_time=base_exec, default_buffer=None)
+    sdfg = lift_to_sdfg(cg, core_exec_time=base_exec)
     report = check_deadlock(sdfg)
     if report is not None:
         out.error = (f"clustered graph deadlocks even with unbounded buffers: "

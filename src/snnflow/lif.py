@@ -55,6 +55,10 @@ class LifParams:
     dt: float = 1e-4            # seconds
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite, got "
+                                  f"{getattr(self, f.name)!r}")
         if self.c_m <= 0 or self.r_m <= 0:
             raise ConfigError("c_m and r_m must be positive")
         if self.v_th <= self.v_rest:

@@ -4,8 +4,11 @@ The search is a swarm of real-valued positions over the cluster-by-core
 grid.  Positions decode to assignments by per-cluster argmax followed by
 a greedy capacity repair; each feasible assignment is scored by the
 throughput of the mapped, scheduled dataflow graph.  Position and
-velocity updates follow the plain attraction rule toward personal and
-global bests, with no inertia term and no random coefficients.
+velocity updates follow the plain attraction rule of Kennedy & Eberhart
+("Particle swarm optimization", ICNN 1995) toward personal and global
+bests, with no inertia term and no random coefficients: the constants
+:data:`PHI1` and :data:`PHI2` weight the two pulls and velocities are
+clipped to :data:`V_MAX`.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ from .snn_graph import HardwareGraph
 logger = logging.getLogger(__name__)
 
 DEFAULT_TIME_WHEEL_SHARE = 0.5
+# swarm constants: pull toward the particle's and the swarm's best, and
+# the speed limit per position component
+PHI1 = 1.5
+PHI2 = 1.5
+V_MAX = 0.5
 
 
 @dataclass(frozen=True)
@@ -54,18 +62,10 @@ class StaticOrderSchedule:
 class SwarmConfig:
     particles: int = 20
     iterations: int = 50
-    phi1: float = 1.5
-    phi2: float = 1.5
-    v_max: float = 0.5
 
     def __post_init__(self):
         if self.particles < 1 or self.iterations < 1:
             raise ValueError("particles and iterations must be >= 1")
-        # NaN fails every comparison, so test for the valid range
-        if not (0 <= self.phi1 < math.inf and 0 <= self.phi2 < math.inf):
-            raise ValueError("acceleration constants must be finite and >= 0")
-        if not 0 <= self.v_max < math.inf:
-            raise ValueError("v_max must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -373,20 +373,19 @@ class Swarm:
     best_periods: np.ndarray
     gbest_position: np.ndarray | None = None
     gbest_period: float = math.inf
-    gbest_solution: MappingSolution | None = None
     history: list[float] = field(default_factory=list)
 
 
 def init_swarm(cfg: SwarmConfig, dims: int,
                rng: np.random.Generator) -> Swarm:
     positions = rng.uniform(0.0, 1.0, size=(cfg.particles, dims))
-    velocities = rng.uniform(-cfg.v_max, cfg.v_max, size=(cfg.particles, dims))
+    velocities = rng.uniform(-V_MAX, V_MAX, size=(cfg.particles, dims))
     return Swarm(positions=positions, velocities=velocities,
                  best_positions=positions.copy(),
                  best_periods=np.full(cfg.particles, math.inf))
 
 
-def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
+def pso_step(swarm: Swarm, fitness) -> Swarm:
     """One swarm update: move positions, evaluate, refresh bests.
 
     The whole swarm is evaluated in one call: ``fitness(positions,
@@ -402,9 +401,9 @@ def pso_step(swarm: Swarm, fitness, cfg: SwarmConfig) -> Swarm:
     if swarm.gbest_position is not None:
         swarm.velocities = (
             swarm.velocities
-            + cfg.phi1 * (swarm.best_positions - swarm.positions)
-            + cfg.phi2 * (swarm.gbest_position - swarm.positions))
-        np.clip(swarm.velocities, -cfg.v_max, cfg.v_max, out=swarm.velocities)
+            + PHI1 * (swarm.best_positions - swarm.positions)
+            + PHI2 * (swarm.gbest_position - swarm.positions))
+        np.clip(swarm.velocities, -V_MAX, V_MAX, out=swarm.velocities)
         swarm.positions = swarm.positions + swarm.velocities
         np.clip(swarm.positions, 0.0, 1.0, out=swarm.positions)
 
@@ -541,20 +540,17 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
             except (InfeasibleMappingError, DeadlockError) as exc:
                 logger.debug("assignment %s rejected: %s", mapping, exc)
                 cache[picks] = (math.inf, None)
-        period, sol = cache[picks]
-        if sol is not None:
-            if swarm.gbest_solution is None \
-                    or period < swarm.gbest_solution.throughput.period:
-                swarm.gbest_solution = sol
-        return period
+        return cache[picks][0]
 
     def fitness(positions: np.ndarray, limits: np.ndarray) -> list[float]:
         return [score(picks, limit) for picks, limit in
                 zip(_decode_swarm(positions, g, hw), limits.tolist())]
 
     for _ in range(cfg.iterations):
-        pso_step(swarm, fitness, cfg)
-    if swarm.gbest_solution is None:
+        pso_step(swarm, fitness)
+    if swarm.gbest_position is None:
         raise InfeasibleMappingError(
             "no feasible cluster-to-core assignment found by the search")
-    return swarm.gbest_solution
+    # only a rated row can beat the swarm's best, since a pruned row
+    # scores at least its particle's best, so the best is in the cache
+    return cache[_decode_swarm(swarm.gbest_position[None], g, hw)[0]][1]

@@ -41,8 +41,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .errors import (GraphFormatError, GraphValidationError,
-                     InfeasiblePartitionError)
+from .errors import GraphValidationError, InfeasiblePartitionError
 from .snn_graph import (SnnGraph, Synapse, _dump_yaml, _entries, _field,
                         _integer, _list_of, _load_yaml, _synapses)
 
@@ -466,10 +465,6 @@ def clustered_graph_to_dict(cg: ClusteredSnnGraph) -> dict:
 
 
 def clustered_graph_from_dict(doc: dict, ctx: str = "<clustered>") -> ClusteredSnnGraph:
-    if doc.get("format") != CLUSTERED_FORMAT:
-        raise GraphFormatError(
-            f"{ctx}: format is {doc.get('format')!r}, expected {CLUSTERED_FORMAT!r}")
-
     clusters = tuple(
         Cluster(_field(e, "id", where, str),
                 _field(e, "neurons", where, _list_of(str), ()),

@@ -27,9 +27,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import (BudgetExceededError, DeadlockError, GraphFormatError,
-                     GraphValidationError, InconsistentGraphError,
-                     InfeasibleCapacityError, InfeasibleMappingError)
+from .errors import (BudgetExceededError, DeadlockError, GraphValidationError,
+                     InconsistentGraphError, InfeasibleCapacityError,
+                     InfeasibleMappingError)
 from .partition import ClusteredSnnGraph
 from .snn_graph import (HardwareGraph, _dump_yaml, _entries, _field,
                         _integer, _load_yaml, _number)
@@ -213,12 +213,12 @@ class DeadlockReport:
         return "starving cycle: " + ", ".join(map(str, self.cycle))
 
 
-def lift_to_sdfg(cg: ClusteredSnnGraph, core_exec_time=1,
-                 default_buffer: int | None = None) -> Sdfg:
+def lift_to_sdfg(cg: ClusteredSnnGraph, core_exec_time=1) -> Sdfg:
     """Turn a clustered spiking network into a rated dataflow graph.
 
-    Each cluster becomes an actor; each cluster edge becomes a channel
-    producing and consuming one frame's token count per firing.  Every
+    Each cluster becomes an actor; each cluster edge becomes an
+    unbounded channel producing and consuming one frame's token count
+    per firing, which :func:`set_buffer_allocation` sizes.  Every
     actor gains an unbounded self-loop with one token so firings cannot
     overlap (a cluster occupies a single crossbar).  Edges whose token
     count is zero are dropped with a warning since a rate of zero is not
@@ -233,8 +233,7 @@ def lift_to_sdfg(cg: ClusteredSnnGraph, core_exec_time=1,
                 "dropping zero-token edge %s -> %s from dataflow graph",
                 e.src, e.dst)
             continue
-        channels.append(Channel(e.src, e.tokens, e.dst, e.tokens,
-                                tokens=0, capacity=default_buffer))
+        channels.append(Channel(e.src, e.tokens, e.dst, e.tokens))
     for a in actors:
         channels.append(Channel(a.id, 1, a.id, 1, tokens=1, capacity=None))
     g = Sdfg(actors, tuple(channels))
@@ -877,9 +876,6 @@ def sdfg_to_dict(g: Sdfg) -> dict:
 
 
 def sdfg_from_dict(doc: dict, ctx: str = "<sdfg>") -> Sdfg:
-    if doc.get("format") != SDFG_FORMAT:
-        raise GraphFormatError(
-            f"{ctx}: format is {doc.get('format')!r}, expected {SDFG_FORMAT!r}")
     actors = tuple(
         Actor(_field(e, "id", where, str),
               _field(e, "exec_time", where, _number, 1),

@@ -8,7 +8,8 @@ import pytest
 from snnflow.partition import (Cluster, ClusterEdge, ClusteredSnnGraph,
                                Partition, build_clustered_graph,
                                partition_round, round_seeds)
-from snnflow.sdfg import Actor, Channel, Sdfg
+from snnflow.sdfg import (Actor, Channel, Sdfg, lift_to_sdfg,
+                          minimum_buffer_allocation, set_buffer_allocation)
 from snnflow.snn_graph import (Core, HardwareGraph, InputSource, Link, Neuron,
                                SnnGraph, Synapse)
 
@@ -61,6 +62,15 @@ def demo_clustered() -> ClusteredSnnGraph:
                     (Synapse("E", "N6", 1.0, 2),)),
         ),
         edges=(ClusterEdge("c0", "c1", 19), ClusterEdge("c1", "c2", 14)))
+
+
+def lift_bounded(cg: ClusteredSnnGraph, core_exec_time=1,
+                 buffer: int = 64) -> Sdfg:
+    """The lifted graph with every inter-cluster channel sized to
+    ``buffer``, through the checked :func:`set_buffer_allocation`."""
+    g = lift_to_sdfg(cg, core_exec_time=core_exec_time)
+    return set_buffer_allocation(
+        g, dict.fromkeys(minimum_buffer_allocation(g), buffer))
 
 
 @pytest.fixture

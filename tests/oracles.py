@@ -575,8 +575,11 @@ def reference_search_mapping(g: Sdfg, hw: HardwareGraph,
     dims = len(g.actors) * len(hw.cores)
     swarm = init_swarm(cfg, dims, rng)
     cache: dict[tuple, tuple[float, MappingSolution | None]] = {}
+    # the reference's own best, independent of the swarm's
+    best: MappingSolution | None = None
 
     def score(theta: np.ndarray) -> float:
+        nonlocal best
         try:
             mapping = decode_position(theta, g, hw)
         except InfeasibleMappingError:
@@ -591,20 +594,19 @@ def reference_search_mapping(g: Sdfg, hw: HardwareGraph,
                 cache[key] = (math.inf, None)
         period, sol = cache[key]
         if sol is not None:
-            if swarm.gbest_solution is None \
-                    or period < swarm.gbest_solution.throughput.period:
-                swarm.gbest_solution = sol
+            if best is None or period < best.throughput.period:
+                best = sol
         return period
 
     def fitness(positions: np.ndarray, limits: np.ndarray) -> list[float]:
         return [score(theta) for theta in positions]
 
     for _ in range(cfg.iterations):
-        pso_step(swarm, fitness, cfg)
-    if swarm.gbest_solution is None:
+        pso_step(swarm, fitness)
+    if best is None:
         raise InfeasibleMappingError(
             "no feasible cluster-to-core assignment found by the search")
-    return swarm.gbest_solution
+    return best
 
 
 def reference_evaluate_mapping(g: Sdfg, hw: HardwareGraph,

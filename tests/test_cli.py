@@ -83,6 +83,20 @@ def test_rates_with_a_bad_neuron_parameter_exits_2_naming_it(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("dt,message", [("0", "dt must be positive"),
+                                        ("nan", "dt must be finite"),
+                                        ("inf", "dt must be finite")])
+def test_rates_with_a_bad_dt_exits_2(files, tmp_path, capsys, dt, message):
+    trains = tmp_path / "trains.yaml"
+    trains.write_text("format: spike-trains/1\nframe_length: 0.01\n"
+                      "frames: [{A: [0.001]}]\n")
+    out = tmp_path / "rated.yaml"
+    assert main(["rates", "--snn", files["snn"], "--trains", str(trains),
+                 "--dt", dt, "-o", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_partition_outputs_and_cost_log(files, tmp_path, capsys):
     out = tmp_path / "parts"
     code = main(["partition", "--snn", files["snn"], "--crossbar-dim", "4",
@@ -166,6 +180,39 @@ def test_map_produces_record(files, tmp_path, capsys):
     record = yaml.safe_load(record_path.read_text())
     assert set(record) == {"mapping", "throughput", "schedules"}
     assert record["throughput"]["throughput"] > 0
+
+
+def map_round_0(files, tmp_path, *flags):
+    parts = tmp_path / "parts"
+    main(["partition", "--snn", files["snn"], "--crossbar-dim", "4",
+          "--eta", "1", "--seed", "11", "-o", str(parts)])
+    return main(["map", str(parts / "round_0.yaml"), "--hardware",
+                 files["hw"], "--seed", "1", *flags])
+
+
+@pytest.mark.parametrize("buffer,channel", [
+    ("1", "channel 0 ('c0' -> 'c1'): capacity 1 below single-firing minimum 5"),
+    ("6", "channel 1 ('c0' -> 'c2'): capacity 6 below single-firing minimum 7"),
+    ("-1", "channel 0 ('c0' -> 'c1'): capacity -1 below single-firing "
+           "minimum 5")])
+def test_map_buffer_below_a_channel_minimum_exits_1_naming_it(
+        files, tmp_path, capsys, buffer, channel):
+    assert map_round_0(files, tmp_path, "--buffer", buffer) == 1
+    assert capsys.readouterr().err == f"analysis failed: {channel}\n"
+
+
+def test_map_with_a_uniform_buffer_writes_the_same_record(files, tmp_path):
+    # --buffer 12 sizes all six inter-cluster channels to 12
+    out = tmp_path / "mapping.yaml"
+    assert map_round_0(files, tmp_path, "--buffer", "12",
+                       "--output", str(out)) == 0
+    record = yaml.safe_load(out.read_text())
+    assert record["mapping"] == {"c0": "t1", "c1": "t1", "c2": "t1",
+                                 "c3": "t0"}
+    assert record["throughput"] == {
+        "period": 6.0, "throughput": 1 / 6, "transient_length": 0,
+        "steady_state_hash": "f04ea5dc6cc7"}
+    assert record["schedules"]["t1"]["cycle"] == ["c2", "c0", "c1"]
 
 
 def test_map_of_a_deadlocked_clustering_names_the_cycle(files, tmp_path,

@@ -375,6 +375,16 @@ def test_bad_params_rejected():
         SpikeTrain((0.005, 0.005), 0.1)
 
 
+@pytest.mark.parametrize("name", ["c_m", "r_m", "v_rest", "v_th", "i_inj",
+                                  "dt"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_params_rejected(name, value):
+    # NaN fails every comparison, and an infinite dt or threshold passes
+    # the order checks, so each would run a meaningless simulation
+    with pytest.raises(ConfigError, match=f"{name} must be finite"):
+        LifParams(**{name: value})
+
+
 def test_spike_train_files_roundtrip(tmp_path):
     frames = [{"A": SpikeTrain((0.001, 0.004), 0.01),
                "B": SpikeTrain((), 0.01)},

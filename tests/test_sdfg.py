@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import demo_clustered, random_hsdf, random_multirate
+from conftest import (demo_clustered, lift_bounded, random_hsdf,
+                      random_multirate)
 from oracles import (OracleDeadlock, gaussian_repetition, mcm_period,
                      reference_throughput)
 
@@ -45,15 +46,15 @@ def test_lift_single_cluster_has_only_self_loop():
 
 def test_lift_demo_clustering_field_by_field():
     cg = demo_clustered()
-    g = lift_to_sdfg(cg, core_exec_time=3, default_buffer=64)
+    g = lift_to_sdfg(cg, core_exec_time=3)
     assert [a.id for a in g.actors] == ["c0", "c1", "c2"]
     assert all(a.exec_time == 3 for a in g.actors)
     assert [a.weight for a in g.actors] == [3, 3, 2]
     real = [c for c in g.channels if c.src != c.dst]
     assert [(c.src, c.dst, c.prod, c.cons, c.tokens, c.capacity)
             for c in real] == [
-        ("c0", "c1", 19, 19, 0, 64),
-        ("c1", "c2", 14, 14, 0, 64)]
+        ("c0", "c1", 19, 19, 0, None),
+        ("c1", "c2", 14, 14, 0, None)]
     loops = [c for c in g.channels if c.src == c.dst]
     assert len(loops) == 3
     assert all(c.tokens == 1 and c.capacity is None for c in loops)
@@ -465,7 +466,7 @@ def test_invalid_graph_fails_every_execute():
 
 
 def test_graph_with_filled_tables_survives_pickle():
-    g = lift_to_sdfg(demo_clustered(), core_exec_time=2, default_buffer=40)
+    g = lift_bounded(demo_clustered(), core_exec_time=2, buffer=40)
     want = execute(g)  # builds the graph's tables
     for _ in range(2):
         copy = pickle.loads(pickle.dumps(g))
@@ -488,7 +489,7 @@ def test_copied_graph_gets_fresh_tables():
 
 
 def test_sdfg_file_roundtrip(tmp_path):
-    g = lift_to_sdfg(demo_clustered(), core_exec_time=2, default_buffer=40)
+    g = lift_bounded(demo_clustered(), core_exec_time=2, buffer=40)
     path = tmp_path / "flow.yaml"
     save_sdfg(g, path)
     assert load_sdfg(str(path)) == g

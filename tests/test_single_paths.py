@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import (all_to_all_platform, demo_clustered, layered_demo_snn,
-                      layered_snn, partition_rounds)
+                      layered_snn, lift_bounded, partition_rounds)
 
 import snnflow
 from snnflow import dse, mapping, sdfg
@@ -145,8 +145,7 @@ def test_evaluate_mapping_places_once(monkeypatch):
 
     for module in (sdfg, mapping):  # every binding of the function
         monkeypatch.setattr(module, "resolve_platform", counting)
-    g = sdfg.lift_to_sdfg(demo_clustered(), core_exec_time=1,
-                          default_buffer=64)
+    g = lift_bounded(demo_clustered())
     mapping.evaluate_mapping(g, all_to_all_platform(2),
                              {"c0": "t0", "c1": "t1", "c2": "t1"})
     assert len(calls) == 1
@@ -162,8 +161,7 @@ def test_evaluate_mapping_runs_one_simulation(monkeypatch):
         return run(self)
 
     monkeypatch.setattr(sdfg._Simulation, "run", counting)
-    g = sdfg.lift_to_sdfg(demo_clustered(), core_exec_time=1,
-                          default_buffer=64)
+    g = lift_bounded(demo_clustered())
     hw = all_to_all_platform(2)
     for assignment in ({"c0": "t0", "c1": "t1", "c2": "t1"},
                        {"c0": "t0", "c1": "t0", "c2": "t0"}):
@@ -214,7 +212,8 @@ def test_refine_leaves_the_adjacency_view_unchanged():
 
 
 # names whose only callers were tests; each job keeps its one entry
-DELETED = {"partition": ("iterate_partitions",), "dse": ("dominates",),
+DELETED = {"partition": ("iterate_partitions",),
+           "dse": ("dominates", "MAX_UNIFORM_LEVEL"),
            "lif": ("step_neuron", "synaptic_current", "constant_current_isi")}
 
 
@@ -229,6 +228,35 @@ def test_deleted_members_and_settings_stay_gone():
     assert not {"cluster_ids", "total_spikes"} & set(dir(ClusteredSnnGraph))
     assert [f.name for f in fields(SweepConfig)] == ["plateau", "mode"]
     assert "list_mode" not in inspect.signature(sdfg.execute).parameters
+    # the swarm's constants are mapping.PHI1, PHI2 and V_MAX, and the
+    # lift's channels are sized by set_buffer_allocation alone
+    assert [f.name for f in fields(mapping.SwarmConfig)] == \
+        ["particles", "iterations"]
+    assert list(inspect.signature(sdfg.lift_to_sdfg).parameters) == \
+        ["cg", "core_exec_time"]
+    assert "gbest_solution" not in {f.name for f in fields(mapping.Swarm)}
+    # _load_yaml tests every file's format; the *_from_dict readers take
+    # its checked document and do not test it again
+    assert format_readers() == [("snn_graph.py", "_load_yaml")]
+
+
+def format_readers():
+    """``(module, top-level function)`` of every ``x["format"]`` and
+    ``x.get("format")`` read in the package."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Subscript):
+                    key = node.slice
+                elif isinstance(node, ast.Call) and node.args \
+                        and ast.unparse(node.func).endswith(".get"):
+                    key = node.args[0]
+                else:
+                    continue
+                if isinstance(key, ast.Constant) and key.value == "format":
+                    found.add((path.name, top.name))
+    return sorted(found)
 
 
 def bench_tree(name):
