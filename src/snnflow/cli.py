@@ -19,7 +19,6 @@ import sys
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-import yaml
 
 from . import dse, lif, mapping, partition, sdfg, snn_graph
 from .errors import (BudgetExceededError, ConfigError, DeadlockError,
@@ -236,7 +235,7 @@ def cmd_map(args) -> int:
                                  time_wheel_share=cfg.time_wheel_share,
                                  state_budget=cfg.state_budget, rng=rng)
     record = sol.to_record()
-    text = yaml.safe_dump(record, sort_keys=False)
+    text = snn_graph._yaml_text(record)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)

@@ -10,7 +10,6 @@ is reduced to its Pareto front.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -353,6 +352,8 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
         rounds = _until_over_budget(_run_round(g, hw, cfg, r, seeds[r], table)
                                     for r in range(cfg.eta))
     else:
+        # imported here so a serial run does not pay for the pool's import
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=min(jobs, cfg.eta)) as pool:
             futures = [pool.submit(_run_round, g, hw, cfg, r, seeds[r], {})
                        for r in range(cfg.eta)]

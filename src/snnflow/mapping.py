@@ -64,8 +64,12 @@ class SwarmConfig:
     iterations: int = 50
 
     def __post_init__(self):
-        if self.particles < 1 or self.iterations < 1:
-            raise ValueError("particles and iterations must be >= 1")
+        for name in ("particles", "iterations"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) \
+                    or value < 1:
+                raise ValueError(
+                    f"{name} must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -17,6 +17,7 @@ from types import MappingProxyType
 
 import numpy as np
 import yaml
+from yaml import CSafeDumper, CSafeLoader
 
 from .errors import GraphFormatError, GraphValidationError
 
@@ -256,13 +257,17 @@ class GraphStats:
 def _load_yaml(path: str, expected_format: str) -> dict:
     """Read a YAML document whose top-level ``format`` is ``expected_format``.
 
-    Every file the toolchain reads goes through here.  Invalid YAML, a
-    top level that is not a mapping and a wrong ``format`` raise
-    :class:`GraphFormatError` naming ``path``.
+    Every file the toolchain reads goes through here.  It is parsed by
+    libyaml (``CSafeLoader``) from the file's bytes, so libyaml
+    decodes it and reports a bad encoding as invalid YAML.  Invalid YAML,
+    a top level that is not a mapping and a wrong ``format`` raise
+    :class:`GraphFormatError` naming ``path``.  The pure-Python
+    ``yaml.SafeLoader`` is the tests' oracle; a PyYAML built without
+    libyaml is not supported.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+        with open(path, "rb") as fh:
+            doc = yaml.load(fh, Loader=CSafeLoader)
     except yaml.YAMLError as exc:
         raise GraphFormatError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(doc, dict):
@@ -274,10 +279,21 @@ def _load_yaml(path: str, expected_format: str) -> dict:
     return doc
 
 
+def _yaml_text(doc: dict) -> str:
+    """``doc`` as YAML text, keys in insertion order.
+
+    Every YAML the toolchain writes or prints is formatted here, by
+    libyaml (``CSafeDumper``), to the bytes the pure-Python
+    ``yaml.safe_dump(doc, sort_keys=False)`` writes; that function is the
+    tests' oracle.  A PyYAML built without libyaml is not supported.
+    """
+    return yaml.dump(doc, Dumper=CSafeDumper, sort_keys=False)
+
+
 def _dump_yaml(doc: dict, path: str) -> None:
-    """Write ``doc`` to ``path`` as YAML, keys in insertion order."""
+    """Write ``doc`` to ``path`` as libyaml formats it in :func:`_yaml_text`."""
     with open(path, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(doc, fh, sort_keys=False)
+        fh.write(_yaml_text(doc))
 
 
 _REQUIRED = object()

@@ -376,7 +376,9 @@ def test_bad_delta_min_config_exits_2(files, tmp_path, capsys, command, value):
 
 @pytest.mark.parametrize("swarm", [{"v_max": -0.5}, {"v_max": float("nan")},
                                    {"phi1": float("nan")},
-                                   {"phi2": float("inf")}])
+                                   {"phi2": float("inf")},
+                                   {"particles": 2.5}, {"particles": True},
+                                   {"particles": "3"}, {"iterations": 2.5}])
 def test_bad_swarm_config_exits_2(files, tmp_path, capsys, swarm):
     cfg = tmp_path / "run.yaml"
     cfg.write_text(yaml.safe_dump({
@@ -448,14 +450,15 @@ def test_bad_round_count_or_crossbar_config_exits_2(files, tmp_path, capsys,
 
 @pytest.mark.parametrize("command", ["stats", "rates", "analyze", "map",
                                      "explore"])
-@pytest.mark.parametrize("content", ["items: [1, 2\n", "- 1\n- 2\n",
-                                     "format: wrong/1\n"],
+@pytest.mark.parametrize("content", [b"items: [1, 2\n", b"- 1\n- 2\n",
+                                     b"format: wrong/1\n",
+                                     b'neurons: ["a\xffb"]\n'],
                          ids=["invalid_yaml", "top_level_list",
-                              "wrong_format"])
+                              "wrong_format", "not_utf8"])
 def test_malformed_input_file_exits_2(files, tmp_path, capsys, command,
                                       content):
     bad = tmp_path / "bad.yaml"
-    bad.write_text(content)
+    bad.write_bytes(content)
     argv = {
         "stats": ["stats", str(bad)],
         "rates": ["rates", "--snn", files["snn"], "--trains", str(bad),

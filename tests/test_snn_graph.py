@@ -90,9 +90,10 @@ def test_parse_error_carries_context(tmp_path):
 
 
 BAD_DOCUMENTS = {
-    "invalid_yaml": "format: x\nitems: [1, 2\n",
-    "top_level_list": "- format\n- 1\n",
-    "wrong_format": "format: wrong/1\n",
+    "invalid_yaml": b"format: x\nitems: [1, 2\n",
+    "not_utf8": b'format: snn-graph/1\nneurons: ["a\xffb"]\n',
+    "top_level_list": b"- format\n- 1\n",
+    "wrong_format": b"format: wrong/1\n",
 }
 
 
@@ -103,7 +104,7 @@ BAD_DOCUMENTS = {
     ids=lambda f: f.__qualname__)
 def test_every_loader_rejects_malformed_documents(tmp_path, loader, bad):
     path = tmp_path / "bad.yaml"
-    path.write_text(BAD_DOCUMENTS[bad])
+    path.write_bytes(BAD_DOCUMENTS[bad])
     with pytest.raises(GraphFormatError, match="bad.yaml"):
         loader(str(path))
 
