@@ -213,6 +213,9 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------------- map
 
 def cmd_map(args) -> int:
+    if args.output_dir is not None:  # the flag is shared with explore
+        raise ConfigError("map writes one record, to the file named by "
+                          "--output; it takes no -o/--output-dir")
     cfg = _merged_config(args)
     _require(cfg, "hardware")
     cg = partition.load_clustered_graph(args.clustered)

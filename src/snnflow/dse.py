@@ -11,18 +11,18 @@ is reduced to its Pareto front.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
 
 import numpy as np
 
 from .errors import (BudgetExceededError, DeadlockError,
                      InfeasibleMappingError)
 from .mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution, SwarmConfig,
-                      _share_to_scale, evaluate_mapping, search_mapping)
+                      _search_floor, _share_to_scale, evaluate_mapping,
+                      search_mapping)
 from .partition import (ClusteredSnnGraph, build_clustered_graph,
                         communication_cost, partition_round, round_seeds)
 from .sdfg import (DEFAULT_STATE_BUDGET, Sdfg, ThroughputResult,
-                   buffer_quantum, check_deadlock, exact_time, lift_to_sdfg,
+                   buffer_quantum, check_deadlock, lift_to_sdfg,
                    minimum_buffer_allocation, set_buffer_allocation)
 from .snn_graph import HardwareGraph, SnnGraph
 
@@ -205,20 +205,17 @@ class DesignFlowResult:
 
 
 def pipeline_rate_bound(g: Sdfg, hw: HardwareGraph, exec_time_scale) -> float:
-    """Upper bound on any mapping's throughput, buffers notwithstanding.
+    """Upper bound on any mapping's throughput: one over the period floor
+    of :func:`snnflow.mapping._search_floor`.
 
-    One iteration needs ``q(a)`` firings per cluster; even perfectly
-    balanced over all cores at the fastest core speed, some core carries
-    at least ``max(total/num_cores, busiest cluster)`` work.  A sweep can
-    stop as soon as this rate is reached.
+    On the lifted graph, whose channels are unbounded, only the floor's
+    load term counts, so buffers notwithstanding: one iteration needs
+    ``q(a)`` firings per cluster, and even perfectly balanced over all
+    cores at the fastest core speed some core carries at least
+    ``max(total/num_cores, busiest cluster)`` work.  A sweep can stop as
+    soon as this rate is reached.
     """
-    qv = g._tables[4]
-    scale = exact_time(exec_time_scale)
-    tau = min(exact_time(c.exec_time) for c in hw.cores) * scale
-    total = sum(qv)
-    busiest = max(qv)
-    load = max(Fraction(total, len(hw.cores)), Fraction(busiest)) * tau
-    return float(1 / load)
+    return float(1 / _search_floor(g, hw, exec_time_scale))
 
 
 def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,

@@ -60,6 +60,10 @@ class StaticOrderSchedule:
 
 @dataclass(frozen=True)
 class SwarmConfig:
+    """Swarm size and the most iterations a search runs; a search stops
+    earlier once its best period meets a floor that no assignment can
+    beat (see :func:`search_mapping`)."""
+
     particles: int = 20
     iterations: int = 50
 
@@ -230,20 +234,37 @@ def _repair(grid: np.ndarray, pick: np.ndarray, load: np.ndarray,
     """Move clusters off overloaded cores, in place on one row's ``pick``
     and ``load``; raises :class:`InfeasibleMappingError` when stuck.
 
+    Each move takes one cluster off the lowest-index overloaded core,
+    trying its residents lowest component first, to the core with the
+    cluster's next highest component that still fits it.  One walk per
+    overloaded core does the same moves.  A move never overloads its
+    target, so the cores overloaded at the start are the only ones ever
+    overloaded, fixed in index order, and none gains a resident before
+    its turn.  Every other core's load only grows, so a resident that
+    found no core cannot move later: the walk resumes after each moved
+    resident instead of starting over.
+
     The row is small, so the moves run on Python lists: one stable
-    ``argsort`` ranks every cluster's cores up front, and ``pick`` and
-    ``load`` are written back once the row is repaired.
+    ``argsort`` ranks the cores of every resident of an overloaded core
+    up front, and ``pick`` and ``load`` are written back once the row is
+    repaired.
     """
     clusters, weight_vec = g._weights
     cores, cap_vec, _ = hw._cores
-    rows, weights, caps = grid.tolist(), weight_vec.tolist(), cap_vec.tolist()
-    ranked = np.argsort(-grid, axis=1, kind="stable").tolist()
+    weights, caps = weight_vec.tolist(), cap_vec.tolist()
     picks, loads = pick.tolist(), load.tolist()
-    while over := [k for k, cap in enumerate(caps) if loads[k] > cap]:
-        j = over[0]
-        residents = sorted((i for i, k in enumerate(picks) if k == j),
-                           key=lambda i: (rows[i][j], clusters[i]))
-        for i in residents:
+    residents: list[list[int]] = [[] for _ in caps]
+    for i, j in enumerate(picks):
+        residents[j].append(i)
+    over = [j for j, cap in enumerate(caps) if loads[j] > cap]
+    movable = [i for j in over for i in residents[j]]
+    ranked = dict(zip(movable, np.argsort(-grid[movable], axis=1,
+                                          kind="stable").tolist()))
+    for j in over:
+        cap = caps[j]
+        here = residents[j]
+        for *_, i in sorted(zip(grid[here, j].tolist(),
+                                [clusters[i] for i in here], here)):
             w = weights[i]
             k = next((k for k in ranked[i]
                       if k != j and loads[k] + w <= caps[k]), None)
@@ -251,7 +272,8 @@ def _repair(grid: np.ndarray, pick: np.ndarray, load: np.ndarray,
                 picks[i] = k
                 loads[j] -= w
                 loads[k] += w
-                break
+                if loads[j] <= cap:
+                    break
         else:
             raise InfeasibleMappingError(
                 f"cannot repair overload on core {cores[j]!r}: total demand "
@@ -442,22 +464,59 @@ def _period_lower_bound(g: Sdfg, exec_times: list, core_of: list,
     Channels with unequal rates, self-loops and channels too small for
     one firing are left to the analysis itself.
     """
-    _, index, _, _, qv = g._tables
+    qv = g._tables[4]
     load: dict = defaultdict(int)
     for core, q, t in zip(core_of, qv, exec_times):
         load[core] += q * t
     # the largest ratio so far as num / den, so that integer times stay
     # in integer arithmetic
     num, den = max(load.values(), default=0), 1
+    for ci, s, d, tokens in _credit_cycles(g):
+        weight = qv[s] * (exec_times[s] + latency[ci] + exec_times[d])
+        if weight * den > num * tokens:
+            num, den = weight, tokens
+    return Fraction(num, den)
+
+
+def _credit_cycles(g: Sdfg):
+    # (channel, src, dst, firings held) of each channel that closes a
+    # forward/credit cycle of :func:`_period_lower_bound`
+    index = g._tables[1]
     for ci, c in enumerate(g.channels):
         if c.capacity is not None and c.prod == c.cons and c.src != c.dst \
                 and c.capacity >= c.prod:
-            s, d = index[c.src], index[c.dst]
-            weight = qv[s] * (exec_times[s] + latency[ci] + exec_times[d])
-            tokens = c.capacity // c.prod
-            if weight * den > num * tokens:
-                num, den = weight, tokens
-    return Fraction(num, den)
+            yield ci, index[c.src], index[c.dst], c.capacity // c.prod
+
+
+def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
+    """Exact period floor of every feasible placement of ``g`` on ``hw``.
+
+    Each term is at most the matching term of :func:`_period_lower_bound`
+    under any placement that fits the crossbars, with execution times
+    scaled by ``scale`` as :func:`snnflow.sdfg.resolve_platform` scales
+    them and ``t_min`` the fastest core's:
+
+    * the busiest core carries at least the mean load over all cores,
+      ``sum(q) * t_min / cores``, and at least ``max(q) * t_min``;
+    * a forward/credit cycle weighs at least ``2 * t_min`` plus, when
+      its two actors cannot share the largest crossbar, the cheapest
+      link between distinct cores, which every route between distinct
+      cores takes.
+
+    A graph without bounded channels keeps the load term alone.
+    """
+    qv = g._tables[4]
+    s = exact_time(scale)
+    t_min = min(exact_time(exact_time(c.exec_time) * s) for c in hw.cores)
+    largest = max(c.crossbar_dim for c in hw.cores)
+    hop = min((exact_time(l.latency) for l in hw.links if l.src != l.dst),
+              default=0)
+    floor = max(Fraction(sum(qv), len(hw.cores)),
+                Fraction(max(qv, default=0))) * t_min
+    for _, a, b, tokens in _credit_cycles(g):
+        h = 0 if g.actors[a].weight + g.actors[b].weight <= largest else hop
+        floor = max(floor, Fraction(qv[a] * (2 * t_min + h), tokens))
+    return floor
 
 
 def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
@@ -498,6 +557,17 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     its evaluation might have done.  In the first swarm iteration every
     particle's best is ``inf`` and only assignments that cannot be
     placed at all are skipped.
+
+    ``cfg.iterations`` is a maximum: the search stops after the first
+    iteration whose best period is at most ``float(floor)``, the floor
+    being :func:`_search_floor`.  Every score is a rated period, a
+    bound of :func:`_period_lower_bound` or ``inf``, each at least the
+    floor, and rounding to float is monotone, so no later score can lie
+    strictly below the best.  The swarm's best moves only on a strictly
+    lower score, so the returned solution is the one the remaining
+    iterations would return.  The remaining iterations evaluate nothing,
+    so they cannot raise the :class:`BudgetExceededError` one of their
+    evaluations might have; the first iteration always runs.
     """
     cfg = cfg or SwarmConfig()
     rng = np.random.default_rng(rng)  # a Generator passes through as is
@@ -550,8 +620,15 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
         return [score(picks, limit) for picks, limit in
                 zip(_decode_swarm(positions, g, hw), limits.tolist())]
 
+    floor = None
     for _ in range(cfg.iterations):
         pso_step(swarm, fitness)
+        if swarm.gbest_position is None:
+            continue
+        if floor is None:  # a row was placed, so the graph is solved
+            floor = float(_search_floor(g, hw, scale))
+        if swarm.gbest_period <= floor:
+            break
     if swarm.gbest_position is None:
         raise InfeasibleMappingError(
             "no feasible cluster-to-core assignment found by the search")

@@ -166,6 +166,22 @@ class Sdfg:
         return keep(in_ch), out_bounded, tuple(
             (ins, outs) for ins, outs in zip(in_ch, out_bounded) if outs)
 
+    @cached_property
+    def _wakes(self) -> tuple:
+        # (wakes, consumer) for the list run's dirty set: per actor, the
+        # actors whose readiness its end can change (itself, the
+        # producers of its bounded inputs, whose space it returns, and
+        # the consumers of its outputs), and per channel its consumer
+        _, index, in_ch, out_ch, _ = self._tables
+        in_bounded = self._bounded[0]
+        channels = self.channels
+        consumer = tuple(index[c.dst] for c in channels)
+        return tuple(
+            tuple(sorted({a, *(index[channels[ci].src] for ci, _ in ins),
+                          *(consumer[ci] for ci, _ in outs)}))
+            for a, (ins, outs) in enumerate(zip(in_bounded, out_ch))
+        ), consumer
+
 
 @dataclass(frozen=True)
 class ThroughputResult:
@@ -418,6 +434,12 @@ class ExecutionResult:
     """Full outcome of one self-timed run (internal superset of
     :class:`ThroughputResult`).
 
+    The recurring state repeats ``iterations_per_cycle`` iterations and
+    ``span`` time units after its first occurrence.  The exact period,
+    the throughput and the steady-state hash are read off them when
+    asked for: the list-scheduling run that only builds static orders
+    never asks.
+
     ``block_counts`` maps each bounded channel to the number of
     recorded states in which a lack of space on it held back an actor
     whose input tokens were all there.  A ``list_mode`` run, which only
@@ -426,14 +448,32 @@ class ExecutionResult:
     :meth:`_Simulation.replay`, which reads them off its recorded states.
     """
 
-    period_exact: object
-    throughput: float
+    span: object
     transient_iterations: int
-    steady_state_hash: str
+    steady_state: tuple
     firing_log: tuple[tuple[str | None, str], ...]
     log_cycle_start: int
     iterations_per_cycle: int
     block_counts: dict[int, int]
+
+    @property
+    def period_exact(self):
+        period = Fraction(self.span, self.iterations_per_cycle)
+        return int(period) if period.denominator == 1 else period
+
+    @property
+    def throughput(self) -> float:
+        return float(Fraction(self.iterations_per_cycle) / Fraction(self.span))
+
+    @property
+    def steady_state_hash(self) -> str:
+        # the digest reads -1 for an unbounded channel's space; which
+        # channels are unbounded is fixed per graph and a bounded one
+        # never holds negative space, so the mapping loses nothing
+        key = self.steady_state
+        space = tuple(-1 if s is None else s for s in key[1])
+        state = (key[0], space, *key[2:])
+        return hashlib.sha1(repr(state).encode()).hexdigest()[:12]
 
     def to_throughput(self) -> ThroughputResult:
         return ThroughputResult(
@@ -493,6 +533,11 @@ class _Simulation:
             self.cursor = [0] * len(self.cores)
         self.queues: dict[str, deque[int]] = {t: deque() for t in self.cores}
         self.queued = [False] * len(self.ids)
+        if list_mode:
+            # the actors whose readiness may have changed since the
+            # last pass; every other one is queued, in flight or blocked
+            self.wakes, self.consumer = g._wakes
+            self.dirty = set(range(len(self.ids)))
         self.heap: list[tuple] = []
         self.seq = 0
         self.firing_log: list[tuple[str | None, str]] = []
@@ -541,6 +586,8 @@ class _Simulation:
         core = self.core_of[a]
         if core is not None:
             self.busy[core] = False
+        if self.list_mode:
+            self.dirty.update(self.wakes[a])
 
     def _orders(self, schedules) -> list[tuple[tuple[int, ...], int, int]]:
         # per core, its static order (transient, then cycle) as actor
@@ -581,7 +628,9 @@ class _Simulation:
                     self.cursor[c] = restart if pos + 1 == end else pos + 1
                     started += 1
         elif self.list_mode:
-            for a in range(len(self.ids)):
+            # starting an actor takes tokens and space from its own
+            # channels only, so it readies or blocks no other actor
+            for a in sorted(self.dirty):
                 if (not self.queued[a] and self.inflight[a] == 0
                         and self._can_fire(a)):
                     core = self.core_of[a]
@@ -590,6 +639,7 @@ class _Simulation:
                             f"actor {self.ids[a]!r} has no core binding")
                     self.queues[core].append(a)
                     self.queued[a] = True
+            self.dirty.clear()
             for core in self.cores:
                 if not self.busy[core] and self.queues[core]:
                     a = self.queues[core].popleft()
@@ -608,7 +658,8 @@ class _Simulation:
 
     def _snapshot(self, now):
         # an idle actor's pending ends are the one shared empty tuple;
-        # space keeps None for an unbounded channel, see _state_hash
+        # space keeps None for an unbounded channel, see
+        # ExecutionResult.steady_state_hash
         pending_ends = [()] * len(self.ids)
         several = []
         arrivals = []
@@ -629,15 +680,6 @@ class _Simulation:
         if self.list_mode:
             key.append(tuple(tuple(self.queues[c]) for c in self.cores))
         return tuple(key)
-
-    @staticmethod
-    def _state_hash(key: tuple) -> str:
-        # the digest reads -1 for an unbounded channel's space; which
-        # channels are unbounded is fixed per graph and a bounded one
-        # never holds negative space, so the mapping loses nothing
-        space = tuple(-1 if s is None else s for s in key[1])
-        state = (key[0], space, *key[2:])
-        return hashlib.sha1(repr(state).encode()).hexdigest()[:12]
 
     def _iterations(self, completions) -> int:
         return min(c // q for c, q in zip(completions, self.qv))
@@ -669,15 +711,10 @@ class _Simulation:
                 f"actors {list(stuck)} starve while the rest cycle",
                 state={"tokens": key[0], "space": key[1], "starving": {
                     aid: str(wait or "stuck") for aid, wait in stuck.items()}})
-        span = now - t0
-        period = Fraction(span, d_iter)
-        if period.denominator == 1:
-            period = int(period)
         return ExecutionResult(
-            period_exact=period,
-            throughput=float(Fraction(d_iter) / Fraction(span)),
+            span=now - t0,
             transient_iterations=it0,
-            steady_state_hash=self._state_hash(key),
+            steady_state=key,
             firing_log=tuple(self.firing_log[:log_len]),
             log_cycle_start=log0,
             iterations_per_cycle=d_iter,
@@ -742,6 +779,8 @@ class _Simulation:
                     else:
                         ci, amount = payload
                         self.tokens[ci] += amount
+                        if self.list_mode:
+                            self.dirty.add(self.consumer[ci])
                     progressed = True
                 if self._fire_phase(now):
                     progressed = True

@@ -215,6 +215,18 @@ def test_map_with_a_uniform_buffer_writes_the_same_record(files, tmp_path):
     assert record["schedules"]["t1"]["cycle"] == ["c2", "c0", "c1"]
 
 
+@pytest.mark.parametrize("flag", ["-o", "--output-dir"])
+def test_map_refuses_the_output_dir_flag(files, tmp_path, capsys, flag):
+    # map writes one file, named by --output; -o is explore's and
+    # partition's output directory, which map would silently ignore
+    out = tmp_path / "out"
+    assert map_round_0(files, tmp_path, flag, str(out)) == 2
+    assert capsys.readouterr().err == (
+        "error: map writes one record, to the file named by --output; it "
+        "takes no -o/--output-dir\n")
+    assert not out.exists()
+
+
 def test_map_of_a_deadlocked_clustering_names_the_cycle(files, tmp_path,
                                                        capsys):
     ring = tmp_path / "ring.yaml"

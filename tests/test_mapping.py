@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,8 +20,9 @@ from snnflow import mapping as mapping_module
 from snnflow.errors import (BudgetExceededError, DeadlockError,
                             InfeasibleMappingError, SnnflowError)
 from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
-                             _decode_swarm, _period_lower_bound,
-                             _share_to_scale,
+                             _check_capacities, _decode_swarm, _list_run,
+                             _period_lower_bound, _schedules_from_log,
+                             _search_floor, _share_to_scale,
                              build_schedules, decode_position,
                              evaluate_mapping, init_swarm, pso_step,
                              search_mapping, validate_mapping)
@@ -668,3 +670,146 @@ def test_period_lower_bound_leaves_out_unequal_rates_and_small_buffers():
     hw = all_to_all_platform(3, latency=5)
     placement = resolve_platform(g, hw, {"a": "t0", "b": "t1", "c": "t2"})
     assert _period_lower_bound(g, *placement) == 2  # q(b) * exec(b)
+
+
+# ------------------------------------------ stopping at the period floor
+
+def test_search_floor_is_below_every_feasible_period():
+    # every assignment of small designs, rated as evaluate_mapping rates
+    # it, with the exact period of the replayed run
+    rng = np.random.default_rng(13)
+    seen = {"designs": 0, "apart": 0, "zero latency": 0, "tight": 0,
+            "channel term": 0, "fraction times": 0}
+    for seed in range(25):
+        # the last design, two actors joined by a one-firing channel, is
+        # fastest on one core, where no hop may enter its floor
+        g = random_design(seed) if seed < 24 else pipeline_sdfg(2)
+        if len(g.actors) > 5:
+            continue
+        hw = (mixed_platform(rng, mesh=seed % 2 == 1, caps=seed % 4 == 3)
+              if seed % 5 else all_to_all_platform(4, dim=4))
+        if seed % 3 == 1:  # every other link costs nothing
+            hw = HardwareGraph(hw.cores, tuple(
+                replace(l, latency=0) if i % 2 else l
+                for i, l in enumerate(hw.links)))
+        largest = max(c.crossbar_dim for c in hw.cores)
+        apart = seed % 4 == 1
+        if apart:  # no two actors fit one crossbar
+            g = Sdfg(tuple(replace(a, weight=largest // 2 + 1)
+                           for a in g.actors), g.channels)
+        share = [1, 0.5, 1 / 3][seed % 3]
+        scale = _share_to_scale(share)
+        floor = _search_floor(g, hw, scale)
+        seen["designs"] += 1
+        seen["channel term"] += floor > _search_floor(
+            Sdfg(g.actors, tuple(replace(c, capacity=None)
+                                 for c in g.channels)), hw, scale)
+        for cores in itertools.product(hw.core_ids(), repeat=len(g.actors)):
+            mapping = dict(zip(g.actor_ids(), cores))
+            try:
+                placement = resolve_platform(g, hw, mapping, scale)
+                _check_capacities(g, hw, placement[1])
+                sim, listed = _list_run(g, placement, DEFAULT_STATE_BUDGET)
+            except (InfeasibleMappingError, DeadlockError):
+                continue
+            period = sim.replay(_schedules_from_log(listed, mapping)
+                                ).period_exact
+            bound = _period_lower_bound(g, *placement)
+            assert floor <= bound <= period, (seed, mapping)
+            seen["tight"] += floor == period
+            seen["apart"] += apart
+            index, core_of = g._tables[1], placement[1]
+            seen["zero latency"] += any(
+                lat == 0 and core_of[index[c.src]] != core_of[index[c.dst]]
+                for c, lat in zip(g.channels, placement[2]))
+            seen["fraction times"] += any(isinstance(t, Fraction)
+                                          for t in placement[0])
+    assert all(seen.values()), seen
+
+
+def test_search_stops_at_the_floor_with_the_reference_result(monkeypatch):
+    # the reference runs every iteration; the search stops once its best
+    # meets the floor: in the first iteration, later, or never
+    steps = {"search": 0, "reference": 0}
+
+    def counting(name):
+        def step(swarm, fitness):
+            steps[name] += 1
+            return pso_step(swarm, fitness)
+        return step
+
+    monkeypatch.setattr(mapping_module, "pso_step", counting("search"))
+    monkeypatch.setattr(oracles, "pso_step", counting("reference"))
+    rng = np.random.default_rng(17)
+    cfg = SwarmConfig(particles=6, iterations=50)
+    seen = {"first": 0, "later": 0, "never": 0}
+    for seed in range(16):
+        if seed % 2:
+            g = random_design(seed)
+            hw = mixed_platform(rng, mesh=seed % 4 == 1, caps=seed % 4 == 3)
+        else:  # the explore workloads' kind of design and platform
+            g = lifted_layered(seed, 1 + seed % 3)
+            hw = all_to_all_platform(4, dim=[4, 8][seed // 2 % 2],
+                                     latency=1 + seed // 2 % 2)
+        share = [1, 0.5, 1 / 3][seed % 3]
+        steps.update(search=0, reference=0)
+        got = search_or_error(search_mapping, g, hw, cfg, share, rng=seed)
+        want = search_or_error(reference_search_mapping, g, hw, cfg, share,
+                               rng=seed)
+        assert got == want, f"seed {seed}"
+        assert steps["reference"] == 50
+        seen["first"] += steps["search"] == 1
+        seen["later"] += 1 < steps["search"] < 50
+        seen["never"] += steps["search"] == 50 and not isinstance(want, str)
+    assert all(seen.values()), seen
+
+
+def test_swarm_decode_matches_reference_decode_under_heavy_overload():
+    # large rows whose argmax crowds a few cores: several cores overload,
+    # heavy residents find no core before lighter ones move, and some
+    # rows cannot be repaired at all
+    rng = np.random.default_rng(23)
+    seen = {"several overloaded": 0, "failed before a move": 0,
+            "infeasible": 0, "repaired": 0}
+    for case in range(12):
+        n_cores = int(rng.integers(8, 17))
+        caps = rng.integers(8, 17, n_cores)
+        hw = HardwareGraph(tuple(Core(f"t{j:02d}", int(cap), 1)
+                                 for j, cap in enumerate(caps)))
+        n = int(rng.integers(40, 121))
+        heavy = rng.random(n) < 0.15
+        weights = np.where(heavy, rng.integers(6, 13, n),
+                           rng.integers(1, 4, n))
+        # total demand near the total capacity, above it now and then
+        weights = np.maximum(1, np.round(
+            weights * caps.sum() * rng.uniform(0.8, 1.02)
+            / weights.sum())).astype(int)
+        g = Sdfg(tuple(Actor(f"c{i:03d}", 1, int(w))
+                       for i, w in enumerate(weights)))
+        cores = sorted(hw.core_ids())
+        positions = rng.uniform(size=(8, n, n_cores))
+        crowded = rng.integers(0, n_cores, size=(8, 3))
+        for l in range(8):  # pull every cluster toward three cores
+            positions[l][:, crowded[l]] += rng.uniform(0, 0.8, (n, 3))
+        positions = positions.reshape(8, -1)
+        for theta, picks in zip(positions, _decode_swarm(positions, g, hw)):
+            want = decode_or_error(reference_decode_position, theta, g, hw)
+            if isinstance(want, str):
+                assert picks is None
+                seen["infeasible"] += 1
+                continue
+            assert {f"c{i:03d}": cores[j] for i, j in enumerate(picks)} \
+                == want
+            grid = theta.reshape(n, n_cores)
+            first = grid.argmax(axis=1)
+            load = np.bincount(first, weights, n_cores)
+            over = np.flatnonzero(load > caps)  # ids declared in order
+            seen["several overloaded"] += len(over) > 1
+            seen["repaired"] += 1
+            for j in over:
+                # the lowest resident is tried first on every move
+                residents = sorted(np.flatnonzero(first == j),
+                                   key=lambda i: (grid[i, j], i))
+                moved = [want[f"c{i:03d}"] != cores[j] for i in residents]
+                seen["failed before a move"] += not moved[0] and any(moved)
+    assert all(seen.values()), seen
