@@ -3,9 +3,8 @@ spiking neural networks on many-core neuromorphic hardware."""
 
 from .errors import (BudgetExceededError, ConfigError, DeadlockError,
                      GraphFormatError, GraphValidationError,
-                     InconsistentGraphError, InfeasibleCapacityError,
-                     InfeasibleMappingError, InfeasiblePartitionError,
-                     SnnflowError)
+                     InfeasibleCapacityError, InfeasibleMappingError,
+                     InfeasiblePartitionError, SnnflowError)
 from .snn_graph import (Core, GraphStats, HardwareGraph, InputSource, Link,
                         Neuron, SnnGraph, Synapse, compute_graph_stats,
                         load_hardware_graph, load_snn_graph,

@@ -5,8 +5,8 @@ Subcommands expose each stage of the flow independently (``stats``,
 (``explore``).  Runs are driven by a YAML config file with flag
 overrides; outputs are machine-readable (YAML records, CSV tables).
 
-Exit codes: 0 success, 1 analysis failure (inconsistency, deadlock,
-infeasibility), 2 input error, 3 analysis budget exceeded.
+Exit codes: 0 success, 1 analysis failure (deadlock, infeasibility),
+2 input error, 3 analysis budget exceeded.
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ import numpy as np
 from . import dse, lif, mapping, partition, sdfg, snn_graph
 from .errors import (BudgetExceededError, ConfigError, DeadlockError,
                      GraphFormatError, GraphValidationError,
-                     InconsistentGraphError, InfeasibleCapacityError,
-                     InfeasibleMappingError, InfeasiblePartitionError)
+                     InfeasibleCapacityError, InfeasibleMappingError,
+                     InfeasiblePartitionError)
 
 logger = logging.getLogger(__name__)
 
@@ -193,10 +193,6 @@ def cmd_partition(args) -> int:
 def cmd_analyze(args) -> int:
     cfg = _merged_config(args)
     g = sdfg.load_sdfg(args.graph)
-    q = sdfg.repetition_vector(g)
-    print("repetition vector:")
-    for aid in sorted(q):
-        print(f"  {aid}  {q[aid]}")
     report = sdfg.check_deadlock(g)
     if report is not None:
         print("deadlock: yes")
@@ -374,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sp)
     sp.set_defaults(func=cmd_partition)
 
-    sp = sub.add_parser("analyze", help="repetition vector, then a "
-                        "starving cycle (exit 1) or the throughput")
+    sp = sub.add_parser("analyze", help="a starving cycle (exit 1) or "
+                        "the throughput")
     sp.add_argument("graph")
     sp.add_argument("--state-budget", dest="state_budget", type=int,
                     help="max states per execution before giving up")
@@ -407,8 +403,8 @@ def main(argv=None) -> int:
             FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (InconsistentGraphError, DeadlockError, InfeasiblePartitionError,
-            InfeasibleMappingError, InfeasibleCapacityError) as exc:
+    except (DeadlockError, InfeasiblePartitionError, InfeasibleMappingError,
+            InfeasibleCapacityError) as exc:
         print(f"analysis failed: {exc}", file=sys.stderr)
         return EXIT_ANALYSIS
     except BudgetExceededError as exc:

@@ -22,8 +22,8 @@ from .mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution, SwarmConfig,
 from .partition import (ClusteredSnnGraph, build_clustered_graph,
                         communication_cost, partition_round, round_seeds)
 from .sdfg import (DEFAULT_STATE_BUDGET, Sdfg, ThroughputResult,
-                   buffer_quantum, check_deadlock, lift_to_sdfg,
-                   minimum_buffer_allocation, set_buffer_allocation)
+                   check_deadlock, lift_to_sdfg, minimum_buffer_allocation,
+                   set_buffer_allocation)
 from .snn_graph import HardwareGraph, SnnGraph
 
 # a sweep stops after this many design points
@@ -122,7 +122,9 @@ def _feasible_start(g: Sdfg) -> dict[int, int]:
     minimum: the lift puts no tokens on inter-cluster channels, so such
     a graph has no cycle among them, and every cycle of the bounded
     graph then runs through a space edge or a self-loop that holds one
-    firing.  Only hand-built multirate graphs deadlock here.
+    firing.  A hand-built graph may deadlock here even when it is live
+    unbounded: ``a -> b -> a`` with one token on each channel has no
+    space left on either at the minimum capacity of one token.
     """
     base = minimum_buffer_allocation(g)
     report = check_deadlock(set_buffer_allocation(g, base))
@@ -139,7 +141,7 @@ def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
 
     ``evaluate`` maps an allocated graph to ``(ThroughputResult,
     block_counts, solution)``.  Starting from the minimum feasible
-    allocation, each step adds one rate quantum to the channel whose
+    allocation, each step adds one firing's tokens to the channel whose
     fullness blocked the most firings in the previous run; the sweep
     stops on a plateau of ``cfg.plateau`` non-improving steps, when no
     channel blocks, once the unbounded-buffer throughput is reached, or
@@ -170,7 +172,7 @@ def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
             break
         bottleneck = max(sorted(managed), key=lambda i: managed[i])
         alloc = dict(alloc)
-        alloc[bottleneck] += buffer_quantum(g.channels[bottleneck])
+        alloc[bottleneck] += g.channels[bottleneck].prod
     return points
 
 
@@ -209,11 +211,11 @@ def pipeline_rate_bound(g: Sdfg, hw: HardwareGraph, exec_time_scale) -> float:
     of :func:`snnflow.mapping._search_floor`.
 
     On the lifted graph, whose channels are unbounded, only the floor's
-    load term counts, so buffers notwithstanding: one iteration needs
-    ``q(a)`` firings per cluster, and even perfectly balanced over all
-    cores at the fastest core speed some core carries at least
-    ``max(total/num_cores, busiest cluster)`` work.  A sweep can stop as
-    soon as this rate is reached.
+    load term counts, so buffers notwithstanding: one iteration fires
+    every cluster once, and even perfectly balanced over all cores at
+    the fastest core speed some core carries at least
+    ``max(clusters / cores, 1)`` firings.  A sweep can stop as soon as
+    this rate is reached.
     """
     return float(1 / _search_floor(g, hw, exec_time_scale))
 

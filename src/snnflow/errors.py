@@ -1,8 +1,8 @@
 """Exception hierarchy shared across the toolchain.
 
 The CLI maps these onto its exit-code contract: input/format problems
-exit 2, analysis failures (inconsistency, deadlock, infeasibility)
-exit 1, exhausted analysis budgets exit 3.
+exit 2, analysis failures (deadlock, infeasibility) exit 1, exhausted
+analysis budgets exit 3.
 """
 
 
@@ -28,10 +28,6 @@ class ConfigError(SnnflowError):
 
 class InfeasiblePartitionError(SnnflowError):
     """No partition can satisfy the crossbar constraints."""
-
-
-class InconsistentGraphError(SnnflowError):
-    """The dataflow graph admits no non-trivial repetition vector."""
 
 
 class DeadlockError(SnnflowError):

@@ -44,7 +44,7 @@ class StaticOrderSchedule:
 
     One pass over ``cycle`` covers ``iterations_per_cycle`` full graph
     iterations, so every actor bound to the core appears in the cycle
-    exactly ``q(actor) * iterations_per_cycle`` times.
+    exactly ``iterations_per_cycle`` times.
     """
 
     core: str
@@ -121,7 +121,7 @@ def validate_mapping(g: Sdfg, hw: HardwareGraph,
 
 def _check_capacities(g: Sdfg, hw: HardwareGraph, core_of: list) -> None:
     # validate_mapping's capacity checks on a placement's core_of
-    _, index, _, _, qv = g._tables
+    index = g._tables[1]
     cores = hw._cores[2]
     load: dict[str, int] = defaultdict(int)
     for a, core in zip(g.actors, core_of):
@@ -142,9 +142,8 @@ def _check_capacities(g: Sdfg, hw: HardwareGraph, core_of: list) -> None:
             continue
         in_peers[dst].add(src)
         out_peers[src].add(dst)
-        traffic = c.prod * qv[index[c.src]]
-        in_tokens[dst] += traffic
-        out_tokens[src] += traffic
+        in_tokens[dst] += c.prod
+        out_tokens[src] += c.prod
     for cid, core in cores.items():
         if core.in_connections is not None and len(in_peers[cid]) > core.in_connections:
             raise InfeasibleMappingError(
@@ -454,25 +453,23 @@ def _period_lower_bound(g: Sdfg, exec_times: list, core_of: list,
     inter-processor-communication graph (Reiter, JACM 1968; Sriram &
     Bhattacharyya 2000), so any one cycle's ratio bounds it from below:
 
-    * a core fires its actors one at a time, ``q(a)`` times each per
-      iteration, so its load ``sum(q(a) * exec(a))`` is a cycle ratio;
-    * a bounded channel between two distinct actors with equal rates
-      closes a forward/credit cycle of weight ``exec(src) + latency +
-      exec(dst)`` that holds at most ``capacity // rate`` firings, taken
-      ``q(src)`` times per iteration.
+    * a core fires its actors one at a time, each once per iteration, so
+      its load ``sum(exec(a))`` is a cycle ratio;
+    * a bounded channel between two distinct actors closes a
+      forward/credit cycle of weight ``exec(src) + latency + exec(dst)``
+      that holds at most ``capacity // prod`` firings.
 
-    Channels with unequal rates, self-loops and channels too small for
-    one firing are left to the analysis itself.
+    Self-loops and channels too small for one firing are left to the
+    analysis itself.
     """
-    qv = g._tables[4]
     load: dict = defaultdict(int)
-    for core, q, t in zip(core_of, qv, exec_times):
-        load[core] += q * t
+    for core, t in zip(core_of, exec_times):
+        load[core] += t
     # the largest ratio so far as num / den, so that integer times stay
     # in integer arithmetic
     num, den = max(load.values(), default=0), 1
     for ci, s, d, tokens in _credit_cycles(g):
-        weight = qv[s] * (exec_times[s] + latency[ci] + exec_times[d])
+        weight = exec_times[s] + latency[ci] + exec_times[d]
         if weight * den > num * tokens:
             num, den = weight, tokens
     return Fraction(num, den)
@@ -483,8 +480,7 @@ def _credit_cycles(g: Sdfg):
     # forward/credit cycle of :func:`_period_lower_bound`
     index = g._tables[1]
     for ci, c in enumerate(g.channels):
-        if c.capacity is not None and c.prod == c.cons and c.src != c.dst \
-                and c.capacity >= c.prod:
+        if c.capacity is not None and c.src != c.dst and c.capacity >= c.prod:
             yield ci, index[c.src], index[c.dst], c.capacity // c.prod
 
 
@@ -497,7 +493,7 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
     them and ``t_min`` the fastest core's:
 
     * the busiest core carries at least the mean load over all cores,
-      ``sum(q) * t_min / cores``, and at least ``max(q) * t_min``;
+      ``actors * t_min / cores``, and at least one firing, ``t_min``;
     * a forward/credit cycle weighs at least ``2 * t_min`` plus, when
       its two actors cannot share the largest crossbar, the cheapest
       link between distinct cores, which every route between distinct
@@ -505,17 +501,16 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
 
     A graph without bounded channels keeps the load term alone.
     """
-    qv = g._tables[4]
+    n = len(g.actors)
     s = exact_time(scale)
     t_min = min(exact_time(exact_time(c.exec_time) * s) for c in hw.cores)
     largest = max(c.crossbar_dim for c in hw.cores)
     hop = min((exact_time(l.latency) for l in hw.links if l.src != l.dst),
               default=0)
-    floor = max(Fraction(sum(qv), len(hw.cores)),
-                Fraction(max(qv, default=0))) * t_min
+    floor = max(Fraction(n, len(hw.cores)), Fraction(min(n, 1))) * t_min
     for _, a, b, tokens in _credit_cycles(g):
         h = 0 if g.actors[a].weight + g.actors[b].weight <= largest else hop
-        floor = max(floor, Fraction(qv[a] * (2 * t_min + h), tokens))
+        floor = max(floor, Fraction(2 * t_min + h, tokens))
     return floor
 
 
@@ -625,7 +620,7 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
         pso_step(swarm, fitness)
         if swarm.gbest_position is None:
             continue
-        if floor is None:  # a row was placed, so the graph is solved
+        if floor is None:  # a row was placed, so the graph is valid
             floor = float(_search_floor(g, hw, scale))
         if swarm.gbest_period <= floor:
             break

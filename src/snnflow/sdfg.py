@@ -1,11 +1,14 @@
-"""Synchronous dataflow core: rated graphs, consistency, deadlock, throughput.
+"""Synchronous dataflow core: single-rate graphs, deadlock, throughput.
 
 Actors fire by consuming a fixed token count from every input channel and
-producing a fixed count on every output channel; a firing may start only
-when all input tokens and all output buffer space are available.  Bounded
-buffers are enforced through a space-credit counter per channel whose
-dynamics are exactly the classical reverse-channel encoding: space is
-claimed when the producer starts and returned when the consumer finishes.
+producing a fixed count on every output channel.  Each channel produces
+and consumes the same count, so one iteration of the graph fires every
+actor once (homogeneous SDF, Lee & Messerschmitt 1987).  A firing may
+start only when all input tokens and all output buffer space are
+available.  Bounded buffers are enforced through a space-credit counter
+per channel whose dynamics are exactly the classical reverse-channel
+encoding: space is claimed when the producer starts and returned when
+the consumer finishes.
 
 Throughput comes from self-timed execution: a discrete-event run over
 exact (integer/rational) time that stops when a previously seen state
@@ -17,7 +20,6 @@ from __future__ import annotations
 
 import hashlib
 import logging
-import math
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
@@ -28,8 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import (BudgetExceededError, DeadlockError, GraphValidationError,
-                     InconsistentGraphError, InfeasibleCapacityError,
-                     InfeasibleMappingError)
+                     InfeasibleCapacityError, InfeasibleMappingError)
 from .partition import ClusteredSnnGraph
 from .snn_graph import (HardwareGraph, _dump_yaml, _entries, _field,
                         _integer, _load_yaml, _number)
@@ -73,7 +74,8 @@ class Actor:
 
 @dataclass(frozen=True)
 class Channel:
-    """A FIFO edge with fixed port rates.
+    """A FIFO edge with fixed port rates; a valid graph's channels
+    produce and consume the same count (``prod == cons``).
 
     ``capacity`` of ``None`` means unbounded.  ``src == dst`` self-loops
     serialize an actor's firings.
@@ -101,9 +103,9 @@ class Sdfg:
             if a.id in ids:
                 raise GraphValidationError(f"duplicate actor id {a.id!r}")
             ids.add(a.id)
-            if a.exec_time < 0:
+            if not a.exec_time > 0:
                 raise GraphValidationError(
-                    f"actor {a.id!r}: negative execution time")
+                    f"actor {a.id!r}: exec_time must be > 0")
         for i, c in enumerate(self.channels):
             if c.src not in ids or c.dst not in ids:
                 raise GraphValidationError(
@@ -112,6 +114,11 @@ class Sdfg:
             if c.prod < 1 or c.cons < 1:
                 raise GraphValidationError(
                     f"channel {i} ({c.src!r} -> {c.dst!r}): port rates must be >= 1")
+            if c.prod != c.cons:
+                raise GraphValidationError(
+                    f"channel {i} ({c.src!r} -> {c.dst!r}): produces {c.prod} "
+                    f"but consumes {c.cons} tokens per firing; every channel "
+                    f"must produce and consume the same count")
             if c.tokens < 0:
                 raise GraphValidationError(
                     f"channel {i} ({c.src!r} -> {c.dst!r}): negative initial tokens")
@@ -119,11 +126,6 @@ class Sdfg:
                 raise GraphValidationError(
                     f"channel {i} ({c.src!r} -> {c.dst!r}): capacity below "
                     f"initial tokens")
-
-    @cached_property
-    def _repetition(self) -> dict[str, int]:
-        # a raised error leaves nothing cached, so it is raised again
-        return _solve_balance(self)
 
     @cached_property
     def _weights(self) -> tuple[list[str], np.ndarray]:
@@ -134,12 +136,10 @@ class Sdfg:
 
     @cached_property
     def _tables(self) -> tuple:
-        # (ids, index, in_ch, out_ch, qv) of the validated, solved graph:
-        # actor ids, id -> position, per-actor (channel, rate) inputs and
-        # outputs, and the repetition vector in ids order.  Solving the
-        # balance equations validates the graph first; like _repetition,
-        # a failing graph caches nothing and raises again.
-        q = self._repetition
+        # (ids, index, in_ch, out_ch) of the validated graph: actor ids,
+        # id -> position and per-actor (channel, rate) inputs and outputs.
+        # A graph that fails validation caches nothing and raises again.
+        self.validate()
         ids = tuple(self.actor_ids())
         index = {a: i for i, a in enumerate(ids)}
         in_ch: list[list[tuple[int, int]]] = [[] for _ in ids]
@@ -147,15 +147,14 @@ class Sdfg:
         for i, c in enumerate(self.channels):
             in_ch[index[c.dst]].append((i, c.cons))
             out_ch[index[c.src]].append((i, c.prod))
-        return (ids, index, tuple(map(tuple, in_ch)),
-                tuple(map(tuple, out_ch)), tuple(q[a] for a in ids))
+        return ids, index, tuple(map(tuple, in_ch)), tuple(map(tuple, out_ch))
 
     @cached_property
     def _bounded(self) -> tuple:
         # (in_ch, out_ch) of _tables cut down to the bounded channels,
         # the only ones whose space a run tracks, and the (in_ch, bounded
         # out_ch) pairs of the actors that a lack of space can block
-        _, _, in_ch, out_ch, _ = self._tables
+        _, _, in_ch, out_ch = self._tables
         channels = self.channels
 
         def keep(per_actor):
@@ -172,7 +171,7 @@ class Sdfg:
         # actors whose readiness its end can change (itself, the
         # producers of its bounded inputs, whose space it returns, and
         # the consumers of its outputs), and per channel its consumer
-        _, index, in_ch, out_ch, _ = self._tables
+        _, index, in_ch, out_ch = self._tables
         in_bounded = self._bounded[0]
         channels = self.channels
         consumer = tuple(index[c.dst] for c in channels)
@@ -217,10 +216,10 @@ class Wait(NamedTuple):
 
 @dataclass(frozen=True)
 class DeadlockReport:
-    """Stalled abstract execution: the actors short of their repetition
-    count, in actor order, and one cycle among them, each entry waiting
-    on the next entry's actor and the last on the first's.  ``str`` is
-    the one-line report naming the cycle."""
+    """Stalled abstract execution: the actors that could not fire, in
+    actor order, and one cycle among them, each entry waiting on the
+    next entry's actor and the last on the first's.  ``str`` is the
+    one-line report naming the cycle."""
 
     starving: tuple[str, ...]
     cycle: tuple[Wait, ...]
@@ -258,80 +257,18 @@ def lift_to_sdfg(cg: ClusteredSnnGraph, core_exec_time=1) -> Sdfg:
 
 
 def repetition_vector(g: Sdfg) -> dict[str, int]:
-    """Smallest positive firing counts balancing every channel.
+    """Firings per iteration: one for every actor of the validated graph.
 
-    Solved per weakly connected component by propagating rate ratios and
-    scaling to the least integer solution.  Raises
-    :class:`InconsistentGraphError` naming a violating channel when only
-    the zero solution exists.
-
-    The graph is validated and solved once, on the first call, and the
-    solution is kept on the (immutable) graph; every call returns a
-    fresh copy that the caller may change.  A graph that fails raises
-    on every call.
+    Raises :class:`GraphValidationError` for an invalid graph, a
+    multirate one included.
     """
-    return dict(g._repetition)
-
-
-def _solve_balance(g: Sdfg) -> dict[str, int]:
-    g.validate()
-    ids = g.actor_ids()
-    # per actor: (neighbour, num, den, channel) with q[neighbour] equal
-    # to q[actor] * num / den
-    adj: dict[str, list[tuple[str, int, int, int]]] = defaultdict(list)
-    for i, c in enumerate(g.channels):
-        if c.src == c.dst:
-            if c.prod != c.cons:
-                raise InconsistentGraphError(
-                    f"self-loop on {c.src!r} (channel {i}) has unequal rates "
-                    f"{c.prod}/{c.cons}")
-            continue
-        adj[c.src].append((c.dst, c.prod, c.cons, i))
-        adj[c.dst].append((c.src, c.cons, c.prod, i))
-
-    # q as reduced (numerator, denominator) pairs: equal pairs are equal
-    # fractions, and a channel with equal rates passes its pair on as is
-    q: dict[str, tuple[int, int]] = {}
-    counts: dict[str, int] = {}
-    for root in ids:
-        if root in q:
-            continue
-        q[root] = (1, 1)
-        component = [root]
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            num, den = q[u]
-            for v, p, c, ci in adj[u]:
-                if p == c:
-                    expected = num, den
-                else:
-                    n, d = num * p, den * c
-                    k = math.gcd(n, d)
-                    expected = n // k, d // k
-                if v in q:
-                    if q[v] != expected:
-                        ch = g.channels[ci]
-                        raise InconsistentGraphError(
-                            f"balance equations have no non-zero solution; "
-                            f"channel {ci} ({ch.src!r} -{ch.prod}/{ch.cons}-> "
-                            f"{ch.dst!r}) closes an inconsistent cycle")
-                else:
-                    q[v] = expected
-                    component.append(v)
-                    stack.append(v)
-        scale = math.lcm(*(q[v][1] for v in component))
-        ints = [q[v][0] * (scale // q[v][1]) for v in component]
-        g_all = math.gcd(*ints)
-        for v, n in zip(component, ints):
-            counts[v] = n // g_all
-    return {v: counts[v] for v in ids}
+    return dict.fromkeys(g._tables[0], 1)
 
 
 def _blocked_on(g: Sdfg, a: int, tokens, space) -> Wait | None:
     # the firing rule's blocked test: actor a's first input short of
     # tokens, else its first bounded output short of space
-    ids, _, in_ch, _, _ = g._tables
+    ids, _, in_ch, _ = g._tables
     for ci, need in in_ch[a]:
         if tokens[ci] < need:
             return Wait(ids[a], ci, "tokens", g.channels[ci].src, need,
@@ -344,7 +281,8 @@ def _blocked_on(g: Sdfg, a: int, tokens, space) -> Wait | None:
 
 
 def check_deadlock(g: Sdfg) -> DeadlockReport | None:
-    """Abstractly execute one full iteration; report the stall if any.
+    """Abstractly execute one full iteration, one firing of every actor;
+    report the stall if any.
 
     Firings are instantaneous moves of the tokens and space a timed run
     keeps per channel.  Because each channel has a unique producer and a
@@ -353,22 +291,23 @@ def check_deadlock(g: Sdfg) -> DeadlockReport | None:
 
     The reported cycle follows each actor's first blocking channel to
     its other end, from the first starving actor until one repeats.  It
-    closes among starving actors, each of them blocked: by the balance
-    equations, a producer done with its ``q`` firings would have left at
-    least ``cons`` tokens for the consumer it blocks, and a consumer done
-    with its firings at least ``prod`` space for the producer.
+    closes among starving actors, each of them blocked: a channel
+    produces and consumes the same count, so a producer that has fired
+    left at least the ``cons`` tokens its unfired consumer waits for,
+    and a consumer that has fired returned at least the ``prod`` space
+    its unfired producer waits for.
     """
-    ids, index, in_ch, out_ch, qv = g._tables
+    ids, index, in_ch, out_ch = g._tables
     in_bounded, out_bounded, _ = g._bounded
     tokens = [c.tokens for c in g.channels]
     space = [None if c.capacity is None else c.capacity - c.tokens
              for c in g.channels]
-    remaining = list(qv)
+    remaining = [True] * len(ids)
     progress = True
-    while progress and any(remaining):
+    while progress:
         progress = False
         for a in range(len(ids)):
-            while remaining[a] and not _blocked_on(g, a, tokens, space):
+            if remaining[a] and not _blocked_on(g, a, tokens, space):
                 for ci, need in in_ch[a]:
                     tokens[ci] -= need
                 for ci, amount in out_bounded[a]:
@@ -377,9 +316,9 @@ def check_deadlock(g: Sdfg) -> DeadlockReport | None:
                     space[ci] += need
                 for ci, amount in out_ch[a]:
                     tokens[ci] += amount
-                remaining[a] -= 1
+                remaining[a] = False
                 progress = True
-    starving = [a for a in range(len(ids)) if remaining[a] > 0]
+    starving = [a for a in range(len(ids)) if remaining[a]]
     if not starving:
         return None
     walk: dict[int, Wait] = {}
@@ -394,18 +333,17 @@ def check_deadlock(g: Sdfg) -> DeadlockReport | None:
 def set_buffer_allocation(g: Sdfg, alloc: dict[int, int | None]) -> Sdfg:
     """Return a copy of the graph with the given channel capacities.
 
-    Each bounded capacity must admit at least one firing on both sides:
-    at least ``max(prod, cons)`` and no smaller than the channel's
-    initial tokens.
+    Each bounded capacity must admit at least one firing, ``prod``
+    tokens, and be no smaller than the channel's initial tokens.
     """
     channels = list(g.channels)
     for i, cap in alloc.items():
         c = channels[i]
         if cap is not None:
-            if cap < max(c.prod, c.cons):
+            if cap < c.prod:
                 raise InfeasibleCapacityError(
                     f"channel {i} ({c.src!r} -> {c.dst!r}): capacity {cap} "
-                    f"below single-firing minimum {max(c.prod, c.cons)}")
+                    f"below single-firing minimum {c.prod}")
             if cap < c.tokens:
                 raise InfeasibleCapacityError(
                     f"channel {i} ({c.src!r} -> {c.dst!r}): capacity {cap} "
@@ -415,18 +353,14 @@ def set_buffer_allocation(g: Sdfg, alloc: dict[int, int | None]) -> Sdfg:
 
 
 def minimum_buffer_allocation(g: Sdfg) -> dict[int, int]:
-    """Smallest per-channel capacities admitting one firing each.
+    """Smallest per-channel capacities admitting one firing each:
+    ``prod``, or the initial tokens when there are more.
 
     Self-loops (``src == dst``) are modelling artifacts and are left out;
     they keep whatever capacity they already carry.
     """
-    return {i: max(c.prod, c.cons, c.tokens)
+    return {i: max(c.prod, c.tokens)
             for i, c in enumerate(g.channels) if c.src != c.dst}
-
-
-def buffer_quantum(c: Channel) -> int:
-    """Finest capacity step that can change the channel's behaviour."""
-    return math.gcd(c.prod, c.cons)
 
 
 @dataclass(frozen=True)
@@ -509,7 +443,7 @@ class _Simulation:
         # exec_times and core_of run in g._tables actor order, latency in
         # channel order, as resolve_platform returns them
         self.g = g
-        self.ids, self.index, self.in_ch, self.out_ch, self.qv = g._tables
+        self.ids, self.index, self.in_ch, self.out_ch = g._tables
         self.in_bounded, self.out_bounded, self.blockable = g._bounded
         self.exec = exec_times
         self.core_of = core_of
@@ -681,9 +615,6 @@ class _Simulation:
             key.append(tuple(tuple(self.queues[c]) for c in self.cores))
         return tuple(key)
 
-    def _iterations(self, completions) -> int:
-        return min(c // q for c, q in zip(completions, self.qv))
-
     def _count_blocking(self, tokens, space, counts) -> None:
         # one state's blocked channels, added to counts
         for in_ch, out_bounded in self.blockable:
@@ -698,10 +629,11 @@ class _Simulation:
     def _recurrence(self, key, now, log_len, done, first, block_counts
                     ) -> ExecutionResult:
         # the result of a run whose state key, reached at time now with
-        # log_len firings started and done completions, repeats first
+        # log_len firings started and done completions, repeats first;
+        # an iteration fires every actor once
         t0, log0, done0 = first
-        it0 = self._iterations(done0)
-        d_iter = self._iterations(done) - it0
+        it0 = min(done0)
+        d_iter = min(done) - it0
         if d_iter <= 0:
             # the periodic part will repeat forever, so actors that
             # made no progress across the period never fire again
@@ -894,8 +826,9 @@ def self_timed_throughput(g: Sdfg, schedules=None,
     """Throughput of self-timed execution under finite buffers.
 
     With ``schedules`` imposed, each core fires only the actor at its
-    static-order cursor.  Raises :class:`DeadlockError` on a stall,
-    :class:`InconsistentGraphError` for unbalanced rates and
+    static-order cursor.  The throughput counts iterations, each of
+    them one firing of every actor.  Raises :class:`DeadlockError` on a
+    stall, :class:`GraphValidationError` for an invalid graph and
     :class:`BudgetExceededError` when no recurrent state appears within
     the state budget.
     """

@@ -137,34 +137,31 @@ def random_hsdf(seed: int, max_actors: int = 6) -> Sdfg:
     return Sdfg(actors, tuple(channels))
 
 
-def _balanced_rates(rng, q_src: int, q_dst: int) -> tuple[int, int]:
-    # q_src * prod == q_dst * cons by construction
-    g = np.gcd(q_src, q_dst)
-    k = int(rng.integers(1, 3))
-    return k * (q_dst // g), k * (q_src // g)
-
-
-def random_multirate(seed: int, max_actors: int = 5) -> Sdfg:
-    """Consistent multi-rate graph: rates derived from a chosen
-    repetition vector, bounded channels, optional feedback edge."""
+def random_chain(seed: int, max_actors: int = 5) -> Sdfg:
+    """Single-rate graph shaped like a lifted one: a bounded forward
+    chain with skip edges and an optional bounded feedback edge.  Each
+    channel has its own rate r in 1..3 and a capacity of at least r.
+    Skip and feedback edges may carry initial tokens, short of one
+    firing or leaving less than one firing of space now and then, so
+    some graphs deadlock, on tokens or on space."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_actors + 1))
-    q = [int(rng.integers(1, 4)) for _ in range(n)]
     actors = tuple(Actor(f"a{i}", int(rng.integers(1, 5))) for i in range(n))
     channels = [Channel(a.id, 1, a.id, 1, tokens=1) for a in actors]
+
+    def bounded(i, j, delayed):
+        r = int(rng.integers(1, 4))
+        tokens = int(rng.integers(0, 2 * r + 1)) if delayed else 0
+        cap = max(r, tokens + int(rng.integers(0, 2 * r)))
+        channels.append(Channel(f"a{i}", r, f"a{j}", r, tokens=tokens,
+                                capacity=cap))
+
     for i in range(n - 1):
-        targets = [j for j in range(i + 1, n)
-                   if j == i + 1 or rng.random() < 0.3]
-        for j in targets:
-            prod, cons = _balanced_rates(rng, q[i], q[j])
-            cap = max(prod, cons) + int(rng.integers(0, prod + cons))
-            channels.append(Channel(f"a{i}", prod, f"a{j}", cons,
-                                    tokens=0, capacity=cap))
+        for j in range(i + 1, n):
+            if j == i + 1 or rng.random() < 0.3:
+                bounded(i, j, delayed=j > i + 1 and rng.random() < 0.5)
     if n > 2 and rng.random() < 0.5:
-        prod, cons = _balanced_rates(rng, q[n - 1], q[0])
-        tokens = cons * int(rng.integers(1, 3))
-        channels.append(Channel(f"a{n-1}", prod, "a0", cons, tokens=tokens,
-                                capacity=tokens + prod * int(rng.integers(1, 3))))
+        bounded(n - 1, 0, delayed=True)
     return Sdfg(actors, tuple(channels))
 
 

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, reproducible outputs."""
 
 import csv
+import time
 
 import pytest
 import yaml
@@ -142,6 +143,7 @@ def test_analyze_ok_and_failures(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "throughput  0.2" in out
     assert "deadlock: no" in out
+    assert "repetition vector" not in out
 
     dead = tmp_path / "dead.yaml"
     dead.write_text(yaml.safe_dump({
@@ -164,8 +166,20 @@ def test_analyze_ok_and_failures(tmp_path, capsys):
         "channels": [
             {"src": "a", "prod": 1, "dst": "b", "cons": 2, "tokens": 0},
             {"src": "b", "prod": 1, "dst": "a", "cons": 2, "tokens": 4}]}))
-    assert main(["analyze", str(inconsistent)]) == 1
-    assert "analysis failed" in capsys.readouterr().err
+    assert main(["analyze", str(inconsistent)]) == 2
+    assert "channel 0 ('a' -> 'b'): produces 1 but consumes 2" in \
+        capsys.readouterr().err
+
+
+def test_analyze_refuses_a_zero_execution_time_at_once(tmp_path, capsys):
+    # a firing that takes no time never advances the clock, so a run
+    # would spin to the state budget
+    path = tmp_path / "zero.yaml"
+    path.write_text(SDFG_WITH_EXEC_TIME.format(0))
+    start = time.perf_counter()
+    assert main(["analyze", str(path)]) == 2
+    assert time.perf_counter() - start < 0.5
+    assert "actor 'a': exec_time must be > 0" in capsys.readouterr().err
 
 
 def test_map_produces_record(files, tmp_path, capsys):

@@ -139,23 +139,24 @@ def test_sweep_series_non_decreasing_many_graphs():
         assert rates == sorted(rates), f"trial {trial}"
 
 
-def multirate_pair() -> Sdfg:
-    """``a -2/3-> b``: at its minimum capacity, 3, ``a`` fires once and
-    both actors wait.  No lifted graph has unequal rates."""
+def token_ring() -> Sdfg:
+    """``a -> b -> a`` with one token on each channel: live unbounded,
+    but at the minimum capacity, one token, neither channel has space.
+    No lifted graph puts tokens on an inter-cluster channel."""
     return Sdfg((Actor("a"), Actor("b")),
-                (Channel("a", 2, "b", 3, 0, None),
-                 Channel("a", 1, "a", 1, tokens=1),
-                 Channel("b", 1, "b", 1, tokens=1)))
+                (Channel("a", 1, "b", 1, tokens=1),
+                 Channel("b", 1, "a", 1, tokens=1)))
 
 
 def test_sweep_escalates_a_deadlocked_minimum_allocation():
     # a deadlocked minimum is refused, naming the cycle it starves on
+    assert check_deadlock(token_ring()) is None
     with pytest.raises(DeadlockError) as info:
-        sweep_buffers(multirate_pair(), pure_evaluator, SweepConfig(plateau=2))
+        sweep_buffers(token_ring(), pure_evaluator, SweepConfig(plateau=2))
     assert str(info.value) == (
-        "minimum buffer allocation deadlocks: starving cycle: 'a' needs 2 "
-        "space on channel 0 to 'b' (has 1), 'b' needs 3 tokens on channel 0 "
-        "from 'a' (has 2)")
+        "minimum buffer allocation deadlocks: starving cycle: 'a' needs 1 "
+        "space on channel 0 to 'b' (has 0), 'b' needs 1 space on channel 1 "
+        "to 'a' (has 0)")
     assert [w.actor for w in info.value.state["cycle"]] == ["a", "b"]
 
 

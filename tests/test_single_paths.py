@@ -67,10 +67,10 @@ def test_one_partition_round_pipeline():
 
 def test_one_placement():
     # resolve_platform alone places a mapping on a platform; every other
-    # pass reads the cached per-graph tables, and only cmd_analyze, which
-    # prints the vector, asks for a fresh repetition vector
+    # pass reads the cached per-graph tables, and no pass asks for a
+    # repetition vector: every actor fires once per iteration
     assert callers_of("routed_latencies") == [("sdfg.py", "resolve_platform")]
-    assert callers_of("repetition_vector") == [("cli.py", "cmd_analyze")]
+    assert callers_of("repetition_vector") == []
 
 
 def test_one_membrane_integrator():
@@ -220,7 +220,8 @@ def test_refine_leaves_the_adjacency_view_unchanged():
 # names whose only callers were tests; each job keeps its one entry
 DELETED = {"partition": ("iterate_partitions",),
            "dse": ("dominates", "MAX_UNIFORM_LEVEL"),
-           "lif": ("step_neuron", "synaptic_current", "constant_current_isi")}
+           "lif": ("step_neuron", "synaptic_current", "constant_current_isi"),
+           "sdfg": ("buffer_quantum", "_solve_balance")}
 
 
 @pytest.mark.parametrize("module,names", sorted(DELETED.items()))
@@ -230,6 +231,10 @@ def test_deleted_names_stay_gone(module, names):
 
 
 def test_deleted_members_and_settings_stay_gone():
+    # a graph is single-rate: no balance solver, no consistency error
+    assert not hasattr(sdfg.Sdfg, "_repetition")
+    for namespace in (snnflow, importlib.import_module("snnflow.errors")):
+        assert not hasattr(namespace, "InconsistentGraphError")
     assert not hasattr(Cluster, "absorbed_spikes")
     assert not {"cluster_ids", "total_spikes"} & set(dir(ClusteredSnnGraph))
     assert [f.name for f in fields(SweepConfig)] == ["plateau", "mode"]

@@ -148,7 +148,7 @@ def test_integer_fields_take_integral_floats_as_ints():
     g = sdfg_from_dict({"format": "sdfg/1",
                         "actors": [{"id": "a", "weight": 2.0}, {"id": "b"}],
                         "channels": [{"src": "a", "prod": 2.0, "dst": "b",
-                                      "cons": 1, "tokens": 0.0,
+                                      "cons": 2, "tokens": 0.0,
                                       "capacity": 4.0}]})
     assert g.actors[0].weight == 2 and type(g.actors[0].weight) is int
     c = g.channels[0]
