@@ -97,6 +97,12 @@ def _merged_config(args) -> RunConfig:
         if value is not None:
             overrides[name] = value
     cfg = replace(cfg, **overrides)
+    # a config file may set a path to any YAML value; open() takes an
+    # integer for a file descriptor
+    for name in ("snn", "hardware", "trains", "output_dir"):
+        value = getattr(cfg, name)
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"{name} must be a path, got {value!r}")
     # checked here rather than in flow_config, so every command sees them;
     # a negative or NaN delta_min would never stop the swap descent
     if not isinstance(cfg.delta_min, (int, float)) or not cfg.delta_min >= 0:

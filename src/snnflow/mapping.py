@@ -419,9 +419,13 @@ def pso_step(swarm: Swarm, fitness) -> Swarm:
     infeasible decode).  ``limits[l]`` is particle ``l``'s best period
     so far, the only value its new period is compared with; when
     fitness can prove that a period is at least its limit, it may
-    return any value ``>=`` the limit instead.  The bests are then
-    refreshed row by row.  The first call on a fresh swarm only
-    evaluates the initial positions, each against a limit of ``inf``.
+    return any value ``>=`` the limit instead.  When it finds a row
+    whose period no row can beat, it may return that row's period and
+    any values not strictly below it for the other rows; the caller
+    then stops, and reads nothing of the swarm but its best.  The bests
+    are then refreshed row by row.  The first call on a fresh swarm
+    only evaluates the initial positions, each against a limit of
+    ``inf``.
     """
     if swarm.gbest_position is not None:
         swarm.velocities = (
@@ -487,19 +491,39 @@ def _credit_cycles(g: Sdfg):
 def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
     """Exact period floor of every feasible placement of ``g`` on ``hw``.
 
-    Each term is at most the matching term of :func:`_period_lower_bound`
-    under any placement that fits the crossbars, with execution times
-    scaled by ``scale`` as :func:`snnflow.sdfg.resolve_platform` scales
-    them and ``t_min`` the fastest core's:
+    Execution times are scaled by ``scale`` as
+    :func:`snnflow.sdfg.resolve_platform` scales them, ``t_min`` is the
+    fastest core's and ``hop`` the cheapest link between distinct cores,
+    which every route between distinct cores takes.  Two facts hold
+    under any placement that fits the crossbars:
 
     * the busiest core carries at least the mean load over all cores,
-      ``actors * t_min / cores``, and at least one firing, ``t_min``;
-    * a forward/credit cycle weighs at least ``2 * t_min`` plus, when
-      its two actors cannot share the largest crossbar, the cheapest
-      link between distinct cores, which every route between distinct
-      cores takes.
+      ``actors * t_min / cores``, and at least one firing, ``t_min``:
+      the load term;
+    * a bounded channel whose two actors sit on distinct cores closes a
+      forward/credit cycle of ratio at least ``(2 * t_min + hop) / k``,
+      ``k`` the firings it holds: the channel's apart term.
 
-    A graph without bounded channels keeps the load term alone.
+    The floor is the least ``v``, at or above the load term, such that
+    joining the two actors of every channel whose apart term exceeds
+    ``v`` gives groups that each fit the largest crossbar and each have
+    ``len(group) * t_min <= v``.
+
+    It is below every placement's :func:`_period_lower_bound` ``u``:
+    every channel whose apart term exceeds ``u`` has its actors on one
+    core, else its cycle would exceed ``u``; so each group sits on one
+    core, its weight fits that core's crossbar and its load, at least
+    ``len(group) * t_min``, is at most ``u``, and ``u`` is at least
+    the load term.  So ``v = u`` meets the condition, and the least
+    such ``v`` is at most ``u``.
+
+    The condition only loosens as ``v`` grows, so one pass over the
+    channels, highest apart term first, joins them in a union-find: the
+    groups formed once every term at or above ``a`` is joined force
+    ``v >= a`` when one of them overflows the crossbar, and
+    ``v >= min(a, len(group) * t_min)`` otherwise.  When no apart term
+    exceeds the load term, as on a graph without bounded channels, the
+    floor is the load term.
     """
     n = len(g.actors)
     s = exact_time(scale)
@@ -508,9 +532,35 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
     hop = min((exact_time(l.latency) for l in hw.links if l.src != l.dst),
               default=0)
     floor = max(Fraction(n, len(hw.cores)), Fraction(min(n, 1))) * t_min
-    for _, a, b, tokens in _credit_cycles(g):
-        h = 0 if g.actors[a].weight + g.actors[b].weight <= largest else hop
-        floor = max(floor, Fraction(2 * t_min + h, tokens))
+    cycle = 2 * t_min + hop
+    # the channels whose apart term cycle / k exceeds the load term,
+    # highest term (fewest firings held) first
+    forced = sorted((tokens, a, b) for _, a, b, tokens in _credit_cycles(g)
+                    if cycle > floor * tokens)
+    if not forced:
+        return floor
+    root = list(range(n))
+    size = [1] * n
+    weight = [a.weight for a in g.actors]
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
+    for tokens, a, b in forced:
+        term = Fraction(cycle, tokens)
+        if term <= floor:  # no later term can raise the floor
+            break
+        a, b = find(a), find(b)
+        if a != b:
+            root[b] = a
+            size[a] += size[b]
+            weight[a] += weight[b]
+        if weight[a] > largest:  # the actors cannot be kept together
+            return term
+        floor = max(floor, min(term, size[a] * t_min))
     return floor
 
 
@@ -553,16 +603,26 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     particle's best is ``inf`` and only assignments that cannot be
     placed at all are skipped.
 
-    ``cfg.iterations`` is a maximum: the search stops after the first
-    iteration whose best period is at most ``float(floor)``, the floor
-    being :func:`_search_floor`.  Every score is a rated period, a
-    bound of :func:`_period_lower_bound` or ``inf``, each at least the
-    floor, and rounding to float is monotone, so no later score can lie
-    strictly below the best.  The swarm's best moves only on a strictly
-    lower score, so the returned solution is the one the remaining
-    iterations would return.  The remaining iterations evaluate nothing,
-    so they cannot raise the :class:`BudgetExceededError` one of their
-    evaluations might have; the first iteration always runs.
+    ``cfg.iterations`` is a maximum: the search stops in the first
+    iteration that finds a period at most ``float(floor)``, the floor
+    being :func:`_search_floor`, computed once a row first decodes.
+    Every score is a rated period, a bound of
+    :func:`_period_lower_bound` or ``inf``, each at least the floor,
+    and rounding to float is monotone, so no score can lie strictly
+    below such a period.  Each iteration first probes its decoded rows
+    in row order: a row already rated is read from the table, a row
+    whose rounded bound is at most ``float(floor)`` is rated, and every
+    other row is passed over, since it cannot meet the floor.  The
+    first row whose period is at most ``float(floor)`` is the row that
+    scoring every row would make the swarm's best, since the swarm's
+    best moves only on a strictly lower score and no limit can prune a
+    probed row: every limit exceeds the floor while the search runs.
+    That row ends the search, and the iteration's other rows are not
+    rated.  When no row meets the floor, the iteration scores every row
+    as above.  So the returned solution is the one the full iterations
+    would return.  The rows the search does not rate cannot raise the
+    :class:`BudgetExceededError` that rating them might have; the first
+    iteration always runs.
     """
     cfg = cfg or SwarmConfig()
     rng = np.random.default_rng(rng)  # a Generator passes through as is
@@ -588,19 +648,13 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     def assignment(picks: tuple) -> dict[str, str]:
         return {cl: cores[j] for cl, j in zip(clusters, picks)}
 
-    def score(picks: tuple | None, limit: float) -> float:
-        if picks is None:
-            return math.inf
+    def bound_of(picks: tuple) -> tuple:
+        if picks not in bounds:
+            bounds[picks] = period_bound(assignment(picks))
+        return bounds[picks]
+
+    def rate(picks: tuple) -> float:
         if picks not in cache:
-            if picks not in bounds:
-                bounds[picks] = period_bound(assignment(picks))
-            bound, rounded, exact = bounds[picks]
-            # rounding to float is monotone, so only a tie between the
-            # rounded bound and the limit needs the exact comparison, and
-            # not even that when the bound is a float itself
-            if rounded > limit or (rounded == limit
-                                   and (exact or bound >= limit)):
-                return rounded
             mapping = assignment(picks)
             try:
                 sol = evaluate_mapping(g, hw, mapping, time_wheel_share,
@@ -611,18 +665,45 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
                 cache[picks] = (math.inf, None)
         return cache[picks][0]
 
+    def score(picks: tuple | None, limit: float) -> float:
+        if picks is None:
+            return math.inf
+        if picks not in cache:
+            bound, rounded, exact = bound_of(picks)
+            # rounding to float is monotone, so only a tie between the
+            # rounded bound and the limit needs the exact comparison, and
+            # not even that when the bound is a float itself
+            if rounded > limit or (rounded == limit
+                                   and (exact or bound >= limit)):
+                return rounded
+        return rate(picks)
+
+    def meets_floor(picks: tuple | None) -> bool:
+        # a row whose rounded bound is above the floor cannot meet it
+        if picks is None or (picks not in cache
+                             and bound_of(picks)[1] > floor):
+            return False
+        return rate(picks) <= floor
+
     def fitness(positions: np.ndarray, limits: np.ndarray) -> list[float]:
-        return [score(picks, limit) for picks, limit in
-                zip(_decode_swarm(positions, g, hw), limits.tolist())]
+        nonlocal floor
+        rows = _decode_swarm(positions, g, hw)
+        if floor is None and any(rows):  # some row places an actor
+            floor = float(_search_floor(g, hw, scale))
+        if floor is not None:
+            hit = next((l for l, picks in enumerate(rows)
+                        if meets_floor(picks)), None)
+            if hit is not None:
+                periods = [math.inf] * len(rows)
+                periods[hit] = cache[rows[hit]][0]
+                return periods
+        return [score(picks, limit)
+                for picks, limit in zip(rows, limits.tolist())]
 
     floor = None
     for _ in range(cfg.iterations):
         pso_step(swarm, fitness)
-        if swarm.gbest_position is None:
-            continue
-        if floor is None:  # a row was placed, so the graph is valid
-            floor = float(_search_floor(g, hw, scale))
-        if swarm.gbest_period <= floor:
+        if floor is not None and swarm.gbest_period <= floor:
             break
     if swarm.gbest_position is None:
         raise InfeasibleMappingError(

@@ -50,3 +50,23 @@ def test_held_out_seed_fingerprint(tmp_path, name, fingerprint):
     result = wl.run(inputs, flow_seed)
     assert wl.check(inputs, flow_seed, result) == []
     assert wl.fingerprint(result) == fingerprint
+
+
+# Seed-1 instances 1 and 2 of the explore workloads at one round: with
+# instance 0 above, a change that claims to keep the search's results
+# is checked on three instances of each workload.
+@pytest.mark.parametrize("name, index, fingerprint", [
+    ("explore-a2a4", 1, "9c2a6c00bb86539a"),
+    ("explore-a2a4", 2, "1dfa5e0136b7a9bd"),
+    ("explore-mesh16", 1, "a74211d605786a0a"),
+    ("explore-mesh16", 2, "06316b35253af94f"),
+], ids=["explore-a2a4-1", "explore-a2a4-2", "explore-mesh16-1",
+        "explore-mesh16-2"])
+def test_more_seed_one_instances_fingerprint(tmp_path, name, index,
+                                             fingerprint):
+    wl = dataclasses.replace(workloads.WORKLOADS[name], rounds=1)
+    paths, flow_seed = wl.write_inputs(1, index, str(tmp_path))
+    inputs = workloads.load_inputs(paths)
+    result = wl.run(inputs, flow_seed)
+    assert wl.check(inputs, flow_seed, result) == []
+    assert wl.fingerprint(result) == fingerprint

@@ -347,6 +347,22 @@ def test_config_file_with_flag_overrides(files, tmp_path, capsys):
     assert manifest["config"]["eta"] == 2  # flag wins over file
 
 
+@pytest.mark.parametrize("name,value", [
+    ("snn", 987), ("hardware", ["a"]), ("trains", 654), ("output_dir", 5)])
+def test_non_path_config_setting_exits_2_naming_it(files, tmp_path, capsys,
+                                                   name, value):
+    # left to the flow, an integer path opens that file descriptor, and
+    # other values end in a traceback
+    doc = {"format": "run-config/1", "snn": files["snn"],
+           "hardware": files["hw"], "crossbar_dim": 4, name: value}
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump(doc))
+    flags = [] if name == "output_dir" else ["-o", str(tmp_path / "out")]
+    assert main(["explore", "--config", str(cfg), *flags]) == 2
+    assert f"{name} must be a path" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_unknown_config_key_exits_2(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("format: run-config/1\nbogus: 1\n")

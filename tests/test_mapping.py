@@ -29,7 +29,7 @@ from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
 from snnflow.partition import (build_clustered_graph, partition_round,
                                round_seeds)
 from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, Sdfg, execute,
-                          lift_to_sdfg, minimum_buffer_allocation,
+                          exact_time, lift_to_sdfg, minimum_buffer_allocation,
                           repetition_vector, resolve_platform,
                           self_timed_throughput, set_buffer_allocation)
 from snnflow.snn_graph import Core, HardwareGraph, Link
@@ -726,6 +726,208 @@ def test_search_floor_is_below_every_feasible_period():
             seen["fraction times"] += any(isinstance(t, Fraction)
                                           for t in placement[0])
     assert all(seen.values()), seen
+
+
+def per_channel_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
+    """The floor that bounds each forward/credit cycle on its own: a
+    channel whose two actors fit the largest crossbar adds no hop."""
+    n = len(g.actors)
+    t_min = min(exact_time(exact_time(c.exec_time) * exact_time(scale))
+                for c in hw.cores)
+    largest = max(c.crossbar_dim for c in hw.cores)
+    hop = min((exact_time(l.latency) for l in hw.links if l.src != l.dst),
+              default=0)
+    floor = max(Fraction(n, len(hw.cores)), Fraction(min(n, 1))) * t_min
+    index = g._tables[1]
+    for c in g.channels:
+        if c.capacity is None or c.src == c.dst or c.capacity < c.prod:
+            continue
+        weight = g.actors[index[c.src]].weight + g.actors[index[c.dst]].weight
+        h = 0 if weight <= largest else hop
+        floor = max(floor, Fraction(2 * t_min + h, c.capacity // c.prod))
+    return floor
+
+
+def uniform_mesh_platform(dim: int = 8) -> HardwareGraph:
+    """Four equal cores joined as a 2x2 mesh by links of latency 1."""
+    pairs = [(0, 1), (1, 3), (3, 2), (2, 0)]
+    return HardwareGraph(tuple(Core(f"t{i}", dim, 1) for i in range(4)),
+                         tuple(Link(f"t{a}", f"t{b}", 1)
+                               for i, j in pairs for a, b in ((i, j), (j, i))))
+
+
+def chain_of_three() -> Sdfg:
+    """Three 4-neuron clusters in a chain whose channels hold one firing."""
+    return Sdfg(tuple(Actor(f"c{i}", 1, 4) for i in range(3)),
+                tuple(Channel(f"c{i}", 1, f"c{i + 1}", 1, tokens=0,
+                              capacity=1) for i in range(2)))
+
+
+def test_search_floor_knows_three_clusters_cannot_share_a_crossbar():
+    # each channel alone allows 4, its two firings of 2 on one core; but
+    # only two of the three clusters fit a crossbar of 8, so some channel
+    # crosses between cores: a cycle of 2 + 1 + 2 holding one firing
+    g, hw = chain_of_three(), all_to_all_platform(4, dim=8)
+    scale = _share_to_scale(0.5)
+    assert _search_floor(g, hw, scale) == 5
+    assert per_channel_floor(g, hw, scale) == 4
+    periods = []
+    for cores in itertools.product(hw.core_ids(), repeat=3):
+        sol = evaluate_or_error(evaluate_mapping, g, hw,
+                                dict(zip(g.actor_ids(), cores)), 0.5)
+        if isinstance(sol, MappingSolution):
+            periods.append(sol.throughput.period)
+    assert min(periods) == 5
+    found = search_mapping(g, hw, SwarmConfig(particles=6, iterations=50),
+                           0.5, rng=0)
+    assert found.throughput.period == 5
+
+
+def test_grouping_floor_is_below_every_fitting_placement():
+    # every crossbar-fitting placement of small chains and lifted layered
+    # designs at one and two times their capacities, against the exact
+    # bound of that placement
+    rng = np.random.default_rng(41)
+    seen = {"chain": 0, "layered": 0, "mesh": 0, "all-to-all": 0,
+            "above per channel": 0, "tight": 0}
+    for seed in range(32):
+        factor = 1 + seed // 2 % 2
+        if seed % 2:
+            g = random_chain(seed, max_actors=4)
+            g = Sdfg(g.actors, tuple(
+                c if c.capacity is None or c.src == c.dst
+                else replace(c, capacity=c.capacity * factor)
+                for c in g.channels))
+        else:
+            g = lifted_layered(seed, factor)
+        mesh = seed // 4 % 2 == 1
+        hw = (mixed_platform(rng, mesh=mesh, caps=False) if seed % 8 >= 6
+              else uniform_mesh_platform() if mesh
+              else all_to_all_platform(4, dim=8))
+        share = [1, 0.5, 1 / 3][seed % 3]
+        scale = _share_to_scale(share)
+        floor = _search_floor(g, hw, scale)
+        assert floor >= per_channel_floor(g, hw, scale), seed
+        caps = {c.id: c.crossbar_dim for c in hw.cores}
+        least = math.inf
+        for cores in itertools.product(hw.core_ids(), repeat=len(g.actors)):
+            load = dict.fromkeys(caps, 0)
+            for a, core in zip(g.actors, cores):
+                load[core] += a.weight
+            if any(load[c] > caps[c] for c in caps):
+                continue
+            placement = resolve_platform(
+                g, hw, dict(zip(g.actor_ids(), cores)), scale)
+            bound = _period_lower_bound(g, *placement)
+            assert floor <= bound, (seed, cores)
+            least = min(least, bound)
+        seen["tight"] += floor == least
+        seen["chain" if seed % 2 else "layered"] += 1
+        seen["mesh" if mesh else "all-to-all"] += 1
+        seen["above per channel"] += floor > per_channel_floor(g, hw, scale)
+    assert all(seen.values()), seen
+
+
+def first_rows(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig, seed: int
+               ) -> list[dict[str, str] | None]:
+    """The assignments that a search seeded ``seed`` decodes first."""
+    swarm = init_swarm(cfg, len(g.actors) * len(hw.cores),
+                       np.random.default_rng(seed))
+    cores = hw._cores[0]
+    return [None if picks is None else
+            {cl: cores[j] for cl, j in zip(g._weights[0], picks)}
+            for picks in _decode_swarm(swarm.positions, g, hw)]
+
+
+def counting_calls(monkeypatch, calls: dict[str, list]):
+    """Record the assignments search_mapping rates and its swarm steps."""
+    def evaluate(g, hw, mapping, *args):
+        calls["rated"].append(dict(mapping))
+        return evaluate_mapping(g, hw, mapping, *args)
+
+    def step(swarm, fitness):
+        calls["steps"].append(1)
+        return pso_step(swarm, fitness)
+
+    monkeypatch.setattr(mapping_module, "evaluate_mapping", evaluate)
+    monkeypatch.setattr(mapping_module, "pso_step", step)
+
+
+def test_search_probe_rates_no_row_above_the_floor_or_after_the_hit(
+        monkeypatch):
+    # searches that meet the floor in their first iteration rate, in row
+    # order, only rows whose rounded bound is at the floor, the last of
+    # them the hit, and return the reference's result
+    calls = {"rated": [], "steps": []}
+    counting_calls(monkeypatch, calls)
+    rng = np.random.default_rng(43)
+    cfg = SwarmConfig(particles=6, iterations=50)
+    seen = {"at once": 0, "skipped above the floor": 0,
+            "unrated after the hit": 0, "rated below the hit": 0}
+    for seed in range(24):
+        if seed % 2:
+            g = random_design(seed)
+            hw = mixed_platform(rng, mesh=seed % 4 == 1, caps=False)
+        else:
+            g = lifted_layered(seed, 1 + seed // 2 % 2)
+            hw = all_to_all_platform(4, dim=[4, 8][seed // 4 % 2],
+                                     latency=1 + seed // 8 % 2)
+        share = [1, 0.5, 1 / 3][seed % 3]
+        scale = _share_to_scale(share)
+        calls.update(rated=[], steps=[])
+        got = search_or_error(search_mapping, g, hw, cfg, share, rng=seed)
+        assert got == search_or_error(reference_search_mapping, g, hw, cfg,
+                                      share, rng=seed), seed
+        if len(calls["steps"]) != 1 or isinstance(got, str):
+            continue
+        seen["at once"] += 1
+        floor = float(_search_floor(g, hw, scale))
+        rows = first_rows(g, hw, cfg, seed)
+        hit = rows.index(got["mapping"])
+
+        def rounded_bound(mapping):
+            return float(_period_lower_bound(
+                g, *resolve_platform(g, hw, mapping, scale)))
+
+        want = [m for m in rows[:hit + 1]
+                if m is not None and rounded_bound(m) <= floor]
+        # each distinct assignment is rated once
+        assert calls["rated"] == [m for i, m in enumerate(want)
+                                  if m not in want[:i]], seed
+        seen["skipped above the floor"] += len(want) < hit + 1
+        seen["unrated after the hit"] += any(
+            m is not None and m not in calls["rated"]
+            for m in rows[hit + 1:])
+        seen["rated below the hit"] += len(calls["rated"]) > 1
+    assert all(seen.values()), seen
+
+
+def test_search_probe_reads_rated_rows_from_a_shared_table(monkeypatch):
+    # the first row is rated above the floor and the next two meet it;
+    # whichever of these two the table already holds, the search ends at
+    # the earlier one, as the reference does
+    g, hw = chain_of_three(), all_to_all_platform(4, dim=8)
+    cfg = SwarmConfig(particles=6, iterations=50)
+    rows = first_rows(g, hw, cfg, 4)
+    periods = [evaluate_mapping(g, hw, m, 0.5).throughput.period
+               for m in rows[:3]]
+    assert periods == [6, 5, 5] and rows[1] != rows[2]
+    want = search_or_error(reference_search_mapping, g, hw, cfg, 0.5, rng=4)
+    assert want["mapping"] == rows[1]
+    calls = {"rated": [], "steps": []}
+    counting_calls(monkeypatch, calls)
+    cores = hw._cores[0]
+    for held, rated in ((1, rows[:1]), (2, rows[:2])):
+        sol = evaluate_mapping(g, hw, rows[held], 0.5)
+        picks = tuple(cores.index(sol.mapping[cl]) for cl in g._weights[0])
+        table = {(g, hw, 0.5, DEFAULT_STATE_BUDGET):
+                 ({}, {picks: (sol.throughput.period, sol)})}
+        calls.update(rated=[], steps=[])
+        got = search_or_error(search_mapping, g, hw, cfg, 0.5, rng=4,
+                              table=table)
+        assert got == want
+        assert calls["rated"] == rated
+        assert len(calls["steps"]) == 1
 
 
 def test_search_stops_at_the_floor_with_the_reference_result(monkeypatch):

@@ -130,6 +130,13 @@ def test_one_table_of_rated_designs():
         [("dse.py", "_run_round"), ("mapping.py", "search_mapping")]
 
 
+def test_one_period_floor():
+    # the search stops at the floor and the sweep's rate bound is one over
+    # it; a second reader would have to keep its proof in step
+    assert callers_of("_search_floor") == [("dse.py", "pipeline_rate_bound"),
+                                           ("mapping.py", "search_mapping")]
+
+
 def test_run_config_and_flow_config_hold_the_same_settings():
     # the config file's flow settings are the library's, one for one
     inputs = {"snn", "hardware", "trains", "output_dir"}
