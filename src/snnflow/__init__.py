@@ -17,11 +17,11 @@ from .partition import (Cluster, ClusterEdge, ClusteredSnnGraph, Partition,
                         partition_round, round_seeds, save_clustered_graph)
 from .sdfg import (Actor, Channel, DeadlockReport, Sdfg, ThroughputResult,
                    check_deadlock, lift_to_sdfg, load_sdfg,
-                   minimum_buffer_allocation, repetition_vector, save_sdfg,
+                   minimum_buffer_allocation, save_sdfg,
                    self_timed_throughput, set_buffer_allocation)
 from .mapping import (MappingSolution, StaticOrderSchedule, SwarmConfig,
-                      build_schedules, decode_position, evaluate_mapping,
-                      pso_step, search_mapping, validate_mapping)
+                      evaluate_mapping, pso_step, search_mapping,
+                      validate_mapping)
 from .dse import (DesignFlowConfig, DesignFlowResult, DesignPoint,
                   ParetoFront, SweepConfig, SweepPoint,
                   min_buffer_for_throughput, pareto_filter, run_design_flow,

@@ -356,7 +356,13 @@ def _share_to_scale(share) -> object:
     share = exact_time(share)
     if not 0 < share <= 1:
         raise ValueError("time-wheel share must be in (0, 1]")
-    scale = Fraction(1) / Fraction(share)
+    # a float is read through its repr, so 1/3 arrives as
+    # 3333333333333333/10**16; snap it to the nearest fraction with a
+    # denominator of at most 10**6, which keeps every share written with
+    # six decimals or fewer as it is and reads 1/3 as 1/3.  A share below
+    # 5e-7 would snap to 0 and keeps its exact reading
+    share = Fraction(share)
+    scale = 1 / (share.limit_denominator(10 ** 6) or share)
     return int(scale) if scale.denominator == 1 else scale
 
 

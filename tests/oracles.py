@@ -3,8 +3,7 @@
 Everything here deliberately takes a different route from the code under
 test: diameter by Floyd-Warshall instead of per-node BFS, throughput by
 exhaustive cycle enumeration or by a second simulator built on explicit
-credit channels with the opposite tie-breaking, repetition vectors by
-Gaussian elimination over exact rationals, Pareto fronts by the direct
+credit channels with the opposite tie-breaking, Pareto fronts by the direct
 O(n^2) dominance scan, swap descent by re-summing the synapses each
 candidate swap touches instead of keeping gain tables, swarm decode by
 one ``argmax`` per cluster row over freshly built core tables, the
@@ -139,8 +138,8 @@ def reference_throughput(g: Sdfg, max_states: int = 200_000) -> Fraction:
     order (the library uses ascending), which checks that the result
     does not depend on tie-breaking.
     """
-    q = gaussian_repetition(g)
-    assert q is not None, "reference simulator needs a consistent graph"
+    assert all(c.prod == c.cons for c in g.channels), \
+        "reference simulator needs a single-rate graph"
     ids = sorted((a.id for a in g.actors), reverse=True)
     exec_of = {a.id: Fraction(a.exec_time) for a in g.actors}
 
@@ -168,7 +167,8 @@ def reference_throughput(g: Sdfg, max_states: int = 200_000) -> Fraction:
     seen: dict[tuple, tuple[Fraction, int]] = {}
 
     def iterations() -> int:
-        return min(done[a] // q[a] for a in ids)
+        # single-rate: an iteration fires every actor once
+        return min(done.values())
 
     while True:
         while active and active[0][0] == now:
@@ -206,91 +206,6 @@ def reference_throughput(g: Sdfg, max_states: int = 200_000) -> Fraction:
         if not active:
             raise OracleDeadlock("reference simulator stalled")
         now = active[0][0]
-
-
-# -------------------------------------------- balance-equation solver
-
-def gaussian_repetition(g: Sdfg) -> dict[str, int] | None:
-    """Repetition vector by rational Gaussian elimination, or None.
-
-    Solves the balance matrix per weakly connected component; a
-    component whose nullspace is trivial makes the graph inconsistent.
-    """
-    ids = sorted(a.id for a in g.actors)
-    neighbors: dict[str, set[str]] = {a: set() for a in ids}
-    for c in g.channels:
-        neighbors[c.src].add(c.dst)
-        neighbors[c.dst].add(c.src)
-
-    unvisited = set(ids)
-    result: dict[str, int] = {}
-    while unvisited:
-        root = min(unvisited)
-        comp = [root]
-        unvisited.remove(root)
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v in neighbors[u]:
-                if v in unvisited:
-                    unvisited.remove(v)
-                    comp.append(v)
-                    stack.append(v)
-        comp.sort()
-        col = {a: j for j, a in enumerate(comp)}
-        rows = []
-        for c in g.channels:
-            if c.src not in col and c.dst not in col:
-                continue
-            row = [Fraction(0)] * len(comp)
-            row[col[c.src]] += c.prod
-            row[col[c.dst]] -= c.cons
-            rows.append(row)
-        basis = _nullspace(rows, len(comp))
-        if len(basis) != 1:
-            return None
-        vec = basis[0]
-        if any(x <= 0 for x in vec) and any(x > 0 for x in vec):
-            return None
-        if vec[0] < 0:
-            vec = [-x for x in vec]
-        from math import gcd, lcm
-        scale = lcm(*(x.denominator for x in vec))
-        ints = [int(x * scale) for x in vec]
-        g_all = gcd(*ints)
-        for a, n in zip(comp, ints):
-            result[a] = n // g_all
-    return result
-
-
-def _nullspace(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:
-    m = [row[:] for row in rows]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -m[i][fc]
-        basis.append(vec)
-    return basis
 
 
 # ------------------------------------------------------ pareto oracle

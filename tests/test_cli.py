@@ -6,7 +6,8 @@ import time
 import pytest
 import yaml
 
-from conftest import layered_demo_snn, partition_rounds, two_core_platform
+from conftest import (layered_demo_snn, layered_snn, partition_rounds,
+                      two_core_platform)
 from oracles import dominance_front
 
 from snnflow.cli import main
@@ -255,6 +256,18 @@ def test_map_of_a_deadlocked_clustering_names_the_cycle(files, tmp_path,
         "needs 2 tokens on channel 0 from 'c0' (has 0)\n")
 
 
+def test_map_prints_the_record_it_writes_to_output(files, tmp_path, capsys):
+    out = tmp_path / "mapping.yaml"
+    assert map_round_0(files, tmp_path, "--output", str(out)) == 0
+    capsys.readouterr()
+    assert main(["map", str(tmp_path / "parts" / "round_0.yaml"),
+                 "--hardware", files["hw"], "--seed", "1"]) == 0
+    printed = capsys.readouterr().out
+    assert printed == out.read_text(encoding="utf-8")
+    assert set(yaml.safe_load(printed)) == {"mapping", "throughput",
+                                            "schedules"}
+
+
 def explore_args(files, out, eta="3", seed="11", jobs="1"):
     return ["explore", "--snn", files["snn"], "--hardware", files["hw"],
             "--crossbar-dim", "4", "--eta", eta, "--seed", seed,
@@ -272,6 +285,56 @@ def test_explore_reproducible_and_parallel_identical(files, tmp_path, capsys):
     ref_series = (outs[0] / "series.csv").read_bytes()
     assert (outs[1] / "series.csv").read_bytes() == ref_series
     assert (outs[2] / "series.csv").read_bytes() == ref_series
+
+
+def test_explore_with_trains_equals_rates_then_explore(tmp_path, capsys):
+    # explore --trains rates the net in-process before the flow; every
+    # output matches the two-step run's but the manifest, whose paths
+    # differ
+    net, hw, trains = (tmp_path / n for n in ("net.yaml", "hw.yaml",
+                                              "trains.yaml"))
+    save_snn_graph(layered_snn(0, [4, 4, 4]), net)
+    save_hardware_graph(two_core_platform(), hw)
+    trains.write_text(yaml.safe_dump(
+        {"format": "spike-trains/1", "frame_length": 0.01,
+         "frames": [{f"in{i}": [0.0005 + 0.0015 * k for k in range(4 + i)]
+                     for i in range(4)}]}))
+    flow = ["--hardware", str(hw), "--crossbar-dim", "4", "--eta", "2",
+            "--seed", "11", "--jobs", "1"]
+    assert main(["explore", "--snn", str(net), "--trains", str(trains),
+                 *flow, "-o", str(tmp_path / "one")]) == 0
+    rated = tmp_path / "rated.yaml"
+    assert main(["rates", "--snn", str(net), "--trains", str(trains),
+                 "-o", str(rated)]) == 0
+    assert main(["explore", "--snn", str(rated), *flow,
+                 "-o", str(tmp_path / "two")]) == 0
+    assert [s.spikes for s in load_snn_graph(str(rated)).synapses] != \
+        [s.spikes for s in load_snn_graph(str(net)).synapses]
+
+    def outputs(run):
+        root = tmp_path / run
+        return {str(p.relative_to(root)): p.read_bytes()
+                for p in sorted(root.rglob("*")) if p.is_file()}
+
+    one, two = outputs("one"), outputs("two")
+    assert one.keys() == two.keys()
+    assert {"pareto.csv", "series.csv", "round_0.yaml",
+            "points/point_0_0.yaml"} <= one.keys()
+    assert [k for k in one if one[k] != two[k]] == ["manifest.yaml"]
+    configs = [yaml.safe_load(run["manifest.yaml"])["config"]
+               for run in (one, two)]
+    assert configs[0] == {**configs[1], "snn": str(net),
+                          "trains": str(trains),
+                          "output_dir": str(tmp_path / "one")}
+
+
+def test_explore_without_a_network_exits_2_naming_the_setting(files,
+                                                              tmp_path,
+                                                              capsys):
+    assert main(["explore", "--hardware", files["hw"],
+                 "-o", str(tmp_path / "out")]) == 2
+    assert "missing required setting 'snn'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 class _Row:

@@ -148,7 +148,7 @@ def token_ring() -> Sdfg:
                  Channel("b", 1, "a", 1, tokens=1)))
 
 
-def test_sweep_escalates_a_deadlocked_minimum_allocation():
+def test_sweep_refuses_a_deadlocked_minimum_allocation():
     # a deadlocked minimum is refused, naming the cycle it starves on
     assert check_deadlock(token_ring()) is None
     with pytest.raises(DeadlockError) as info:
@@ -160,7 +160,7 @@ def test_sweep_escalates_a_deadlocked_minimum_allocation():
     assert [w.actor for w in info.value.state["cycle"]] == ["a", "b"]
 
 
-def test_sweep_without_a_live_uniform_level_raises_deadlock():
+def test_sweep_of_a_tokenless_cycle_raises_deadlock():
     # a two-actor cycle without tokens starves at every buffer size
     g = Sdfg((Actor("a"), Actor("b")),
              (Channel("a", 1, "b", 1, 0, None),
@@ -170,7 +170,7 @@ def test_sweep_without_a_live_uniform_level_raises_deadlock():
         sweep_buffers(g, pure_evaluator)
 
 
-def test_escalation_warning_and_error_name_the_starving_cycle(caplog):
+def test_sweep_deadlock_error_names_the_starving_cycle_and_logs_nothing(caplog):
     # one error names the cycle; nothing is logged before it
     g = Sdfg((Actor("a"), Actor("b")),
              (Channel("a", 1, "b", 1, 0, None),

@@ -30,8 +30,8 @@ from snnflow.partition import (build_clustered_graph, partition_round,
                                round_seeds)
 from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, Sdfg, execute,
                           exact_time, lift_to_sdfg, minimum_buffer_allocation,
-                          repetition_vector, resolve_platform,
-                          self_timed_throughput, set_buffer_allocation)
+                          resolve_platform, self_timed_throughput,
+                          set_buffer_allocation)
 from snnflow.snn_graph import Core, HardwareGraph, Link
 
 
@@ -257,14 +257,9 @@ def test_two_independent_clusters_alternate():
     assert s.iterations_per_cycle == 1
 
 
-def test_schedule_multiplicities_match_repetition_vector():
-    # every actor fires once per iteration
-    g = Sdfg((Actor("a", 1), Actor("b", 1)),
-             (Channel("a", 2, "b", 2, 0, 6),
-              Channel("a", 1, "a", 1, tokens=1),
-              Channel("b", 1, "b", 1, tokens=1)))
-    hw = two_core_platform(dim=4)
-    mapping = {"a": "t0", "b": "t1"}
+def assert_cycles_hold_hosted_actors_once_per_iteration(g, hw, mapping):
+    # every actor fires once per iteration, so a core's cycle holds each
+    # of its own actors once per iteration it covers
     schedules = build_schedules(g, hw, mapping)
     for core, s in schedules.items():
         hosted = {a for a, c in mapping.items() if c == core}
@@ -273,18 +268,18 @@ def test_schedule_multiplicities_match_repetition_vector():
             assert s.cycle.count(actor) == s.iterations_per_cycle
 
 
+def test_schedule_multiplicities_match_repetition_vector():
+    g = Sdfg((Actor("a", 1), Actor("b", 1)),
+             (Channel("a", 2, "b", 2, 0, 6),
+              Channel("a", 1, "a", 1, tokens=1),
+              Channel("b", 1, "b", 1, tokens=1)))
+    assert_cycles_hold_hosted_actors_once_per_iteration(
+        g, two_core_platform(dim=4), {"a": "t0", "b": "t1"})
+
+
 def test_demo_schedule_covers_every_actor_q_times(hw2):
-    g = demo_sdfg(buffer=38)
-    mapping = {"c0": "t0", "c1": "t1", "c2": "t1"}
-    schedules = build_schedules(g, hw2, mapping)
-    q = repetition_vector(g)
-    counted = {a: 0 for a in q}
-    ipc = None
-    for s in schedules.values():
-        ipc = s.iterations_per_cycle
-        for actor in s.cycle:
-            counted[actor] += 1
-    assert all(counted[a] == q[a] * ipc for a in counted)
+    assert_cycles_hold_hosted_actors_once_per_iteration(
+        demo_sdfg(buffer=38), hw2, {"c0": "t0", "c1": "t1", "c2": "t1"})
 
 
 def test_imposed_schedule_never_beats_free_execution(hw2):
@@ -340,7 +335,8 @@ def test_evaluated_state_layout_is_pinned():
     # the rating's recurring state, its hash and its block counts go into
     # every record and drive the buffer sweep, so a change to the state
     # key or to the cursor reduction must show here.  The second design
-    # repeats every 4 iterations with a fractional period
+    # repeats every 4 iterations with a fractional period, at a share
+    # that reads as exactly 1/3
     g, hw, mapping = two_core_loop()
 
     def pinned(sol):
@@ -361,7 +357,7 @@ def test_evaluated_state_layout_is_pinned():
     sol = evaluate_mapping(g, hw, {"a0": "t0", "a1": "t3", "a2": "t1"},
                            1 / 3)
     assert {s.iterations_per_cycle for s in sol.schedules.values()} == {4}
-    assert pinned(sol) == (7.500000000000001, "8b24a4ef4f02", 3, {3: 10})
+    assert pinned(sol) == (7.5, "4aa0e5479609", 3, {3: 10})
 
 
 def test_graph_and_platform_with_filled_tables_survive_pickle(hw2):
@@ -496,6 +492,66 @@ def test_search_budget_error_in_the_first_iteration_propagates(hw2):
     with pytest.raises(BudgetExceededError):
         search_mapping(g, hw2, SwarmConfig(particles=3, iterations=4),
                        state_budget=1, rng=0)
+
+
+def test_search_never_rates_an_assignment_without_a_route(monkeypatch):
+    # two cores and no link: a split assignment's bound is inf, so only
+    # an assignment that keeps every cluster on one core is rated
+    g = pipeline_sdfg(3, tokens=2, buffer=4)
+    rated = []
+
+    def recording(g, hw, mapping, *args):
+        rated.append(dict(mapping))
+        return evaluate_mapping(g, hw, mapping, *args)
+
+    monkeypatch.setattr(mapping_module, "evaluate_mapping", recording)
+    cfg = SwarmConfig(particles=6, iterations=10)
+    hw = HardwareGraph((Core("t0", 8, 1), Core("t1", 8, 1)))
+    sol = search_mapping(g, hw, cfg, rng=0)
+    assert len(set(sol.mapping.values())) == 1
+    assert sol.throughput.period == 6.0
+    assert rated and all(len(set(m.values())) == 1 for m in rated)
+    # at crossbar 2 no core holds all three clusters
+    rated.clear()
+    hw = HardwareGraph((Core("t0", 2, 1), Core("t1", 2, 1)))
+    with pytest.raises(InfeasibleMappingError,
+                       match="no feasible cluster-to-core assignment"):
+        search_mapping(g, hw, cfg, rng=0)
+    assert rated == []
+
+
+# ------------------------------------------------------ time-wheel share
+
+@pytest.mark.parametrize("share,scale", [
+    (0.5, 2), (0.25, 4), (0.1, 10), (1, 1), (0.333, Fraction(1000, 333)),
+    (0.123456, Fraction(1000000, 123456)), (1 / 3, 3),
+    (Fraction(1, 3), 3), (2 / 3, Fraction(3, 2)), (4e-7, 2_500_000)])
+def test_share_scales_execution_times_by_its_exact_inverse(share, scale):
+    # a float share reads as the nearest fraction with a denominator of
+    # at most 10**6: six decimals stay as written, 1/3 becomes 1/3, and a
+    # share too small for that grid keeps its decimal reading
+    assert _share_to_scale(share) == scale
+    assert type(_share_to_scale(share)) is type(scale)
+
+
+@pytest.mark.parametrize("share", [0, -0.1, 1.5, 1.0000001])
+def test_share_outside_the_wheel_is_refused(share):
+    with pytest.raises(ValueError, match=r"must be in \(0, 1\]"):
+        _share_to_scale(share)
+
+
+@pytest.mark.parametrize("share,period", [
+    (1 / 3, 9), (Fraction(1, 3), 9), (2 / 3, 4.5), (Fraction(2, 3), 4.5)])
+def test_a_float_third_rates_as_the_exact_third(share, period):
+    # scaled by 10**16/3333333333333333, as its repr reads, a float third
+    # gives a timed state that does not recur within this budget
+    g = pipeline_sdfg(8, tokens=2, buffer=8)
+    hw = all_to_all_platform(4, dim=4)
+    cores = {"t0": "c0 c1 c7", "t1": "c3 c4", "t2": "c5", "t3": "c2 c6"}
+    placed = {a: core for core, actors in cores.items()
+              for a in actors.split()}
+    sol = evaluate_mapping(g, hw, placed, share, state_budget=20_000)
+    assert sol.throughput.period == float(period)
 
 
 # -------------------------------------------- pruning by a period bound
