@@ -90,9 +90,7 @@ def _merged_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if getattr(args, "config", None) \
         else RunConfig()
     overrides = {}
-    for name in ("snn", "hardware", "trains", "crossbar_dim", "eta",
-                 "delta_min", "seed", "time_wheel_share", "state_budget",
-                 "jobs", "output_dir"):
+    for name in CONFIG_FLAGS.keys() - {"config"}:
         value = getattr(args, name, None)
         if value is not None:
             overrides[name] = value
@@ -136,6 +134,15 @@ def _float_cell(x: float) -> str:
     return repr(float(x))
 
 
+def _load_network(cfg: RunConfig) -> snn_graph.SnnGraph:
+    """The network, its spike counts estimated from ``cfg.trains`` if set."""
+    g = snn_graph.load_snn_graph(cfg.snn)
+    if cfg.trains:
+        frames = lif.load_spike_trains(cfg.trains)
+        g = lif.estimate_rates(g, lif.LifParams(), frames)
+    return g
+
+
 # ---------------------------------------------------------------- stats
 
 def cmd_stats(args) -> int:
@@ -169,7 +176,7 @@ def cmd_rates(args) -> int:
 def cmd_partition(args) -> int:
     cfg = _merged_config(args)
     _require(cfg, "snn")
-    g = snn_graph.load_snn_graph(cfg.snn)
+    g = _load_network(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     log_rows = []
     for r, (kl_seed, _) in enumerate(partition.round_seeds(cfg.seed, cfg.eta)):
@@ -215,9 +222,12 @@ def cmd_analyze(args) -> int:
 # ------------------------------------------------------------------- map
 
 def cmd_map(args) -> int:
-    if args.output_dir is not None:  # the flag is shared with explore
+    if args.output_dir is not None:  # declared only to refuse it
         raise ConfigError("map writes one record, to the file named by "
                           "--output; it takes no -o/--output-dir")
+    if args.buffer is not None and args.buffer < 1:
+        raise ConfigError(
+            f"--buffer must be an integer >= 1, got {args.buffer}")
     cfg = _merged_config(args)
     _require(cfg, "hardware")
     cg = partition.load_clustered_graph(args.clustered)
@@ -303,10 +313,7 @@ def _write_explore_outputs(cfg: RunConfig, result: "dse.DesignFlowResult",
 def cmd_explore(args) -> int:
     cfg = _merged_config(args)
     _require(cfg, "snn", "hardware")
-    g = snn_graph.load_snn_graph(cfg.snn)
-    if cfg.trains:
-        frames = lif.load_spike_trains(cfg.trains)
-        g = lif.estimate_rates(g, lif.LifParams(), frames)
+    g = _load_network(cfg)
     hw = snn_graph.load_hardware_graph(cfg.hardware)
     flow_cfg = cfg.flow_config()
     out_dir = cfg.output_dir
@@ -329,26 +336,31 @@ def cmd_explore(args) -> int:
 
 # ------------------------------------------------------------------ main
 
-def _add_config_flags(sp) -> None:
-    sp.add_argument("--config", help="run-config YAML file")
-    sp.add_argument("--snn", help="spiking-network graph file")
-    sp.add_argument("--hardware", help="hardware platform file")
-    sp.add_argument("--trains", help="spike-train file (optional)")
-    sp.add_argument("--crossbar-dim", dest="crossbar_dim", type=int,
-                    help="crossbar dimension (max pre/post neurons per cluster)")
-    sp.add_argument("--eta", type=int, help="number of partition rounds")
-    sp.add_argument("--delta-min", dest="delta_min", type=float,
-                    help="stop threshold for per-sweep cost improvement")
-    sp.add_argument("--seed", type=int, help="master random seed")
-    sp.add_argument("--time-wheel-share", dest="time_wheel_share", type=float,
-                    help="fraction of each core's time wheel available")
-    sp.add_argument("--state-budget", dest="state_budget", type=int,
-                    help="max states per execution before giving up")
-    sp.add_argument("--jobs", type=int,
-                    help="parallel rounds (default: hardware parallelism)")
-    sp.add_argument("-o", "--output-dir", dest="output_dir",
-                    help=f"output directory (default ${OUTPUT_DIR_ENV} "
-                         f"or ./snnflow-out)")
+# type and help of each run setting's flag, --crossbar-dim for crossbar_dim
+CONFIG_FLAGS = {
+    "config": (str, "run-config YAML file"),
+    "snn": (str, "spiking-network graph file"),
+    "hardware": (str, "hardware platform file"),
+    "trains": (str, "spike-train file (optional)"),
+    "crossbar_dim": (int, "max pre/post neurons per cluster (crossbar size)"),
+    "eta": (int, "number of partition rounds"),
+    "delta_min": (float, "stop threshold for per-sweep cost improvement"),
+    "seed": (int, "master random seed"),
+    "time_wheel_share": (float, "share of each core's time wheel available"),
+    "state_budget": (int, "max states per execution before giving up"),
+    "jobs": (int, "parallel rounds (default: hardware parallelism)"),
+    "output_dir": (str, f"output directory (default ${OUTPUT_DIR_ENV} or "
+                        f"./snnflow-out)"),
+}
+
+
+def _add_config_flags(sp, *names: str) -> None:
+    # only the flags a command reads, so that argparse refuses the others
+    for name in names:
+        kind, text = CONFIG_FLAGS[name]
+        flags = ("-o",) if name == "output_dir" else ()
+        sp.add_argument(*flags, f"--{name.replace('_', '-')}", dest=name,
+                        type=kind, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -373,7 +385,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("partition",
                         help="run partition rounds, dump clustered graphs")
-    _add_config_flags(sp)
+    _add_config_flags(sp, "config", "snn", "trains", "crossbar_dim", "eta",
+                      "delta_min", "seed", "output_dir")
     sp.set_defaults(func=cmd_partition)
 
     sp = sub.add_parser("analyze", help="a starving cycle (exit 1) or "
@@ -389,11 +402,12 @@ def build_parser() -> argparse.ArgumentParser:
                     help="uniform inter-cluster channel capacity (default: "
                          "each channel's single-firing minimum)")
     sp.add_argument("--output", help="write the mapping record here")
-    _add_config_flags(sp)
+    _add_config_flags(sp, "config", "hardware", "seed", "time_wheel_share",
+                      "state_budget", "output_dir")
     sp.set_defaults(func=cmd_map)
 
     sp = sub.add_parser("explore", help="full design flow to a Pareto front")
-    _add_config_flags(sp)
+    _add_config_flags(sp, *CONFIG_FLAGS)
     sp.set_defaults(func=cmd_explore)
     return ap
 

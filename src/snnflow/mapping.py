@@ -425,13 +425,11 @@ def pso_step(swarm: Swarm, fitness) -> Swarm:
     infeasible decode).  ``limits[l]`` is particle ``l``'s best period
     so far, the only value its new period is compared with; when
     fitness can prove that a period is at least its limit, it may
-    return any value ``>=`` the limit instead.  When it finds a row
-    whose period no row can beat, it may return that row's period and
-    any values not strictly below it for the other rows; the caller
-    then stops, and reads nothing of the swarm but its best.  The bests
-    are then refreshed row by row.  The first call on a fresh swarm
-    only evaluates the initial positions, each against a limit of
-    ``inf``.
+    return any value ``>=`` the limit instead.  The bests are then
+    refreshed row by row.  When fitness finds a row whose period no row
+    can beat, it may return no periods, and the caller then stops.  The
+    first call on a fresh swarm only evaluates the initial positions,
+    each against a limit of ``inf``.
     """
     if swarm.gbest_position is not None:
         swarm.velocities = (
@@ -592,41 +590,42 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     may share between searches (``None`` gives this search a fresh
     one).  It is keyed by everything an evaluation reads besides the
     assignment: the graph by value, the platform, the time-wheel share
-    and the state budget; under that key it holds each assignment's
-    period bound and, once evaluated, its period and solution
-    (``None`` for a rejected one).  So each distinct assignment of one
-    graph on one platform is bounded and evaluated at most once for as
-    long as the table lives.  An evaluation that exceeds the state
-    budget is not stored.  A stored period where the bound would prune
-    is at least the bound, so sharing the table changes no result.
+    and the state budget.  Under that key it holds two dicts keyed by
+    an assignment's host cores: its period bound as a float and, once
+    evaluated, its solution (``None`` for a rejected one).  So each
+    distinct assignment of one graph on one platform is bounded and
+    evaluated at most once for as long as the table lives.  An
+    evaluation that exceeds the state budget is not stored.  A stored
+    period where the bound would prune is at least the bound, so
+    sharing the table changes no result.
 
-    An assignment is not evaluated when an exact lower bound on its
-    period (:func:`_period_lower_bound`) already reaches the particle's
-    best period: it could change neither that best nor the result, so
-    the search returns what the exhaustive scoring would.  Such a
-    skipped assignment cannot raise :class:`BudgetExceededError`, which
-    its evaluation might have done.  In the first swarm iteration every
+    An assignment is not evaluated when its period bound
+    (:func:`_period_lower_bound`, rounded to float) already reaches the
+    particle's best period.  The swarm compares periods as floats and
+    rounding is monotone, so its period would reach that best too: it
+    could change neither that best nor the result.  Such a skipped
+    assignment cannot raise :class:`BudgetExceededError`, which its
+    evaluation might have done.  In the first swarm iteration every
     particle's best is ``inf`` and only assignments that cannot be
     placed at all are skipped.
 
     ``cfg.iterations`` is a maximum: the search stops in the first
     iteration that finds a period at most ``float(floor)``, the floor
     being :func:`_search_floor`, computed once a row first decodes.
-    Every score is a rated period, a bound of
-    :func:`_period_lower_bound` or ``inf``, each at least the floor,
-    and rounding to float is monotone, so no score can lie strictly
-    below such a period.  Each iteration first probes its decoded rows
-    in row order: a row already rated is read from the table, a row
-    whose rounded bound is at most ``float(floor)`` is rated, and every
-    other row is passed over, since it cannot meet the floor.  The
-    first row whose period is at most ``float(floor)`` is the row that
-    scoring every row would make the swarm's best, since the swarm's
-    best moves only on a strictly lower score and no limit can prune a
-    probed row: every limit exceeds the floor while the search runs.
-    That row ends the search, and the iteration's other rows are not
-    rated.  When no row meets the floor, the iteration scores every row
-    as above.  So the returned solution is the one the full iterations
-    would return.  The rows the search does not rate cannot raise the
+    Every score is a rated period, a rounded bound or ``inf``, and
+    rounding is monotone, so no score lies below ``float(floor)``.
+    Each iteration first probes its decoded rows in row order: a row
+    already rated is read from the table, a row whose bound is at most
+    ``float(floor)`` is rated, and every other row is passed over,
+    since it cannot meet the floor.  The first row whose period is at
+    most ``float(floor)`` is the row that scoring every row would make
+    the swarm's best, since the swarm's best moves only on a strictly
+    lower score and no limit can prune a probed row: every limit
+    exceeds the floor while the search runs.  The search returns that
+    row's solution, and the iteration's other rows are not rated.  When
+    no row meets the floor, the iteration scores every row as above.
+    So the returned solution is the one the full iterations would
+    return.  The rows the search does not rate cannot raise the
     :class:`BudgetExceededError` that rating them might have; the first
     iteration always runs.
     """
@@ -636,84 +635,69 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     swarm = init_swarm(cfg, dims, rng)
     clusters, cores = g._weights[0], hw._cores[0]
     scale = _share_to_scale(time_wheel_share)
-    # both keyed by a decoded row's picks; cache holds real evaluations
-    # only, bounds never enter it.  bounds: picks -> (bound, float, float
-    # exact?); cache: picks -> (period, solution or None)
-    bounds, cache = ({} if table is None else table).setdefault(
+    # both keyed by a decoded row's picks; rated holds real evaluations
+    # only, bounds never enter it
+    bounds, rated = ({} if table is None else table).setdefault(
         (g, hw, time_wheel_share, state_budget), ({}, {}))
-
-    def period_bound(mapping: dict[str, str]) -> tuple:
-        try:
-            placement = resolve_platform(g, hw, mapping, scale)
-        except InfeasibleMappingError:
-            return math.inf, math.inf, True
-        bound = _period_lower_bound(g, *placement)
-        rounded = float(bound)
-        return bound, rounded, rounded == bound
 
     def assignment(picks: tuple) -> dict[str, str]:
         return {cl: cores[j] for cl, j in zip(clusters, picks)}
 
-    def bound_of(picks: tuple) -> tuple:
+    def bound(picks: tuple) -> float:
         if picks not in bounds:
-            bounds[picks] = period_bound(assignment(picks))
+            try:
+                bounds[picks] = float(_period_lower_bound(
+                    g, *resolve_platform(g, hw, assignment(picks), scale)))
+            except InfeasibleMappingError:
+                bounds[picks] = math.inf
         return bounds[picks]
 
     def rate(picks: tuple) -> float:
-        if picks not in cache:
+        if picks not in rated:
             mapping = assignment(picks)
             try:
-                sol = evaluate_mapping(g, hw, mapping, time_wheel_share,
-                                       state_budget)
-                cache[picks] = (sol.throughput.period, sol)
+                rated[picks] = evaluate_mapping(g, hw, mapping,
+                                                time_wheel_share, state_budget)
             except (InfeasibleMappingError, DeadlockError) as exc:
                 logger.debug("assignment %s rejected: %s", mapping, exc)
-                cache[picks] = (math.inf, None)
-        return cache[picks][0]
+                rated[picks] = None
+        sol = rated[picks]
+        return math.inf if sol is None else sol.throughput.period
 
     def score(picks: tuple | None, limit: float) -> float:
         if picks is None:
             return math.inf
-        if picks not in cache:
-            bound, rounded, exact = bound_of(picks)
-            # rounding to float is monotone, so only a tie between the
-            # rounded bound and the limit needs the exact comparison, and
-            # not even that when the bound is a float itself
-            if rounded > limit or (rounded == limit
-                                   and (exact or bound >= limit)):
-                return rounded
+        if picks not in rated and bound(picks) >= limit:
+            return bounds[picks]
         return rate(picks)
 
     def meets_floor(picks: tuple | None) -> bool:
-        # a row whose rounded bound is above the floor cannot meet it
-        if picks is None or (picks not in cache
-                             and bound_of(picks)[1] > floor):
-            return False
-        return rate(picks) <= floor
+        # a row whose bound is above the floor cannot meet it
+        return (picks is not None
+                and (picks in rated or bound(picks) <= floor)
+                and rate(picks) <= floor)
 
     def fitness(positions: np.ndarray, limits: np.ndarray) -> list[float]:
-        nonlocal floor
+        nonlocal floor, found
         rows = _decode_swarm(positions, g, hw)
         if floor is None and any(rows):  # some row places an actor
             floor = float(_search_floor(g, hw, scale))
         if floor is not None:
-            hit = next((l for l, picks in enumerate(rows)
-                        if meets_floor(picks)), None)
-            if hit is not None:
-                periods = [math.inf] * len(rows)
-                periods[hit] = cache[rows[hit]][0]
-                return periods
+            found = next((rated[picks] for picks in rows
+                          if meets_floor(picks)), None)
+            if found is not None:  # the search returns it after this step
+                return []
         return [score(picks, limit)
                 for picks, limit in zip(rows, limits.tolist())]
 
-    floor = None
+    floor = found = None
     for _ in range(cfg.iterations):
         pso_step(swarm, fitness)
-        if floor is not None and swarm.gbest_period <= floor:
-            break
+        if found is not None:
+            return found
     if swarm.gbest_position is None:
         raise InfeasibleMappingError(
             "no feasible cluster-to-core assignment found by the search")
     # only a rated row can beat the swarm's best, since a pruned row
-    # scores at least its particle's best, so the best is in the cache
-    return cache[_decode_swarm(swarm.gbest_position[None], g, hw)[0]][1]
+    # scores at least its particle's best, so the best is in the table
+    return rated[_decode_swarm(swarm.gbest_position[None], g, hw)[0]]

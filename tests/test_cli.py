@@ -26,6 +26,41 @@ def files(tmp_path):
     return {"snn": str(snn), "hw": str(hw), "dir": tmp_path}
 
 
+def exit_code(argv) -> int:
+    """main's exit code, also when argparse exits on the command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+# a value for each run-setting flag; explore reads them all, and the
+# other commands read these and refuse the rest
+FLAG_VALUES = {"--config": "run.yaml", "--snn": "net.yaml",
+               "--hardware": "hw.yaml", "--trains": "trains.yaml",
+               "--crossbar-dim": "4", "--eta": "2", "--delta-min": "0.5",
+               "--seed": "3", "--time-wheel-share": "0.5",
+               "--state-budget": "100", "--jobs": "2", "-o": "out"}
+READS = {"partition": {"--config", "--snn", "--trains", "--crossbar-dim",
+                       "--eta", "--delta-min", "--seed", "-o"},
+         "map": {"--config", "--hardware", "--seed", "--time-wheel-share",
+                 "--state-budget", "-o"}}
+
+
+def command_argv(files, tmp_path, command) -> list[str]:
+    """``command`` on the demo inputs, passing only flags it reads; its
+    output goes to ``tmp_path / "out"``."""
+    out = str(tmp_path / "out")
+    if command == "map":
+        clustered = tmp_path / "clustered.yaml"
+        save_clustered_graph(partition_rounds(load_snn_graph(files["snn"]),
+                                              4, 1, seed=11)[0], clustered)
+        return ["map", str(clustered), "--hardware", files["hw"],
+                "--output", out]
+    argv = [command, "--snn", files["snn"], "--crossbar-dim", "4", "-o", out]
+    return argv + (["--hardware", files["hw"]] if command == "explore" else [])
+
+
 def test_stats_prints_table(files, capsys):
     assert main(["stats", files["snn"]]) == 0
     out = capsys.readouterr().out
@@ -207,13 +242,51 @@ def map_round_0(files, tmp_path, *flags):
 
 @pytest.mark.parametrize("buffer,channel", [
     ("1", "channel 0 ('c0' -> 'c1'): capacity 1 below single-firing minimum 5"),
-    ("6", "channel 1 ('c0' -> 'c2'): capacity 6 below single-firing minimum 7"),
-    ("-1", "channel 0 ('c0' -> 'c1'): capacity -1 below single-firing "
-           "minimum 5")])
+    ("6", "channel 1 ('c0' -> 'c2'): capacity 6 below single-firing minimum 7")])
 def test_map_buffer_below_a_channel_minimum_exits_1_naming_it(
         files, tmp_path, capsys, buffer, channel):
     assert map_round_0(files, tmp_path, "--buffer", buffer) == 1
     assert capsys.readouterr().err == f"analysis failed: {channel}\n"
+
+
+@pytest.mark.parametrize("buffer", ["0", "-1", "-3"])
+def test_map_non_positive_buffer_exits_2_naming_it(files, tmp_path, capsys,
+                                                    buffer):
+    # no channel holds a firing in a buffer below 1, whatever its minimum
+    out = tmp_path / "mapping.yaml"
+    assert map_round_0(files, tmp_path, "--buffer", buffer,
+                       "--output", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"error: --buffer must be an integer >= 1, got {buffer}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,flag", [
+    (command, flag) for command, reads in READS.items()
+    for flag in FLAG_VALUES if flag not in reads])
+def test_a_flag_the_command_does_not_read_exits_2_writing_nothing(
+        files, tmp_path, capsys, command, flag):
+    argv = command_argv(files, tmp_path, command) + [flag, FLAG_VALUES[flag]]
+    assert exit_code(argv) == 2
+    assert f"unrecognized arguments: {flag} {FLAG_VALUES[flag]}" in \
+        capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", sorted(READS))
+def test_a_config_key_the_command_does_not_read_is_accepted(
+        files, tmp_path, capsys, command):
+    # one config file serves every command
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(yaml.safe_dump({
+        "format": "run-config/1", "snn": files["snn"],
+        "hardware": files["hw"], "crossbar_dim": 4, "eta": 1,
+        "delta_min": 0.5, "seed": 3, "time_wheel_share": 0.5,
+        "state_budget": 10 ** 5, "jobs": 1, "swarm": {"particles": 4},
+        "sweep": {"plateau": 2}}))
+    argv = command_argv(files, tmp_path, command) + ["--config", str(cfg)]
+    assert main(argv) == 0
+    assert (tmp_path / "out").exists()
 
 
 def test_map_with_a_uniform_buffer_writes_the_same_record(files, tmp_path):
@@ -287,44 +360,67 @@ def test_explore_reproducible_and_parallel_identical(files, tmp_path, capsys):
     assert (outs[2] / "series.csv").read_bytes() == ref_series
 
 
-def test_explore_with_trains_equals_rates_then_explore(tmp_path, capsys):
-    # explore --trains rates the net in-process before the flow; every
-    # output matches the two-step run's but the manifest, whose paths
-    # differ
-    net, hw, trains = (tmp_path / n for n in ("net.yaml", "hw.yaml",
-                                              "trains.yaml"))
+def net_and_trains(tmp_path):
+    """A 12-neuron net, its spike trains, and the net as ``rates`` rates
+    it: three paths."""
+    net, trains, rated = (tmp_path / n for n in ("net.yaml", "trains.yaml",
+                                                 "rated.yaml"))
     save_snn_graph(layered_snn(0, [4, 4, 4]), net)
-    save_hardware_graph(two_core_platform(), hw)
     trains.write_text(yaml.safe_dump(
         {"format": "spike-trains/1", "frame_length": 0.01,
          "frames": [{f"in{i}": [0.0005 + 0.0015 * k for k in range(4 + i)]
                      for i in range(4)}]}))
-    flow = ["--hardware", str(hw), "--crossbar-dim", "4", "--eta", "2",
-            "--seed", "11", "--jobs", "1"]
-    assert main(["explore", "--snn", str(net), "--trains", str(trains),
-                 *flow, "-o", str(tmp_path / "one")]) == 0
-    rated = tmp_path / "rated.yaml"
     assert main(["rates", "--snn", str(net), "--trains", str(trains),
                  "-o", str(rated)]) == 0
-    assert main(["explore", "--snn", str(rated), *flow,
-                 "-o", str(tmp_path / "two")]) == 0
     assert [s.spikes for s in load_snn_graph(str(rated)).synapses] != \
         [s.spikes for s in load_snn_graph(str(net)).synapses]
+    return str(net), str(trains), str(rated)
 
-    def outputs(run):
-        root = tmp_path / run
-        return {str(p.relative_to(root)): p.read_bytes()
-                for p in sorted(root.rglob("*")) if p.is_file()}
 
-    one, two = outputs("one"), outputs("two")
+def outputs(root):
+    """Path under ``root`` -> bytes, of every file a run wrote there."""
+    return {str(p.relative_to(root)): p.read_bytes()
+            for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_partition_with_trains_equals_rates_then_partition(tmp_path,
+                                                           capsys):
+    # partition --trains rates the net in-process, through explore's loader
+    net, trains, rated = net_and_trains(tmp_path)
+    flow = ["--crossbar-dim", "4", "--eta", "2", "--seed", "11"]
+    for run, argv in (("one", ["--snn", net, "--trains", trains]),
+                      ("two", ["--snn", rated]), ("plain", ["--snn", net])):
+        assert main(["partition", *argv, *flow,
+                     "-o", str(tmp_path / run)]) == 0
+    one = outputs(tmp_path / "one")
+    assert {"round_0.yaml", "round_1.yaml", "cost_log.csv"} == one.keys()
+    assert one == outputs(tmp_path / "two")
+    # the spike counts move the cut costs, so the trains were read
+    assert one["cost_log.csv"] != outputs(tmp_path / "plain")["cost_log.csv"]
+
+
+def test_explore_with_trains_equals_rates_then_explore(tmp_path, capsys):
+    # explore --trains rates the net in-process before the flow; every
+    # output matches the two-step run's but the manifest, whose paths
+    # differ
+    net, trains, rated = net_and_trains(tmp_path)
+    hw = tmp_path / "hw.yaml"
+    save_hardware_graph(two_core_platform(), hw)
+    flow = ["--hardware", str(hw), "--crossbar-dim", "4", "--eta", "2",
+            "--seed", "11", "--jobs", "1"]
+    assert main(["explore", "--snn", net, "--trains", trains,
+                 *flow, "-o", str(tmp_path / "one")]) == 0
+    assert main(["explore", "--snn", rated, *flow,
+                 "-o", str(tmp_path / "two")]) == 0
+
+    one, two = outputs(tmp_path / "one"), outputs(tmp_path / "two")
     assert one.keys() == two.keys()
     assert {"pareto.csv", "series.csv", "round_0.yaml",
             "points/point_0_0.yaml"} <= one.keys()
     assert [k for k in one if one[k] != two[k]] == ["manifest.yaml"]
     configs = [yaml.safe_load(run["manifest.yaml"])["config"]
                for run in (one, two)]
-    assert configs[0] == {**configs[1], "snn": str(net),
-                          "trains": str(trains),
+    assert configs[0] == {**configs[1], "snn": net, "trains": trains,
                           "output_dir": str(tmp_path / "one")}
 
 
@@ -459,9 +555,7 @@ def test_swarm_seed_config_exits_2(files, tmp_path, capsys, command):
 @pytest.mark.parametrize("value", ["-1", "nan"])
 def test_bad_delta_min_flag_exits_2(files, tmp_path, capsys, command, value):
     # a negative or NaN threshold would never stop the swap descent
-    code = main([command, "--snn", files["snn"], "--hardware", files["hw"],
-                 "--crossbar-dim", "4", "--delta-min", value,
-                 "-o", str(tmp_path / "out")])
+    code = main(command_argv(files, tmp_path, command) + ["--delta-min", value])
     assert code == 2
     assert "delta_min" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
@@ -500,14 +594,13 @@ def test_bad_swarm_config_exits_2(files, tmp_path, capsys, swarm):
                                         ("--crossbar-dim", "0")])
 def test_bad_round_count_or_crossbar_flag_exits_2(files, tmp_path, capsys,
                                                   command, flag, value):
-    code = main([command, "--snn", files["snn"], "--hardware", files["hw"],
-                 flag, value, "-o", str(tmp_path / "out")])
+    code = main(command_argv(files, tmp_path, command) + [flag, value])
     assert code == 2
     assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("command", ["partition", "explore"])
+@pytest.mark.parametrize("command", ["partition", "map", "explore"])
 @pytest.mark.parametrize("flag,value", [
     ("--time-wheel-share", "0"), ("--time-wheel-share", "1.5"),
     ("--time-wheel-share", "nan"), ("--seed", "-1"),
@@ -515,12 +608,15 @@ def test_bad_round_count_or_crossbar_flag_exits_2(files, tmp_path, capsys,
 def test_bad_flow_setting_flag_exits_2(files, tmp_path, capsys, command,
                                        flag, value):
     # checked before any work: left to the flow, these end in a
-    # traceback or, for the budget, in exit 3
-    code = main([command, "--snn", files["snn"], "--hardware", files["hw"],
-                 "--crossbar-dim", "4", flag, value,
-                 "-o", str(tmp_path / "out")])
+    # traceback or, for the budget, in exit 3.  A command that does not
+    # read the setting refuses its flag
+    code = exit_code(command_argv(files, tmp_path, command) + [flag, value])
     assert code == 2
-    assert flag.lstrip("-").replace("-", "_") in capsys.readouterr().err
+    err = capsys.readouterr().err
+    if flag in READS.get(command, FLAG_VALUES):
+        assert flag.lstrip("-").replace("-", "_") in err
+    else:
+        assert f"unrecognized arguments: {flag} {value}" in err
     assert not (tmp_path / "out").exists()
 
 

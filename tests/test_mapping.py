@@ -976,8 +976,7 @@ def test_search_probe_reads_rated_rows_from_a_shared_table(monkeypatch):
     for held, rated in ((1, rows[:1]), (2, rows[:2])):
         sol = evaluate_mapping(g, hw, rows[held], 0.5)
         picks = tuple(cores.index(sol.mapping[cl]) for cl in g._weights[0])
-        table = {(g, hw, 0.5, DEFAULT_STATE_BUDGET):
-                 ({}, {picks: (sol.throughput.period, sol)})}
+        table = {(g, hw, 0.5, DEFAULT_STATE_BUDGET): ({}, {picks: sol})}
         calls.update(rated=[], steps=[])
         got = search_or_error(search_mapping, g, hw, cfg, 0.5, rng=4,
                               table=table)

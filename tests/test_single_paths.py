@@ -130,6 +130,20 @@ def test_one_table_of_rated_designs():
         [("dse.py", "_run_round"), ("mapping.py", "search_mapping")]
 
 
+def test_the_search_table_holds_a_float_per_bound_and_a_solution_per_rating():
+    # the swarm compares periods as floats, so a bound needs no exact
+    # value beside its float, and a rating's period is its solution's
+    g, hw, table = lift_bounded(demo_clustered()), all_to_all_platform(2), {}
+    mapping.search_mapping(g, hw, mapping.SwarmConfig(particles=4,
+                                                      iterations=3),
+                           rng=0, table=table)
+    [(bounds, rated)] = table.values()
+    assert bounds and rated
+    assert all(type(bound) is float for bound in bounds.values())
+    assert all(sol is None or isinstance(sol, mapping.MappingSolution)
+               for sol in rated.values())
+
+
 def test_one_period_floor():
     # the search stops at the floor and the sweep's rate bound is one over
     # it; a second reader would have to keep its proof in step
@@ -323,8 +337,9 @@ def test_every_name_the_bench_traces_exists():
 
 @pytest.mark.parametrize("name", ["spans.py", "checks.py", "workloads.py"])
 def test_every_package_attribute_the_bench_reads_exists(name):
-    # module.attribute reads and the keywords of module.attribute(...)
-    # calls; the bench also calls allocation_dict on a design point
+    # module.attribute reads, and the arguments of module.attribute(...)
+    # calls bound to the attribute's signature, positional and keyword
+    # alike; the bench also calls allocation_dict on a design point
     tree = bench_tree(name)
     modules = bench_module_names(tree)
     assert modules
@@ -344,9 +359,13 @@ def test_every_package_attribute_the_bench_reads_exists(name):
             target = getattr(owner, node.func.attr, None)
             if target is None:
                 continue  # reported as an attribute above
-            accepted = inspect.signature(target).parameters
-            missing += [f"{ast.unparse(node.func)}({kw.arg}=)"
-                        for kw in node.keywords
-                        if kw.arg is not None and kw.arg not in accepted]
+            if any(isinstance(arg, ast.Starred) for arg in node.args):
+                missing.append(f"{ast.unparse(node)}: *args cannot be bound")
+                continue
+            try:  # a **kwargs binds under the key None, which fails too
+                inspect.signature(target).bind(
+                    *node.args, **{kw.arg: kw.value for kw in node.keywords})
+            except TypeError as exc:
+                missing.append(f"{ast.unparse(node)}: {exc}")
     assert missing == []
     assert callable(dse.DesignPoint.allocation_dict)
