@@ -6,23 +6,31 @@ writes the rounded per-frame averages back onto the graph.  Inter-spike
 timing is deliberately discarded downstream, so the integrator favours
 simplicity over waveform fidelity.
 
-:func:`estimate_rates` advances all neurons together, one array step per
-time step (clock-driven simulation, as surveyed by Brette et al., J.
-Comput. Neurosci. 2007).  Neurons take slots ``0..N-1`` of a spike-count
-vector, inputs the next ``I`` slots, and one last slot is always zero.
-Neuron ``j``'s in-synapses form column ``j`` of a ``(K, N)`` source-slot
-array and a ``(K, N)`` weight array, in ``g.synapses`` order, padded with
-the zero slot and weight ``0.0``.  Each step gathers the counts into a
-``(K, N)`` array, multiplies by the weights and adds the rows one at a
-time, then applies the forward-Euler membrane update elementwise.
+:func:`estimate_rates` advances every neuron of every frame together,
+one array step per time step (clock-driven simulation, as surveyed by
+Brette et al., J. Comput. Neurosci. 2007).  Frames are independent, so
+they are stacked along a leading axis: per frame, neurons take slots
+``0..N-1`` of a spike-count row and inputs the next ``I`` slots.  The
+synapses form one flat list in ``g.synapses`` order, repeated once per
+frame.  Each step gathers every synapse's source count, multiplies it by
+the weight, sums the products into the target neurons' currents with
+``np.bincount``, then applies the forward-Euler membrane update
+elementwise.  A step's work grows with frames x (synapses + neurons);
+no neuron's in-synapses are padded to the widest fan-in.
 
 The result equals, bit for bit, the scalar reference in
 ``tests/oracles.py``, which steps one neuron at a time and sums each
-neuron's synaptic current left to right over its firing sources.  The
-rows are added from a ``+0.0`` start in synapse order, which is that
-left-to-right order; a silent source adds a zero, which changes no sum.
-The membrane update performs the same float operations in the same
-order, and numpy's float64 arithmetic rounds as Python's does.
+neuron's synaptic current left to right over its firing sources.
+``np.bincount`` with weights starts every bin at ``+0.0`` and walks its
+input once, in order, adding each weight into its bin, so each neuron's
+current is the left-to-right sum of its terms in synapse order.  A
+silent source adds a zero, which changes no sum: a sum that starts at
+``+0.0`` never becomes ``-0.0`` under round-to-nearest.
+``test_rates_add_synapse_terms_left_to_right`` fails for any other
+order, and ``test_vectorised_rates_equal_the_reference`` compares random
+nets with the reference.  The membrane update performs the same float
+operations in the same order, and numpy's float64 arithmetic rounds as
+Python's does.
 """
 
 from __future__ import annotations
@@ -131,6 +139,11 @@ def estimate_rates(g: SnnGraph,
     The frame length is the trains' common one; a network without
     inputs has none, and :class:`ConfigError` refuses it.
 
+    Every frame starts at rest with no spikes in flight, so the frames
+    are simulated together, each in its own row of the state, and no
+    state passes from one frame to the next: the order of ``frames``
+    does not change the result.
+
     Raises :class:`ConfigError` if any input lacks a train in some frame
     or a frame holds a train for an id that is not an input; every frame
     is checked before any is simulated.  A neuron whose ``params`` name
@@ -170,7 +183,7 @@ def estimate_rates(g: SnnGraph,
     frame_length = frame_lengths.pop()
     n_steps = max(1, int(round(frame_length / dt)))
 
-    n, n_in = len(neuron_ids), len(input_ids)
+    n, n_in, n_frames = len(neuron_ids), len(input_ids), len(frames)
     slot = {nid: i for i, nid in enumerate(neuron_ids + input_ids)}
     v_rest = np.array([p.v_rest for p in per_neuron])
     v_th = np.array([p.v_th for p in per_neuron])
@@ -178,62 +191,69 @@ def estimate_rates(g: SnnGraph,
     c_m = np.array([p.c_m for p in per_neuron])
     i_inj = np.array([p.i_inj for p in per_neuron])
 
-    # column j lists neuron j's in-synapses in g.synapses order; short
-    # columns are padded with the always-zero slot n + n_in and weight 0.0
-    incoming: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-    for s in g.synapses:
-        incoming[slot[s.dst]].append((slot[s.src], s.weight))
-    fan_in = max(map(len, incoming), default=0)
-    src = np.full((fan_in, n), n + n_in, dtype=np.intp)
-    weight = np.zeros((fan_in, n))
-    for j, column in enumerate(incoming):
-        for k, (i, w) in enumerate(column):
-            src[k, j] = i
-            weight[k, j] = w
+    # frame f's copy of synapse k reads count f * (n + n_in) + src[k] and
+    # adds to current f * n + dst[k]; both run frame-major, in g.synapses
+    # order within a frame
+    frame_base = np.arange(n_frames)[:, None]
+    src = frame_base * (n + n_in) + np.array(
+        [slot[s.src] for s in g.synapses], dtype=np.intp)
+    dst = (frame_base * n + np.array(
+        [slot[s.dst] for s in g.synapses], dtype=np.intp)).ravel()
+    weight = np.array([s.weight for s in g.synapses], dtype=float)
 
     # 0 * inf is nan, so non-finite weights multiply only where a source
     # fired; with finite weights a silent source's term is a zero, which
     # leaves the running sum unchanged
     silent_is_zero = bool(np.isfinite(weight).all())
 
-    # neurons' spikes of the previous step, inputs' of this one, then 0
-    counts = np.zeros(n + n_in + 1)
-    fired_totals = np.zeros(n, dtype=np.int64)
-    input_totals = [0] * n_in
-    for frame in frames:
-        drive = np.zeros((n_steps, n_in))
-        for j, iid in enumerate(input_ids):
-            times = frame[iid].times
-            input_totals[j] += len(times)
-            for t in times:
-                b = int(t / dt)
-                if b < n_steps:
-                    drive[b, j] += 1
+    # drive[step, f, j]: input j's spikes in that step of frame f.  Spikes
+    # at or past step n_steps land in a spare last step that is never
+    # simulated: they count for the input's rate only.  Cells are numbered
+    # step-major with the trains laid end to end, and a train's steps
+    # never decrease, so the spikes of one cell form one run
+    trains = [frame[iid].times for frame in frames for iid in input_ids]
+    lengths = [len(times) for times in trains]
+    times = np.array([t for ts in trains for t in ts], dtype=float)
+    step_of = np.minimum((times / dt).astype(np.intp), n_steps)
+    cell = (step_of * (n_frames * n_in)
+            + np.repeat(np.arange(n_frames * n_in), lengths))
+    first = np.flatnonzero(np.diff(cell, prepend=-1))
+    hits = np.diff(first, append=cell.size)
+    drive = np.zeros((n_steps + 1, n_frames, n_in),
+                     dtype=np.min_scalar_type(hits.max(initial=0)))
+    drive.reshape(-1)[cell[first]] = hits
+    input_totals = np.reshape(lengths, (n_frames, n_in)).sum(axis=0)
 
-        v = v_rest
-        counts[:n] = 0.0
-        # inf and nan propagate silently, as in Python float arithmetic
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step in range(n_steps):
-                counts[n:n + n_in] = drive[step]
-                terms = counts[src]
-                if silent_is_zero:
-                    np.multiply(terms, weight, out=terms)
-                else:
-                    np.multiply(terms, weight, out=terms, where=terms != 0)
-                i_s = np.add.reduce(terms, axis=0, initial=0.0) / dt
-                leak = -(v - v_rest) / tau_m
-                v_new = v + dt * (leak + (i_s + i_inj) / c_m)
-                fired = (v >= v_th) | (v_new >= v_th)
-                v = np.where(fired, v_rest, v_new)
-                counts[:n] = fired
-                fired_totals += fired
+    # per frame: neurons' spikes of the previous step, inputs' of this one
+    counts = np.zeros((n_frames, n + n_in))
+    terms = np.empty(src.shape)
+    fired_totals = np.zeros((n_frames, n), dtype=np.int64)
+    v = v_rest
+    # inf and nan propagate silently, as in Python float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps):
+            counts[:, n:] = drive[step]
+            # every index is in range; "clip" writes straight into terms,
+            # where the default mode would buffer a copy
+            counts.take(src, out=terms, mode="clip")
+            if silent_is_zero:
+                np.multiply(terms, weight, out=terms)
+            else:
+                np.multiply(terms, weight, out=terms, where=terms != 0)
+            i_s = np.bincount(dst, terms.ravel(), n_frames * n).reshape(
+                n_frames, n) / dt
+            leak = -(v - v_rest) / tau_m
+            v_new = v + dt * (leak + (i_s + i_inj) / c_m)
+            # v is v_rest, a sub-threshold v_new or nan: never >= v_th
+            fired = v_new >= v_th
+            v = np.where(fired, v_rest, v_new)
+            counts[:, :n] = fired
+            fired_totals += fired
 
-    n_frames = len(frames)
-    mean_rate = {nid: total / n_frames
-                 for nid, total in zip(neuron_ids, fired_totals.tolist())}
-    mean_rate.update({iid: total / n_frames
-                      for iid, total in zip(input_ids, input_totals)})
+    mean_rate = {nid: total / n_frames for nid, total
+                 in zip(neuron_ids, fired_totals.sum(axis=0).tolist())}
+    mean_rate.update({iid: total / n_frames for iid, total
+                      in zip(input_ids, input_totals.tolist())})
 
     new_synapses = tuple(
         replace(s, spikes=float(_round_rate(mean_rate[s.src])))

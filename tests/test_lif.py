@@ -1,6 +1,7 @@
 """Integrate-and-fire stepping, synaptic currents and rate estimation."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -307,6 +308,68 @@ def test_vectorised_rates_equal_the_reference(seed):
     rate = {s.src: s.spikes for s in ref.synapses}
     assert rate["quiet"] == 0
     assert all(rate.get(t, 1) > 0 for t in targets)
+
+
+def _wide_fan_in_case():
+    """A net whose neuron ``wide`` hears all 16 inputs and 56 neurons,
+    where no other neuron hears more than a few sources, driven by four
+    frames; the silent ``quiet`` sends inf to ``wide`` and -inf and nan
+    to two others, ``wide`` feeds ``sink``, and the synapse order is
+    shuffled."""
+    rng = np.random.default_rng(11)
+    base = layered_snn(11, [16, 40], fanout=6)
+    neurons = base.neurons + tuple(Neuron.make(nid)
+                                   for nid in ("wide", "quiet", "sink"))
+    sources = base.input_ids() + base.neuron_ids()
+    synapses = [Synapse(s.src, s.dst, float(rng.normal(6e-12, 8e-12)))
+                for s in base.synapses]
+    synapses += [Synapse(src, "wide", float(rng.normal(0.0, 3e-12)))
+                 for src in sources]
+    synapses += [Synapse("quiet", dst, w) for dst, w in
+                 (("wide", math.inf), ("n016", -math.inf), ("n017", math.nan))]
+    synapses.append(Synapse("wide", "sink", 0.0))
+    order = rng.permutation(len(synapses))
+    g = SnnGraph(neurons, base.inputs, tuple(synapses[i] for i in order))
+    frame_length = 0.01004
+    frames = []
+    for _ in range(4):
+        frame = {}
+        for iid in g.input_ids():
+            times = np.round(rng.uniform(0.0, frame_length, size=30), 5)
+            frame[iid] = SpikeTrain(
+                tuple(sorted({float(t) for t in times if t < frame_length})),
+                frame_length)
+        frames.append(frame)
+    return g, frames
+
+
+def test_wide_fan_in_rates_equal_the_reference():
+    # _rate_case's columns are all of similar width; here one neuron's is
+    # over ten times wider than any other
+    g, frames = _wide_fan_in_case()
+    fan_in = Counter(s.dst for s in g.synapses)
+    assert fan_in["wide"] >= 64 and len(frames) >= 4
+    assert fan_in["wide"] > 10 * max(c for d, c in fan_in.items()
+                                      if d != "wide")
+    ref = reference_estimate_rates(g, PARAMS, frames)
+    assert estimate_rates(g, PARAMS, frames) == ref
+    rate = {s.src: s.spikes for s in ref.synapses}
+    rate.update({i.id: i.spikes for i in ref.inputs})
+    heard = {s.src for s in g.synapses if s.dst == "wide"}
+    assert rate["quiet"] == 0 and rate["wide"] > 0
+    assert any(rate[i] > 0 for i in heard & set(g.input_ids()))
+    assert any(rate[n] > 0 for n in heard & set(g.neuron_ids()))
+
+
+def test_frames_are_simulated_independently():
+    # each frame starts at rest with no spikes in flight: reversing the
+    # frames, or passing one frame k times instead of once, changes nothing
+    g, frames = _wide_fan_in_case()
+    rated = estimate_rates(g, PARAMS, frames)
+    assert estimate_rates(g, PARAMS, frames[::-1]) == rated
+    for frame in frames:
+        assert (estimate_rates(g, PARAMS, [frame] * 3)
+                == estimate_rates(g, PARAMS, [frame]))
 
 
 def test_rates_add_synapse_terms_left_to_right():
