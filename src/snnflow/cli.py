@@ -399,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("map", help="search a cluster-to-core mapping")
     sp.add_argument("clustered", help="clustered graph file")
     sp.add_argument("--buffer", type=int, default=None,
-                    help="uniform inter-cluster channel capacity (default: "
+                    help="uniform inter-cluster channel capacity in spikes, "
+                         "rounded down to whole tokens per channel (default: "
                          "each channel's single-firing minimum)")
     sp.add_argument("--output", help="write the mapping record here")
     _add_config_flags(sp, "config", "hardware", "seed", "time_wheel_share",

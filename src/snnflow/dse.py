@@ -141,7 +141,7 @@ def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
 
     ``evaluate`` maps an allocated graph to ``(ThroughputResult,
     block_counts, solution)``.  Starting from the minimum feasible
-    allocation, each step adds one firing's tokens to the channel whose
+    allocation, each step adds one token's spikes to the channel whose
     fullness blocked the most firings in the previous run; the sweep
     stops on a plateau of ``cfg.plateau`` non-improving steps, when no
     channel blocks, once the unbounded-buffer throughput is reached, or
@@ -172,7 +172,7 @@ def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
             break
         bottleneck = max(sorted(managed), key=lambda i: managed[i])
         alloc = dict(alloc)
-        alloc[bottleneck] += g.channels[bottleneck].prod
+        alloc[bottleneck] += g.channels[bottleneck].volume
     return points
 
 

@@ -134,16 +134,16 @@ def _check_capacities(g: Sdfg, hw: HardwareGraph, core_of: list) -> None:
 
     in_peers: dict[str, set[str]] = defaultdict(set)
     out_peers: dict[str, set[str]] = defaultdict(set)
-    in_tokens: dict[str, int] = defaultdict(int)
-    out_tokens: dict[str, int] = defaultdict(int)
+    in_spikes: dict[str, int] = defaultdict(int)
+    out_spikes: dict[str, int] = defaultdict(int)
     for c in g.channels:
         src, dst = core_of[index[c.src]], core_of[index[c.dst]]
         if src == dst:
             continue
         in_peers[dst].add(src)
         out_peers[src].add(dst)
-        in_tokens[dst] += c.prod
-        out_tokens[src] += c.prod
+        in_spikes[dst] += c.volume
+        out_spikes[src] += c.volume
     for cid, core in cores.items():
         if core.in_connections is not None and len(in_peers[cid]) > core.in_connections:
             raise InfeasibleMappingError(
@@ -153,13 +153,13 @@ def _check_capacities(g: Sdfg, hw: HardwareGraph, core_of: list) -> None:
             raise InfeasibleMappingError(
                 f"core {cid!r} has {len(out_peers[cid])} outgoing connections "
                 f"(limit {core.out_connections})")
-        if core.in_bandwidth is not None and in_tokens[cid] > core.in_bandwidth:
+        if core.in_bandwidth is not None and in_spikes[cid] > core.in_bandwidth:
             raise InfeasibleMappingError(
-                f"core {cid!r} receives {in_tokens[cid]} tokens per iteration "
+                f"core {cid!r} receives {in_spikes[cid]} spikes per iteration "
                 f"(limit {core.in_bandwidth})")
-        if core.out_bandwidth is not None and out_tokens[cid] > core.out_bandwidth:
+        if core.out_bandwidth is not None and out_spikes[cid] > core.out_bandwidth:
             raise InfeasibleMappingError(
-                f"core {cid!r} sends {out_tokens[cid]} tokens per iteration "
+                f"core {cid!r} sends {out_spikes[cid]} spikes per iteration "
                 f"(limit {core.out_bandwidth})")
 
 
@@ -465,10 +465,10 @@ def _period_lower_bound(g: Sdfg, exec_times: list, core_of: list,
       its load ``sum(exec(a))`` is a cycle ratio;
     * a bounded channel between two distinct actors closes a
       forward/credit cycle of weight ``exec(src) + latency + exec(dst)``
-      that holds at most ``capacity // prod`` firings.
+      that holds at most ``capacity`` firings.
 
-    Self-loops and channels too small for one firing are left to the
-    analysis itself.
+    Self-loops and channels under one token are left to the analysis
+    itself.
     """
     load: dict = defaultdict(int)
     for core, t in zip(core_of, exec_times):
@@ -484,12 +484,12 @@ def _period_lower_bound(g: Sdfg, exec_times: list, core_of: list,
 
 
 def _credit_cycles(g: Sdfg):
-    # (channel, src, dst, firings held) of each channel that closes a
+    # (channel, src, dst, capacity) of each channel that closes a
     # forward/credit cycle of :func:`_period_lower_bound`
     index = g._tables[1]
     for ci, c in enumerate(g.channels):
-        if c.capacity is not None and c.src != c.dst and c.capacity >= c.prod:
-            yield ci, index[c.src], index[c.dst], c.capacity // c.prod
+        if c.capacity and c.src != c.dst:
+            yield ci, index[c.src], index[c.dst], c.capacity
 
 
 def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
@@ -506,7 +506,7 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
       the load term;
     * a bounded channel whose two actors sit on distinct cores closes a
       forward/credit cycle of ratio at least ``(2 * t_min + hop) / k``,
-      ``k`` the firings it holds: the channel's apart term.
+      ``k`` its capacity in tokens: the channel's apart term.
 
     The floor is the least ``v``, at or above the load term, such that
     joining the two actors of every channel whose apart term exceeds
@@ -538,7 +538,7 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
     floor = max(Fraction(n, len(hw.cores)), Fraction(min(n, 1))) * t_min
     cycle = 2 * t_min + hop
     # the channels whose apart term cycle / k exceeds the load term,
-    # highest term (fewest firings held) first
+    # highest term (fewest tokens held) first
     forced = sorted((tokens, a, b) for _, a, b, tokens in _credit_cycles(g)
                     if cycle > floor * tokens)
     if not forced:

@@ -1,9 +1,9 @@
 """Synchronous dataflow core: single-rate graphs, deadlock, throughput.
 
-Actors fire by consuming a fixed token count from every input channel and
-producing a fixed count on every output channel.  Each channel produces
-and consumes the same count, so one iteration of the graph fires every
-actor once (homogeneous SDF, Lee & Messerschmitt 1987).  A firing may
+Actors fire by moving one token on every input and output channel, so
+one iteration of the graph fires every actor once (homogeneous SDF, Lee
+& Messerschmitt 1987); a token stands for its channel's ``volume`` of
+spikes, the unit of capacities and records only.  A firing may
 start only when all input tokens and all output buffer space are
 available.  Bounded buffers are enforced through a space-credit counter
 per channel whose dynamics are exactly the classical reverse-channel
@@ -21,7 +21,7 @@ from __future__ import annotations
 import hashlib
 import logging
 from collections import defaultdict, deque
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 from heapq import heappop, heappush
@@ -74,19 +74,18 @@ class Actor:
 
 @dataclass(frozen=True)
 class Channel:
-    """A FIFO edge with fixed port rates; a valid graph's channels
-    produce and consume the same count (``prod == cons``).
+    """A FIFO edge moving one token per firing, each token ``volume``
+    spikes; ``tokens`` and ``capacity`` count tokens.
 
     ``capacity`` of ``None`` means unbounded.  ``src == dst`` self-loops
     serialize an actor's firings.
     """
 
     src: str
-    prod: int
     dst: str
-    cons: int
     tokens: int = 0
     capacity: int | None = None
+    volume: int = 1
 
 
 @dataclass(frozen=True)
@@ -111,14 +110,9 @@ class Sdfg:
                 raise GraphValidationError(
                     f"channel {i} ({c.src!r} -> {c.dst!r}) references an "
                     f"undeclared actor")
-            if c.prod < 1 or c.cons < 1:
+            if c.volume < 1:
                 raise GraphValidationError(
-                    f"channel {i} ({c.src!r} -> {c.dst!r}): port rates must be >= 1")
-            if c.prod != c.cons:
-                raise GraphValidationError(
-                    f"channel {i} ({c.src!r} -> {c.dst!r}): produces {c.prod} "
-                    f"but consumes {c.cons} tokens per firing; every channel "
-                    f"must produce and consume the same count")
+                    f"channel {i} ({c.src!r} -> {c.dst!r}): volume must be >= 1")
             if c.tokens < 0:
                 raise GraphValidationError(
                     f"channel {i} ({c.src!r} -> {c.dst!r}): negative initial tokens")
@@ -137,16 +131,16 @@ class Sdfg:
     @cached_property
     def _tables(self) -> tuple:
         # (ids, index, in_ch, out_ch) of the validated graph: actor ids,
-        # id -> position and per-actor (channel, rate) inputs and outputs.
+        # id -> position and per-actor input and output channels.
         # A graph that fails validation caches nothing and raises again.
         self.validate()
         ids = tuple(self.actor_ids())
         index = {a: i for i, a in enumerate(ids)}
-        in_ch: list[list[tuple[int, int]]] = [[] for _ in ids]
-        out_ch: list[list[tuple[int, int]]] = [[] for _ in ids]
+        in_ch: list[list[int]] = [[] for _ in ids]
+        out_ch: list[list[int]] = [[] for _ in ids]
         for i, c in enumerate(self.channels):
-            in_ch[index[c.dst]].append((i, c.cons))
-            out_ch[index[c.src]].append((i, c.prod))
+            in_ch[index[c.dst]].append(i)
+            out_ch[index[c.src]].append(i)
         return ids, index, tuple(map(tuple, in_ch)), tuple(map(tuple, out_ch))
 
     @cached_property
@@ -158,9 +152,9 @@ class Sdfg:
         channels = self.channels
 
         def keep(per_actor):
-            return tuple(tuple((ci, rate) for ci, rate in pairs
+            return tuple(tuple(ci for ci in cis
                                if channels[ci].capacity is not None)
-                         for pairs in per_actor)
+                         for cis in per_actor)
         out_bounded = keep(out_ch)
         return keep(in_ch), out_bounded, tuple(
             (ins, outs) for ins, outs in zip(in_ch, out_bounded) if outs)
@@ -176,8 +170,8 @@ class Sdfg:
         channels = self.channels
         consumer = tuple(index[c.dst] for c in channels)
         return tuple(
-            tuple(sorted({a, *(index[channels[ci].src] for ci, _ in ins),
-                          *(consumer[ci] for ci, _ in outs)}))
+            tuple(sorted({a, *(index[channels[ci].src] for ci in ins),
+                          *(consumer[ci] for ci in outs)}))
             for a, (ins, outs) in enumerate(zip(in_bounded, out_ch))
         ), consumer
 
@@ -232,12 +226,11 @@ def lift_to_sdfg(cg: ClusteredSnnGraph, core_exec_time=1) -> Sdfg:
     """Turn a clustered spiking network into a rated dataflow graph.
 
     Each cluster becomes an actor; each cluster edge becomes an
-    unbounded channel producing and consuming one frame's token count
-    per firing, which :func:`set_buffer_allocation` sizes.  Every
-    actor gains an unbounded self-loop with one token so firings cannot
-    overlap (a cluster occupies a single crossbar).  Edges whose token
-    count is zero are dropped with a warning since a rate of zero is not
-    a valid port rate.
+    unbounded channel, which :func:`set_buffer_allocation` sizes, whose
+    token stands for the edge's spikes of one frame.  Every actor gains an
+    unbounded self-loop with one token so firings cannot overlap (a
+    cluster occupies a single crossbar).  Edges that carry no spikes are
+    dropped with a warning since a volume of zero is not valid.
     """
     actors = tuple(Actor(c.id, core_exec_time, max(1, len(c.neurons)))
                    for c in cg.clusters)
@@ -248,9 +241,9 @@ def lift_to_sdfg(cg: ClusteredSnnGraph, core_exec_time=1) -> Sdfg:
                 "dropping zero-token edge %s -> %s from dataflow graph",
                 e.src, e.dst)
             continue
-        channels.append(Channel(e.src, e.tokens, e.dst, e.tokens))
+        channels.append(Channel(e.src, e.dst, volume=e.tokens))
     for a in actors:
-        channels.append(Channel(a.id, 1, a.id, 1, tokens=1, capacity=None))
+        channels.append(Channel(a.id, a.id, tokens=1))
     g = Sdfg(actors, tuple(channels))
     g.validate()
     return g
@@ -259,24 +252,24 @@ def lift_to_sdfg(cg: ClusteredSnnGraph, core_exec_time=1) -> Sdfg:
 def repetition_vector(g: Sdfg) -> dict[str, int]:
     """Firings per iteration: one for every actor of the validated graph.
 
-    Raises :class:`GraphValidationError` for an invalid graph, a
-    multirate one included.
+    Raises :class:`GraphValidationError` for an invalid graph.
     """
     return dict.fromkeys(g._tables[0], 1)
 
 
 def _blocked_on(g: Sdfg, a: int, tokens, space) -> Wait | None:
-    # the firing rule's blocked test: actor a's first input short of
-    # tokens, else its first bounded output short of space
+    # the firing rule's blocked test: actor a's first input without a
+    # token, else its first bounded output without space; a wait counts
+    # the spikes of the token it needs
     ids, _, in_ch, _ = g._tables
-    for ci, need in in_ch[a]:
-        if tokens[ci] < need:
-            return Wait(ids[a], ci, "tokens", g.channels[ci].src, need,
-                        tokens[ci])
-    for ci, amount in g._bounded[1][a]:
-        if space[ci] < amount:
-            return Wait(ids[a], ci, "space", g.channels[ci].dst, amount,
-                        space[ci])
+    for ci in in_ch[a]:
+        if not tokens[ci]:
+            c = g.channels[ci]
+            return Wait(ids[a], ci, "tokens", c.src, c.volume, 0)
+    for ci in g._bounded[1][a]:
+        if not space[ci]:
+            c = g.channels[ci]
+            return Wait(ids[a], ci, "space", c.dst, c.volume, 0)
     return None
 
 
@@ -291,11 +284,10 @@ def check_deadlock(g: Sdfg) -> DeadlockReport | None:
 
     The reported cycle follows each actor's first blocking channel to
     its other end, from the first starving actor until one repeats.  It
-    closes among starving actors, each of them blocked: a channel
-    produces and consumes the same count, so a producer that has fired
-    left at least the ``cons`` tokens its unfired consumer waits for,
-    and a consumer that has fired returned at least the ``prod`` space
-    its unfired producer waits for.
+    closes among starving actors, each of them blocked: a producer that
+    has fired left the token its unfired consumer waits for, and a
+    consumer that has fired returned the space its unfired producer
+    waits for.
     """
     ids, index, in_ch, out_ch = g._tables
     in_bounded, out_bounded, _ = g._bounded
@@ -308,14 +300,14 @@ def check_deadlock(g: Sdfg) -> DeadlockReport | None:
         progress = False
         for a in range(len(ids)):
             if remaining[a] and not _blocked_on(g, a, tokens, space):
-                for ci, need in in_ch[a]:
-                    tokens[ci] -= need
-                for ci, amount in out_bounded[a]:
-                    space[ci] -= amount
-                for ci, need in in_bounded[a]:
-                    space[ci] += need
-                for ci, amount in out_ch[a]:
-                    tokens[ci] += amount
+                for ci in in_ch[a]:
+                    tokens[ci] -= 1
+                for ci in out_bounded[a]:
+                    space[ci] -= 1
+                for ci in in_bounded[a]:
+                    space[ci] += 1
+                for ci in out_ch[a]:
+                    tokens[ci] += 1
                 remaining[a] = False
                 progress = True
     starving = [a for a in range(len(ids)) if remaining[a]]
@@ -331,35 +323,35 @@ def check_deadlock(g: Sdfg) -> DeadlockReport | None:
 
 
 def set_buffer_allocation(g: Sdfg, alloc: dict[int, int | None]) -> Sdfg:
-    """Return a copy of the graph with the given channel capacities.
-
-    Each bounded capacity must admit at least one firing, ``prod``
-    tokens, and be no smaller than the channel's initial tokens.
+    """Return a copy of the graph with the given capacities, in spikes,
+    of which each channel keeps the whole tokens that fit; each must hold
+    one firing, ``volume`` spikes, and the channel's initial tokens.
     """
     channels = list(g.channels)
     for i, cap in alloc.items():
         c = channels[i]
         if cap is not None:
-            if cap < c.prod:
+            if cap < c.volume:
                 raise InfeasibleCapacityError(
                     f"channel {i} ({c.src!r} -> {c.dst!r}): capacity {cap} "
-                    f"below single-firing minimum {c.prod}")
-            if cap < c.tokens:
+                    f"below single-firing minimum {c.volume}")
+            if cap < c.tokens * c.volume:
                 raise InfeasibleCapacityError(
                     f"channel {i} ({c.src!r} -> {c.dst!r}): capacity {cap} "
-                    f"below initial tokens {c.tokens}")
+                    f"below initial tokens {c.tokens * c.volume}")
+            cap //= c.volume
         channels[i] = replace(c, capacity=cap)
     return replace(g, channels=tuple(channels))
 
 
 def minimum_buffer_allocation(g: Sdfg) -> dict[int, int]:
-    """Smallest per-channel capacities admitting one firing each:
-    ``prod``, or the initial tokens when there are more.
+    """Smallest per-channel capacities, in spikes, admitting one firing
+    each: one token, or the initial tokens when there are more.
 
     Self-loops (``src == dst``) are modelling artifacts and are left out;
     they keep whatever capacity they already carry.
     """
-    return {i: max(c.prod, c.tokens)
+    return {i: max(1, c.tokens) * c.volume
             for i, c in enumerate(g.channels) if c.src != c.dst}
 
 
@@ -401,13 +393,7 @@ class ExecutionResult:
 
     @property
     def steady_state_hash(self) -> str:
-        # the digest reads -1 for an unbounded channel's space; which
-        # channels are unbounded is fixed per graph and a bounded one
-        # never holds negative space, so the mapping loses nothing
-        key = self.steady_state
-        space = tuple(-1 if s is None else s for s in key[1])
-        state = (key[0], space, *key[2:])
-        return hashlib.sha1(repr(state).encode()).hexdigest()[:12]
+        return hashlib.sha1(repr(self.steady_state).encode()).hexdigest()[:12]
 
     def to_throughput(self) -> ThroughputResult:
         return ThroughputResult(
@@ -482,19 +468,19 @@ class _Simulation:
 
     def _can_fire(self, a: int) -> bool:
         tokens, space = self.tokens, self.space
-        for ci, need in self.in_ch[a]:
-            if tokens[ci] < need:
+        for ci in self.in_ch[a]:
+            if not tokens[ci]:
                 return False
-        for ci, amount in self.out_bounded[a]:
-            if space[ci] < amount:
+        for ci in self.out_bounded[a]:
+            if not space[ci]:
                 return False
         return True
 
     def _start(self, a: int, now) -> None:
-        for ci, need in self.in_ch[a]:
-            self.tokens[ci] -= need
-        for ci, amount in self.out_bounded[a]:
-            self.space[ci] -= amount
+        for ci in self.in_ch[a]:
+            self.tokens[ci] -= 1
+        for ci in self.out_bounded[a]:
+            self.space[ci] -= 1
         self.seq += 1
         heappush(self.heap, (now + self.exec[a], self.seq, self.END, a))
         self.inflight[a] += 1
@@ -507,16 +493,15 @@ class _Simulation:
     def _end(self, a: int, now) -> None:
         self.inflight[a] -= 1
         self.completions[a] += 1
-        for ci, need in self.in_bounded[a]:
-            self.space[ci] += need
-        for ci, amount in self.out_ch[a]:
+        for ci in self.in_bounded[a]:
+            self.space[ci] += 1
+        for ci in self.out_ch[a]:
             lat = self.latency[ci]
             if lat == 0:
-                self.tokens[ci] += amount
+                self.tokens[ci] += 1
             else:
                 self.seq += 1
-                heappush(self.heap, (now + lat, self.seq, self.ARRIVE,
-                                     (ci, amount)))
+                heappush(self.heap, (now + lat, self.seq, self.ARRIVE, ci))
         core = self.core_of[a]
         if core is not None:
             self.busy[core] = False
@@ -592,8 +577,7 @@ class _Simulation:
 
     def _snapshot(self, now):
         # an idle actor's pending ends are the one shared empty tuple;
-        # space keeps None for an unbounded channel, see
-        # ExecutionResult.steady_state_hash
+        # space keeps None for an unbounded channel, see _in_spikes
         pending_ends = [()] * len(self.ids)
         several = []
         arrivals = []
@@ -603,8 +587,7 @@ class _Simulation:
                     several.append(payload)
                 pending_ends[payload] += (t - now,)
             else:
-                ci, amount = payload
-                arrivals.append((t - now, ci, amount))
+                arrivals.append((t - now, payload))
         for a in several:
             pending_ends[a] = tuple(sorted(pending_ends[a]))
         key = [tuple(self.tokens), tuple(self.space), tuple(pending_ends),
@@ -618,12 +601,12 @@ class _Simulation:
     def _count_blocking(self, tokens, space, counts) -> None:
         # one state's blocked channels, added to counts
         for in_ch, out_bounded in self.blockable:
-            for ci, need in in_ch:
-                if tokens[ci] < need:
+            for ci in in_ch:
+                if not tokens[ci]:
                     break
             else:
-                for ci, amount in out_bounded:
-                    if space[ci] < amount:
+                for ci in out_bounded:
+                    if not space[ci]:
                         counts[ci] += 1
 
     def _recurrence(self, key, now, log_len, done, first, block_counts
@@ -646,7 +629,7 @@ class _Simulation:
         return ExecutionResult(
             span=now - t0,
             transient_iterations=it0,
-            steady_state=key,
+            steady_state=_in_spikes(self.g, key),
             firing_log=tuple(self.firing_log[:log_len]),
             log_cycle_start=log0,
             iterations_per_cycle=d_iter,
@@ -709,10 +692,9 @@ class _Simulation:
                     if kind == self.END:
                         self._end(payload, now)
                     else:
-                        ci, amount = payload
-                        self.tokens[ci] += amount
+                        self.tokens[payload] += 1
                         if self.list_mode:
-                            self.dirty.add(self.consumer[ci])
+                            self.dirty.add(self.consumer[payload])
                     progressed = True
                 if self._fire_phase(now):
                     progressed = True
@@ -739,6 +721,16 @@ class _Simulation:
                     state={"tokens": key[0], "space": key[1], "starving": {
                         w.actor: str(w) for w in waits if w}})
             now = self.heap[0][0]
+
+
+def _in_spikes(g: Sdfg, key: tuple) -> tuple:
+    # a state key in spikes, as records count it, with -1 for the space of
+    # an unbounded channel, which a bounded one never holds
+    volume = [c.volume for c in g.channels]
+    tokens, space, ends, arrivals, *rest = key
+    return (tuple(t * v for t, v in zip(tokens, volume)),
+            tuple(-1 if s is None else s * v for s, v in zip(space, volume)),
+            ends, tuple((dt, ci, volume[ci]) for dt, ci in arrivals), *rest)
 
 
 def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
@@ -843,7 +835,11 @@ def sdfg_to_dict(g: Sdfg) -> dict:
         {"id": a.id, "exec_time": a.exec_time}
         | ({"weight": a.weight} if a.weight != 1 else {})
         for a in g.actors]
-    doc["channels"] = [asdict(c) for c in g.channels]
+    doc["channels"] = [
+        {"src": c.src, "prod": c.volume, "dst": c.dst, "cons": c.volume,
+         "tokens": c.tokens * c.volume,
+         "capacity": None if c.capacity is None else c.capacity * c.volume}
+        for c in g.channels]
     return doc
 
 
@@ -853,13 +849,22 @@ def sdfg_from_dict(doc: dict, ctx: str = "<sdfg>") -> Sdfg:
               _field(e, "exec_time", where, _number, 1),
               _field(e, "weight", where, _integer, 1))
         for where, e in _entries(doc, "actors", ctx))
-    channels = tuple(
-        Channel(_field(e, "src", where, str), _field(e, "prod", where, _integer),
-                _field(e, "dst", where, str), _field(e, "cons", where, _integer),
-                _field(e, "tokens", where, _integer, 0),
-                _field(e, "capacity", where, _integer, None))
-        for where, e in _entries(doc, "channels", ctx))
-    g = Sdfg(actors, channels)
+    channels = []
+    for i, (where, e) in enumerate(_entries(doc, "channels", ctx)):
+        # the file counts spikes: prod == cons of them make a token, and
+        # spikes that no firing moves are left out
+        src, prod = _field(e, "src", where, str), _field(e, "prod", where, _integer)
+        dst, cons = _field(e, "dst", where, str), _field(e, "cons", where, _integer)
+        tokens = _field(e, "tokens", where, _integer, 0)
+        capacity = _field(e, "capacity", where, _integer, None)
+        if prod < 1 or prod != cons:
+            raise GraphValidationError(
+                f"channel {i} ({src!r} -> {dst!r}): produces {prod} but "
+                f"consumes {cons} spikes per firing, not one count >= 1")
+        if capacity is not None:
+            capacity = (capacity - tokens % prod) // prod
+        channels.append(Channel(src, dst, tokens // prod, capacity, prod))
+    g = Sdfg(actors, tuple(channels))
     g.validate()
     return g
 

@@ -9,7 +9,8 @@ from snnflow.partition import (Cluster, ClusterEdge, ClusteredSnnGraph,
                                Partition, build_clustered_graph,
                                partition_round, round_seeds)
 from snnflow.sdfg import (Actor, Channel, Sdfg, lift_to_sdfg,
-                          minimum_buffer_allocation, set_buffer_allocation)
+                          minimum_buffer_allocation, sdfg_from_dict,
+                          set_buffer_allocation)
 from snnflow.snn_graph import (Core, HardwareGraph, InputSource, Link, Neuron,
                                SnnGraph, Synapse)
 
@@ -124,7 +125,7 @@ def random_hsdf(seed: int, max_actors: int = 6) -> Sdfg:
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_actors + 1))
     actors = tuple(Actor(f"a{i}", int(rng.integers(1, 6))) for i in range(n))
-    channels = [Channel(a.id, 1, a.id, 1, tokens=1) for a in actors]
+    channels = [Channel(a.id, a.id, tokens=1) for a in actors]
     n_extra = int(rng.integers(1, 2 * n))
     for _ in range(n_extra):
         i, j = rng.integers(0, n, size=2)
@@ -132,29 +133,34 @@ def random_hsdf(seed: int, max_actors: int = 6) -> Sdfg:
             continue
         tokens = int(rng.integers(0, 3))
         capacity = tokens + int(rng.integers(1, 4))
-        channels.append(Channel(f"a{i}", 1, f"a{j}", 1,
+        channels.append(Channel(f"a{i}", f"a{j}",
                                 tokens=tokens, capacity=capacity))
     return Sdfg(actors, tuple(channels))
 
 
-def random_chain(seed: int, max_actors: int = 5) -> Sdfg:
-    """Single-rate graph shaped like a lifted one: a bounded forward
-    chain with skip edges and an optional bounded feedback edge.  Each
-    channel has its own rate r in 1..3 and a capacity of at least r.
-    Skip and feedback edges may carry initial tokens, short of one
-    firing or leaving less than one firing of space now and then, so
-    some graphs deadlock, on tokens or on space."""
+def random_chain(seed: int, max_actors: int = 5) -> dict:
+    """The sdfg/1 document of a single-rate graph shaped like a lifted
+    one: a bounded forward chain with skip edges and an optional bounded
+    feedback edge.  Each channel moves its own spike count r in 1..3 per
+    firing and has a capacity of at least r spikes.  Skip and feedback
+    edges may carry initial spikes, short of one firing or leaving less
+    than one firing of space now and then, so some graphs deadlock, on
+    tokens or on space.  Initial spikes and capacities need not be whole
+    firings: the reader drops what no firing moves, and tests comparing
+    :func:`chain_graph` with an oracle reading this document check it."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, max_actors + 1))
-    actors = tuple(Actor(f"a{i}", int(rng.integers(1, 5))) for i in range(n))
-    channels = [Channel(a.id, 1, a.id, 1, tokens=1) for a in actors]
+    actors = [{"id": f"a{i}", "exec_time": int(rng.integers(1, 5))}
+              for i in range(n)]
+    channels = [{"src": a["id"], "prod": 1, "dst": a["id"], "cons": 1,
+                 "tokens": 1, "capacity": None} for a in actors]
 
     def bounded(i, j, delayed):
         r = int(rng.integers(1, 4))
         tokens = int(rng.integers(0, 2 * r + 1)) if delayed else 0
         cap = max(r, tokens + int(rng.integers(0, 2 * r)))
-        channels.append(Channel(f"a{i}", r, f"a{j}", r, tokens=tokens,
-                                capacity=cap))
+        channels.append({"src": f"a{i}", "prod": r, "dst": f"a{j}",
+                         "cons": r, "tokens": tokens, "capacity": cap})
 
     for i in range(n - 1):
         for j in range(i + 1, n):
@@ -162,7 +168,12 @@ def random_chain(seed: int, max_actors: int = 5) -> Sdfg:
                 bounded(i, j, delayed=j > i + 1 and rng.random() < 0.5)
     if n > 2 and rng.random() < 0.5:
         bounded(n - 1, 0, delayed=True)
-    return Sdfg(actors, tuple(channels))
+    return {"format": "sdfg/1", "actors": actors, "channels": channels}
+
+
+def chain_graph(seed: int, max_actors: int = 5) -> Sdfg:
+    """The graph that the sdfg/1 reader makes of :func:`random_chain`."""
+    return sdfg_from_dict(random_chain(seed, max_actors))
 
 
 def random_snn(seed: int, n_neurons: int = 12, n_inputs: int = 2,

@@ -101,10 +101,10 @@ def _expanded_edges(g: Sdfg):
 def mcm_period(g: Sdfg) -> Fraction:
     """Single-rate period: max over simple cycles of time/tokens.
 
-    Requires all port rates to be 1 and every actor to lie on a cycle.
+    Requires every volume to be 1 and every actor to lie on a cycle.
     Raises :class:`OracleDeadlock` when some cycle carries no tokens.
     """
-    assert all(c.prod == 1 and c.cons == 1 for c in g.channels)
+    assert all(c.volume == 1 for c in g.channels)
     exec_of = {a.id: Fraction(a.exec_time) for a in g.actors}
     edges = _expanded_edges(g)
     dg = nx.DiGraph()
@@ -129,34 +129,38 @@ def mcm_period(g: Sdfg) -> Fraction:
 
 # ------------------------------------------- reference event simulator
 
-def reference_throughput(g: Sdfg, max_states: int = 200_000) -> Fraction:
-    """Period from an independent simulator with explicit credit channels.
+def reference_throughput(doc: dict, max_states: int = 200_000) -> Fraction:
+    """Period of an sdfg/1 document from an independent simulator with
+    explicit credit channels.
 
-    Differences from the implementation under test: bounded buffers are
-    expanded into literal credit entries, the event list is a sorted
-    list rather than a heap, and ready actors fire in descending id
-    order (the library uses ascending), which checks that the result
-    does not depend on tie-breaking.
+    Differences from the implementation under test: the document's
+    spike counts are moved as they stand, ``prod`` spikes per firing,
+    instead of being read as whole tokens; bounded buffers are expanded
+    into literal credit entries, the event list is a sorted list rather
+    than a heap, and ready actors fire in descending id order (the
+    library uses ascending), which checks that the result does not
+    depend on tie-breaking.
     """
-    assert all(c.prod == c.cons for c in g.channels), \
+    channels = doc["channels"]
+    assert all(c["prod"] == c["cons"] for c in channels), \
         "reference simulator needs a single-rate graph"
-    ids = sorted((a.id for a in g.actors), reverse=True)
-    exec_of = {a.id: Fraction(a.exec_time) for a in g.actors}
+    ids = sorted((a["id"] for a in doc["actors"]), reverse=True)
+    exec_of = {a["id"]: Fraction(a["exec_time"]) for a in doc["actors"]}
 
     # entries: (consumer-side requirements, producer-side outputs)
     entries = []          # token counts, mutated during the run
     needs: dict[str, list[tuple[int, int]]] = {a: [] for a in ids}
     gives: dict[str, list[tuple[int, int]]] = {a: [] for a in ids}
-    for c in g.channels:
+    for c in channels:
         fwd = len(entries)
-        entries.append(c.tokens)
-        needs[c.dst].append((fwd, c.cons))
-        gives[c.src].append((fwd, c.prod))
-        if c.capacity is not None:
+        entries.append(c["tokens"])
+        needs[c["dst"]].append((fwd, c["cons"]))
+        gives[c["src"]].append((fwd, c["prod"]))
+        if c["capacity"] is not None:
             rev = len(entries)
-            entries.append(c.capacity - c.tokens)
-            needs[c.src].append((rev, c.prod))
-            gives[c.dst].append((rev, c.cons))
+            entries.append(c["capacity"] - c["tokens"])
+            needs[c["src"]].append((rev, c["prod"]))
+            gives[c["dst"]].append((rev, c["cons"]))
 
     def fireable(a: str) -> bool:
         return all(entries[i] >= amount for i, amount in needs[a])

@@ -290,7 +290,8 @@ def test_a_config_key_the_command_does_not_read_is_accepted(
 
 
 def test_map_with_a_uniform_buffer_writes_the_same_record(files, tmp_path):
-    # --buffer 12 sizes all six inter-cluster channels to 12
+    # --buffer 12 sizes all six inter-cluster channels to the whole
+    # tokens that 12 spikes hold
     out = tmp_path / "mapping.yaml"
     assert map_round_0(files, tmp_path, "--buffer", "12",
                        "--output", str(out)) == 0
@@ -299,7 +300,7 @@ def test_map_with_a_uniform_buffer_writes_the_same_record(files, tmp_path):
                                  "c3": "t0"}
     assert record["throughput"] == {
         "period": 6.0, "throughput": 1 / 6, "transient_length": 0,
-        "steady_state_hash": "f04ea5dc6cc7"}
+        "steady_state_hash": "a173e71bb31c"}
     assert record["schedules"]["t1"]["cycle"] == ["c2", "c0", "c1"]
 
 

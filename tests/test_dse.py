@@ -2,6 +2,7 @@
 
 import functools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,7 +17,7 @@ from snnflow.dse import (DesignFlowConfig, DesignPoint, RoundResult,
                          SweepConfig,
                          min_buffer_for_throughput, pareto_filter,
                          pipeline_rate_bound, run_design_flow, sweep_buffers)
-from snnflow.mapping import SwarmConfig
+from snnflow.mapping import SwarmConfig, evaluate_mapping
 from snnflow.partition import (Cluster, ClusterEdge, ClusteredSnnGraph,
                                round_seeds)
 from snnflow.sdfg import (Actor, Channel, Sdfg, check_deadlock, execute,
@@ -100,9 +101,9 @@ def test_min_buffer_non_increasing_in_fraction():
 def closed_pair(tau_a=1, tau_b=1, tokens=2) -> Sdfg:
     """Producer/consumer pair whose rate grows with the forward buffer."""
     return Sdfg((Actor("a", tau_a), Actor("b", tau_b)),
-                (Channel("a", tokens, "b", tokens, 0, None),
-                 Channel("a", 1, "a", 1, tokens=1),
-                 Channel("b", 1, "b", 1, tokens=1)))
+                (Channel("a", "b", volume=tokens),
+                 Channel("a", "a", tokens=1),
+                 Channel("b", "b", tokens=1)))
 
 
 def pure_evaluator(g):
@@ -112,7 +113,7 @@ def pure_evaluator(g):
 
 def test_sweep_single_point_when_min_allocation_suffices():
     # no inter-actor channels to size: the first evaluation is the answer
-    g = Sdfg((Actor("a", 2),), (Channel("a", 1, "a", 1, tokens=1),))
+    g = Sdfg((Actor("a", 2),), (Channel("a", "a", tokens=1),))
     points = sweep_buffers(g, pure_evaluator, SweepConfig(plateau=2),
                            unbounded_throughput=self_timed_throughput(g).throughput)
     assert len(points) == 1
@@ -144,8 +145,8 @@ def token_ring() -> Sdfg:
     but at the minimum capacity, one token, neither channel has space.
     No lifted graph puts tokens on an inter-cluster channel."""
     return Sdfg((Actor("a"), Actor("b")),
-                (Channel("a", 1, "b", 1, tokens=1),
-                 Channel("b", 1, "a", 1, tokens=1)))
+                (Channel("a", "b", tokens=1),
+                 Channel("b", "a", tokens=1)))
 
 
 def test_sweep_refuses_a_deadlocked_minimum_allocation():
@@ -163,8 +164,8 @@ def test_sweep_refuses_a_deadlocked_minimum_allocation():
 def test_sweep_of_a_tokenless_cycle_raises_deadlock():
     # a two-actor cycle without tokens starves at every buffer size
     g = Sdfg((Actor("a"), Actor("b")),
-             (Channel("a", 1, "b", 1, 0, None),
-              Channel("b", 1, "a", 1, 0, None)))
+             (Channel("a", "b", 0, None),
+              Channel("b", "a", 0, None)))
     with pytest.raises(DeadlockError,
                        match="minimum buffer allocation deadlocks"):
         sweep_buffers(g, pure_evaluator)
@@ -173,8 +174,8 @@ def test_sweep_of_a_tokenless_cycle_raises_deadlock():
 def test_sweep_deadlock_error_names_the_starving_cycle_and_logs_nothing(caplog):
     # one error names the cycle; nothing is logged before it
     g = Sdfg((Actor("a"), Actor("b")),
-             (Channel("a", 1, "b", 1, 0, None),
-              Channel("b", 1, "a", 1, 0, None)))
+             (Channel("a", "b", 0, None),
+              Channel("b", "a", 0, None)))
     cycle = ("starving cycle: 'a' needs 1 tokens on channel 1 from 'b' "
              "(has 0), 'b' needs 1 tokens on channel 0 from 'a' (has 0)")
     with caplog.at_level("WARNING"), pytest.raises(DeadlockError) as info:
@@ -210,6 +211,71 @@ def test_a_lifted_graph_live_unbounded_is_live_at_the_minimum():
             bounded = set_buffer_allocation(g, minimum_buffer_allocation(g))
             assert check_deadlock(bounded) is None, f"trial {trial}"
     assert min(verdicts.values()) > 50
+
+
+def scaled_spikes(cg: ClusteredSnnGraph, k: int) -> ClusteredSnnGraph:
+    return replace(cg, edges=tuple(replace(e, tokens=e.tokens * k)
+                                   for e in cg.edges))
+
+
+def rating_or_error(g, hw, mapping):
+    # everything of a rating but its hash, which digests spike counts
+    try:
+        sol = evaluate_mapping(g, hw, mapping, 0.5)
+    except (DeadlockError, InfeasibleMappingError) as exc:
+        return type(exc), str(exc)
+    t = sol.throughput
+    return (t.period, t.throughput, t.transient_length, sol.schedules,
+            sol.block_counts)
+
+
+def test_spike_counts_shape_only_the_buffer_axis():
+    # a channel moves one token per firing whatever its volume, so with
+    # every spike count times k a design rates as it does at k times its
+    # spike capacities: the same period, transient, schedules and blocks
+    rng = np.random.default_rng(27)
+    hw = all_to_all_platform(3, dim=4)
+    seen = {"rated": 0, "blocked": 0, "ipc > 1": 0, "failed": 0}
+    for trial in range(60):
+        cg = random_clustered(rng, cyclic=False)
+        mapping = {c.id: f"t{int(rng.integers(0, 3))}" for c in cg.clusters}
+        for factor in (1, 2):
+            ratings = []
+            for k in (1, 3, 7):
+                g = lift_to_sdfg(scaled_spikes(cg, k))
+                alloc = {i: factor * cap
+                         for i, cap in minimum_buffer_allocation(g).items()}
+                if k == 1:
+                    base = alloc
+                assert alloc == {i: k * cap for i, cap in base.items()}
+                ratings.append(rating_or_error(
+                    set_buffer_allocation(g, alloc), hw, mapping))
+            assert ratings[0] == ratings[1] == ratings[2], f"trial {trial}"
+            if isinstance(ratings[0][0], type):
+                seen["failed"] += 1
+                continue
+            seen["rated"] += 1
+            seen["blocked"] += any(ratings[0][4].values())
+            seen["ipc > 1"] += any(s.iterations_per_cycle > 1
+                                   for s in ratings[0][3].values())
+    assert all(seen.values()), seen
+
+
+def test_a_flow_over_scaled_spikes_scales_only_its_buffers():
+    g = layered_demo_snn()
+    res = run_design_flow(g, two_core_platform(), small_flow_config())
+    for k in (3, 7):
+        scaled = replace(g, inputs=tuple(replace(i, spikes=i.spikes * k)
+                                         for i in g.inputs),
+                         synapses=tuple(replace(s, spikes=s.spikes * k)
+                                        for s in g.synapses))
+        got = run_design_flow(scaled, two_core_platform(),
+                              small_flow_config())
+        assert [(p.throughput, p.total_buffer * k) for p in res.points] == \
+            [(p.throughput, p.total_buffer) for p in got.points]
+        assert [rr.error for rr in got.rounds] == \
+            [rr.error for rr in res.rounds]
+    assert len(res.points) > 1
 
 
 @pytest.mark.parametrize("plateau", [0, -1, "3", 2.5, True])

@@ -3,6 +3,7 @@
 import itertools
 import math
 import pickle
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,8 +11,8 @@ import numpy as np
 import pytest
 
 import oracles
-from conftest import (all_to_all_platform, demo_clustered, layered_snn,
-                      lift_bounded, random_chain, random_hsdf,
+from conftest import (all_to_all_platform, chain_graph, demo_clustered,
+                      layered_snn, lift_bounded, random_chain, random_hsdf,
                       two_core_platform)
 from oracles import reference_decode_position, reference_search_mapping
 from test_sdfg import two_core_loop
@@ -30,8 +31,8 @@ from snnflow.partition import (build_clustered_graph, partition_round,
                                round_seeds)
 from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, Sdfg, execute,
                           exact_time, lift_to_sdfg, minimum_buffer_allocation,
-                          resolve_platform, self_timed_throughput,
-                          set_buffer_allocation)
+                          resolve_platform, sdfg_from_dict,
+                          self_timed_throughput, set_buffer_allocation)
 from snnflow.snn_graph import Core, HardwareGraph, Link
 
 
@@ -41,10 +42,9 @@ def demo_sdfg(buffer=64) -> Sdfg:
 
 def pipeline_sdfg(n: int, tokens: int = 4, buffer: int | None = None) -> Sdfg:
     actors = tuple(Actor(f"c{i}", 1, 1) for i in range(n))
-    channels = [Channel(f"c{i}", tokens, f"c{i+1}", tokens, 0,
-                        buffer if buffer else tokens)
-                for i in range(n - 1)]
-    channels += [Channel(a.id, 1, a.id, 1, tokens=1) for a in actors]
+    channels = [Channel(f"c{i}", f"c{i+1}", 0, (buffer or tokens) // tokens,
+                        tokens) for i in range(n - 1)]
+    channels += [Channel(a.id, a.id, tokens=1) for a in actors]
     return Sdfg(actors, tuple(channels))
 
 
@@ -192,9 +192,23 @@ def test_validate_mapping_checks_bandwidth():
         (Core("t0", 8, 1), Core("t1", 8, 1, in_bandwidth=10)),
         (Link("t0", "t1", 1), Link("t1", "t0", 1)))
     mapping = {"c0": "t0", "c1": "t1", "c2": "t1"}
-    # c0 -> c1 carries 19 tokens per iteration, above the cap of 10
-    with pytest.raises(InfeasibleMappingError, match="tokens"):
+    # c0 -> c1 carries 19 spikes per iteration, above the cap of 10
+    with pytest.raises(InfeasibleMappingError, match="spikes"):
         validate_mapping(g, hw, mapping)
+
+
+def test_validate_mapping_checks_outgoing_bandwidth_in_spikes():
+    # c0's one channel to another core moves one token of 19 spikes
+    g = demo_sdfg()
+    hw = HardwareGraph(
+        (Core("t0", 8, 1, out_bandwidth=18), Core("t1", 8, 1)),
+        (Link("t0", "t1", 1), Link("t1", "t0", 1)))
+    mapping = {"c0": "t0", "c1": "t1", "c2": "t1"}
+    with pytest.raises(InfeasibleMappingError, match=re.escape(
+            "core 't0' sends 19 spikes per iteration (limit 18)")):
+        validate_mapping(g, hw, mapping)
+    hw = replace(hw, cores=(Core("t0", 8, 1, out_bandwidth=19), hw.cores[1]))
+    validate_mapping(g, hw, mapping)
 
 
 def test_validate_mapping_requires_route():
@@ -270,9 +284,9 @@ def assert_cycles_hold_hosted_actors_once_per_iteration(g, hw, mapping):
 
 def test_schedule_multiplicities_match_repetition_vector():
     g = Sdfg((Actor("a", 1), Actor("b", 1)),
-             (Channel("a", 2, "b", 2, 0, 6),
-              Channel("a", 1, "a", 1, tokens=1),
-              Channel("b", 1, "b", 1, tokens=1)))
+             (Channel("a", "b", 0, 3, volume=2),
+              Channel("a", "a", tokens=1),
+              Channel("b", "b", tokens=1)))
     assert_cycles_hold_hosted_actors_once_per_iteration(
         g, two_core_platform(dim=4), {"a": "t0", "b": "t1"})
 
@@ -347,10 +361,10 @@ def test_evaluated_state_layout_is_pinned():
     sol = evaluate_mapping(g, hw, mapping)
     assert pinned(sol) == (13 / 3, "bf4339465537", 0, {0: 2})
     g = Sdfg((Actor("a0"), Actor("a1"), Actor("a2")),
-             (Channel("a0", 1, "a0", 1, tokens=1),
-              Channel("a1", 1, "a1", 1, tokens=1),
-              Channel("a2", 1, "a2", 1, tokens=1),
-              Channel("a2", 1, "a1", 1, tokens=1, capacity=4)))
+             (Channel("a0", "a0", tokens=1),
+              Channel("a1", "a1", tokens=1),
+              Channel("a2", "a2", tokens=1),
+              Channel("a2", "a1", tokens=1, capacity=4)))
     hw = HardwareGraph((Core("t0", 4, 2), Core("t1", 4, 1.5),
                         Core("t3", 3, 2.5)),
                        (Link("t1", "t3", 2), Link("t3", "t1", 2)))
@@ -589,7 +603,7 @@ def random_design(seed: int) -> Sdfg:
     if kind == 0:
         return random_hsdf(seed, max_actors=5)
     if kind == 1:
-        return random_chain(seed, max_actors=4)
+        return chain_graph(seed, max_actors=4)
     return lifted_layered(seed, 1 + seed % 3)
 
 
@@ -652,7 +666,7 @@ def test_evaluate_mapping_equals_the_two_run_reference():
         g = random_design(case)
         if case % 7 == 0:  # a channel too small for one firing
             g = Sdfg(g.actors + (Actor("x"),), g.channels + (
-                Channel(g.actors[0].id, 2, "x", 2, tokens=0, capacity=1),))
+                Channel(g.actors[0].id, "x", capacity=0, volume=2),))
         hw = mixed_platform(rng, mesh=case % 2 == 1, caps=case % 4 >= 2)
         cores = hw.core_ids()
         mapping = {a: cores[int(rng.integers(0, len(cores)))]
@@ -684,12 +698,12 @@ def test_period_lower_bound_is_below_the_scheduled_period():
         actors, channels = g.actors, list(g.channels)
         if seed % 5 == 0:  # bound one self-loop
             i = next(i for i, c in enumerate(channels) if c.src == c.dst)
-            channels[i] = Channel(channels[i].src, 1, channels[i].dst, 1,
+            channels[i] = Channel(channels[i].src, channels[i].dst,
                                   tokens=1, capacity=2)
         if seed % 7 == 0:  # a channel too small for one firing
             actors += (Actor("x"),)
-            channels.append(Channel(actors[0].id, 2, "x", 2, tokens=0,
-                                    capacity=1))
+            channels.append(Channel(actors[0].id, "x", capacity=0,
+                                    volume=2))
         g = Sdfg(actors, tuple(channels))
         hw = mixed_platform(rng, mesh=seed % 2 == 0, caps=False)
         share = [1, 0.5, 1 / 3][seed % 3]
@@ -710,7 +724,7 @@ def test_period_lower_bound_is_below_the_scheduled_period():
         seen["live"] += 1
         seen["tight"] += bound == res.period_exact
         seen["ipc > 1"] += res.iterations_per_cycle > 1
-        seen["rate above 1"] += any(c.prod > 1 for c in g.channels)
+        seen["rate above 1"] += any(c.volume > 1 for c in g.channels)
         seen["bounded self-loop"] += any(
             c.src == c.dst and c.capacity is not None for c in g.channels)
     assert all(seen.values()), seen
@@ -721,9 +735,9 @@ def test_period_lower_bound_leaves_out_small_buffers_and_self_loops():
     # forward/credit cycles, b -> c (no room for one firing) would divide
     # by zero and c's bounded self-loop would claim 2
     g = Sdfg((Actor("a"), Actor("b"), Actor("c")),
-             (Channel("a", 1, "b", 1),
-              Channel("b", 3, "c", 3, tokens=0, capacity=2),
-              Channel("c", 1, "c", 1, tokens=1, capacity=1)))
+             (Channel("a", "b"),
+              Channel("b", "c", capacity=0, volume=3),
+              Channel("c", "c", tokens=1, capacity=1)))
     hw = all_to_all_platform(3, latency=5)
     placement = resolve_platform(g, hw, {"a": "t0", "b": "t1", "c": "t2"})
     assert _period_lower_bound(g, *placement) == 1  # exec(b)
@@ -796,11 +810,11 @@ def per_channel_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
     floor = max(Fraction(n, len(hw.cores)), Fraction(min(n, 1))) * t_min
     index = g._tables[1]
     for c in g.channels:
-        if c.capacity is None or c.src == c.dst or c.capacity < c.prod:
+        if not c.capacity or c.src == c.dst:
             continue
         weight = g.actors[index[c.src]].weight + g.actors[index[c.dst]].weight
         h = 0 if weight <= largest else hop
-        floor = max(floor, Fraction(2 * t_min + h, c.capacity // c.prod))
+        floor = max(floor, Fraction(2 * t_min + h, c.capacity))
     return floor
 
 
@@ -815,7 +829,7 @@ def uniform_mesh_platform(dim: int = 8) -> HardwareGraph:
 def chain_of_three() -> Sdfg:
     """Three 4-neuron clusters in a chain whose channels hold one firing."""
     return Sdfg(tuple(Actor(f"c{i}", 1, 4) for i in range(3)),
-                tuple(Channel(f"c{i}", 1, f"c{i + 1}", 1, tokens=0,
+                tuple(Channel(f"c{i}", f"c{i + 1}", tokens=0,
                               capacity=1) for i in range(2)))
 
 
@@ -849,11 +863,11 @@ def test_grouping_floor_is_below_every_fitting_placement():
     for seed in range(32):
         factor = 1 + seed // 2 % 2
         if seed % 2:
-            g = random_chain(seed, max_actors=4)
-            g = Sdfg(g.actors, tuple(
-                c if c.capacity is None or c.src == c.dst
-                else replace(c, capacity=c.capacity * factor)
-                for c in g.channels))
+            doc = random_chain(seed, max_actors=4)
+            for c in doc["channels"]:
+                if c["capacity"] is not None and c["src"] != c["dst"]:
+                    c["capacity"] *= factor
+            g = sdfg_from_dict(doc)
         else:
             g = lifted_layered(seed, factor)
         mesh = seed // 4 % 2 == 1

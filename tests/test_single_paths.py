@@ -91,9 +91,9 @@ def test_two_ways_into_the_simulator():
                                          ("sdfg.py", "execute")]
 
 
-def callers_by_method(*names):
-    """``(module, function or Class.method)`` of every call to ``names``."""
-    found = set()
+def nodes_by_method():
+    """``(module, function or Class.method, node)`` of every AST node
+    in a top-level function or a method of a top-level class."""
     for path in sorted(PACKAGE.glob("*.py")):
         for top in ast.parse(path.read_text(encoding="utf-8")).body:
             scopes = ([(f"{top.name}.{m.name}", m) for m in top.body
@@ -101,10 +101,24 @@ def callers_by_method(*names):
                       if isinstance(top, ast.ClassDef)
                       else [(getattr(top, "name", "<module>"), top)])
             for owner, scope in scopes:
-                found |= {(path.name, owner) for node in ast.walk(scope)
-                          if isinstance(node, ast.Call)
-                          and ast.unparse(node.func).split(".")[-1] in names}
-    return sorted(found)
+                for node in ast.walk(scope):
+                    yield path.name, owner, node
+
+
+def callers_by_method(*names):
+    """``(module, function or Class.method)`` of every call to ``names``."""
+    return sorted({(module, owner) for module, owner, node in nodes_by_method()
+                   if isinstance(node, ast.Call)
+                   and ast.unparse(node.func).split(".")[-1] in names})
+
+
+def readers_by_method(*attributes):
+    """``(module, function or Class.method)`` of every ``x.<attribute>``
+    read."""
+    return sorted({(module, owner) for module, owner, node in nodes_by_method()
+                   if isinstance(node, ast.Attribute)
+                   and isinstance(node.ctx, ast.Load)
+                   and node.attr in attributes})
 
 
 def test_one_deadlock_reason():
@@ -120,6 +134,21 @@ def test_one_deadlock_reason():
         node.name for path in PACKAGE.glob("*.py")
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
         if isinstance(node, ast.FunctionDef)}
+
+
+def test_only_the_spike_edges_read_a_channel_volume():
+    # a firing moves one token on each channel, so no analysis or search
+    # reads a port rate or a volume; spikes per token convert capacities,
+    # states and files at the edges a user or a record sees, and sum
+    # against the bandwidth caps
+    assert [f.name for f in fields(sdfg.Channel)] == \
+        ["src", "dst", "tokens", "capacity", "volume"]
+    assert readers_by_method("prod", "cons") == []
+    assert readers_by_method("volume") == [
+        ("dse.py", "sweep_buffers"), ("mapping.py", "_check_capacities"),
+        ("sdfg.py", "Sdfg.validate"), ("sdfg.py", "_blocked_on"),
+        ("sdfg.py", "_in_spikes"), ("sdfg.py", "minimum_buffer_allocation"),
+        ("sdfg.py", "sdfg_to_dict"), ("sdfg.py", "set_buffer_allocation")]
 
 
 def test_one_table_of_rated_designs():
@@ -320,6 +349,25 @@ def bench_module_names(tree):
     return names
 
 
+def channel_reads(tree):
+    """Attributes read off the items of a loop or comprehension over a
+    name or attribute called ``channels``, a graph's channel list."""
+    found = set()
+    for node in ast.walk(tree):
+        loops = (node.generators if isinstance(
+                     node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                            ast.DictComp))
+                 else [node] if isinstance(node, ast.For) else [])
+        for loop in loops:
+            if ast.unparse(loop.iter).split(".")[-1] == "channels" \
+                    and isinstance(loop.target, ast.Name):
+                found |= {n.attr for n in ast.walk(node)
+                          if isinstance(n, ast.Attribute)
+                          and isinstance(n.value, ast.Name)
+                          and n.value.id == loop.target.id}
+    return found
+
+
 def test_every_name_the_bench_traces_exists():
     # bench/spans.py patches these by name, and its smoke test never
     # installs the tracer, so a deleted one would fail only under --trace
@@ -337,9 +385,10 @@ def test_every_name_the_bench_traces_exists():
 
 @pytest.mark.parametrize("name", ["spans.py", "checks.py", "workloads.py"])
 def test_every_package_attribute_the_bench_reads_exists(name):
-    # module.attribute reads, and the arguments of module.attribute(...)
+    # module.attribute reads, the arguments of module.attribute(...)
     # calls bound to the attribute's signature, positional and keyword
-    # alike; the bench also calls allocation_dict on a design point
+    # alike, and the Channel fields read off a graph's channels; the
+    # bench also calls allocation_dict on a design point
     tree = bench_tree(name)
     modules = bench_module_names(tree)
     assert modules
@@ -367,5 +416,10 @@ def test_every_package_attribute_the_bench_reads_exists(name):
                     *node.args, **{kw.arg: kw.value for kw in node.keywords})
             except TypeError as exc:
                 missing.append(f"{ast.unparse(node)}: {exc}")
+    reads = channel_reads(tree)
+    missing += [f"Channel.{attr}" for attr in sorted(
+        reads - {f.name for f in fields(sdfg.Channel)})]
     assert missing == []
     assert callable(dse.DesignPoint.allocation_dict)
+    if name == "checks.py":  # the liveness check reads each lifted channel
+        assert reads == {"src", "dst", "tokens"}

@@ -152,7 +152,7 @@ def test_integer_fields_take_integral_floats_as_ints():
                                       "capacity": 4.0}]})
     assert g.actors[0].weight == 2 and type(g.actors[0].weight) is int
     c = g.channels[0]
-    assert [type(v) for v in (c.prod, c.tokens, c.capacity)] == [int] * 3
+    assert [type(v) for v in (c.volume, c.tokens, c.capacity)] == [int] * 3
     for bad in (True, "4", 2.5, float("nan"), float("inf")):
         with pytest.raises(GraphFormatError, match="crossbar_dim"):
             hardware_graph_from_dict({
