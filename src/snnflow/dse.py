@@ -17,7 +17,7 @@ import numpy as np
 from .errors import (BudgetExceededError, DeadlockError,
                      InfeasibleMappingError)
 from .mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution, SwarmConfig,
-                      _search_floor, _share_to_scale, evaluate_mapping,
+                      _evaluate_in, _search_floor, _share_to_scale,
                       search_mapping)
 from .partition import (ClusteredSnnGraph, build_clustered_graph,
                         communication_cost, partition_round, round_seeds)
@@ -224,8 +224,8 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
                round_index: int,
                seeds: tuple[np.random.SeedSequence, np.random.SeedSequence],
                table: dict) -> RoundResult:
-    # every search of the round reads and fills ``table``, the
-    # search_mapping table of the rounds run in this process
+    # every search and every reuse rating of the round reads and fills
+    # ``table``, the search_mapping table of the rounds run in this process
     out = RoundResult(round_index)
     kl_seed, pso_parent = seeds
     p = partition_round(g, cfg.crossbar_dim, kl_seed, cfg.delta_min)
@@ -255,8 +255,8 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
             if cfg.sweep.mode == "reuse":
                 fixed_mapping = sol.mapping
         else:
-            sol = evaluate_mapping(bounded, hw, fixed_mapping,
-                                   cfg.time_wheel_share, cfg.state_budget)
+            sol = _evaluate_in(table, bounded, hw, fixed_mapping,
+                               cfg.time_wheel_share, cfg.state_budget)
         return sol.throughput, sol.block_counts, sol
 
     try:
@@ -333,11 +333,20 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     of those points.
 
     The rounds run in one process share one :func:`search_mapping`
-    table, so a design that an earlier search of the run rated (the
-    same bounded graph and assignment, as when two rounds give the same
-    partition) is not simulated again; the table is dropped when the
-    run returns.  With ``jobs > 1`` each round gets a fresh table and
-    no state crosses processes.
+    table, and a ``reuse`` sweep rates its kept mapping through it too.
+    The table keys ratings by placement class: the actors' scaled
+    execution times, the channels' routed latencies and the host cores
+    renamed by first occurrence, which is all the simulation reads.  So
+    a design whose class an earlier rating of the run simulated (the
+    same bounded graph and placement up to core names, as when two
+    rounds give the same partition or two assignments swap identical
+    cores) is not simulated again: its rating is the class's, with the
+    cores renamed, and its capacities are checked on their own.  A
+    core's name only groups actors and orders starts within one
+    instant, whose state updates commute, so the renamed rating is the
+    one a fresh evaluation gives.  The table is dropped when the run
+    returns.  With ``jobs > 1`` each round gets a fresh table and no
+    state crosses processes.
     """
     seeds = round_seeds(cfg.seed, cfg.eta)
     if not cfg.delta_min >= 0:

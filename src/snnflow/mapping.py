@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DeadlockError, InfeasibleMappingError
 from .sdfg import (DEFAULT_STATE_BUDGET, ExecutionResult, Sdfg,
-                   ThroughputResult, _Simulation, exact_time,
+                   ThroughputResult, _Simulation, _state_hash, exact_time,
                    resolve_platform)
 from .snn_graph import HardwareGraph
 
@@ -319,7 +319,7 @@ def build_schedules(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
     placement = resolve_platform(g, hw, mapping,
                                  _share_to_scale(time_wheel_share))
     return _schedules_from_log(_list_run(g, placement, state_budget)[1],
-                               mapping)
+                               mapping.values())
 
 
 def _list_run(g: Sdfg, placement: tuple, state_budget: int
@@ -336,13 +336,15 @@ def _list_run(g: Sdfg, placement: tuple, state_budget: int
             state=exc.state) from exc
 
 
-def _schedules_from_log(res: ExecutionResult, mapping: dict[str, str]
+def _schedules_from_log(res: ExecutionResult, cores
                         ) -> dict[str, StaticOrderSchedule]:
+    # the static orders of the host cores listed in cores, cut from a
+    # list run's log
     transient: dict[str, list[str]] = defaultdict(list)
     cycle: dict[str, list[str]] = defaultdict(list)
     for pos, (core, actor) in enumerate(res.firing_log):
         (transient if pos < res.log_cycle_start else cycle)[core].append(actor)
-    for core in set(mapping.values()):
+    for core in set(cores):
         transient.setdefault(core, [])
         cycle.setdefault(core, [])
     reduced, ipc = _reduce_cycles(dict(cycle), res.iterations_per_cycle)
@@ -382,16 +384,83 @@ def evaluate_mapping(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
     recurring state, period, steady-state hash and per-channel block
     counts off the states that run recorded.  The throughput and the
     block counts both go into the returned solution, so a caller needs
-    no further run for either.
+    no further run for either.  The runs place the actors on the cores
+    renamed ``0, 1, ...`` (:func:`_placement_class`), and the rating
+    takes the mapping's core names back (:func:`_renamed`).
+    """
+    return _evaluate_in({}, g, hw, mapping, time_wheel_share, state_budget)
+
+
+def _placement_class(placement: tuple) -> tuple:
+    """:func:`snnflow.sdfg.resolve_platform`'s ``(exec_times, core_of,
+    latency)`` as tuples, each host core renamed ``0, 1, ...`` in the
+    order it first hosts an actor: what the simulation of the placement
+    reads, up to core names (see :func:`search_mapping`)."""
+    times, core_of, latency = placement
+    labels: dict = {}
+    return (tuple(times), tuple(labels.setdefault(core, len(labels))
+                                for core in core_of), tuple(latency))
+
+
+def _rate_class(g: Sdfg, cls: tuple, state_budget: int) -> tuple:
+    """The rating of a placement class under its own core names: the
+    solution (with no mapping) and the replayed steady state, whose
+    cursors follow core ``0, 1, ...``.  Raises as the list run does."""
+    sim, listed = _list_run(g, cls, state_budget)
+    schedules = _schedules_from_log(listed, cls[1])
+    res = sim.replay(schedules)
+    return (MappingSolution({}, schedules, res.to_throughput(),
+                            res.block_counts), res.steady_state)
+
+
+def _renamed(rating: tuple, mapping: dict[str, str], core_of
+             ) -> MappingSolution:
+    """A class rating under ``mapping``, whose actors run on ``core_of``:
+    core ``k`` of the class is the ``k``-th distinct core there.  The
+    schedules, and the per-core cursors of the hashed steady state, list
+    the cores in core-id order, so the state is hashed again unless that
+    order is the class's."""
+    sol, state = rating
+    names = list(dict.fromkeys(core_of))
+    order = sorted(range(len(names)), key=names.__getitem__)
+    schedules = {}
+    for k in order:
+        s = sol.schedules[k]
+        schedules[names[k]] = StaticOrderSchedule(
+            names[k], s.transient, s.cycle, s.iterations_per_cycle)
+    t = sol.throughput
+    if order != sorted(order):
+        cursors = state[-1]
+        t = ThroughputResult(t.period, t.throughput, t.transient_length,
+                             _state_hash((*state[:-1],
+                                          tuple(cursors[k] for k in order))))
+    return MappingSolution(dict(mapping), schedules, t, sol.block_counts)
+
+
+def _evaluate_in(table: dict, g: Sdfg, hw: HardwareGraph,
+                 mapping: dict[str, str], time_wheel_share: float,
+                 state_budget: int) -> MappingSolution:
+    """:func:`evaluate_mapping` through ``table``, the
+    :func:`search_mapping` table: the mapping's placement class is
+    simulated unless the table rates it.  A class rated ``None``, whose
+    list run deadlocks, is simulated again to raise the error.
     """
     placement = resolve_platform(g, hw, mapping,
                                  _share_to_scale(time_wheel_share))
     _check_capacities(g, hw, placement[1])
-    sim, listed = _list_run(g, placement, state_budget)
-    schedules = _schedules_from_log(listed, mapping)
-    res = sim.replay(schedules)
-    return MappingSolution(dict(mapping), schedules, res.to_throughput(),
-                           res.block_counts)
+    ratings = _table_entry(table, g, hw, time_wheel_share, state_budget)[1]
+    cls = _placement_class(placement)
+    if ratings.get(cls) is None:
+        ratings[cls] = _rate_class(g, cls, state_budget)
+    return _renamed(ratings[cls], mapping, placement[1])
+
+
+def _table_entry(table: dict, g: Sdfg, hw: HardwareGraph,
+                 time_wheel_share: float, state_budget: int) -> list:
+    # [placed, ratings, floor] of one graph on one platform, see
+    # search_mapping
+    return table.setdefault((g, hw, time_wheel_share, state_budget),
+                            [{}, {}, None])
 
 
 @dataclass
@@ -586,46 +655,65 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     :func:`decode_position` would one by one, and scores the rows in
     order through :func:`pso_step`'s batch ``fitness``.
 
-    Bounds and evaluations go into ``table``, a dict that the caller
-    may share between searches (``None`` gives this search a fresh
-    one).  It is keyed by everything an evaluation reads besides the
-    assignment: the graph by value, the platform, the time-wheel share
-    and the state budget.  Under that key it holds two dicts keyed by
-    an assignment's host cores: its period bound as a float and, once
-    evaluated, its solution (``None`` for a rejected one).  So each
-    distinct assignment of one graph on one platform is bounded and
-    evaluated at most once for as long as the table lives.  An
-    evaluation that exceeds the state budget is not stored.  A stored
-    period where the bound would prune is at least the bound, so
-    sharing the table changes no result.
+    Bounds and ratings go into ``table``, a dict that the caller may
+    share between searches (``None`` gives this search a fresh one).  It
+    is keyed by everything a rating reads besides the assignment: the
+    graph by value, the platform, the time-wheel share and the state
+    budget.  Under that key it holds a list of three:
 
-    An assignment is not evaluated when its period bound
-    (:func:`_period_lower_bound`, rounded to float) already reaches the
-    particle's best period.  The swarm compares periods as floats and
-    rounding is monotone, so its period would reach that best too: it
-    could change neither that best nor the result.  Such a skipped
-    assignment cannot raise :class:`BudgetExceededError`, which its
-    evaluation might have done.  In the first swarm iteration every
+    * a dict keyed by an assignment's host cores, holding its period
+      bound as a float and its placement class
+      (:func:`_placement_class`), or ``inf`` and ``None`` when a missing
+      route or a core's capacity rules it out;
+    * a dict keyed by placement class, holding its rating (``None`` for
+      a class whose list run deadlocks);
+    * the search floor, once computed.
+
+    The class is what the simulation reads: each actor's scaled
+    execution time and host core and each channel's latency, with the
+    cores renamed ``0, 1, ...`` by first occurrence.  In the list run
+    and its replay a core's name only groups actors and orders the
+    starts of one instant, whose state updates commute.  A recorded
+    state sorts its pending ends and arrivals, and it lists per-core
+    queues or cursors in core-id order, which a renaming permutes alike
+    in every state, so the same states repeat.  Every assignment of a
+    class therefore reads the class's one rating with its cores renamed
+    (:func:`_renamed`), the record a fresh evaluation gives.  Capacities
+    are per core, so they are checked for each assignment; only the
+    simulation is shared.  Each distinct class of one graph on one
+    platform is simulated at most once for as long as the table lives.
+    A rating that exceeds the state budget is not stored.  A stored
+    period where the bound would prune is at least the bound, so sharing
+    the table changes no result.
+
+    An assignment that a core's capacity rules out scores ``inf``
+    unrated, as its rating would.  An assignment is not rated when its
+    period bound (:func:`_period_lower_bound`, rounded to float) already
+    reaches the particle's best period.  The swarm compares periods as
+    floats and rounding is monotone, so its period would reach that best
+    too: it could change neither that best nor the result.  Such a
+    skipped assignment cannot raise :class:`BudgetExceededError`, which
+    its rating might have done.  In the first swarm iteration every
     particle's best is ``inf`` and only assignments that cannot be
     placed at all are skipped.
 
     ``cfg.iterations`` is a maximum: the search stops in the first
     iteration that finds a period at most ``float(floor)``, the floor
-    being :func:`_search_floor`, computed once a row first decodes.
-    Every score is a rated period, a rounded bound or ``inf``, and
-    rounding is monotone, so no score lies below ``float(floor)``.
-    Each iteration first probes its decoded rows in row order: a row
-    already rated is read from the table, a row whose bound is at most
-    ``float(floor)`` is rated, and every other row is passed over,
-    since it cannot meet the floor.  The first row whose period is at
-    most ``float(floor)`` is the row that scoring every row would make
-    the swarm's best, since the swarm's best moves only on a strictly
-    lower score and no limit can prune a probed row: every limit
-    exceeds the floor while the search runs.  The search returns that
-    row's solution, and the iteration's other rows are not rated.  When
-    no row meets the floor, the iteration scores every row as above.
-    So the returned solution is the one the full iterations would
-    return.  The rows the search does not rate cannot raise the
+    being :func:`_search_floor`, computed once per table entry, when a
+    row first decodes.  Every score is a rated period, a rounded bound
+    or ``inf``, and rounding is monotone, so no score lies below
+    ``float(floor)``.  Each iteration first probes its decoded rows in
+    row order: a row whose class is rated is read from the table, a row
+    whose bound is at most ``float(floor)`` is rated, and every other
+    row is passed over, since it cannot meet the floor.  The first row
+    whose period is at most ``float(floor)`` is the row that scoring
+    every row would make the swarm's best, since the swarm's best moves
+    only on a strictly lower score and no limit can prune a probed row:
+    every limit exceeds the floor while the search runs.  The search
+    returns that row's solution, and the iteration's other rows are not
+    rated.  When no row meets the floor, the iteration scores every row
+    as above.  So the returned solution is the one the full iterations
+    would return.  The rows the search does not rate cannot raise the
     :class:`BudgetExceededError` that rating them might have; the first
     iteration always runs.
     """
@@ -635,62 +723,74 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     swarm = init_swarm(cfg, dims, rng)
     clusters, cores = g._weights[0], hw._cores[0]
     scale = _share_to_scale(time_wheel_share)
-    # both keyed by a decoded row's picks; rated holds real evaluations
-    # only, bounds never enter it
-    bounds, rated = ({} if table is None else table).setdefault(
-        (g, hw, time_wheel_share, state_budget), ({}, {}))
+    entry = _table_entry({} if table is None else table, g, hw,
+                         time_wheel_share, state_budget)
+    placed, ratings = entry[:2]
 
     def assignment(picks: tuple) -> dict[str, str]:
         return {cl: cores[j] for cl, j in zip(clusters, picks)}
 
-    def bound(picks: tuple) -> float:
-        if picks not in bounds:
+    def place(picks: tuple) -> tuple:
+        # a decoded row's rounded period bound and placement class
+        if picks not in placed:
             try:
-                bounds[picks] = float(_period_lower_bound(
-                    g, *resolve_platform(g, hw, assignment(picks), scale)))
-            except InfeasibleMappingError:
-                bounds[picks] = math.inf
-        return bounds[picks]
+                placement = resolve_platform(g, hw, assignment(picks), scale)
+                _check_capacities(g, hw, placement[1])
+            except InfeasibleMappingError as exc:
+                logger.debug("assignment %s rejected: %s", assignment(picks),
+                             exc)
+                placed[picks] = math.inf, None
+            else:
+                placed[picks] = (float(_period_lower_bound(g, *placement)),
+                                 _placement_class(placement))
+        return placed[picks]
 
     def rate(picks: tuple) -> float:
-        if picks not in rated:
-            mapping = assignment(picks)
+        # the period of a placed row's class, simulated if not yet rated
+        cls = placed[picks][1]
+        if cls not in ratings:
             try:
-                rated[picks] = evaluate_mapping(g, hw, mapping,
-                                                time_wheel_share, state_budget)
-            except (InfeasibleMappingError, DeadlockError) as exc:
-                logger.debug("assignment %s rejected: %s", mapping, exc)
-                rated[picks] = None
-        sol = rated[picks]
-        return math.inf if sol is None else sol.throughput.period
+                ratings[cls] = _rate_class(g, cls, state_budget)
+            except DeadlockError as exc:
+                logger.debug("assignment %s rejected: %s", assignment(picks),
+                             exc)
+                ratings[cls] = None
+        rating = ratings[cls]
+        return math.inf if rating is None else rating[0].throughput.period
 
     def score(picks: tuple | None, limit: float) -> float:
         if picks is None:
             return math.inf
-        if picks not in rated and bound(picks) >= limit:
-            return bounds[picks]
+        bound, cls = place(picks)
+        if cls not in ratings and bound >= limit:
+            return bound
         return rate(picks)
 
-    def meets_floor(picks: tuple | None) -> bool:
+    def meets_floor(picks: tuple | None, floor: float) -> bool:
         # a row whose bound is above the floor cannot meet it
-        return (picks is not None
-                and (picks in rated or bound(picks) <= floor)
-                and rate(picks) <= floor)
+        if picks is None:
+            return False
+        bound, cls = place(picks)
+        return (cls in ratings or bound <= floor) and rate(picks) <= floor
+
+    def solution(picks: tuple) -> MappingSolution:
+        mapping = assignment(picks)
+        return _renamed(ratings[placed[picks][1]], mapping, mapping.values())
 
     def fitness(positions: np.ndarray, limits: np.ndarray) -> list[float]:
-        nonlocal floor, found
+        nonlocal found
         rows = _decode_swarm(positions, g, hw)
-        if floor is None and any(rows):  # some row places an actor
-            floor = float(_search_floor(g, hw, scale))
-        if floor is not None:
-            found = next((rated[picks] for picks in rows
-                          if meets_floor(picks)), None)
+        if entry[2] is None and any(rows):  # some row places an actor
+            entry[2] = float(_search_floor(g, hw, scale))
+        if entry[2] is not None:
+            found = next((solution(picks) for picks in rows
+                          if meets_floor(picks, entry[2])), None)
             if found is not None:  # the search returns it after this step
                 return []
         return [score(picks, limit)
                 for picks, limit in zip(rows, limits.tolist())]
 
-    floor = found = None
+    found = None
     for _ in range(cfg.iterations):
         pso_step(swarm, fitness)
         if found is not None:
@@ -700,4 +800,4 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
             "no feasible cluster-to-core assignment found by the search")
     # only a rated row can beat the swarm's best, since a pruned row
     # scores at least its particle's best, so the best is in the table
-    return rated[_decode_swarm(swarm.gbest_position[None], g, hw)[0]]
+    return solution(_decode_swarm(swarm.gbest_position[None], g, hw)[0])

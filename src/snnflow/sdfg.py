@@ -363,8 +363,9 @@ class ExecutionResult:
     The recurring state repeats ``iterations_per_cycle`` iterations and
     ``span`` time units after its first occurrence.  The exact period,
     the throughput and the steady-state hash are read off them when
-    asked for: the list-scheduling run that only builds static orders
-    never asks.
+    asked for.  The list-scheduling run that only builds static orders
+    reads none of them and keeps no ``steady_state`` (``None``): the
+    rating's state is its replay's.
 
     ``block_counts`` maps each bounded channel to the number of
     recorded states in which a lack of space on it held back an actor
@@ -393,7 +394,7 @@ class ExecutionResult:
 
     @property
     def steady_state_hash(self) -> str:
-        return hashlib.sha1(repr(self.steady_state).encode()).hexdigest()[:12]
+        return _state_hash(self.steady_state)
 
     def to_throughput(self) -> ThroughputResult:
         return ThroughputResult(
@@ -609,11 +610,13 @@ class _Simulation:
                     if not space[ci]:
                         counts[ci] += 1
 
-    def _recurrence(self, key, now, log_len, done, first, block_counts
-                    ) -> ExecutionResult:
+    def _recurrence(self, key, now, log_len, done, first, block_counts,
+                    state: bool = True) -> ExecutionResult:
         # the result of a run whose state key, reached at time now with
         # log_len firings started and done completions, repeats first;
-        # an iteration fires every actor once
+        # an iteration fires every actor once.  Without state, as for a
+        # list run, whose orders are replayed for their own state, the
+        # result's steady state is None
         t0, log0, done0 = first
         it0 = min(done0)
         d_iter = min(done) - it0
@@ -629,7 +632,7 @@ class _Simulation:
         return ExecutionResult(
             span=now - t0,
             transient_iterations=it0,
-            steady_state=_in_spikes(self.g, key),
+            steady_state=_in_spikes(self.g, key) if state else None,
             firing_log=tuple(self.firing_log[:log_len]),
             log_cycle_start=log0,
             iterations_per_cycle=d_iter,
@@ -708,7 +711,8 @@ class _Simulation:
             if key in seen:
                 self.recurring = key, record
                 return self._recurrence(key, *record, seen[key],
-                                        self.block_counts)
+                                        self.block_counts,
+                                        state=not self.list_mode)
             seen[key] = record
             if len(seen) > self.budget:
                 raise BudgetExceededError(
@@ -721,6 +725,11 @@ class _Simulation:
                     state={"tokens": key[0], "space": key[1], "starving": {
                         w.actor: str(w) for w in waits if w}})
             now = self.heap[0][0]
+
+
+def _state_hash(state: tuple) -> str:
+    # the steady-state hash of a record: SHA-1 of the state's repr
+    return hashlib.sha1(repr(state).encode()).hexdigest()[:12]
 
 
 def _in_spikes(g: Sdfg, key: tuple) -> tuple:

@@ -544,7 +544,7 @@ def reference_evaluate_mapping(g: Sdfg, hw: HardwareGraph,
                                  _share_to_scale(time_wheel_share))
     _check_capacities(g, hw, placement[1])
     schedules = _schedules_from_log(_list_run(g, placement, state_budget)[1],
-                                    mapping)
+                                    mapping.values())
     res = _Simulation(g, *placement, schedules=schedules,
                       state_budget=state_budget).run()
     return MappingSolution(dict(mapping), schedules, res.to_throughput(),

@@ -10,7 +10,7 @@ import pytest
 from conftest import (all_to_all_platform, feasible_dim, layered_demo_snn,
                       layered_snn, partition_rounds, random_snn,
                       two_core_platform)
-from oracles import dominance_front
+from oracles import dominance_front, reference_evaluate_mapping
 
 from snnflow import dse, sdfg
 from snnflow.dse import (DesignFlowConfig, DesignPoint, RoundResult,
@@ -565,6 +565,33 @@ def test_each_design_is_simulated_once_per_flow(monkeypatch):
         run_design_flow(layered_snn(0, [4, 4, 4]), hw,
                         small_flow_config(eta=4, seed=1))
     assert runs["coinciding"] < len(keys)
+
+
+@pytest.mark.parametrize("mode", ["nested", "reuse"])
+def test_every_flow_point_is_its_mapping_rated_afresh(mode):
+    # ratings the flow's table renames equal fresh evaluations, and the
+    # two-run reference, of each point's mapping on its allocated graph
+    hw = all_to_all_platform(4)
+    seen = {"cores renamed": 0, "points": 0}
+    for seed in (1, 2):
+        cfg = small_flow_config(eta=4, seed=seed, mode=mode)
+        res = run_design_flow(layered_demo_snn(), hw, cfg)
+        graphs = {rr.round_index: lift_to_sdfg(rr.clustered, core_exec_time=1)
+                  for rr in res.rounds if rr.error is None}
+        for p in res.points:
+            bounded = set_buffer_allocation(graphs[p.round_index],
+                                            p.allocation_dict())
+            args = (bounded, hw, p.solution.mapping, cfg.time_wheel_share,
+                    cfg.state_budget)
+            fresh = evaluate_mapping(*args)
+            assert (p.solution.to_record(), p.solution.block_counts) == \
+                (fresh.to_record(), fresh.block_counts)
+            assert p.solution == reference_evaluate_mapping(*args)
+            hosts = [p.solution.mapping[a] for a in bounded.actor_ids()]
+            seen["cores renamed"] += list(dict.fromkeys(hosts)) != \
+                sorted(set(hosts))
+            seen["points"] += 1
+    assert all(seen.values()), seen
 
 
 def test_flow_larger_eta_weakly_dominates_smaller():

@@ -22,7 +22,8 @@ from snnflow.errors import (BudgetExceededError, DeadlockError,
                             InfeasibleMappingError, SnnflowError)
 from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
                              _check_capacities, _decode_swarm, _list_run,
-                             _period_lower_bound, _schedules_from_log,
+                             _period_lower_bound, _placement_class,
+                             _rate_class, _schedules_from_log,
                              _search_floor, _share_to_scale,
                              build_schedules, decode_position,
                              evaluate_mapping, init_swarm, pso_step,
@@ -510,21 +511,23 @@ def test_search_budget_error_in_the_first_iteration_propagates(hw2):
 
 def test_search_never_rates_an_assignment_without_a_route(monkeypatch):
     # two cores and no link: a split assignment's bound is inf, so only
-    # an assignment that keeps every cluster on one core is rated
+    # an assignment that keeps every cluster on one core is rated, and
+    # both such assignments are one placement class, simulated once
     g = pipeline_sdfg(3, tokens=2, buffer=4)
     rated = []
 
-    def recording(g, hw, mapping, *args):
-        rated.append(dict(mapping))
-        return evaluate_mapping(g, hw, mapping, *args)
+    def recording(g, cls, *args):
+        rated.append(cls[1])
+        return rate_class(g, cls, *args)
 
-    monkeypatch.setattr(mapping_module, "evaluate_mapping", recording)
+    rate_class = mapping_module._rate_class
+    monkeypatch.setattr(mapping_module, "_rate_class", recording)
     cfg = SwarmConfig(particles=6, iterations=10)
     hw = HardwareGraph((Core("t0", 8, 1), Core("t1", 8, 1)))
     sol = search_mapping(g, hw, cfg, rng=0)
     assert len(set(sol.mapping.values())) == 1
     assert sol.throughput.period == 6.0
-    assert rated and all(len(set(m.values())) == 1 for m in rated)
+    assert rated == [(0, 0, 0)]
     # at crossbar 2 no core holds all three clusters
     rated.clear()
     hw = HardwareGraph((Core("t0", 2, 1), Core("t1", 2, 1)))
@@ -615,23 +618,25 @@ def search_or_error(search, *args, **kwargs):
 
 
 def test_pruned_search_equals_the_reference_search(monkeypatch):
-    evals = {"pruned": 0, "reference": 0}
+    # the simulations each search runs: the reference's evaluations run
+    # one each
+    simulated = {"pruned": 0, "reference": 0}
     seen = {"fraction times": 0, "found": 0, "capped": 0}
+    rate_class = mapping_module._rate_class
 
-    def counting(name, evaluate):
-        def wrapped(*args, **kwargs):
-            evals[name] += 1
-            try:
-                return evaluate(*args, **kwargs)
-            except InfeasibleMappingError as exc:
-                seen["capped"] += "connections" in str(exc)
-                raise
-        return wrapped
+    def counting(*args):
+        simulated[searching] += 1
+        return rate_class(*args)
 
-    monkeypatch.setattr(mapping_module, "evaluate_mapping",
-                        counting("pruned", evaluate_mapping))
-    monkeypatch.setattr(oracles, "evaluate_mapping",
-                        counting("reference", evaluate_mapping))
+    def capped(*args):
+        try:
+            return evaluate_mapping(*args)
+        except InfeasibleMappingError as exc:
+            seen["capped"] += "connections" in str(exc)
+            raise
+
+    monkeypatch.setattr(mapping_module, "_rate_class", counting)
+    monkeypatch.setattr(oracles, "evaluate_mapping", capped)
     rng = np.random.default_rng(2024)
     cfg = SwarmConfig(particles=6, iterations=8)
     for seed in range(30):
@@ -642,13 +647,15 @@ def test_pruned_search_equals_the_reference_search(monkeypatch):
             isinstance(exact, Fraction) for exact in
             resolve_platform(g, hw, {a: "t0" for a in g.actor_ids()},
                              _share_to_scale(share))[0])
+        searching = "pruned"
         got = search_or_error(search_mapping, g, hw, cfg, share, rng=seed)
+        searching = "reference"
         want = search_or_error(reference_search_mapping, g, hw, cfg, share,
                                rng=seed)
         assert got == want, f"seed {seed}"
         seen["found"] += not isinstance(want, str)
     assert all(seen.values()), seen
-    assert evals["pruned"] < evals["reference"], evals
+    assert simulated["pruned"] < simulated["reference"], simulated
 
 
 def evaluate_or_error(evaluate, *args):
@@ -783,7 +790,7 @@ def test_search_floor_is_below_every_feasible_period():
                 sim, listed = _list_run(g, placement, DEFAULT_STATE_BUDGET)
             except (InfeasibleMappingError, DeadlockError):
                 continue
-            period = sim.replay(_schedules_from_log(listed, mapping)
+            period = sim.replay(_schedules_from_log(listed, mapping.values())
                                 ).period_exact
             bound = _period_lower_bound(g, *placement)
             assert floor <= bound <= period, (seed, mapping)
@@ -910,17 +917,26 @@ def first_rows(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig, seed: int
 
 
 def counting_calls(monkeypatch, calls: dict[str, list]):
-    """Record the assignments search_mapping rates and its swarm steps."""
-    def evaluate(g, hw, mapping, *args):
-        calls["rated"].append(dict(mapping))
-        return evaluate_mapping(g, hw, mapping, *args)
+    """Record the placement classes search_mapping simulates and its
+    swarm steps."""
+    rate_class = mapping_module._rate_class
+
+    def simulate(g, cls, *args):
+        calls["rated"].append(cls)
+        return rate_class(g, cls, *args)
 
     def step(swarm, fitness):
         calls["steps"].append(1)
         return pso_step(swarm, fitness)
 
-    monkeypatch.setattr(mapping_module, "evaluate_mapping", evaluate)
+    monkeypatch.setattr(mapping_module, "_rate_class", simulate)
     monkeypatch.setattr(mapping_module, "pso_step", step)
+
+
+def class_of(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str], share
+             ) -> tuple:
+    return _placement_class(resolve_platform(g, hw, mapping,
+                                             _share_to_scale(share)))
 
 
 def test_search_probe_rates_no_row_above_the_floor_or_after_the_hit(
@@ -944,10 +960,11 @@ def test_search_probe_rates_no_row_above_the_floor_or_after_the_hit(
                                      latency=1 + seed // 8 % 2)
         share = [1, 0.5, 1 / 3][seed % 3]
         scale = _share_to_scale(share)
+        want = search_or_error(reference_search_mapping, g, hw, cfg, share,
+                               rng=seed)
         calls.update(rated=[], steps=[])
         got = search_or_error(search_mapping, g, hw, cfg, share, rng=seed)
-        assert got == search_or_error(reference_search_mapping, g, hw, cfg,
-                                      share, rng=seed), seed
+        assert got == want, seed
         if len(calls["steps"]) != 1 or isinstance(got, str):
             continue
         seen["at once"] += 1
@@ -959,14 +976,14 @@ def test_search_probe_rates_no_row_above_the_floor_or_after_the_hit(
             return float(_period_lower_bound(
                 g, *resolve_platform(g, hw, mapping, scale)))
 
-        want = [m for m in rows[:hit + 1]
-                if m is not None and rounded_bound(m) <= floor]
-        # each distinct assignment is rated once
-        assert calls["rated"] == [m for i, m in enumerate(want)
-                                  if m not in want[:i]], seed
-        seen["skipped above the floor"] += len(want) < hit + 1
+        probed = [class_of(g, hw, m, share) for m in rows[:hit + 1]
+                  if m is not None and rounded_bound(m) <= floor]
+        # each distinct class is simulated once
+        assert calls["rated"] == [c for i, c in enumerate(probed)
+                                  if c not in probed[:i]], seed
+        seen["skipped above the floor"] += len(probed) < hit + 1
         seen["unrated after the hit"] += any(
-            m is not None and m not in calls["rated"]
+            m is not None and class_of(g, hw, m, share) not in calls["rated"]
             for m in rows[hit + 1:])
         seen["rated below the hit"] += len(calls["rated"]) > 1
     assert all(seen.values()), seen
@@ -984,19 +1001,112 @@ def test_search_probe_reads_rated_rows_from_a_shared_table(monkeypatch):
     assert periods == [6, 5, 5] and rows[1] != rows[2]
     want = search_or_error(reference_search_mapping, g, hw, cfg, 0.5, rng=4)
     assert want["mapping"] == rows[1]
+    classes = [class_of(g, hw, m, 0.5) for m in rows[:3]]
+    assert len(set(classes)) == 3
+    rating = {cls: _rate_class(g, cls, DEFAULT_STATE_BUDGET)
+              for cls in classes}
     calls = {"rated": [], "steps": []}
     counting_calls(monkeypatch, calls)
-    cores = hw._cores[0]
-    for held, rated in ((1, rows[:1]), (2, rows[:2])):
-        sol = evaluate_mapping(g, hw, rows[held], 0.5)
-        picks = tuple(cores.index(sol.mapping[cl]) for cl in g._weights[0])
-        table = {(g, hw, 0.5, DEFAULT_STATE_BUDGET): ({}, {picks: sol})}
+    for held in (1, 2):
+        table = {(g, hw, 0.5, DEFAULT_STATE_BUDGET):
+                 [{}, {classes[held]: rating[classes[held]]}, None]}
         calls.update(rated=[], steps=[])
         got = search_or_error(search_mapping, g, hw, cfg, 0.5, rng=4,
                               table=table)
         assert got == want
-        assert calls["rated"] == rated
+        assert calls["rated"] == classes[:held]
         assert len(calls["steps"]) == 1
+
+
+def capped_uniform_platform() -> HardwareGraph:
+    """Four equally fast cores, all-to-all at latency 1; two have small
+    crossbars and accept one incoming and one outgoing connection only,
+    so renaming the cores of a placement keeps its class but may break
+    a cap."""
+    cores = tuple(Core(f"t{i}", [8, 8, 4, 4][i], 1,
+                       in_connections=1 if i % 2 else None,
+                       out_connections=1 if i % 2 else None)
+                  for i in range(4))
+    return HardwareGraph(cores, tuple(
+        Link(f"t{i}", f"t{j}", 1)
+        for i, j in itertools.permutations(range(4), 2)))
+
+
+def test_every_core_renaming_reads_the_class_rating(monkeypatch):
+    # every core permutation of a mapping is rated through one table: its
+    # record equals a fresh evaluation's and the two-run reference's, the
+    # class is simulated once, and a renaming that breaks a core's cap is
+    # refused even though its class is rated
+    simulated = []
+    rate_class = mapping_module._rate_class
+
+    def counting(g, cls, *args):
+        simulated.append(cls)
+        return rate_class(g, cls, *args)
+
+    rng = np.random.default_rng(59)
+    seen = {"uniform": 0, "mixed": 0, "read renamed": 0, "hashed again": 0,
+            "class differs": 0, "refused": 0, "ipc > 1": 0}
+    for case in range(24):
+        g = random_design(case)
+        kind = case % 4
+        hw = [all_to_all_platform(4, dim=8), uniform_mesh_platform(),
+              capped_uniform_platform(),
+              mixed_platform(rng, mesh=case % 8 == 3, caps=True)][kind]
+        share = [1, 0.5, 1 / 3][case // 4 % 3]
+        cores = hw.core_ids()
+        first = {a: cores[int(rng.integers(0, len(cores)))]
+                 for a in g.actor_ids()}
+        table, hashes = {}, set()
+        simulated.clear()
+        for perm in itertools.permutations(cores):
+            renamed = {a: perm[cores.index(c)] for a, c in first.items()}
+            args = (g, hw, renamed, share, DEFAULT_STATE_BUDGET)
+            want = evaluate_or_error(oracles.reference_evaluate_mapping,
+                                     *args)
+            assert evaluate_or_error(evaluate_mapping, *args) == want, case
+            rated = len(simulated)
+            with monkeypatch.context() as m:
+                m.setattr(mapping_module, "_rate_class", counting)
+                got = evaluate_or_error(mapping_module._evaluate_in, table,
+                                        *args)
+            assert got == want, (case, perm)
+            cls, base = (class_of(g, hw, a, share) for a in (renamed, first))
+            times, _, latency = resolve_platform(g, hw, renamed,
+                                                 _share_to_scale(share))
+            # the class is what the simulation reads, up to core names
+            assert (cls == base) == (times == list(base[0])
+                                     and latency == list(base[2])), case
+            seen["class differs"] += cls != base
+            if isinstance(want, MappingSolution):
+                assert got.to_record() == want.to_record()
+                seen["read renamed"] += (len(simulated) == rated
+                                         and renamed != first)
+                hashes.add(want.throughput.steady_state_hash)
+                seen["ipc > 1"] += any(s.iterations_per_cycle > 1
+                                       for s in want.schedules.values())
+            elif cls in simulated:  # the class is rated, the cores are not
+                seen["refused"] += "connections" in want[1]
+        # one simulation per class; none for a class that is rated
+        assert len(simulated) == len(set(simulated)), case
+        seen["hashed again"] += len(hashes) > 1
+        seen["mixed" if kind == 3 else "uniform"] += 1
+    assert all(seen.values()), seen
+
+
+def test_a_shared_table_search_equals_the_reference_under_caps():
+    # on equally fast cores with caps, the searches of one table read
+    # renamed ratings, whose capacities each search checks again
+    cfg = SwarmConfig(particles=6, iterations=8)
+    hw = capped_uniform_platform()
+    for seed in range(8):
+        g = random_design(seed)
+        table = {}
+        for rng in (seed, seed + 100):
+            got = search_or_error(search_mapping, g, hw, cfg, 0.5, rng=rng,
+                                  table=table)
+            assert got == search_or_error(reference_search_mapping, g, hw,
+                                          cfg, 0.5, rng=rng), (seed, rng)
 
 
 def test_search_stops_at_the_floor_with_the_reference_result(monkeypatch):

@@ -278,8 +278,10 @@ def test_steady_state_hash_is_pinned():
     res = execute(free)
     assert (res.period_exact, res.steady_state_hash) == (2, "7017f43dd4d0")
     g, hw, m = two_core_loop()
+    # the list run keeps no state of its own: the rating's state is the
+    # replay's of the orders it builds
     res = _list_run(g, resolve_platform(g, hw, m), DEFAULT_STATE_BUDGET)[1]
-    assert (res.period_exact, res.steady_state_hash) == (3, "849c6cd03a1e")
+    assert (res.period_exact, res.steady_state) == (3, None)
     res = execute(g, schedules=build_schedules(g, hw, m), platform=hw,
                   mapping=m)
     assert (res.period_exact, res.steady_state_hash) == (3, "aa82cc024e9a")

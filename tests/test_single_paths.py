@@ -153,24 +153,46 @@ def test_only_the_spike_edges_read_a_channel_volume():
 
 def test_one_table_of_rated_designs():
     # the search bounds and rates through the table it is given, and the
-    # reuse sweep rates its one kept mapping; a second cache of ratings
-    # would have to call these from somewhere else
-    assert callers_of("evaluate_mapping", "_period_lower_bound") == \
-        [("dse.py", "_run_round"), ("mapping.py", "search_mapping")]
+    # reuse sweep rates its one kept mapping through the same table; a
+    # second cache of ratings would have to call these from somewhere else
+    assert callers_of("_period_lower_bound") == [
+        ("mapping.py", "search_mapping")]
+    assert callers_of("_rate_class") == [("mapping.py", "_evaluate_in"),
+                                         ("mapping.py", "search_mapping")]
+    assert callers_of("_list_run") == [("mapping.py", "_rate_class"),
+                                       ("mapping.py", "build_schedules")]
+    # the flow rates designs only through the round's table
+    raters = {"evaluate_mapping", "_evaluate_in", "_rate_class", "_list_run",
+              "build_schedules", "search_mapping", "execute",
+              "self_timed_throughput", "_Simulation"}
+    calls = [node for node in ast.walk(ast.parse(
+                 (PACKAGE / "dse.py").read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)
+             and ast.unparse(node.func).split(".")[-1] in raters]
+    assert sorted(ast.unparse(node.func) for node in calls) == \
+        ["_evaluate_in", "search_mapping"]
+    assert all("table" in {*(ast.unparse(a) for a in node.args),
+                           *(k.arg for k in node.keywords)}
+               for node in calls)
 
 
 def test_the_search_table_holds_a_float_per_bound_and_a_solution_per_rating():
     # the swarm compares periods as floats, so a bound needs no exact
-    # value beside its float, and a rating's period is its solution's
+    # value beside its float; a rating is its placement class's solution
+    # and the steady state it renames; the floor is computed once
     g, hw, table = lift_bounded(demo_clustered()), all_to_all_platform(2), {}
     mapping.search_mapping(g, hw, mapping.SwarmConfig(particles=4,
                                                       iterations=3),
                            rng=0, table=table)
-    [(bounds, rated)] = table.values()
-    assert bounds and rated
-    assert all(type(bound) is float for bound in bounds.values())
-    assert all(sol is None or isinstance(sol, mapping.MappingSolution)
-               for sol in rated.values())
+    [(placed, ratings, floor)] = table.values()
+    assert placed and ratings and type(floor) is float
+    assert all(type(bound) is float and (cls is None or type(cls) is tuple)
+               for bound, cls in placed.values())
+    assert set(ratings) <= {cls for _, cls in placed.values()}
+    assert all(rating is None or
+               (isinstance(rating[0], mapping.MappingSolution)
+                and type(rating[1]) is tuple)
+               for rating in ratings.values())
 
 
 def test_one_period_floor():
