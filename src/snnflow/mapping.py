@@ -81,13 +81,12 @@ class MappingSolution:
     """A feasible cluster-to-core assignment with its schedule and rate.
 
     ``block_counts`` comes from the same run that gave ``throughput``,
-    the self-timed run under ``schedules``, which
-    :func:`evaluate_mapping` replays from the states of the
-    list-scheduling run that built them: per bounded channel, in how
-    many recorded states a lack of space on it held back an otherwise
-    ready firing.  The buffer sweep grows the worst channel.  It is
-    analysis output rather than part of the design, so
-    :meth:`to_record` leaves it out.
+    the self-timed run under ``schedules``, whose states are those of
+    the list-scheduling run that built them (see
+    :func:`evaluate_mapping`): per bounded channel, in how many recorded
+    states a lack of space on it held back an otherwise ready firing.
+    The buffer sweep grows the worst channel.  It is analysis output
+    rather than part of the design, so :meth:`to_record` leaves it out.
     """
 
     mapping: dict[str, str]
@@ -318,18 +317,17 @@ def build_schedules(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
     """
     placement = resolve_platform(g, hw, mapping,
                                  _share_to_scale(time_wheel_share))
-    return _schedules_from_log(_list_run(g, placement, state_budget)[1],
+    return _schedules_from_log(_list_run(g, placement, state_budget),
                                mapping.values())
 
 
 def _list_run(g: Sdfg, placement: tuple, state_budget: int
-              ) -> tuple[_Simulation, ExecutionResult]:
-    # the list-scheduling run and its result; the finished simulation
-    # keeps the recorded states that _Simulation.replay reads
-    sim = _Simulation(g, *placement, list_mode=True,
-                      state_budget=state_budget)
+              ) -> ExecutionResult:
+    # the list-scheduling run's result, which is also that of the run
+    # under the static orders it builds (see _Simulation)
     try:
-        return sim, sim.run()
+        return _Simulation(g, *placement, list_mode=True,
+                           state_budget=state_budget).run()
     except DeadlockError as exc:
         raise DeadlockError(
             f"list scheduling deadlocked under mapping: {exc}",
@@ -377,14 +375,20 @@ def evaluate_mapping(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
     the list-scheduling run of :func:`build_schedules` read the same
     :func:`snnflow.sdfg.resolve_platform` placement.  The rating is
     that of the self-timed run under the built schedules, as
-    ``execute(..., schedules=...)`` gives it, but it is not run: under
-    its own static orders the mapped graph fires every actor at the
-    instant the list-scheduling run did, so
-    :meth:`snnflow.sdfg._Simulation.replay` reads the rating's
-    recurring state, period, steady-state hash and per-channel block
-    counts off the states that run recorded.  The throughput and the
-    block counts both go into the returned solution, so a caller needs
-    no further run for either.  The runs place the actors on the cores
+    ``execute(..., schedules=...)`` gives it, but that run is not made:
+    the list-scheduling run's own result is the rating.  Under its own
+    static orders the mapped graph fires every actor at the instant the
+    list run did, so the two runs pass through the same tokens, space,
+    pending ends and arrivals and count the same blocked channels.
+    They also recur at the same pair of states.  Where the list run's
+    key first repeats, every core's cursor is back at its transient
+    length, so the scheduled key repeats there too.  A core's ready
+    list holds exactly its ready actors, in the order its static order
+    starts them, so equal scheduled keys mean equal list keys and the
+    scheduled run recurs no earlier.  The full argument is
+    :class:`snnflow.sdfg._Simulation`'s.  The throughput and the block
+    counts both go into the returned solution, so a caller needs no
+    further run for either.  The run places the actors on the cores
     renamed ``0, 1, ...`` (:func:`_placement_class`), and the rating
     takes the mapping's core names back (:func:`_renamed`).
     """
@@ -404,13 +408,12 @@ def _placement_class(placement: tuple) -> tuple:
 
 def _rate_class(g: Sdfg, cls: tuple, state_budget: int) -> tuple:
     """The rating of a placement class under its own core names: the
-    solution (with no mapping) and the replayed steady state, whose
+    solution (with no mapping) and the list run's steady state, whose
     cursors follow core ``0, 1, ...``.  Raises as the list run does."""
-    sim, listed = _list_run(g, cls, state_budget)
+    listed = _list_run(g, cls, state_budget)
     schedules = _schedules_from_log(listed, cls[1])
-    res = sim.replay(schedules)
-    return (MappingSolution({}, schedules, res.to_throughput(),
-                            res.block_counts), res.steady_state)
+    return (MappingSolution({}, schedules, listed.to_throughput(),
+                            listed.block_counts), listed.steady_state)
 
 
 def _renamed(rating: tuple, mapping: dict[str, str], core_of
@@ -672,15 +675,15 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     The class is what the simulation reads: each actor's scaled
     execution time and host core and each channel's latency, with the
     cores renamed ``0, 1, ...`` by first occurrence.  In the list run
-    and its replay a core's name only groups actors and orders the
-    starts of one instant, whose state updates commute.  A recorded
-    state sorts its pending ends and arrivals, and it lists per-core
-    queues or cursors in core-id order, which a renaming permutes alike
-    in every state, so the same states repeat.  Every assignment of a
-    class therefore reads the class's one rating with its cores renamed
-    (:func:`_renamed`), the record a fresh evaluation gives.  Capacities
-    are per core, so they are checked for each assignment; only the
-    simulation is shared.  Each distinct class of one graph on one
+    a core's name only groups actors and orders the starts of one
+    instant, whose state updates commute.  A recorded state sorts its
+    pending ends and arrivals, and it lists per-core queues in core-id
+    order, as the steady state lists its cursors; a renaming permutes
+    them alike in every state, so the same states repeat.  Every
+    assignment of a class therefore reads the class's one rating with
+    its cores renamed (:func:`_renamed`), the record a fresh evaluation
+    gives.  Capacities are per core, so they are checked for each
+    assignment; only the simulation is shared.  Each distinct class of one graph on one
     platform is simulated at most once for as long as the table lives.
     A rating that exceeds the state budget is not stored.  A stored
     period where the bound would prune is at least the bound, so sharing

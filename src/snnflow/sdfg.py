@@ -200,12 +200,11 @@ class Wait(NamedTuple):
     kind: str
     peer: str
     needs: int
-    has: int
 
     def __str__(self) -> str:
         return (f"{self.actor!r} needs {self.needs} {self.kind} on channel "
                 f"{self.channel} {'from' if self.kind == 'tokens' else 'to'} "
-                f"{self.peer!r} (has {self.has})")
+                f"{self.peer!r}")
 
 
 @dataclass(frozen=True)
@@ -265,11 +264,11 @@ def _blocked_on(g: Sdfg, a: int, tokens, space) -> Wait | None:
     for ci in in_ch[a]:
         if not tokens[ci]:
             c = g.channels[ci]
-            return Wait(ids[a], ci, "tokens", c.src, c.volume, 0)
+            return Wait(ids[a], ci, "tokens", c.src, c.volume)
     for ci in g._bounded[1][a]:
         if not space[ci]:
             c = g.channels[ci]
-            return Wait(ids[a], ci, "space", c.dst, c.volume, 0)
+            return Wait(ids[a], ci, "space", c.dst, c.volume)
     return None
 
 
@@ -363,16 +362,13 @@ class ExecutionResult:
     The recurring state repeats ``iterations_per_cycle`` iterations and
     ``span`` time units after its first occurrence.  The exact period,
     the throughput and the steady-state hash are read off them when
-    asked for.  The list-scheduling run that only builds static orders
-    reads none of them and keeps no ``steady_state`` (``None``): the
-    rating's state is its replay's.
+    asked for.
 
     ``block_counts`` maps each bounded channel to the number of
     recorded states in which a lack of space on it held back an actor
-    whose input tokens were all there.  A ``list_mode`` run, which only
-    builds static orders, counts nothing and leaves it empty; the
-    counts of the run under the orders it built come from
-    :meth:`_Simulation.replay`, which reads them off its recorded states.
+    whose input tokens were all there.  A ``list_mode`` run's result,
+    steady state and counts included, is that of the run under the
+    static orders it builds (see :class:`_Simulation`).
     """
 
     span: object
@@ -413,11 +409,37 @@ class _Simulation:
     core, used to construct static orders).  Ties at equal time resolve
     by actor id, then core id.
 
-    A run keeps its recorded states in order in ``states`` (state key
-    -> time, firing-log length and completions) and the recurring one
-    in ``recurring``.  After a ``list_mode`` run, :meth:`replay` derives
-    from them the run under the static orders built from its firing
-    log, without simulating it again.
+    A ``list_mode`` run is also the run under the static orders built
+    from its firing log, on the same placement.  Under those orders
+    every actor fires at the instant the list run fired it: a core
+    frees at the same time in both runs, and the actor at its cursor is
+    the one the list run took next from that core's ready list, which
+    it started as soon as the core was free and the actor ready, as the
+    run under the orders does.  A ready actor stays ready until it
+    starts, because starting an actor takes tokens only from its own
+    input channels and space only from its own output channels.  So
+    both runs pass through the same states, with the same tokens,
+    space, pending ends and arrivals, and count the same blocked
+    channels in them.  Their keys differ only in the last entry: the
+    list run keys the ready lists, the scheduled run the cursors.  The
+    two keys recur at the same pair of states:
+
+    - Let the list key first occur at state i and repeat at j.  A
+      core's transient is its starts before i, and its cycle its starts
+      from i to j, shortened to one word when they repeat a word a
+      whole number of times.  At i every cursor equals its core's
+      transient length, and from i to j each core makes whole turns of
+      its cycle, so at j every cursor is back there: the scheduled key
+      repeats by j.
+    - A core's ready list holds exactly its ready actors, which the
+      tokens, space and pending ends determine, in the order the core
+      starts them, which its static order from the cursor gives.  So
+      two states with equal scheduled keys have equal list keys.
+
+    Neither run can therefore recur earlier than the other, and the
+    list run's result is the scheduled run's, its steady state recorded
+    with the cursors of state i in place of the ready lists.  Its state
+    and firing budgets hold for both runs alike.
     """
 
     END = 0
@@ -599,8 +621,9 @@ class _Simulation:
             key.append(tuple(tuple(self.queues[c]) for c in self.cores))
         return tuple(key)
 
-    def _count_blocking(self, tokens, space, counts) -> None:
-        # one state's blocked channels, added to counts
+    def _count_blocking(self) -> None:
+        # the current state's blocked channels, added to block_counts
+        tokens, space, counts = self.tokens, self.space, self.block_counts
         for in_ch, out_bounded in self.blockable:
             for ci in in_ch:
                 if not tokens[ci]:
@@ -610,13 +633,10 @@ class _Simulation:
                     if not space[ci]:
                         counts[ci] += 1
 
-    def _recurrence(self, key, now, log_len, done, first, block_counts,
-                    state: bool = True) -> ExecutionResult:
+    def _recurrence(self, key, now, log_len, done, first) -> ExecutionResult:
         # the result of a run whose state key, reached at time now with
         # log_len firings started and done completions, repeats first;
-        # an iteration fires every actor once.  Without state, as for a
-        # list run, whose orders are replayed for their own state, the
-        # result's steady state is None
+        # an iteration fires every actor once
         t0, log0, done0 = first
         it0 = min(done0)
         d_iter = min(done) - it0
@@ -629,64 +649,27 @@ class _Simulation:
                 f"actors {list(stuck)} starve while the rest cycle",
                 state={"tokens": key[0], "space": key[1], "starving": {
                     aid: str(wait or "stuck") for aid, wait in stuck.items()}})
+        if self.list_mode:
+            # the scheduled run's key: each core's cursor is its number
+            # of starts before the first occurrence, its transient length
+            starts: dict = defaultdict(int)
+            for core, _ in self.firing_log[:log0]:
+                starts[core] += 1
+            key = (*key[:4], tuple(starts[core] for core in self.cores))
         return ExecutionResult(
             span=now - t0,
             transient_iterations=it0,
-            steady_state=_in_spikes(self.g, key) if state else None,
+            steady_state=_in_spikes(self.g, key),
             firing_log=tuple(self.firing_log[:log_len]),
             log_cycle_start=log0,
             iterations_per_cycle=d_iter,
-            block_counts=dict(block_counts))
-
-    def replay(self, schedules) -> ExecutionResult:
-        """The run under ``schedules``, read off this finished
-        ``list_mode`` run, whose firing log built them.
-
-        Imposed on the same placement, static orders built from a list
-        run fire every actor at the instant that run did.  A core frees
-        at the same time in both runs, and the actor at its cursor is
-        the one the list run took next from that core's ready list,
-        which it started as soon as the core was free and the actor
-        ready, as the run under the orders does.  A ready actor stays
-        ready until it starts, because starting an actor takes tokens
-        only from its own input channels and space only from its own
-        output channels.  The run under the orders therefore passes
-        through the list run's states, with the same tokens, space,
-        pending ends and arrivals.  Its key replaces the
-        ready lists by the per-core cursors: the start counts of the
-        firing-log prefix, reduced by each order's transient and cycle
-        lengths.  The list run's recurring state closes a cycle of
-        every order, so that run stops at the list run's last state or
-        earlier; this walks the states in order to the first repeated
-        key and counts blocked channels on each one up to it, as that
-        run would.  Its state and firing budgets cannot be exceeded,
-        since the list run did not exceed them.
-        """
-        at = {core: i for i, core in enumerate(self.cores)}
-        wrap = [(end, restart) for _, end, restart in self._orders(schedules)]
-        cursors = [0] * len(self.cores)
-        log, logged = self.firing_log, 0
-        seen: dict[tuple, tuple] = {}
-        counts: dict[int, int] = defaultdict(int)
-        for state, record in (*self.states.items(), self.recurring):
-            log_len = record[1]
-            for core, _ in log[logged:log_len]:
-                i = at[core]
-                end, start = wrap[i]
-                cursors[i] = start if cursors[i] + 1 == end else cursors[i] + 1
-            logged = log_len
-            self._count_blocking(state[0], state[1], counts)
-            key = state[:4] + (tuple(cursors),)
-            if key in seen:
-                return self._recurrence(key, *record, seen[key], counts)
-            seen[key] = record
-        raise AssertionError("replayed states end without a repeated key")
+            block_counts=dict(self.block_counts))
 
     # -- main loop ----------------------------------------------------
 
     def run(self) -> ExecutionResult:
         now = 0
-        seen = self.states = {}
+        seen = {}
         while True:
             while True:
                 progressed = False
@@ -703,16 +686,11 @@ class _Simulation:
                     progressed = True
                 if not progressed:
                     break
-            if not self.list_mode:  # schedule construction uses no counts
-                self._count_blocking(self.tokens, self.space,
-                                     self.block_counts)
+            self._count_blocking()
             key = self._snapshot(now)
             record = (now, len(self.firing_log), tuple(self.completions))
             if key in seen:
-                self.recurring = key, record
-                return self._recurrence(key, *record, seen[key],
-                                        self.block_counts,
-                                        state=not self.list_mode)
+                return self._recurrence(key, *record, seen[key])
             seen[key] = record
             if len(seen) > self.budget:
                 raise BudgetExceededError(

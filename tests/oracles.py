@@ -8,8 +8,8 @@ O(n^2) dominance scan, swap descent by re-summing the synapses each
 candidate swap touches instead of keeping gain tables, swarm decode by
 one ``argmax`` per cluster row over freshly built core tables, the
 swarm search by evaluating every distinct assignment it decodes, an
-assignment's rating by a second, scheduled simulation instead of a
-replay of the list-scheduling run, LIF rates by stepping one neuron at
+assignment's rating by a second, scheduled simulation instead of the
+result of the list-scheduling run, LIF rates by stepping one neuron at
 a time through ``step_neuron``, a scalar forward-Euler step kept here
 with the closed-form inter-spike interval it is checked against.
 """
@@ -537,13 +537,13 @@ def reference_evaluate_mapping(g: Sdfg, hw: HardwareGraph,
 
     The list-scheduling run builds the static orders, then a second,
     self-timed run under those orders gives the throughput and the
-    block counts, where :func:`snnflow.mapping.evaluate_mapping` replays
-    the first run's recorded states instead.
+    block counts, where :func:`snnflow.mapping.evaluate_mapping` reads
+    them off the first run.
     """
     placement = resolve_platform(g, hw, mapping,
                                  _share_to_scale(time_wheel_share))
     _check_capacities(g, hw, placement[1])
-    schedules = _schedules_from_log(_list_run(g, placement, state_budget)[1],
+    schedules = _schedules_from_log(_list_run(g, placement, state_budget),
                                     mapping.values())
     res = _Simulation(g, *placement, schedules=schedules,
                       state_budget=state_budget).run()

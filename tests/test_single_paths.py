@@ -86,7 +86,7 @@ def test_one_capacity_repair():
 
 def test_two_ways_into_the_simulator():
     # a self-timed run (analysis) and the list-scheduling run that
-    # builds static orders and is replayed for their rating
+    # builds static orders and is also the rating of the run under them
     assert callers_of("_Simulation") == [("mapping.py", "_list_run"),
                                          ("sdfg.py", "execute")]
 
@@ -230,8 +230,8 @@ def test_evaluate_mapping_places_once(monkeypatch):
 
 
 def test_evaluate_mapping_runs_one_simulation(monkeypatch):
-    # the rating is replayed from the list-scheduling run's states; a
-    # second, scheduled run would show here as a second call
+    # the rating is the list-scheduling run's own result; a second,
+    # scheduled run would show here as a second call
     run, calls = sdfg._Simulation.run, []
 
     def counting(self):
@@ -331,6 +331,15 @@ def test_deleted_members_and_settings_stay_gone():
     # _load_yaml tests every file's format; the *_from_dict readers take
     # its checked document and do not test it again
     assert format_readers() == [("snn_graph.py", "_load_yaml")]
+    # a list run's own result is its rating: nothing walks its recorded
+    # states again, and none are kept; a wait names only what it needs
+    g = lift_bounded(demo_clustered())
+    sim = sdfg._Simulation(g, *sdfg.resolve_platform(
+        g, all_to_all_platform(2), {"c0": "t0", "c1": "t1", "c2": "t1"}),
+        list_mode=True)
+    sim.run()
+    assert not {"replay", "states", "recurring"} & set(dir(sim))
+    assert sdfg.Wait._fields == ("actor", "channel", "kind", "peer", "needs")
 
 
 def format_readers():
