@@ -224,28 +224,34 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
                round_index: int,
                seeds: tuple[np.random.SeedSequence, np.random.SeedSequence],
                table: dict) -> RoundResult:
-    # every search and every reuse rating of the round reads and fills
-    # ``table``, the search_mapping table of the rounds run in this process
+    # ``table`` is the run's table (see run_design_flow): the round's
+    # front half is read from it under the refined partition, and every
+    # search and reuse rating reads and fills it
     out = RoundResult(round_index)
     kl_seed, pso_parent = seeds
     p = partition_round(g, cfg.crossbar_dim, kl_seed, cfg.delta_min)
-    out.cut_cost = communication_cost(g, p)
-    cg = build_clustered_graph(g, p)
-    out.clustered = cg
-    base_exec = max((c.exec_time for c in hw.cores), default=1)
-    sdfg = lift_to_sdfg(cg, core_exec_time=base_exec)
-    report = check_deadlock(sdfg)
+    key = (tuple(sorted(p.assignment.items())), p.cluster_count)
+    if key not in table:
+        cg = build_clustered_graph(g, p)
+        base_exec = max((c.exec_time for c in hw.cores), default=1)
+        sdfg = lift_to_sdfg(cg, core_exec_time=base_exec)
+        report = check_deadlock(sdfg)
+        bound = None if report is not None else pipeline_rate_bound(
+            sdfg, hw, _share_to_scale(cfg.time_wheel_share))
+        table[key] = communication_cost(g, p), cg, sdfg, report, bound, {}
+    out.cut_cost, out.clustered, sdfg, report, bound, allocated = table[key]
     if report is not None:
         out.error = (f"clustered graph deadlocks even with unbounded buffers: "
                      f"{report}")
         out.error_kind = "deadlock"
         return out
 
-    scale = _share_to_scale(cfg.time_wheel_share)
     fixed_mapping: dict[str, str] | None = None
 
     def evaluate(bounded: Sdfg):
         nonlocal fixed_mapping
+        # the first round's copy, with its cached tables
+        bounded = allocated.setdefault(bounded, bounded)
         if cfg.sweep.mode == "nested" or fixed_mapping is None:
             pso_rng = np.random.default_rng(pso_parent.spawn(1)[0])
             sol = search_mapping(bounded, hw, cfg.swarm,
@@ -260,9 +266,8 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
         return sol.throughput, sol.block_counts, sol
 
     try:
-        out.sweep = sweep_buffers(
-            sdfg, evaluate, cfg.sweep,
-            unbounded_throughput=pipeline_rate_bound(sdfg, hw, scale))
+        out.sweep = sweep_buffers(sdfg, evaluate, cfg.sweep,
+                                  unbounded_throughput=bound)
     except InfeasibleMappingError as exc:
         out.error = f"mapping infeasible: {exc}"
         out.error_kind = "infeasible"
@@ -332,21 +337,17 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     attached: rounds ``0..k``, their design points, and the Pareto front
     of those points.
 
-    The rounds run in one process share one :func:`search_mapping`
-    table, and a ``reuse`` sweep rates its kept mapping through it too.
-    The table keys ratings by placement class: the actors' scaled
-    execution times, the channels' routed latencies and the host cores
-    renamed by first occurrence, which is all the simulation reads.  So
-    a design whose class an earlier rating of the run simulated (the
-    same bounded graph and placement up to core names, as when two
-    rounds give the same partition or two assignments swap identical
-    cores) is not simulated again: its rating is the class's, with the
-    cores renamed, and its capacities are checked on their own.  A
-    core's name only groups actors and orders starts within one
-    instant, whose state updates commute, so the renamed rating is the
-    one a fresh evaluation gives.  The table is dropped when the run
-    returns.  With ``jobs > 1`` each round gets a fresh table and no
-    state crosses processes.
+    The rounds run in one process share one table.  A round whose
+    refined partition an earlier round reached takes that round's cut,
+    clustered and lifted graphs, liveness report and rate bound from it,
+    and rates the same allocated graphs.  Every search reads and fills
+    it as its :func:`search_mapping` table, as a ``reuse`` sweep does
+    for its kept mapping, so a design whose placement class an earlier
+    rating of the run simulated is not simulated again: its rating is
+    the class's with the cores renamed, and its capacities are checked
+    on their own.  The table is dropped when the run returns.  With
+    ``jobs > 1`` each round gets a fresh table and no state crosses
+    processes.
     """
     seeds = round_seeds(cfg.seed, cfg.eta)
     if not cfg.delta_min >= 0:

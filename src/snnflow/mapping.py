@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import DeadlockError, InfeasibleMappingError
 from .sdfg import (DEFAULT_STATE_BUDGET, ExecutionResult, Sdfg,
-                   ThroughputResult, _Simulation, _state_hash, exact_time,
-                   resolve_platform)
+                   ThroughputResult, _host_positions, _placed, _Simulation,
+                   _state_hash, exact_time, resolve_platform)
 from .snn_graph import HardwareGraph
 
 logger = logging.getLogger(__name__)
@@ -115,51 +115,53 @@ def validate_mapping(g: Sdfg, hw: HardwareGraph,
     remote cores against the connection caps, and per-iteration token
     traffic against the bandwidth caps.
     """
-    _check_capacities(g, hw, resolve_platform(g, hw, mapping)[1])
+    _place(g, hw, _host_positions(g, hw, mapping), 1)
 
 
-def _check_capacities(g: Sdfg, hw: HardwareGraph, core_of: list) -> None:
-    # validate_mapping's capacity checks on a placement's core_of
-    index = g._tables[1]
-    cores = hw._cores[2]
-    load: dict[str, int] = defaultdict(int)
-    for a, core in zip(g.actors, core_of):
-        load[core] += a.weight
-    for cid, used in load.items():
-        if used > cores[cid].crossbar_dim:
-            raise InfeasibleMappingError(
-                f"core {cid!r} hosts {used} neurons "
-                f"(crossbar limit {cores[cid].crossbar_dim})")
+def _place(g: Sdfg, hw: HardwareGraph, picks, scale) -> tuple:
+    # the rounded period bound and the placement class of g with actor
+    # i on sorted core picks[i], its times scaled by scale; raises as
+    # validate_mapping does, for a missing route before any capacity
+    times, latency = _placed(g, hw, picks, scale)
+    _check_capacities(g, hw, picks)
+    return (float(_period_lower_bound(g, times, picks, latency)),
+            _placement_class((times, picks, latency)))
 
-    in_peers: dict[str, set[str]] = defaultdict(set)
-    out_peers: dict[str, set[str]] = defaultdict(set)
-    in_spikes: dict[str, int] = defaultdict(int)
-    out_spikes: dict[str, int] = defaultdict(int)
-    for c in g.channels:
-        src, dst = core_of[index[c.src]], core_of[index[c.dst]]
-        if src == dst:
-            continue
-        in_peers[dst].add(src)
-        out_peers[src].add(dst)
-        in_spikes[dst] += c.volume
-        out_spikes[src] += c.volume
-    for cid, core in cores.items():
-        if core.in_connections is not None and len(in_peers[cid]) > core.in_connections:
+
+def _check_capacities(g: Sdfg, hw: HardwareGraph, picks) -> None:
+    # validate_mapping's capacity checks with actor i on sorted core
+    # picks[i]: crossbars in the order the cores first host an actor,
+    # then each core's other caps in declaration order
+    ids, _, caps, _ = hw._cores
+    load = [0] * len(caps)
+    for j, w in zip(picks, g._weights[2]):
+        load[j] += w
+    for j in dict.fromkeys(picks):
+        if load[j] > caps[j]:
             raise InfeasibleMappingError(
-                f"core {cid!r} has {len(in_peers[cid])} incoming connections "
-                f"(limit {core.in_connections})")
-        if core.out_connections is not None and len(out_peers[cid]) > core.out_connections:
-            raise InfeasibleMappingError(
-                f"core {cid!r} has {len(out_peers[cid])} outgoing connections "
-                f"(limit {core.out_connections})")
-        if core.in_bandwidth is not None and in_spikes[cid] > core.in_bandwidth:
-            raise InfeasibleMappingError(
-                f"core {cid!r} receives {in_spikes[cid]} spikes per iteration "
-                f"(limit {core.in_bandwidth})")
-        if core.out_bandwidth is not None and out_spikes[cid] > core.out_bandwidth:
-            raise InfeasibleMappingError(
-                f"core {cid!r} sends {out_spikes[cid]} spikes per iteration "
-                f"(limit {core.out_bandwidth})")
+                f"core {ids[j]!r} hosts {load[j]} neurons "
+                f"(crossbar limit {caps[j]})")
+    if not hw._tables[3]:
+        return
+    ins, outs = [set() for _ in caps], [set() for _ in caps]
+    received, sent = [0] * len(caps), [0] * len(caps)
+    for c, s, d in zip(g.channels, *g._ends[:2]):
+        src, dst = picks[s], picks[d]
+        if src != dst:
+            ins[dst].add(src)
+            outs[src].add(dst)
+            received[dst] += c.volume
+            sent[src] += c.volume
+    for core in hw.cores:
+        j = hw._tables[0][core.id]
+        for limit, used, text in (
+                (core.in_connections, len(ins[j]), "has {} incoming connections"),
+                (core.out_connections, len(outs[j]), "has {} outgoing connections"),
+                (core.in_bandwidth, received[j], "receives {} spikes per iteration"),
+                (core.out_bandwidth, sent[j], "sends {} spikes per iteration")):
+            if limit is not None and used > limit:
+                raise InfeasibleMappingError(
+                    f"core {core.id!r} {text.format(used)} (limit {limit})")
 
 
 def decode_position(theta: np.ndarray, g: Sdfg,
@@ -177,9 +179,10 @@ def decode_position(theta: np.ndarray, g: Sdfg,
     grids = np.asarray(theta, dtype=float).reshape(1, len(clusters),
                                                    len(cores))
     picks, loads, over = _argmax_picks(grids, g, hw)
+    pick = picks[0].tolist()
     if over.size:
-        _repair(grids[0], picks[0], loads[0], g, hw)
-    return {cl: cores[j] for cl, j in zip(clusters, picks[0].tolist())}
+        pick = _repair(grids[0].tolist(), pick, loads[0].tolist(), g, hw)
+    return {cl: cores[j] for cl, j in zip(clusters, pick)}
 
 
 def _decode_swarm(positions: np.ndarray, g: Sdfg, hw: HardwareGraph
@@ -188,16 +191,17 @@ def _decode_swarm(positions: np.ndarray, g: Sdfg, hw: HardwareGraph
 
     Each row decodes to its host cores as indexes into the sorted core
     ids, in cluster order, or to ``None`` when its demand cannot be
-    repaired.  Only the rows that overload a core are repaired.
+    repaired.  Only the rows that overload a core are repaired, from
+    Python lists made for all of them at once.
     """
     grids = np.asarray(positions, dtype=float).reshape(
         len(positions), len(g._weights[0]), len(hw._cores[0]))
     picks, loads, over = _argmax_picks(grids, g, hw)
     rows: list[tuple[int, ...] | None] = list(map(tuple, picks.tolist()))
-    for l in over.tolist():
+    for l, grid, load in zip(over.tolist(), grids[over].tolist(),
+                             loads[over].tolist()):
         try:
-            _repair(grids[l], picks[l], loads[l], g, hw)
-            rows[l] = tuple(picks[l].tolist())
+            rows[l] = tuple(_repair(grid, list(rows[l]), load, g, hw))
         except InfeasibleMappingError:
             rows[l] = None
     return rows
@@ -227,57 +231,49 @@ def _argmax_picks(grids: np.ndarray, g: Sdfg, hw: HardwareGraph) -> tuple:
     return picks, loads, np.flatnonzero((loads > cap_vec).any(axis=1))
 
 
-def _repair(grid: np.ndarray, pick: np.ndarray, load: np.ndarray,
-            g: Sdfg, hw: HardwareGraph) -> None:
-    """Move clusters off overloaded cores, in place on one row's ``pick``
-    and ``load``; raises :class:`InfeasibleMappingError` when stuck.
+def _repair(grid: list, picks: list, loads: list, g: Sdfg,
+            hw: HardwareGraph) -> list:
+    """Move clusters off overloaded cores in one row, given as Python
+    lists: its ``(clusters, cores)`` grid, its picks and its per-core
+    loads.  Returns the repaired picks, written in place; raises
+    :class:`InfeasibleMappingError` when stuck.
 
     Each move takes one cluster off the lowest-index overloaded core,
     trying its residents lowest component first, to the core with the
-    cluster's next highest component that still fits it.  One walk per
+    cluster's highest component that still fits it, ties to the lowest
+    index: the first fitting core in the cluster's core order by
+    descending component, as a stable sort gives it.  One walk per
     overloaded core does the same moves.  A move never overloads its
     target, so the cores overloaded at the start are the only ones ever
     overloaded, fixed in index order, and none gains a resident before
     its turn.  Every other core's load only grows, so a resident that
     found no core cannot move later: the walk resumes after each moved
     resident instead of starting over.
-
-    The row is small, so the moves run on Python lists: one stable
-    ``argsort`` ranks the cores of every resident of an overloaded core
-    up front, and ``pick`` and ``load`` are written back once the row is
-    repaired.
     """
-    clusters, weight_vec = g._weights
-    cores, cap_vec, _ = hw._cores
-    weights, caps = weight_vec.tolist(), cap_vec.tolist()
-    picks, loads = pick.tolist(), load.tolist()
+    clusters, _, weights = g._weights
+    cores, _, caps, _ = hw._cores
     residents: list[list[int]] = [[] for _ in caps]
     for i, j in enumerate(picks):
         residents[j].append(i)
-    over = [j for j, cap in enumerate(caps) if loads[j] > cap]
-    movable = [i for j in over for i in residents[j]]
-    ranked = dict(zip(movable, np.argsort(-grid[movable], axis=1,
-                                          kind="stable").tolist()))
-    for j in over:
-        cap = caps[j]
+    for j in [j for j, cap in enumerate(caps) if loads[j] > cap]:
         here = residents[j]
-        for *_, i in sorted(zip(grid[here, j].tolist(),
+        for *_, i in sorted(zip([grid[i][j] for i in here],
                                 [clusters[i] for i in here], here)):
             w = weights[i]
-            k = next((k for k in ranked[i]
-                      if k != j and loads[k] + w <= caps[k]), None)
+            k = max((k for k, cap in enumerate(caps)
+                     if k != j and loads[k] + w <= cap),
+                    key=grid[i].__getitem__, default=None)
             if k is not None:
                 picks[i] = k
                 loads[j] -= w
                 loads[k] += w
-                if loads[j] <= cap:
+                if loads[j] <= caps[j]:
                     break
         else:
             raise InfeasibleMappingError(
                 f"cannot repair overload on core {cores[j]!r}: total demand "
                 f"exceeds platform capacity")
-    pick[:] = picks
-    load[:] = loads
+    return picks
 
 
 def _reduce_cycles(per_core: dict[str, list[str]], ipc: int
@@ -371,26 +367,20 @@ def evaluate_mapping(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
                      state_budget: int = DEFAULT_STATE_BUDGET) -> MappingSolution:
     """Validate, schedule and rate one assignment with one simulation.
 
-    The mapping is placed once: :func:`validate_mapping`'s checks and
-    the list-scheduling run of :func:`build_schedules` read the same
-    :func:`snnflow.sdfg.resolve_platform` placement.  The rating is
+    The mapping is placed once, by core index (:func:`_place`): the
+    checks of :func:`validate_mapping` and the list-scheduling run of
+    :func:`build_schedules` read the same placement.  The rating is
     that of the self-timed run under the built schedules, as
     ``execute(..., schedules=...)`` gives it, but that run is not made:
-    the list-scheduling run's own result is the rating.  Under its own
-    static orders the mapped graph fires every actor at the instant the
-    list run did, so the two runs pass through the same tokens, space,
-    pending ends and arrivals and count the same blocked channels.
-    They also recur at the same pair of states.  Where the list run's
-    key first repeats, every core's cursor is back at its transient
-    length, so the scheduled key repeats there too.  A core's ready
-    list holds exactly its ready actors, in the order its static order
-    starts them, so equal scheduled keys mean equal list keys and the
-    scheduled run recurs no earlier.  The full argument is
-    :class:`snnflow.sdfg._Simulation`'s.  The throughput and the block
-    counts both go into the returned solution, so a caller needs no
-    further run for either.  The run places the actors on the cores
-    renamed ``0, 1, ...`` (:func:`_placement_class`), and the rating
-    takes the mapping's core names back (:func:`_renamed`).
+    the list-scheduling run's own result is the rating, since under its
+    own static orders the mapped graph fires every actor at the instant
+    the list run did, counts the same blocked channels and recurs at
+    the same pair of states (:class:`snnflow.sdfg._Simulation` gives
+    the argument).  The throughput and the block counts both go into
+    the returned solution, so a caller needs no further run for either.
+    The run places the actors on the cores renamed ``0, 1, ...``
+    (:func:`_placement_class`), and the rating takes the mapping's core
+    names back (:func:`_renamed`).
     """
     return _evaluate_in({}, g, hw, mapping, time_wheel_share, state_budget)
 
@@ -448,14 +438,13 @@ def _evaluate_in(table: dict, g: Sdfg, hw: HardwareGraph,
     simulated unless the table rates it.  A class rated ``None``, whose
     list run deadlocks, is simulated again to raise the error.
     """
-    placement = resolve_platform(g, hw, mapping,
-                                 _share_to_scale(time_wheel_share))
-    _check_capacities(g, hw, placement[1])
+    scale = _share_to_scale(time_wheel_share)
+    picks = _host_positions(g, hw, mapping)
+    cls = _place(g, hw, picks, scale)[1]
     ratings = _table_entry(table, g, hw, time_wheel_share, state_budget)[1]
-    cls = _placement_class(placement)
     if ratings.get(cls) is None:
         ratings[cls] = _rate_class(g, cls, state_budget)
-    return _renamed(ratings[cls], mapping, placement[1])
+    return _renamed(ratings[cls], mapping, [hw._cores[0][j] for j in picks])
 
 
 def _table_entry(table: dict, g: Sdfg, hw: HardwareGraph,
@@ -548,20 +537,11 @@ def _period_lower_bound(g: Sdfg, exec_times: list, core_of: list,
     # the largest ratio so far as num / den, so that integer times stay
     # in integer arithmetic
     num, den = max(load.values(), default=0), 1
-    for ci, s, d, tokens in _credit_cycles(g):
+    for ci, s, d, tokens in g._ends[2]:
         weight = exec_times[s] + latency[ci] + exec_times[d]
         if weight * den > num * tokens:
             num, den = weight, tokens
     return Fraction(num, den)
-
-
-def _credit_cycles(g: Sdfg):
-    # (channel, src, dst, capacity) of each channel that closes a
-    # forward/credit cycle of :func:`_period_lower_bound`
-    index = g._tables[1]
-    for ci, c in enumerate(g.channels):
-        if c.capacity and c.src != c.dst:
-            yield ci, index[c.src], index[c.dst], c.capacity
 
 
 def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
@@ -569,9 +549,9 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
 
     Execution times are scaled by ``scale`` as
     :func:`snnflow.sdfg.resolve_platform` scales them, ``t_min`` is the
-    fastest core's and ``hop`` the cheapest link between distinct cores,
-    which every route between distinct cores takes.  Two facts hold
-    under any placement that fits the crossbars:
+    fastest core's and ``hop`` the cheapest route between two distinct
+    cores, from the platform's tables.  Two facts hold under any
+    placement that fits the crossbars:
 
     * the busiest core carries at least the mean load over all cores,
       ``actors * t_min / cores``, and at least one firing, ``t_min``:
@@ -602,22 +582,19 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
     floor is the load term.
     """
     n = len(g.actors)
-    s = exact_time(scale)
-    t_min = min(exact_time(exact_time(c.exec_time) * s) for c in hw.cores)
-    largest = max(c.crossbar_dim for c in hw.cores)
-    hop = min((exact_time(l.latency) for l in hw.links if l.src != l.dst),
-              default=0)
+    t_min = min(hw._scaled_times(scale))
+    largest = max(hw._cores[2])
     floor = max(Fraction(n, len(hw.cores)), Fraction(min(n, 1))) * t_min
-    cycle = 2 * t_min + hop
+    cycle = 2 * t_min + hw._tables[2]
     # the channels whose apart term cycle / k exceeds the load term,
     # highest term (fewest tokens held) first
-    forced = sorted((tokens, a, b) for _, a, b, tokens in _credit_cycles(g)
+    forced = sorted((tokens, a, b) for _, a, b, tokens in g._ends[2]
                     if cycle > floor * tokens)
     if not forced:
         return floor
     root = list(range(n))
     size = [1] * n
-    weight = [a.weight for a in g.actors]
+    weight = list(g._weights[2])
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -737,15 +714,11 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
         # a decoded row's rounded period bound and placement class
         if picks not in placed:
             try:
-                placement = resolve_platform(g, hw, assignment(picks), scale)
-                _check_capacities(g, hw, placement[1])
+                placed[picks] = _place(g, hw, picks, scale)
             except InfeasibleMappingError as exc:
                 logger.debug("assignment %s rejected: %s", assignment(picks),
                              exc)
                 placed[picks] = math.inf, None
-            else:
-                placed[picks] = (float(_period_lower_bound(g, *placement)),
-                                 _placement_class(placement))
         return placed[picks]
 
     def rate(picks: tuple) -> float:

@@ -33,33 +33,13 @@ from .errors import (BudgetExceededError, DeadlockError, GraphValidationError,
                      InfeasibleCapacityError, InfeasibleMappingError)
 from .partition import ClusteredSnnGraph
 from .snn_graph import (HardwareGraph, _dump_yaml, _entries, _field,
-                        _integer, _load_yaml, _number)
+                        _integer, _load_yaml, _number, exact_time)
 
 logger = logging.getLogger(__name__)
 
 SDFG_FORMAT = "sdfg/1"
 
 DEFAULT_STATE_BUDGET = 10 ** 6
-
-
-def exact_time(x) -> int | Fraction:
-    """Convert a time value to exact arithmetic.
-
-    Floats are interpreted through their decimal representation so that
-    0.1 becomes 1/10; integral values collapse to ``int``.
-    """
-    if isinstance(x, bool):
-        raise TypeError("boolean is not a time value")
-    if isinstance(x, int):
-        return x
-    if isinstance(x, Fraction):
-        return int(x) if x.denominator == 1 else x
-    if isinstance(x, float):
-        if x.is_integer():
-            return int(x)
-        f = Fraction(str(x))
-        return int(f) if f.denominator == 1 else f
-    raise TypeError(f"unsupported time value {x!r}")
 
 
 @dataclass(frozen=True)
@@ -122,11 +102,12 @@ class Sdfg:
                     f"initial tokens")
 
     @cached_property
-    def _weights(self) -> tuple[list[str], np.ndarray]:
-        # actor ids in declaration order and their weights as a vector;
-        # not validated, since positions are decoded before any check
-        return self.actor_ids(), np.array([a.weight for a in self.actors],
-                                          dtype=float)
+    def _weights(self) -> tuple[list[str], np.ndarray, list[int]]:
+        # actor ids in declaration order and their weights, as a vector
+        # and as a list; not validated, since positions are decoded
+        # before any check
+        weights = [a.weight for a in self.actors]
+        return self.actor_ids(), np.array(weights, dtype=float), weights
 
     @cached_property
     def _tables(self) -> tuple:
@@ -160,17 +141,29 @@ class Sdfg:
             (ins, outs) for ins, outs in zip(in_ch, out_bounded) if outs)
 
     @cached_property
+    def _ends(self) -> tuple:
+        # (src, dst, cycles): each channel's producer and consumer
+        # positions, and the (channel, src, dst, capacity) of each
+        # channel between two actors that holds a token or more, which
+        # closes a forward/credit cycle
+        index = self._tables[1]
+        src = tuple(index[c.src] for c in self.channels)
+        dst = tuple(index[c.dst] for c in self.channels)
+        return src, dst, tuple((ci, s, d, c.capacity) for ci, (c, s, d)
+                               in enumerate(zip(self.channels, src, dst))
+                               if c.capacity and s != d)
+
+    @cached_property
     def _wakes(self) -> tuple:
         # (wakes, consumer) for the list run's dirty set: per actor, the
         # actors whose readiness its end can change (itself, the
         # producers of its bounded inputs, whose space it returns, and
         # the consumers of its outputs), and per channel its consumer
-        _, index, in_ch, out_ch = self._tables
+        out_ch = self._tables[3]
         in_bounded = self._bounded[0]
-        channels = self.channels
-        consumer = tuple(index[c.dst] for c in channels)
+        src, consumer = self._ends[:2]
         return tuple(
-            tuple(sorted({a, *(index[channels[ci].src] for ci in ins),
+            tuple(sorted({a, *(src[ci] for ci in ins),
                           *(consumer[ci] for ci in outs)}))
             for a, (ins, outs) in enumerate(zip(in_bounded, out_ch))
         ), consumer
@@ -734,46 +727,51 @@ def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
     actors' own execution times apply, no actor has a core and no
     channel has latency.
 
-    This is the one check that a mapping places every actor on a
-    declared core and that a route joins the cores of every inter-core
-    channel; it raises :class:`InfeasibleMappingError` naming the
-    unmapped actor, the undeclared core or the missing route.  The
-    capacity checks are :func:`snnflow.mapping.validate_mapping`'s.
+    A mapping is placed by the position of each host core among the
+    sorted core ids, which raises :class:`InfeasibleMappingError` naming
+    an unmapped actor, an undeclared core or a missing route, the errors
+    of every placement; the capacity checks are
+    :func:`snnflow.mapping.validate_mapping`'s.
     """
     if platform is None or mapping is None:
-        times = [a.exec_time for a in g.actors]
-        core_of = [None] * len(g.actors)
-        latency = [0] * len(g.channels)
-    else:
-        cores = platform._cores[2]
-        core_of = []
-        for a in g.actors:
-            if a.id not in mapping:
-                raise InfeasibleMappingError(f"actor {a.id!r} is unmapped")
-            core = mapping[a.id]
-            if core not in cores:
-                raise InfeasibleMappingError(
-                    f"actor {a.id!r} mapped to undeclared core {core!r}")
-            core_of.append(core)
-        index = g._tables[1]
-        routed = platform.routed_latencies()
-        latency = []
-        for i, c in enumerate(g.channels):
-            src, dst = core_of[index[c.src]], core_of[index[c.dst]]
-            if src == dst:
-                latency.append(0)
-            elif (src, dst) in routed:
-                latency.append(exact_time(routed[(src, dst)]))
-            else:
-                raise InfeasibleMappingError(
-                    f"no route from core {src!r} to core {dst!r} required "
-                    f"by channel {i}")
-        times = [cores[c].exec_time for c in core_of]
-    # normalised again after scaling, so that an integral Fraction becomes
-    # an int: the steady-state hash digests the repr of the state
-    scale = exact_time(exec_time_scale)
-    return ([exact_time(exact_time(t) * scale) for t in times], core_of,
-            latency)
+        scale = exact_time(exec_time_scale)
+        return ([exact_time(exact_time(a.exec_time) * scale)
+                 for a in g.actors], [None] * len(g.actors),
+                [0] * len(g.channels))
+    picks = _host_positions(g, platform, mapping)
+    times, latency = _placed(g, platform, picks, exec_time_scale)
+    return times, [platform._cores[0][j] for j in picks], latency
+
+
+def _host_positions(g: Sdfg, platform: HardwareGraph,
+                    mapping: dict[str, str]) -> list[int]:
+    # each actor's host core as its position among the sorted core ids;
+    # raises for the first unmapped actor or undeclared core
+    position = platform._tables[0]
+    for a in g.actors:
+        if a.id not in mapping:
+            raise InfeasibleMappingError(f"actor {a.id!r} is unmapped")
+        if mapping[a.id] not in position:
+            raise InfeasibleMappingError(
+                f"actor {a.id!r} mapped to undeclared core {mapping[a.id]!r}")
+    return [position[mapping[a.id]] for a in g.actors]
+
+
+def _placed(g: Sdfg, platform: HardwareGraph, picks, exec_time_scale
+            ) -> tuple[list, list]:
+    # resolve_platform's exec_times and latency with actor i on sorted
+    # core picks[i]; raises for the first channel whose cores no route
+    # joins
+    src, dst = g._ends[:2]
+    routes = platform._tables[1]
+    latency = [routes[picks[s]][picks[d]] for s, d in zip(src, dst)]
+    if None in latency:
+        ci, ids = latency.index(None), platform._cores[0]
+        raise InfeasibleMappingError(
+            f"no route from core {ids[picks[src[ci]]]!r} to core "
+            f"{ids[picks[dst[ci]]]!r} required by channel {ci}")
+    times = platform._scaled_times(exec_time_scale)
+    return [times[j] for j in picks], latency
 
 
 def execute(g: Sdfg, *, schedules=None, platform: HardwareGraph | None = None,

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict, deque
 from dataclasses import asdict, dataclass, field
+from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
@@ -23,6 +24,26 @@ from .errors import GraphFormatError, GraphValidationError
 
 SNN_FORMAT = "snn-graph/1"
 HW_FORMAT = "hardware-graph/1"
+
+
+def exact_time(x) -> int | Fraction:
+    """Convert a time value to exact arithmetic.
+
+    Floats are interpreted through their decimal representation so that
+    0.1 becomes 1/10; integral values collapse to ``int``.
+    """
+    if isinstance(x, bool):
+        raise TypeError("boolean is not a time value")
+    if isinstance(x, int):
+        return x
+    if isinstance(x, Fraction):
+        return int(x) if x.denominator == 1 else x
+    if isinstance(x, float):
+        if x.is_integer():
+            return int(x)
+        f = Fraction(str(x))
+        return int(f) if f.denominator == 1 else f
+    raise TypeError(f"unsupported time value {x!r}")
 
 
 @dataclass(frozen=True)
@@ -235,12 +256,46 @@ class HardwareGraph:
         return dist
 
     @cached_property
-    def _cores(self) -> tuple[list[str], np.ndarray, dict[str, Core]]:
-        # sorted core ids, their crossbar capacities in that order, and
-        # the {id: Core} table, for the per-mapping checks and decode
+    def _cores(self) -> tuple[list[str], np.ndarray, list[int], list[Core]]:
+        # sorted core ids, their crossbar capacities in that order as a
+        # vector and as a list, and their cores, for the swarm's decode
+        # and the placements by core index
         by_id = {c.id: c for c in self.cores}
         ids = sorted(self.core_ids())
-        return ids, np.array([by_id[c].crossbar_dim for c in ids]), by_id
+        cores = [by_id[c] for c in ids]
+        caps = [c.crossbar_dim for c in cores]
+        return ids, np.array(caps), caps, cores
+
+    @cached_property
+    def _tables(self) -> tuple:
+        # (position, latency, hop, capped, scaled) over the sorted core
+        # ids, for placements by core index: id -> position, each core's
+        # exact routed latency to every core (0 to itself, None where no
+        # route joins them), the cheapest route between two distinct cores
+        # (0 without one), whether a core caps its connections or
+        # bandwidth, and _scaled_times per scale
+        ids = self._cores[0]
+        routed = self.routed_latencies()
+        return ({c: j for j, c in enumerate(ids)},
+                tuple(tuple(0 if a == b else None if (a, b) not in routed
+                            else exact_time(routed[(a, b)]) for b in ids)
+                      for a in ids),
+                exact_time(min((lat for (a, b), lat in routed.items()
+                                if a != b), default=0)),
+                any(getattr(c, cap) is not None for c in self.cores
+                    for cap in ("in_connections", "out_connections",
+                                "in_bandwidth", "out_bandwidth")), {})
+
+    def _scaled_times(self, scale) -> list:
+        # each sorted core's execution time scaled by scale, exact and
+        # kept per scale; normalised again after scaling, so that an
+        # integral Fraction becomes an int: a state hash digests reprs
+        scaled = self._tables[4]
+        if scale not in scaled:
+            s = exact_time(scale)
+            scaled[scale] = [exact_time(exact_time(c.exec_time) * s)
+                             for c in self._cores[3]]
+        return scaled[scale]
 
 
 @dataclass(frozen=True)

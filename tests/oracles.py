@@ -9,7 +9,9 @@ candidate swap touches instead of keeping gain tables, swarm decode by
 one ``argmax`` per cluster row over freshly built core tables, the
 swarm search by evaluating every distinct assignment it decodes, an
 assignment's rating by a second, scheduled simulation instead of the
-result of the list-scheduling run, LIF rates by stepping one neuron at
+result of the list-scheduling run, its placement and capacities by core
+name from the routed latencies instead of by core index through the
+platform's tables, LIF rates by stepping one neuron at
 a time through ``step_neuron``, a scalar forward-Euler step kept here
 with the closed-form inter-spike interval it is checked against.
 """
@@ -28,13 +30,11 @@ import numpy as np
 from snnflow.errors import ConfigError, DeadlockError, InfeasibleMappingError
 from snnflow.lif import LifParams, SpikeTrain, _round_rate
 from snnflow.mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution,
-                             SwarmConfig, _check_capacities, _list_run,
-                             _schedules_from_log, _share_to_scale,
-                             decode_position, evaluate_mapping, init_swarm,
-                             pso_step)
+                             SwarmConfig, _list_run, _schedules_from_log,
+                             _share_to_scale, decode_position,
+                             evaluate_mapping, init_swarm, pso_step)
 from snnflow.partition import Partition, communication_cost
-from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Sdfg, _Simulation,
-                          resolve_platform)
+from snnflow.sdfg import DEFAULT_STATE_BUDGET, Sdfg, _Simulation
 from snnflow.snn_graph import HardwareGraph, SnnGraph, Synapse
 
 
@@ -528,6 +528,94 @@ def reference_search_mapping(g: Sdfg, hw: HardwareGraph,
     return best
 
 
+def _exact(x):
+    # a time as an int, or a Fraction read from a float's decimal repr
+    f = Fraction(str(x)) if isinstance(x, float) else Fraction(x)
+    return int(f) if f.denominator == 1 else f
+
+
+def reference_placement(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
+                        scale=1) -> tuple[list, list, list]:
+    """``(exec_times, core_of, latency)`` of a mapping, placed by core
+    name from ``hw.routed_latencies()``, where the library places by
+    core index through the platform's tables.  Raises
+    :class:`InfeasibleMappingError` with the library's messages, in its
+    order: an unmapped actor or an undeclared core in actor order, then
+    a missing route in channel order.
+    """
+    cores = {c.id: c for c in hw.cores}
+    core_of = []
+    for a in g.actors:
+        if a.id not in mapping:
+            raise InfeasibleMappingError(f"actor {a.id!r} is unmapped")
+        if mapping[a.id] not in cores:
+            raise InfeasibleMappingError(
+                f"actor {a.id!r} mapped to undeclared core {mapping[a.id]!r}")
+        core_of.append(mapping[a.id])
+    host = dict(zip(g.actor_ids(), core_of))
+    routed = hw.routed_latencies()
+    latency = []
+    for i, c in enumerate(g.channels):
+        src, dst = host[c.src], host[c.dst]
+        if src != dst and (src, dst) not in routed:
+            raise InfeasibleMappingError(
+                f"no route from core {src!r} to core {dst!r} required by "
+                f"channel {i}")
+        latency.append(0 if src == dst else _exact(routed[(src, dst)]))
+    times = [_exact(_exact(cores[core].exec_time) * _exact(scale))
+             for core in core_of]
+    return times, core_of, latency
+
+
+def reference_capacities(g: Sdfg, hw: HardwareGraph, core_of: list) -> None:
+    """Every capacity of a placement's host cores, summed per core name:
+    raises :class:`InfeasibleMappingError` with the library's messages
+    for an overloaded crossbar, in the order the cores first host an
+    actor, then for each core's connection and bandwidth caps, in
+    declaration order."""
+    cores = {c.id: c for c in hw.cores}
+    load: dict[str, int] = {}
+    for a, core in zip(g.actors, core_of):
+        load[core] = load.get(core, 0) + a.weight
+    for core, used in load.items():
+        if used > cores[core].crossbar_dim:
+            raise InfeasibleMappingError(
+                f"core {core!r} hosts {used} neurons (crossbar limit "
+                f"{cores[core].crossbar_dim})")
+    in_peers: dict[str, set[str]] = defaultdict(set)
+    out_peers: dict[str, set[str]] = defaultdict(set)
+    in_spikes: dict[str, int] = defaultdict(int)
+    out_spikes: dict[str, int] = defaultdict(int)
+    host = dict(zip(g.actor_ids(), core_of))
+    for c in g.channels:
+        src, dst = host[c.src], host[c.dst]
+        if src != dst:
+            in_peers[dst].add(src)
+            out_peers[src].add(dst)
+            in_spikes[dst] += c.volume
+            out_spikes[src] += c.volume
+    for cid, core in cores.items():
+        if core.in_connections is not None \
+                and len(in_peers[cid]) > core.in_connections:
+            raise InfeasibleMappingError(
+                f"core {cid!r} has {len(in_peers[cid])} incoming connections "
+                f"(limit {core.in_connections})")
+        if core.out_connections is not None \
+                and len(out_peers[cid]) > core.out_connections:
+            raise InfeasibleMappingError(
+                f"core {cid!r} has {len(out_peers[cid])} outgoing connections "
+                f"(limit {core.out_connections})")
+        if core.in_bandwidth is not None and in_spikes[cid] > core.in_bandwidth:
+            raise InfeasibleMappingError(
+                f"core {cid!r} receives {in_spikes[cid]} spikes per iteration "
+                f"(limit {core.in_bandwidth})")
+        if core.out_bandwidth is not None \
+                and out_spikes[cid] > core.out_bandwidth:
+            raise InfeasibleMappingError(
+                f"core {cid!r} sends {out_spikes[cid]} spikes per iteration "
+                f"(limit {core.out_bandwidth})")
+
+
 def reference_evaluate_mapping(g: Sdfg, hw: HardwareGraph,
                                mapping: dict[str, str],
                                time_wheel_share: float = DEFAULT_TIME_WHEEL_SHARE,
@@ -540,9 +628,9 @@ def reference_evaluate_mapping(g: Sdfg, hw: HardwareGraph,
     block counts, where :func:`snnflow.mapping.evaluate_mapping` reads
     them off the first run.
     """
-    placement = resolve_platform(g, hw, mapping,
-                                 _share_to_scale(time_wheel_share))
-    _check_capacities(g, hw, placement[1])
+    placement = reference_placement(g, hw, mapping,
+                                    _share_to_scale(time_wheel_share))
+    reference_capacities(g, hw, placement[1])
     schedules = _schedules_from_log(_list_run(g, placement, state_budget),
                                     mapping.values())
     res = _Simulation(g, *placement, schedules=schedules,

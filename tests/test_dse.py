@@ -541,6 +541,38 @@ def test_shared_table_gives_the_flow_of_fresh_tables(monkeypatch, net, mode,
     assert (len(partitions) == 1) == (net == "coinciding")
 
 
+@pytest.mark.parametrize("mode", ["nested", "reuse"])
+def test_rounds_that_reach_one_clustering_build_it_once(monkeypatch, mode):
+    # a round whose refined partition an earlier round of the process
+    # reached reads that round's cut, graphs, liveness report and rate
+    # bound from the run's table, and the flow is the one that worker
+    # processes, each building its own round, give
+    hw = all_to_all_platform(4)
+    built = {"build_clustered_graph": 0, "lift_to_sdfg": 0}
+
+    def counting(name):
+        build = getattr(dse, name)
+
+        def wrapped(*args, **kwargs):
+            built[name] += 1
+            return build(*args, **kwargs)
+        return wrapped
+
+    for net, g in coinciding_and_differing_nets().items():
+        cfg = small_flow_config(eta=4, seed=0, mode=mode)
+        built.update(dict.fromkeys(built, 0))
+        with monkeypatch.context() as m:
+            for name in built:
+                m.setattr(dse, name, counting(name))
+            res = run_design_flow(g, hw, cfg)
+        clusterings = len({repr(rr.clustered) for rr in res.rounds})
+        assert clusterings == {"coinciding": 1, "differing": 3}[net]
+        assert built == dict.fromkeys(built, clusterings), net
+        parallel = run_design_flow(g, hw, replace(cfg, jobs=2))
+        assert flow_record(res) == flow_record(parallel), net
+        assert all(rr.error is None for rr in res.rounds)
+
+
 def test_each_design_is_simulated_once_per_flow(monkeypatch):
     run, keys = sdfg._Simulation.run, []
 

@@ -4,6 +4,7 @@ import itertools
 import math
 import pickle
 import re
+import weakref
 from dataclasses import replace
 from fractions import Fraction
 
@@ -21,12 +22,11 @@ from snnflow import mapping as mapping_module
 from snnflow.errors import (BudgetExceededError, DeadlockError,
                             InfeasibleMappingError, SnnflowError)
 from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
-                             _check_capacities, _decode_swarm, _list_run,
-                             _period_lower_bound, _placement_class,
-                             _rate_class, _search_floor, _share_to_scale,
-                             build_schedules, decode_position,
-                             evaluate_mapping, init_swarm, pso_step,
-                             search_mapping, validate_mapping)
+                             _decode_swarm, _list_run, _period_lower_bound,
+                             _placement_class, _rate_class, _search_floor,
+                             _share_to_scale, build_schedules,
+                             decode_position, evaluate_mapping, init_swarm,
+                             pso_step, search_mapping, validate_mapping)
 from snnflow.partition import (build_clustered_graph, partition_round,
                                round_seeds)
 from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, Sdfg, execute,
@@ -246,6 +246,92 @@ def test_route_error_comes_before_overload():
         validate_mapping(g, hw, {"c0": "t0", "c1": "t1", "c2": "t1"})
 
 
+def sparse_capped_platform(rng) -> HardwareGraph:
+    """Three to five cores, declared out of id order, of mixed speeds
+    and crossbars, some capping their connections or bandwidth, joined
+    by a random half of the links, so that some pairs have no route."""
+    n = int(rng.integers(3, 6))
+    cores = [Core(f"t{j}", int(rng.integers(2, 9)),
+                  [1, 1.5, 2, 0.3][int(rng.integers(0, 4))],
+                  *(None if rng.random() < 0.6 else cap for cap in (
+                      int(rng.integers(0, 3)), int(rng.integers(0, 3)),
+                      float(rng.integers(0, 40)) + 0.5,
+                      int(rng.integers(0, 40)))))
+             for j in rng.permutation(n)]
+    links = [Link(f"t{a}", f"t{b}", [0, 1, 2, 0.1][int(rng.integers(0, 4))])
+             for a, b in itertools.permutations(range(n), 2)
+             if rng.random() < 0.5]
+    return HardwareGraph(tuple(cores), tuple(links))
+
+
+def reference_bound(g: Sdfg, times, core_of, latency) -> Fraction:
+    # the busiest core's load and every forward/credit cycle's ratio,
+    # summed over the actor and channel lists
+    exec_of, host = dict(zip(g.actor_ids(), times)), \
+        dict(zip(g.actor_ids(), core_of))
+    ratios = [sum(t for a, t in exec_of.items() if host[a] == core)
+              for core in core_of]
+    ratios += [Fraction(exec_of[c.src] + lat + exec_of[c.dst], c.capacity)
+               for c, lat in zip(g.channels, latency)
+               if c.capacity and c.src != c.dst]
+    return max(ratios, default=0)
+
+
+def test_placing_by_core_index_equals_the_name_based_reference():
+    # the platform's and the graph's tables give every placement the
+    # reference makes by core name from the routed latencies: the same
+    # exact times and latencies, bound and class, verdict and message
+    rng = np.random.default_rng(71)
+    kinds = {"unmapped": "is unmapped", "undeclared": "undeclared core",
+             "no route": "no route", "crossbar": "crossbar limit",
+             "connections": "connections", "bandwidth": "spikes per"}
+    seen = dict.fromkeys(["placed", "fraction times", "fraction latency",
+                          *kinds], 0)
+    for case in range(240):
+        g = random_design(case)
+        hw = sparse_capped_platform(rng)
+        cores = hw.core_ids()
+        mapping = {a: cores[int(rng.integers(0, len(cores)))]
+                   for a in g.actor_ids()}
+        if case % 13 == 1:
+            del mapping[g.actors[-1].id]
+        elif case % 13 == 2:
+            mapping[g.actors[0].id] = "t9"
+        scale = _share_to_scale([1, 0.5, 0.4, 1 / 3][case % 4])
+        placement = evaluate_or_error(oracles.reference_placement, g, hw,
+                                      mapping, scale)
+        # the hashed states digest reprs, so an int must stay an int
+        assert repr(evaluate_or_error(resolve_platform, g, hw, mapping,
+                                      scale)) == repr(placement), case
+        want = placement
+        if isinstance(placement[0], list):
+            want = evaluate_or_error(oracles.reference_capacities, g, hw,
+                                     placement[1])
+        assert evaluate_or_error(validate_mapping, g, hw, mapping) == want, \
+            case
+        if want is not None:
+            seen[next(k for k, text in kinds.items() if text in want[1])] += 1
+        if not all(mapping.get(a) in cores for a in g.actor_ids()):
+            continue
+        ids = sorted(cores)
+        picks = tuple(ids.index(mapping[a]) for a in g.actor_ids())
+        got = evaluate_or_error(mapping_module._place, g, hw, picks, scale)
+        if want is not None:
+            assert got == want, case
+            continue
+        times, core_of, latency = placement
+        labels: dict = {}
+        cls = (tuple(times), tuple(labels.setdefault(core, len(labels))
+                                   for core in core_of), tuple(latency))
+        assert got == (float(reference_bound(g, *placement)), cls), case
+        assert repr(got[1]) == repr(cls)
+        seen["placed"] += 1
+        seen["fraction times"] += any(isinstance(t, Fraction) for t in times)
+        seen["fraction latency"] += any(isinstance(lat, Fraction)
+                                        for lat in latency)
+    assert all(seen.values()), seen
+
+
 # ------------------------------------------------------------ schedules
 
 def test_single_cluster_schedule_repeats_it():
@@ -383,11 +469,30 @@ def test_graph_and_platform_with_filled_tables_survive_pickle(hw2):
     theta = np.random.default_rng(1).uniform(size=len(g.actors) * 2)
     decoded = decode_position(theta, g, hw2)
     run = execute(g, platform=hw2, mapping=mapping)
+    assert {"_tables", "_ends"} <= set(vars(g)) and hw2._tables[4]
     g_copy, hw_copy = pickle.loads(pickle.dumps((g, hw2)))
     assert (g_copy, hw_copy) == (g, hw2)
     assert evaluate_mapping(g_copy, hw_copy, mapping) == sol
     assert decode_position(theta, g_copy, hw_copy) == decoded
     assert execute(g_copy, platform=hw_copy, mapping=mapping) == run
+
+
+def test_a_platform_and_a_lifted_graph_with_filled_tables_are_freed():
+    # the tables of a platform and of a graph live on them, so nothing
+    # keeps either alive once the caller drops it
+    lifted = lift_to_sdfg(demo_clustered(), core_exec_time=1)
+    g = set_buffer_allocation(lifted, minimum_buffer_allocation(lifted))
+    hw = all_to_all_platform(2)
+    search_mapping(g, hw, SwarmConfig(particles=4, iterations=3), rng=0,
+                   table={})
+    evaluate_mapping(g, hw, {"c0": "t0", "c1": "t1", "c2": "t1"})
+    _search_floor(lifted, hw, 2)
+    assert {"_tables", "_ends", "_weights"} <= set(vars(g))
+    assert {"_tables", "_routes", "_cores"} <= set(vars(hw))
+    assert hw._tables[4]
+    refs = [weakref.ref(x) for x in (lifted, g, hw)]
+    del lifted, g, hw
+    assert [ref() for ref in refs] == [None, None, None]
 
 
 # ------------------------------------------------------------------ pso
@@ -793,8 +898,8 @@ def test_search_floor_is_below_every_feasible_period():
         for cores in itertools.product(hw.core_ids(), repeat=len(g.actors)):
             mapping = dict(zip(g.actor_ids(), cores))
             try:
+                validate_mapping(g, hw, mapping)
                 placement = resolve_platform(g, hw, mapping, scale)
-                _check_capacities(g, hw, placement[1])
                 period = _list_run(g, placement,
                                    DEFAULT_STATE_BUDGET).period_exact
             except (InfeasibleMappingError, DeadlockError):

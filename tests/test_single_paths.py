@@ -66,10 +66,19 @@ def test_one_partition_round_pipeline():
 
 
 def test_one_placement():
-    # resolve_platform alone places a mapping on a platform; every other
-    # pass reads the cached per-graph tables, and no pass asks for a
-    # repetition vector: every actor fires once per iteration
-    assert callers_of("routed_latencies") == [("sdfg.py", "resolve_platform")]
+    # the platform's tables alone read its routes, and one pass places
+    # the actors on core indexes through them: resolve_platform after
+    # mapping core names to indexes, and _place for the search, the
+    # evaluation and the validation.  Every other pass reads the cached
+    # per-graph tables, and no pass asks for a repetition vector: every
+    # actor fires once per iteration
+    assert callers_by_method("routed_latencies") == [
+        ("snn_graph.py", "HardwareGraph._tables")]
+    assert callers_of("_placed") == [("mapping.py", "_place"),
+                                     ("sdfg.py", "resolve_platform")]
+    assert callers_of("_host_positions") == [
+        ("mapping.py", "_evaluate_in"), ("mapping.py", "validate_mapping"),
+        ("sdfg.py", "resolve_platform")]
     assert callers_of("repetition_vector") == []
 
 
@@ -80,8 +89,11 @@ def test_one_membrane_integrator():
 
 
 def test_one_capacity_repair():
-    # decode_position and the swarm's batch decode share one repair
-    assert callers_of("argsort") == [("mapping.py", "_repair")]
+    # decode_position and the swarm's batch decode share one repair,
+    # which ranks a row's cores on Python lists, with no numpy sort
+    assert callers_of("_repair") == [("mapping.py", "_decode_swarm"),
+                                     ("mapping.py", "decode_position")]
+    assert callers_of("argsort") == []
 
 
 def test_two_ways_into_the_simulator():
@@ -155,8 +167,10 @@ def test_one_table_of_rated_designs():
     # the search bounds and rates through the table it is given, and the
     # reuse sweep rates its one kept mapping through the same table; a
     # second cache of ratings would have to call these from somewhere else
-    assert callers_of("_period_lower_bound") == [
-        ("mapping.py", "search_mapping")]
+    assert callers_of("_period_lower_bound") == [("mapping.py", "_place")]
+    assert callers_of("_place") == [("mapping.py", "_evaluate_in"),
+                                    ("mapping.py", "search_mapping"),
+                                    ("mapping.py", "validate_mapping")]
     assert callers_of("_rate_class") == [("mapping.py", "_evaluate_in"),
                                          ("mapping.py", "search_mapping")]
     assert callers_of("_list_run") == [("mapping.py", "_rate_class"),
@@ -202,6 +216,27 @@ def test_one_period_floor():
                                            ("mapping.py", "search_mapping")]
 
 
+def test_the_package_keeps_no_cache_of_its_own():
+    # a platform's and a graph's tables are cached on them, and a run's
+    # clusterings and ratings in its table, so they go when their owner
+    # goes; the package's own state is its constants, the CLI's flag
+    # table and the cache of share readings
+    state = sorted((path.name, ast.unparse(node.targets[0]))
+                   for path in sorted(PACKAGE.glob("*.py"))
+                   for node in ast.parse(path.read_text(encoding="utf-8")).body
+                   if isinstance(node, ast.Assign)
+                   and not isinstance(node.value, ast.Constant)
+                   and not ast.unparse(node.value).startswith(
+                       ("logging.getLogger", "10 **", "object()")))
+    assert state == [("cli.py", "CONFIG_FLAGS")]
+    cached = sorted((path.name, top.name)
+                    for path in sorted(PACKAGE.glob("*.py"))
+                    for top in ast.parse(path.read_text(encoding="utf-8")).body
+                    if isinstance(top, ast.FunctionDef) and any(
+                        "cache" in ast.unparse(d) for d in top.decorator_list))
+    assert cached == [("mapping.py", "_share_to_scale")]
+
+
 def test_run_config_and_flow_config_hold_the_same_settings():
     # the config file's flow settings are the library's, one for one
     inputs = {"snn", "hardware", "trains", "output_dir"}
@@ -215,18 +250,25 @@ def test_a_partition_holds_no_switches():
 
 
 def test_evaluate_mapping_places_once(monkeypatch):
-    place, calls = sdfg.resolve_platform, []
+    # one placement by core index, and none by core name besides it
+    calls = {"_place": [], "_placed": [], "resolve_platform": []}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return place(*args, **kwargs)
+    def counting(name, place):
+        def wrapped(*args, **kwargs):
+            calls[name].append(args)
+            return place(*args, **kwargs)
+        return wrapped
 
-    for module in (sdfg, mapping):  # every binding of the function
-        monkeypatch.setattr(module, "resolve_platform", counting)
+    for name in calls:
+        place = getattr(mapping, name, None) or getattr(sdfg, name)
+        for module in (sdfg, mapping):  # every binding of the function
+            if getattr(module, name, None) is place:
+                monkeypatch.setattr(module, name, counting(name, place))
     g = lift_bounded(demo_clustered())
     mapping.evaluate_mapping(g, all_to_all_platform(2),
                              {"c0": "t0", "c1": "t1", "c2": "t1"})
-    assert len(calls) == 1
+    assert {name: len(c) for name, c in calls.items()} == \
+        {"_place": 1, "_placed": 1, "resolve_platform": 0}
 
 
 def test_evaluate_mapping_runs_one_simulation(monkeypatch):
