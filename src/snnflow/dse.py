@@ -114,27 +114,6 @@ class SweepPoint:
         return sum(cap for _, cap in self.allocation)
 
 
-def _feasible_start(g: Sdfg) -> dict[int, int]:
-    """Minimum allocation; :class:`DeadlockError` naming the starving
-    cycle when it deadlocks.
-
-    A lifted graph that is live with unbounded buffers is live at its
-    minimum: the lift puts no tokens on inter-cluster channels, so such
-    a graph has no cycle among them, and every cycle of the bounded
-    graph then runs through a space edge or a self-loop that holds one
-    firing.  A hand-built graph may deadlock here even when it is live
-    unbounded: ``a -> b -> a`` with one token on each channel has no
-    space left on either at the minimum capacity of one token.
-    """
-    base = minimum_buffer_allocation(g)
-    report = check_deadlock(set_buffer_allocation(g, base))
-    if report is not None:
-        raise DeadlockError(
-            f"minimum buffer allocation deadlocks: {report}",
-            state=asdict(report))
-    return base
-
-
 def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
                   unbounded_throughput: float | None = None) -> list[SweepPoint]:
     """Grow buffers along the blocking bottleneck until the rate plateaus.
@@ -145,25 +124,48 @@ def sweep_buffers(g: Sdfg, evaluate, cfg: SweepConfig | None = None,
     fullness blocked the most firings in the previous run; the sweep
     stops on a plateau of ``cfg.plateau`` non-improving steps, when no
     channel blocks, once the unbounded-buffer throughput is reached, or
-    after :data:`MAX_SWEEP_STEPS` points.  A minimum allocation that
-    deadlocks raises :class:`DeadlockError` (:func:`_feasible_start`).
+    after :data:`MAX_SWEEP_STEPS` points.
+
+    A minimum allocation that deadlocks raises :class:`DeadlockError`
+    naming the starving cycle.  A lifted graph that is live with
+    unbounded buffers is live at its minimum: the lift puts no tokens on
+    inter-cluster channels, so every cycle of the bounded graph runs
+    through a space edge or a self-loop that holds one firing.  A
+    hand-built graph may deadlock here even when it is live unbounded:
+    ``a -> b -> a`` with one token on each channel.
     """
-    cfg = cfg or SweepConfig()
-    alloc = _feasible_start(g)
+    return _sweep(g, evaluate, cfg or SweepConfig(), unbounded_throughput, {})
+
+
+def _sweep(g: Sdfg, evaluate, cfg: SweepConfig, bound: float | None,
+           graphs: dict) -> list[SweepPoint]:
+    # sweep_buffers through graphs, which a run's rounds of one
+    # clustering share: the bounded graphs of g built so far by sorted
+    # allocation, and under None the minimum with its liveness report
+    if None not in graphs:
+        base = minimum_buffer_allocation(g)
+        key = tuple(sorted(base.items()))
+        graphs[key] = set_buffer_allocation(g, base)
+        graphs[None] = base, check_deadlock(graphs[key])
+    alloc, report = graphs[None]
+    if report is not None:
+        raise DeadlockError(f"minimum buffer allocation deadlocks: {report}",
+                            state=asdict(report))
     points: list[SweepPoint] = []
     best = -1.0
     stale = 0
     while True:
-        bounded = set_buffer_allocation(g, alloc)
-        tr, blocks, sol = evaluate(bounded)
-        points.append(SweepPoint(tuple(sorted(alloc.items())), tr, sol))
+        key = tuple(sorted(alloc.items()))
+        if key not in graphs:
+            graphs[key] = set_buffer_allocation(g, alloc)
+        tr, blocks, sol = evaluate(graphs[key])
+        points.append(SweepPoint(key, tr, sol))
         if tr.throughput > best:
             best = tr.throughput
             stale = 0
         else:
             stale += 1
-        if unbounded_throughput is not None \
-                and tr.throughput >= unbounded_throughput:
+        if bound is not None and tr.throughput >= bound:
             break
         if stale >= cfg.plateau or len(points) >= MAX_SWEEP_STEPS:
             break
@@ -239,7 +241,7 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
         bound = None if report is not None else pipeline_rate_bound(
             sdfg, hw, _share_to_scale(cfg.time_wheel_share))
         table[key] = communication_cost(g, p), cg, sdfg, report, bound, {}
-    out.cut_cost, out.clustered, sdfg, report, bound, allocated = table[key]
+    out.cut_cost, out.clustered, sdfg, report, bound, graphs = table[key]
     if report is not None:
         out.error = (f"clustered graph deadlocks even with unbounded buffers: "
                      f"{report}")
@@ -250,8 +252,6 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
 
     def evaluate(bounded: Sdfg):
         nonlocal fixed_mapping
-        # the first round's copy, with its cached tables
-        bounded = allocated.setdefault(bounded, bounded)
         if cfg.sweep.mode == "nested" or fixed_mapping is None:
             pso_rng = np.random.default_rng(pso_parent.spawn(1)[0])
             sol = search_mapping(bounded, hw, cfg.swarm,
@@ -266,8 +266,7 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
         return sol.throughput, sol.block_counts, sol
 
     try:
-        out.sweep = sweep_buffers(sdfg, evaluate, cfg.sweep,
-                                  unbounded_throughput=bound)
+        out.sweep = _sweep(sdfg, evaluate, cfg.sweep, bound, graphs)
     except InfeasibleMappingError as exc:
         out.error = f"mapping infeasible: {exc}"
         out.error_kind = "infeasible"
@@ -340,14 +339,15 @@ def run_design_flow(g: SnnGraph, hw: HardwareGraph,
     The rounds run in one process share one table.  A round whose
     refined partition an earlier round reached takes that round's cut,
     clustered and lifted graphs, liveness report and rate bound from it,
-    and rates the same allocated graphs.  Every search reads and fills
-    it as its :func:`search_mapping` table, as a ``reuse`` sweep does
-    for its kept mapping, so a design whose placement class an earlier
-    rating of the run simulated is not simulated again: its rating is
-    the class's with the cores renamed, and its capacities are checked
-    on their own.  The table is dropped when the run returns.  With
-    ``jobs > 1`` each round gets a fresh table and no state crosses
-    processes.
+    and the sweep's checked minimum allocation and allocated graphs
+    (:func:`_sweep`), building only the allocations new to the run.
+    Every search reads and fills it as its :func:`search_mapping`
+    table, as a ``reuse`` sweep does for its kept mapping, so a design
+    whose placement class an earlier rating of the run simulated is not
+    simulated again: its rating is the class's with the cores renamed,
+    and its capacities are checked on their own.  The table is dropped
+    when the run returns.  With ``jobs > 1`` each round gets a fresh
+    table and no state crosses processes.
     """
     seeds = round_seeds(cfg.seed, cfg.eta)
     if not cfg.delta_min >= 0:

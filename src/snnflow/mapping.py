@@ -132,10 +132,8 @@ def _check_capacities(g: Sdfg, hw: HardwareGraph, picks) -> None:
     # validate_mapping's capacity checks with actor i on sorted core
     # picks[i]: crossbars in the order the cores first host an actor,
     # then each core's other caps in declaration order
-    ids, _, caps, _ = hw._cores
-    load = [0] * len(caps)
-    for j, w in zip(picks, g._weights[2]):
-        load[j] += w
+    ids, caps, _ = hw._cores
+    load = _loads(g, caps, picks)
     for j in dict.fromkeys(picks):
         if load[j] > caps[j]:
             raise InfeasibleMappingError(
@@ -174,61 +172,56 @@ def decode_position(theta: np.ndarray, g: Sdfg,
     highest component.  Raises :class:`InfeasibleMappingError` when the
     demand cannot be repaired, or when there are clusters but no cores.
     """
-    clusters = g._weights[0]
-    cores = hw._cores[0]
-    grids = np.asarray(theta, dtype=float).reshape(1, len(clusters),
-                                                   len(cores))
-    picks, loads, over = _argmax_picks(grids, g, hw)
-    pick = picks[0].tolist()
-    if over.size:
-        pick = _repair(grids[0].tolist(), pick, loads[0].tolist(), g, hw)
+    clusters, (cores, caps, _) = g._weights[0], hw._cores
+    grid = np.asarray(theta, dtype=float).reshape(1, len(clusters), len(cores))
+    pick = _argmax_picks(grid)[0]
+    pick = _repair(grid[0].tolist(), pick, _loads(g, caps, pick), g, hw)
     return {cl: cores[j] for cl, j in zip(clusters, pick)}
 
 
-def _decode_swarm(positions: np.ndarray, g: Sdfg, hw: HardwareGraph
-                  ) -> list[tuple[int, ...] | None]:
-    """:func:`decode_position` of every row of ``positions`` at once.
-
-    Each row decodes to its host cores as indexes into the sorted core
-    ids, in cluster order, or to ``None`` when its demand cannot be
-    repaired.  Only the rows that overload a core are repaired, from
-    Python lists made for all of them at once.
-    """
+def _decode_swarm(positions: np.ndarray, g: Sdfg, hw: HardwareGraph):
+    """``read``: ``read(l)`` is :func:`decode_position` of row ``l`` of
+    ``positions`` as host cores, indexes into the sorted core ids, or
+    ``None`` when its demand cannot be repaired.  One ``argmax`` picks
+    every row's cores; a row's loads are summed, and an overloaded row
+    repaired, only when it is read."""
+    caps = hw._cores[1]
     grids = np.asarray(positions, dtype=float).reshape(
-        len(positions), len(g._weights[0]), len(hw._cores[0]))
-    picks, loads, over = _argmax_picks(grids, g, hw)
-    rows: list[tuple[int, ...] | None] = list(map(tuple, picks.tolist()))
-    for l, grid, load in zip(over.tolist(), grids[over].tolist(),
-                             loads[over].tolist()):
+        len(positions), len(g._weights[0]), len(caps))
+    picks = _argmax_picks(grids)
+
+    def read(l: int) -> tuple[int, ...] | None:
+        loads = _loads(g, caps, picks[l])
+        if all(loads[j] <= caps[j] for j in picks[l]):  # others hold 0
+            return tuple(picks[l])
         try:
-            rows[l] = tuple(_repair(grid, list(rows[l]), load, g, hw))
+            return tuple(_repair(grids[l].tolist(), list(picks[l]), loads,
+                                 g, hw))
         except InfeasibleMappingError:
-            rows[l] = None
-    return rows
+            return None
+    return read
 
 
-def _argmax_picks(grids: np.ndarray, g: Sdfg, hw: HardwareGraph) -> tuple:
-    """Per-cluster argmax core of each ``(clusters, cores)`` grid.
-
-    Returns the picks ``(P, clusters)``, the per-core loads ``(P,
-    cores)`` and the indexes of the rows that overload some core.
-    """
+def _argmax_picks(grids: np.ndarray) -> list[list[int]]:
+    """Per-cluster argmax core of each ``(clusters, cores)`` grid, ties
+    to the lowest core id as argmax keeps the first maximum; it refuses
+    an empty row, and no clusters give empty rows."""
     n_rows, n_clusters, n_cores = grids.shape
     if n_clusters and not n_cores:
         raise InfeasibleMappingError(
             f"no core to host {n_clusters} clusters: the platform declares "
             f"no cores")
-    weight_vec = g._weights[1]
-    cap_vec = hw._cores[1]
-    # argmax keeps the first maximum, so ties go to the lowest core id;
-    # it refuses an empty row, and no clusters decode to no picks
-    picks = (grids.argmax(axis=2) if n_clusters
-             else np.zeros((n_rows, 0), dtype=np.intp))
-    # one bincount for all rows: row l's picks count in bins l * n_cores on
-    offsets = np.arange(n_rows)[:, None] * n_cores
-    loads = np.bincount((picks + offsets).ravel(), np.tile(weight_vec, n_rows),
-                        n_rows * n_cores).reshape(n_rows, n_cores)
-    return picks, loads, np.flatnonzero((loads > cap_vec).any(axis=1))
+    return (grids.argmax(axis=2).tolist() if n_clusters
+            else [[] for _ in range(n_rows)])
+
+
+def _loads(g: Sdfg, caps: list, picks) -> list[int]:
+    # each sorted core's crossbar load, caps their capacities, with
+    # actor i on core picks[i]
+    load = [0] * len(caps)
+    for j, w in zip(picks, g._weights[1]):
+        load[j] += w
+    return load
 
 
 def _repair(grid: list, picks: list, loads: list, g: Sdfg,
@@ -250,8 +243,8 @@ def _repair(grid: list, picks: list, loads: list, g: Sdfg,
     found no core cannot move later: the walk resumes after each moved
     resident instead of starting over.
     """
-    clusters, _, weights = g._weights
-    cores, _, caps, _ = hw._cores
+    clusters, weights = g._weights
+    cores, caps, _ = hw._cores
     residents: list[list[int]] = [[] for _ in caps]
     for i, j in enumerate(picks):
         residents[j].append(i)
@@ -398,12 +391,13 @@ def _placement_class(placement: tuple) -> tuple:
 
 def _rate_class(g: Sdfg, cls: tuple, state_budget: int) -> tuple:
     """The rating of a placement class under its own core names: the
-    solution (with no mapping) and the list run's steady state, whose
-    cursors follow core ``0, 1, ...``.  Raises as the list run does."""
+    solution (with no mapping), the list run's steady state, whose
+    cursors follow core ``0, 1, ...``, and its hashes by core order
+    (:func:`_renamed`).  Raises as the list run does."""
     listed = _list_run(g, cls, state_budget)
     schedules = _schedules_from_log(listed, cls[1])
     return (MappingSolution({}, schedules, listed.to_throughput(),
-                            listed.block_counts), listed.steady_state)
+                            listed.block_counts), listed.steady_state, {})
 
 
 def _renamed(rating: tuple, mapping: dict[str, str], core_of
@@ -411,23 +405,23 @@ def _renamed(rating: tuple, mapping: dict[str, str], core_of
     """A class rating under ``mapping``, whose actors run on ``core_of``:
     core ``k`` of the class is the ``k``-th distinct core there.  The
     schedules, and the per-core cursors of the hashed steady state, list
-    the cores in core-id order, so the state is hashed again unless that
-    order is the class's."""
-    sol, state = rating
+    the cores in core-id order; the rating keeps the state's hash under
+    each order it is read in."""
+    sol, state, hashes = rating
     names = list(dict.fromkeys(core_of))
-    order = sorted(range(len(names)), key=names.__getitem__)
+    order = tuple(sorted(range(len(names)), key=names.__getitem__))
     schedules = {}
     for k in order:
         s = sol.schedules[k]
         schedules[names[k]] = StaticOrderSchedule(
             names[k], s.transient, s.cycle, s.iterations_per_cycle)
     t = sol.throughput
-    if order != sorted(order):
-        cursors = state[-1]
-        t = ThroughputResult(t.period, t.throughput, t.transient_length,
-                             _state_hash((*state[:-1],
-                                          tuple(cursors[k] for k in order))))
-    return MappingSolution(dict(mapping), schedules, t, sol.block_counts)
+    if order not in hashes:
+        hashes[order] = _state_hash(
+            (*state[:-1], tuple(state[-1][k] for k in order)))
+    return MappingSolution(dict(mapping), schedules, ThroughputResult(
+        t.period, t.throughput, t.transient_length, hashes[order]),
+        sol.block_counts)
 
 
 def _evaluate_in(table: dict, g: Sdfg, hw: HardwareGraph,
@@ -583,7 +577,7 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
     """
     n = len(g.actors)
     t_min = min(hw._scaled_times(scale))
-    largest = max(hw._cores[2])
+    largest = max(hw._cores[1])
     floor = max(Fraction(n, len(hw.cores)), Fraction(min(n, 1))) * t_min
     cycle = 2 * t_min + hw._tables[2]
     # the channels whose apart term cycle / k exceeds the load term,
@@ -594,7 +588,7 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
         return floor
     root = list(range(n))
     size = [1] * n
-    weight = list(g._weights[2])
+    weight = list(g._weights[1])
 
     def find(i: int) -> int:
         while root[i] != i:
@@ -629,11 +623,10 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     deadlocks, score as infeasible.  Raises
     :class:`InfeasibleMappingError` when no feasible assignment was found
     at all.  Budget errors from the underlying analysis propagate.
-    ``rng`` is a generator, a seed, or ``None`` for a fresh seed.
-
-    Each swarm iteration decodes all positions in one batch, as
-    :func:`decode_position` would one by one, and scores the rows in
-    order through :func:`pso_step`'s batch ``fitness``.
+    ``rng`` is a generator, a seed, or ``None`` for a fresh seed.  Each
+    swarm iteration is one :func:`pso_step`, whose batch ``fitness``
+    reads the rows in order, each decoded as :func:`decode_position`
+    would when it is read (:func:`_decode_swarm`).
 
     Bounds and ratings go into ``table``, a dict that the caller may
     share between searches (``None`` gives this search a fresh one).  It
@@ -660,8 +653,9 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     assignment of a class therefore reads the class's one rating with
     its cores renamed (:func:`_renamed`), the record a fresh evaluation
     gives.  Capacities are per core, so they are checked for each
-    assignment; only the simulation is shared.  Each distinct class of one graph on one
-    platform is simulated at most once for as long as the table lives.
+    assignment; only the simulation is shared.  Each distinct class of
+    one graph on one platform is simulated at most once for as long as
+    the table lives.
     A rating that exceeds the state budget is not stored.  A stored
     period where the bound would prune is at least the bound, so sharing
     the table changes no result.
@@ -678,22 +672,22 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     placed at all are skipped.
 
     ``cfg.iterations`` is a maximum: the search stops in the first
-    iteration that finds a period at most ``float(floor)``, the floor
-    being :func:`_search_floor`, computed once per table entry, when a
-    row first decodes.  Every score is a rated period, a rounded bound
-    or ``inf``, and rounding is monotone, so no score lies below
-    ``float(floor)``.  Each iteration first probes its decoded rows in
-    row order: a row whose class is rated is read from the table, a row
-    whose bound is at most ``float(floor)`` is rated, and every other
-    row is passed over, since it cannot meet the floor.  The first row
-    whose period is at most ``float(floor)`` is the row that scoring
-    every row would make the swarm's best, since the swarm's best moves
-    only on a strictly lower score and no limit can prune a probed row:
-    every limit exceeds the floor while the search runs.  The search
-    returns that row's solution, and the iteration's other rows are not
-    rated.  When no row meets the floor, the iteration scores every row
-    as above.  So the returned solution is the one the full iterations
-    would return.  The rows the search does not rate cannot raise the
+    iteration that finds a period at most ``float(floor)``, the floor being
+    :func:`_search_floor`, computed once per table entry, at the first row
+    read that places an actor.  Every score is a rated period, a rounded
+    bound or ``inf``, and rounding is monotone, so no score lies below
+    ``float(floor)``.  Each iteration first probes its rows, reading them
+    in row order: a row whose class is rated is read from the table, a row
+    whose bound is at most ``float(floor)`` is rated, and every other row
+    is passed over, since it cannot meet the floor.  The first row whose
+    period is at most ``float(floor)`` is the row that scoring every row
+    would make the swarm's best, since the swarm's best moves only on a
+    strictly lower score and no limit can prune a probed row: every limit
+    exceeds the floor while the search runs.  The search returns that row's
+    solution, and the iteration's later rows are neither completed nor
+    rated.  When no row meets the floor, the iteration scores every row as
+    above.  So the returned solution is the one the full iterations would
+    return.  The rows the search does not rate cannot raise the
     :class:`BudgetExceededError` that rating them might have; the first
     iteration always runs.
     """
@@ -755,13 +749,13 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
 
     def fitness(positions: np.ndarray, limits: np.ndarray) -> list[float]:
         nonlocal found
-        rows = _decode_swarm(positions, g, hw)
-        if entry[2] is None and any(rows):  # some row places an actor
-            entry[2] = float(_search_floor(g, hw, scale))
-        if entry[2] is not None:
-            found = next((solution(picks) for picks in rows
-                          if meets_floor(picks, entry[2])), None)
-            if found is not None:  # the search returns it after this step
+        read, rows = _decode_swarm(positions, g, hw), []
+        for l in range(len(positions)):  # the probe, reading each row once
+            rows.append(read(l))
+            if entry[2] is None and rows[-1]:  # the row places an actor
+                entry[2] = float(_search_floor(g, hw, scale))
+            if entry[2] is not None and meets_floor(rows[-1], entry[2]):
+                found = solution(rows[-1])  # returned after this step
                 return []
         return [score(picks, limit)
                 for picks, limit in zip(rows, limits.tolist())]
@@ -776,4 +770,4 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
             "no feasible cluster-to-core assignment found by the search")
     # only a rated row can beat the swarm's best, since a pruned row
     # scores at least its particle's best, so the best is in the table
-    return solution(_decode_swarm(swarm.gbest_position[None], g, hw)[0])
+    return solution(_decode_swarm(swarm.gbest_position[None], g, hw)(0))

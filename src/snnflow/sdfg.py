@@ -27,13 +27,11 @@ from functools import cached_property
 from heapq import heappop, heappush
 from typing import NamedTuple
 
-import numpy as np
-
 from .errors import (BudgetExceededError, DeadlockError, GraphValidationError,
                      InfeasibleCapacityError, InfeasibleMappingError)
 from .partition import ClusteredSnnGraph
-from .snn_graph import (HardwareGraph, _dump_yaml, _entries, _field,
-                        _integer, _load_yaml, _number, exact_time)
+from .snn_graph import (HardwareGraph, _HashedOnce, _dump_yaml, _entries,
+                        _field, _integer, _load_yaml, _number, exact_time)
 
 logger = logging.getLogger(__name__)
 
@@ -69,9 +67,10 @@ class Channel:
 
 
 @dataclass(frozen=True)
-class Sdfg:
+class Sdfg(_HashedOnce):
     actors: tuple[Actor, ...]
     channels: tuple[Channel, ...] = ()
+    __hash__ = _HashedOnce.__hash__
 
     def actor_ids(self) -> list[str]:
         return [a.id for a in self.actors]
@@ -102,12 +101,10 @@ class Sdfg:
                     f"initial tokens")
 
     @cached_property
-    def _weights(self) -> tuple[list[str], np.ndarray, list[int]]:
-        # actor ids in declaration order and their weights, as a vector
-        # and as a list; not validated, since positions are decoded
-        # before any check
-        weights = [a.weight for a in self.actors]
-        return self.actor_ids(), np.array(weights, dtype=float), weights
+    def _weights(self) -> tuple[list[str], list[int]]:
+        # actor ids in declaration order and their weights; not
+        # validated, since positions are decoded before any check
+        return self.actor_ids(), [a.weight for a in self.actors]
 
     @cached_property
     def _tables(self) -> tuple:

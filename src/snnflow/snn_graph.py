@@ -16,7 +16,6 @@ from fractions import Fraction
 from functools import cached_property
 from types import MappingProxyType
 
-import numpy as np
 import yaml
 from yaml import CSafeDumper, CSafeLoader
 
@@ -198,12 +197,28 @@ class Link:
     latency: float = 0
 
 
+class _HashedOnce:
+    # a frozen dataclass hashed by value once, pickled without the hash
+    # (spawn and forkserver workers seed string hashes anew); a subclass
+    # sets __hash__ = _HashedOnce.__hash__, which dataclass would replace
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(tuple(map(vars(self).get, self.__dataclass_fields__)))
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in vars(self).items() if k != "_hash"}
+
+
 @dataclass(frozen=True)
-class HardwareGraph:
+class HardwareGraph(_HashedOnce):
     """Many-core platform model: cores joined by directed latency links."""
 
     cores: tuple[Core, ...]
     links: tuple[Link, ...] = ()
+    __hash__ = _HashedOnce.__hash__
 
     def core_ids(self) -> list[str]:
         return [c.id for c in self.cores]
@@ -256,15 +271,14 @@ class HardwareGraph:
         return dist
 
     @cached_property
-    def _cores(self) -> tuple[list[str], np.ndarray, list[int], list[Core]]:
-        # sorted core ids, their crossbar capacities in that order as a
-        # vector and as a list, and their cores, for the swarm's decode
-        # and the placements by core index
+    def _cores(self) -> tuple[list[str], list[int], list[Core]]:
+        # sorted core ids, their crossbar capacities in that order and
+        # their cores, for the swarm's decode and the placements by
+        # core index
         by_id = {c.id: c for c in self.cores}
         ids = sorted(self.core_ids())
         cores = [by_id[c] for c in ids]
-        caps = [c.crossbar_dim for c in cores]
-        return ids, np.array(caps), caps, cores
+        return ids, [c.crossbar_dim for c in cores], cores
 
     @cached_property
     def _tables(self) -> tuple:
@@ -294,7 +308,7 @@ class HardwareGraph:
         if scale not in scaled:
             s = exact_time(scale)
             scaled[scale] = [exact_time(exact_time(c.exec_time) * s)
-                             for c in self._cores[3]]
+                             for c in self._cores[2]]
         return scaled[scale]
 
 

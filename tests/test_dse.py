@@ -545,17 +545,21 @@ def test_shared_table_gives_the_flow_of_fresh_tables(monkeypatch, net, mode,
 def test_rounds_that_reach_one_clustering_build_it_once(monkeypatch, mode):
     # a round whose refined partition an earlier round of the process
     # reached reads that round's cut, graphs, liveness report and rate
-    # bound from the run's table, and the flow is the one that worker
+    # bound from the run's table, and its sweep the checked minimum and
+    # every allocated graph built so far; the flow is the one that worker
     # processes, each building its own round, give
     hw = all_to_all_platform(4)
-    built = {"build_clustered_graph": 0, "lift_to_sdfg": 0}
+    built = {"build_clustered_graph": 0, "lift_to_sdfg": 0,
+             "set_buffer_allocation": 0, "check_deadlock": 0}
 
     def counting(name):
         build = getattr(dse, name)
 
-        def wrapped(*args, **kwargs):
-            built[name] += 1
-            return build(*args, **kwargs)
+        def wrapped(g, *args, **kwargs):
+            # a liveness check counts at the minimum allocation only
+            built[name] += name != "check_deadlock" or any(
+                c.capacity is not None for c in g.channels)
+            return build(g, *args, **kwargs)
         return wrapped
 
     for net, g in coinciding_and_differing_nets().items():
@@ -567,7 +571,13 @@ def test_rounds_that_reach_one_clustering_build_it_once(monkeypatch, mode):
             res = run_design_flow(g, hw, cfg)
         clusterings = len({repr(rr.clustered) for rr in res.rounds})
         assert clusterings == {"coinciding": 1, "differing": 3}[net]
-        assert built == dict.fromkeys(built, clusterings), net
+        allocations = {(repr(rr.clustered), sp.allocation)
+                       for rr in res.rounds for sp in rr.sweep}
+        assert len(allocations) > clusterings
+        assert built == {"build_clustered_graph": clusterings,
+                         "lift_to_sdfg": clusterings,
+                         "set_buffer_allocation": len(allocations),
+                         "check_deadlock": clusterings}, net
         parallel = run_design_flow(g, hw, replace(cfg, jobs=2))
         assert flow_record(res) == flow_record(parallel), net
         assert all(rr.error is None for rr in res.rounds)

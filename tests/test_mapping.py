@@ -5,7 +5,7 @@ import math
 import pickle
 import re
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -141,9 +141,9 @@ def test_swarm_decode_matches_reference_decode_row_by_row():
                 positions = rng.uniform(size=(particles, n * len(cores)))
                 # every other row on a grid of halves, so that rows tie
                 positions[::2] = np.round(positions[::2] * 2) / 2
-                rows = _decode_swarm(positions, g, hw)
-                assert len(rows) == particles
-                for theta, picks in zip(positions, rows):
+                read = _decode_swarm(positions, g, hw)
+                for theta, picks in zip(positions,
+                                        map(read, range(particles))):
                     want = decode_or_error(reference_decode_position,
                                            theta, g, hw)
                     if isinstance(want, str):
@@ -475,6 +475,23 @@ def test_graph_and_platform_with_filled_tables_survive_pickle(hw2):
     assert evaluate_mapping(g_copy, hw_copy, mapping) == sol
     assert decode_position(theta, g_copy, hw_copy) == decoded
     assert execute(g_copy, platform=hw_copy, mapping=mapping) == run
+
+
+def test_a_graph_and_a_platform_hash_by_value_once_and_pickle_without_it(hw2):
+    # the value hash is kept on the frozen graph and platform, and left
+    # out when they are pickled: a process started by spawn or forkserver
+    # seeds string hashes anew, so a copied hash would not be the value's
+    g = demo_sdfg(buffer=38)
+    for x, twin in ((g, Sdfg(g.actors, g.channels)),
+                    (hw2, HardwareGraph(hw2.cores, hw2.links))):
+        assert "_hash" not in vars(x)
+        assert hash(x) == hash(twin) and x == twin and x is not twin
+        assert vars(x)["_hash"] == hash(tuple(getattr(x, f.name)
+                                              for f in fields(x)))
+        assert x._tables  # filled tables travel with the copy
+        copy = pickle.loads(pickle.dumps(x))
+        assert "_hash" not in vars(copy) and "_tables" in vars(copy)
+        assert copy == x and hash(copy) == hash(x)
 
 
 def test_a_platform_and_a_lifted_graph_with_filled_tables_are_freed():
@@ -1025,7 +1042,8 @@ def first_rows(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig, seed: int
     cores = hw._cores[0]
     return [None if picks is None else
             {cl: cores[j] for cl, j in zip(g._weights[0], picks)}
-            for picks in _decode_swarm(swarm.positions, g, hw)]
+            for picks in map(_decode_swarm(swarm.positions, g, hw),
+                             range(cfg.particles))]
 
 
 def counting_calls(monkeypatch, calls: dict[str, list]):
@@ -1098,6 +1116,48 @@ def test_search_probe_rates_no_row_above_the_floor_or_after_the_hit(
             m is not None and class_of(g, hw, m, share) not in calls["rated"]
             for m in rows[hit + 1:])
         seen["rated below the hit"] += len(calls["rated"]) > 1
+    assert all(seen.values()), seen
+
+
+def test_a_search_that_stops_at_once_repairs_no_row_after_its_hit(
+        monkeypatch):
+    # a swarm row is completed when the search first reads it, so a
+    # search that meets the floor in its first iteration repairs exactly
+    # the overloaded rows up to the one it returns
+    calls = {"rated": [], "steps": []}
+    counting_calls(monkeypatch, calls)
+    repair, repaired = mapping_module._repair, []
+
+    def counting(grid, *args):
+        repaired.append(np.ravel(grid))
+        return repair(grid, *args)
+
+    monkeypatch.setattr(mapping_module, "_repair", counting)
+    cfg = SwarmConfig(particles=8, iterations=50)
+    seen = {"repaired before the hit": 0, "overloaded after the hit": 0}
+    for seed in range(40):
+        g = (chain_of_three() if seed % 2
+             else lifted_layered(seed, 1 + seed // 2 % 2))
+        hw = all_to_all_platform(4, dim=[4, 6, 8][seed % 3])
+        calls.update(rated=[], steps=[])
+        repaired.clear()
+        got = search_or_error(search_mapping, g, hw, cfg, 0.5, rng=seed)
+        searched = list(repaired)  # first_rows below repairs every row
+        if len(calls["steps"]) != 1 or isinstance(got, str):
+            continue
+        positions = init_swarm(cfg, len(g.actors) * len(hw.cores),
+                               np.random.default_rng(seed)).positions
+        hit = first_rows(g, hw, cfg, seed).index(got["mapping"])
+        weights = [a.weight for a in g.actors]
+        caps = [c.crossbar_dim for c in sorted(hw.cores, key=lambda c: c.id)]
+        over = [bool((np.bincount(theta.reshape(len(g.actors), -1).argmax(1),
+                                  weights, len(hw.cores)) > caps).any())
+                for theta in positions]
+        rows = [next(l for l, theta in enumerate(positions)
+                     if np.array_equal(theta, grid)) for grid in searched]
+        assert rows == [l for l in range(hit + 1) if over[l]], seed
+        seen["repaired before the hit"] += any(over[:hit])
+        seen["overloaded after the hit"] += any(over[hit + 1:])
     assert all(seen.values()), seen
 
 
@@ -1267,7 +1327,7 @@ def test_swarm_decode_matches_reference_decode_under_heavy_overload():
     # rows cannot be repaired at all
     rng = np.random.default_rng(23)
     seen = {"several overloaded": 0, "failed before a move": 0,
-            "infeasible": 0, "repaired": 0}
+            "infeasible": 0, "repaired": 0, "repaired out of order": 0}
     for case in range(12):
         n_cores = int(rng.integers(8, 17))
         caps = rng.integers(8, 17, n_cores)
@@ -1289,7 +1349,8 @@ def test_swarm_decode_matches_reference_decode_under_heavy_overload():
         for l in range(8):  # pull every cluster toward three cores
             positions[l][:, crowded[l]] += rng.uniform(0, 0.8, (n, 3))
         positions = positions.reshape(8, -1)
-        for theta, picks in zip(positions, _decode_swarm(positions, g, hw)):
+        read = _decode_swarm(positions, g, hw)
+        for theta, picks in zip(positions, map(read, range(8))):
             want = decode_or_error(reference_decode_position, theta, g, hw)
             if isinstance(want, str):
                 assert picks is None
@@ -1309,4 +1370,16 @@ def test_swarm_decode_matches_reference_decode_under_heavy_overload():
                                    key=lambda i: (grid[i, j], i))
                 moved = [want[f"c{i:03d}"] != cores[j] for i in residents]
                 seen["failed before a move"] += not moved[0] and any(moved)
+        # a fresh decode read out of order, one row twice and three rows
+        # not at all
+        read = _decode_swarm(positions, g, hw)
+        for l in (6, 1, 7, 1, 4):
+            want = decode_or_error(reference_decode_position, positions[l],
+                                   g, hw)
+            picks = read(l)
+            assert isinstance(want, str) if picks is None else \
+                {f"c{i:03d}": cores[j] for i, j in enumerate(picks)} == want
+            seen["repaired out of order"] += picks is not None and \
+                list(picks) != positions[l].reshape(n, n_cores).argmax(
+                    axis=1).tolist()
     assert all(seen.values()), seen

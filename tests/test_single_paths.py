@@ -96,6 +96,13 @@ def test_one_capacity_repair():
     assert callers_of("argsort") == []
 
 
+def test_one_builder_of_allocated_graphs():
+    # the sweep builds each allocation's bounded graph once, in the
+    # graphs that a run's rounds of one clustering share
+    assert [owner for module, owner in callers_of("set_buffer_allocation")
+            if module == "dse.py"] == ["_sweep"]
+
+
 def test_two_ways_into_the_simulator():
     # a self-timed run (analysis) and the list-scheduling run that
     # builds static orders and is also the rating of the run under them
@@ -157,7 +164,7 @@ def test_only_the_spike_edges_read_a_channel_volume():
         ["src", "dst", "tokens", "capacity", "volume"]
     assert readers_by_method("prod", "cons") == []
     assert readers_by_method("volume") == [
-        ("dse.py", "sweep_buffers"), ("mapping.py", "_check_capacities"),
+        ("dse.py", "_sweep"), ("mapping.py", "_check_capacities"),
         ("sdfg.py", "Sdfg.validate"), ("sdfg.py", "_blocked_on"),
         ("sdfg.py", "_in_spikes"), ("sdfg.py", "minimum_buffer_allocation"),
         ("sdfg.py", "sdfg_to_dict"), ("sdfg.py", "set_buffer_allocation")]
