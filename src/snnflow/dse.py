@@ -253,11 +253,10 @@ def _run_round(g: SnnGraph, hw: HardwareGraph, cfg: DesignFlowConfig,
     def evaluate(bounded: Sdfg):
         nonlocal fixed_mapping
         if cfg.sweep.mode == "nested" or fixed_mapping is None:
-            pso_rng = np.random.default_rng(pso_parent.spawn(1)[0])
             sol = search_mapping(bounded, hw, cfg.swarm,
                                  time_wheel_share=cfg.time_wheel_share,
-                                 state_budget=cfg.state_budget, rng=pso_rng,
-                                 table=table)
+                                 state_budget=cfg.state_budget,
+                                 rng=pso_parent.spawn(1)[0], table=table)
             if cfg.sweep.mode == "reuse":
                 fixed_mapping = sol.mapping
         else:

@@ -25,7 +25,7 @@ import numpy as np
 from .errors import DeadlockError, InfeasibleMappingError
 from .sdfg import (DEFAULT_STATE_BUDGET, ExecutionResult, Sdfg,
                    ThroughputResult, _host_positions, _placed, _Simulation,
-                   _state_hash, exact_time, resolve_platform)
+                   _state_hash, exact_time)
 from .snn_graph import HardwareGraph
 
 logger = logging.getLogger(__name__)
@@ -107,7 +107,7 @@ def validate_mapping(g: Sdfg, hw: HardwareGraph,
                      mapping: dict[str, str]) -> None:
     """Check one-core-per-cluster plus every platform capacity.
 
-    The placement is :func:`snnflow.sdfg.resolve_platform`'s: it raises
+    The placement by core index, :func:`snnflow.sdfg.execute`'s, raises
     for an unmapped actor, an undeclared core and an inter-core channel
     with no route.  This adds the capacity checks, raising
     :class:`InfeasibleMappingError` naming the violated limit: crossbar
@@ -303,11 +303,16 @@ def build_schedules(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
     firing sequence into a transient prefix and the repeating cycle.
     Inter-core token latency participates in the run, and actor firings
     take the host core's execution time divided by its time-wheel share.
+    It rates the placement class as :func:`evaluate_mapping` does, but
+    checks no capacity.
     """
-    placement = resolve_platform(g, hw, mapping,
-                                 _share_to_scale(time_wheel_share))
-    return _schedules_from_log(_list_run(g, placement, state_budget),
-                               mapping.values())
+    scale = _share_to_scale(time_wheel_share)
+    picks = _host_positions(g, hw, mapping)
+    times, latency = _placed(g, hw, picks, scale)
+    rating = _rate_class(g, _placement_class((times, picks, latency)),
+                         state_budget)
+    return _renamed(rating, mapping,
+                    [hw._cores[0][j] for j in picks]).schedules
 
 
 def _list_run(g: Sdfg, placement: tuple, state_budget: int
@@ -323,17 +328,14 @@ def _list_run(g: Sdfg, placement: tuple, state_budget: int
             state=exc.state) from exc
 
 
-def _schedules_from_log(res: ExecutionResult, cores
-                        ) -> dict[str, StaticOrderSchedule]:
-    # the static orders of the host cores listed in cores, cut from a
-    # list run's log
-    transient: dict[str, list[str]] = defaultdict(list)
-    cycle: dict[str, list[str]] = defaultdict(list)
+def _schedules_from_log(res: ExecutionResult
+                        ) -> dict[int, StaticOrderSchedule]:
+    # the static orders of a list run's cores, cut from its log; every
+    # core starts an actor in the cycle, since every actor does
+    transient: dict[int, list[str]] = defaultdict(list)
+    cycle: dict[int, list[str]] = defaultdict(list)
     for pos, (core, actor) in enumerate(res.firing_log):
         (transient if pos < res.log_cycle_start else cycle)[core].append(actor)
-    for core in set(cores):
-        transient.setdefault(core, [])
-        cycle.setdefault(core, [])
     reduced, ipc = _reduce_cycles(dict(cycle), res.iterations_per_cycle)
     return {core: StaticOrderSchedule(core, tuple(transient[core]),
                                       tuple(reduced[core]), ipc)
@@ -379,10 +381,11 @@ def evaluate_mapping(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
 
 
 def _placement_class(placement: tuple) -> tuple:
-    """:func:`snnflow.sdfg.resolve_platform`'s ``(exec_times, core_of,
-    latency)`` as tuples, each host core renamed ``0, 1, ...`` in the
-    order it first hosts an actor: what the simulation of the placement
-    reads, up to core names (see :func:`search_mapping`)."""
+    """A placement ``(exec_times, core_of, latency)``, each actor's
+    execution time and host core and each channel's latency, as tuples
+    with each host core renamed ``0, 1, ...`` in the order it first hosts
+    an actor: what its simulation reads, up to core names (see
+    :func:`search_mapping`)."""
     times, core_of, latency = placement
     labels: dict = {}
     return (tuple(times), tuple(labels.setdefault(core, len(labels))
@@ -395,7 +398,7 @@ def _rate_class(g: Sdfg, cls: tuple, state_budget: int) -> tuple:
     cursors follow core ``0, 1, ...``, and its hashes by core order
     (:func:`_renamed`).  Raises as the list run does."""
     listed = _list_run(g, cls, state_budget)
-    schedules = _schedules_from_log(listed, cls[1])
+    schedules = _schedules_from_log(listed)
     return (MappingSolution({}, schedules, listed.to_throughput(),
                             listed.block_counts), listed.steady_state, {})
 
@@ -511,7 +514,7 @@ def _period_lower_bound(g: Sdfg, exec_times: list, core_of: list,
                         latency: list):
     """Exact lower bound on the period of a mapped, scheduled graph.
 
-    The arguments are :func:`snnflow.sdfg.resolve_platform`'s placement.
+    The arguments are a placement, as :func:`_placement_class` reads one.
     The period is the maximum cycle ratio of the design's
     inter-processor-communication graph (Reiter, JACM 1968; Sriram &
     Bhattacharyya 2000), so any one cycle's ratio bounds it from below:
@@ -542,7 +545,7 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
     """Exact period floor of every feasible placement of ``g`` on ``hw``.
 
     Execution times are scaled by ``scale`` as
-    :func:`snnflow.sdfg.resolve_platform` scales them, ``t_min`` is the
+    :func:`snnflow.sdfg._placed` scales them, ``t_min`` is the
     fastest core's and ``hop`` the cheapest route between two distinct
     cores, from the platform's tables.  Two facts hold under any
     placement that fits the crossbars:
@@ -614,7 +617,8 @@ def _search_floor(g: Sdfg, hw: HardwareGraph, scale) -> Fraction:
 def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
                    time_wheel_share: float = DEFAULT_TIME_WHEEL_SHARE,
                    state_budget: int = DEFAULT_STATE_BUDGET,
-                   rng: np.random.Generator | int | None = None,
+                   rng: np.random.Generator | np.random.SeedSequence
+                   | int | None = None,
                    table: dict | None = None) -> MappingSolution:
     """Swarm search over assignments, keeping the highest-throughput one.
 
@@ -623,10 +627,10 @@ def search_mapping(g: Sdfg, hw: HardwareGraph, cfg: SwarmConfig | None = None,
     deadlocks, score as infeasible.  Raises
     :class:`InfeasibleMappingError` when no feasible assignment was found
     at all.  Budget errors from the underlying analysis propagate.
-    ``rng`` is a generator, a seed, or ``None`` for a fresh seed.  Each
-    swarm iteration is one :func:`pso_step`, whose batch ``fitness``
-    reads the rows in order, each decoded as :func:`decode_position`
-    would when it is read (:func:`_decode_swarm`).
+    ``rng`` is a generator, a seed or seed sequence, or ``None`` for a
+    fresh seed.  Each swarm iteration is one :func:`pso_step`, whose
+    batch ``fitness`` reads the rows in order, each decoded as
+    :func:`decode_position` would when it is read (:func:`_decode_swarm`).
 
     Bounds and ratings go into ``table``, a dict that the caller may
     share between searches (``None`` gives this search a fresh one).  It

@@ -364,7 +364,7 @@ class ExecutionResult:
     span: object
     transient_iterations: int
     steady_state: tuple
-    firing_log: tuple[tuple[str | None, str], ...]
+    firing_log: tuple[tuple[int | None, str], ...]
     log_cycle_start: int
     iterations_per_cycle: int
     block_counts: dict[int, int]
@@ -394,10 +394,11 @@ class _Simulation:
     """Discrete-event self-timed execution over exact time.
 
     Modes: free (any ready actor fires, auto-concurrency permitted),
-    ``schedules`` (each core fires only the actor at its static-order
+    ``orders`` (each core fires only the actor at its static-order
     cursor, one firing at a time), ``list_mode`` (FIFO ready lists per
-    core, used to construct static orders).  Ties at equal time resolve
-    by actor id, then core id.
+    core, used to construct static orders).  The cores are the indexes
+    ``0, 1, ...`` that ``core_of`` gives each actor; a free run has
+    none.  Ties at equal time resolve by actor id, then core index.
 
     A ``list_mode`` run is also the run under the static orders built
     from its firing log, on the same placement.  Under those orders
@@ -436,11 +437,12 @@ class _Simulation:
     ARRIVE = 1
 
     def __init__(self, g: Sdfg, exec_times: list, core_of: list,
-                 latency: list, *, schedules: dict[str, "object"] | None = None,
+                 latency: list, *, orders: list | None = None,
                  list_mode: bool = False,
                  state_budget: int = DEFAULT_STATE_BUDGET):
         # exec_times and core_of run in g._tables actor order, latency in
-        # channel order, as resolve_platform returns them
+        # channel order; core_of holds core indexes 0, 1, ..., None in a
+        # free run, and orders is _static_orders' list
         self.g = g
         self.ids, self.index, self.in_ch, self.out_ch = g._tables
         self.in_bounded, self.out_bounded, self.blockable = g._bounded
@@ -453,18 +455,12 @@ class _Simulation:
         self.completions = [0] * len(self.ids)
         self.inflight = [0] * len(self.ids)
         self.budget = state_budget
-        self.schedules = schedules
+        self.orders = orders
         self.list_mode = list_mode
-        self.cores = sorted({c for c in core_of if c is not None})
-        self.busy = {t: False for t in self.cores}
-        if schedules is not None:
-            missing = [a for a, c in zip(self.ids, core_of) if c is None]
-            if missing:
-                raise InfeasibleMappingError(
-                    f"actors {missing} have no core under the imposed schedules")
-            self.orders = self._orders(schedules)
-            self.cursor = [0] * len(self.cores)
-        self.queues: dict[str, deque[int]] = {t: deque() for t in self.cores}
+        cores = len(set(core_of) - {None})
+        self.busy = [False] * cores
+        self.cursor = [0] * cores
+        self.queues: list[deque[int]] = [deque() for _ in range(cores)]
         self.queued = [False] * len(self.ids)
         if list_mode:
             # the actors whose readiness may have changed since the
@@ -473,7 +469,7 @@ class _Simulation:
             self.dirty = set(range(len(self.ids)))
         self.heap: list[tuple] = []
         self.seq = 0
-        self.firing_log: list[tuple[str | None, str]] = []
+        self.firing_log: list[tuple[int | None, str]] = []
         self.block_counts: dict[int, int] = defaultdict(int)
         self.fire_starts = 0
 
@@ -521,42 +517,15 @@ class _Simulation:
         if self.list_mode:
             self.dirty.update(self.wakes[a])
 
-    def _orders(self, schedules) -> list[tuple[tuple[int, ...], int, int]]:
-        # per core, its static order (transient, then cycle) as actor
-        # indices and (end, restart): a cursor reaching end goes back to
-        # restart, the cycle's start.  Without a cycle end is -1, and the
-        # core fires nothing once its transient is done.  The order of a
-        # core that hosts nothing is checked too: it may name no actor.
-        orders = {}
-        for core in sorted({*self.cores, *schedules}):
-            sched = schedules.get(core)
-            nt = 0 if sched is None else len(sched.transient)
-            names = () if sched is None else (*sched.transient, *sched.cycle)
-            order = []
-            for aid in names:
-                a = self.index.get(aid)
-                if a is None or self.core_of[a] != core:
-                    where = ("is no actor of the graph" if a is None else
-                             f"runs on core {self.core_of[a]!r}")
-                    raise InfeasibleMappingError(
-                        f"the static order of core {core!r} names actor "
-                        f"{aid!r}, which {where}")
-                order.append(a)
-            end = len(order) if len(order) > nt else -1
-            orders[core] = (tuple(order), end, nt)
-        return [orders[core] for core in self.cores]
-
     def _fire_phase(self, now) -> int:
         started = 0
-        if self.schedules is not None:
-            for c, core in enumerate(self.cores):
-                if self.busy[core]:
-                    continue
-                order, end, restart = self.orders[c]
+        if self.orders is not None:
+            for c, (order, end, restart) in enumerate(self.orders):
                 pos = self.cursor[c]
-                if pos < len(order) and self._can_fire(order[pos]):
+                if (not self.busy[c] and pos < len(order)
+                        and self._can_fire(order[pos])):
                     self._start(order[pos], now)
-                    self.busy[core] = True
+                    self.busy[c] = True
                     self.cursor[c] = restart if pos + 1 == end else pos + 1
                     started += 1
         elif self.list_mode:
@@ -565,16 +534,12 @@ class _Simulation:
             for a in sorted(self.dirty):
                 if (not self.queued[a] and self.inflight[a] == 0
                         and self._can_fire(a)):
-                    core = self.core_of[a]
-                    if core is None:
-                        raise InfeasibleMappingError(
-                            f"actor {self.ids[a]!r} has no core binding")
-                    self.queues[core].append(a)
+                    self.queues[self.core_of[a]].append(a)
                     self.queued[a] = True
             self.dirty.clear()
-            for core in self.cores:
-                if not self.busy[core] and self.queues[core]:
-                    a = self.queues[core].popleft()
+            for core, queue in enumerate(self.queues):
+                if not self.busy[core] and queue:
+                    a = queue.popleft()
                     self.queued[a] = False
                     self._start(a, now)
                     self.busy[core] = True
@@ -605,10 +570,10 @@ class _Simulation:
             pending_ends[a] = tuple(sorted(pending_ends[a]))
         key = [tuple(self.tokens), tuple(self.space), tuple(pending_ends),
                tuple(sorted(arrivals))]
-        if self.schedules is not None:  # the cursors are kept wrapped
+        if self.orders is not None:  # the cursors are kept wrapped
             key.append(tuple(self.cursor))
         if self.list_mode:
-            key.append(tuple(tuple(self.queues[c]) for c in self.cores))
+            key.append(tuple(map(tuple, self.queues)))
         return tuple(key)
 
     def _count_blocking(self) -> None:
@@ -642,10 +607,10 @@ class _Simulation:
         if self.list_mode:
             # the scheduled run's key: each core's cursor is its number
             # of starts before the first occurrence, its transient length
-            starts: dict = defaultdict(int)
+            starts = [0] * len(self.queues)
             for core, _ in self.firing_log[:log0]:
                 starts[core] += 1
-            key = (*key[:4], tuple(starts[core] for core in self.cores))
+            key = (*key[:4], tuple(starts))
         return ExecutionResult(
             span=now - t0,
             transient_iterations=it0,
@@ -710,36 +675,6 @@ def _in_spikes(g: Sdfg, key: tuple) -> tuple:
             ends, tuple((dt, ci, volume[ci]) for dt, ci in arrivals), *rest)
 
 
-def resolve_platform(g: Sdfg, platform: HardwareGraph | None,
-                     mapping: dict[str, str] | None,
-                     exec_time_scale=1) -> tuple[list, list, list]:
-    """Place the graph on a platform: ``(exec_times, core_of, latency)``.
-
-    ``exec_times`` and ``core_of`` list each actor's execution time and
-    host core in ``g._tables`` order; ``latency`` lists each channel's
-    token latency in channel order.  Under a mapping each actor runs at
-    its host core's execution time (scaled, e.g. by the time-wheel
-    share) and a channel between distinct cores takes the routed link
-    latency, 0 within one core.  Without a platform or a mapping the
-    actors' own execution times apply, no actor has a core and no
-    channel has latency.
-
-    A mapping is placed by the position of each host core among the
-    sorted core ids, which raises :class:`InfeasibleMappingError` naming
-    an unmapped actor, an undeclared core or a missing route, the errors
-    of every placement; the capacity checks are
-    :func:`snnflow.mapping.validate_mapping`'s.
-    """
-    if platform is None or mapping is None:
-        scale = exact_time(exec_time_scale)
-        return ([exact_time(exact_time(a.exec_time) * scale)
-                 for a in g.actors], [None] * len(g.actors),
-                [0] * len(g.channels))
-    picks = _host_positions(g, platform, mapping)
-    times, latency = _placed(g, platform, picks, exec_time_scale)
-    return times, [platform._cores[0][j] for j in picks], latency
-
-
 def _host_positions(g: Sdfg, platform: HardwareGraph,
                     mapping: dict[str, str]) -> list[int]:
     # each actor's host core as its position among the sorted core ids;
@@ -756,9 +691,9 @@ def _host_positions(g: Sdfg, platform: HardwareGraph,
 
 def _placed(g: Sdfg, platform: HardwareGraph, picks, exec_time_scale
             ) -> tuple[list, list]:
-    # resolve_platform's exec_times and latency with actor i on sorted
-    # core picks[i]; raises for the first channel whose cores no route
-    # joins
+    # each actor's execution time in g._tables order, scaled, and each
+    # channel's latency, 0 within one core, with actor i on sorted core
+    # picks[i]; raises for the first channel whose cores no route joins
     src, dst = g._ends[:2]
     routes = platform._tables[1]
     latency = [routes[picks[s]][picks[d]] for s, d in zip(src, dst)]
@@ -771,25 +706,76 @@ def _placed(g: Sdfg, platform: HardwareGraph, picks, exec_time_scale
     return [times[j] for j in picks], latency
 
 
+def _static_orders(g: Sdfg, schedules: dict, core_of: list, names: list
+                   ) -> list[tuple[tuple[int, ...], int, int]]:
+    # per core index k, named names[k], the static order that schedules
+    # imposes (transient, then cycle) as actor indices and (end,
+    # restart): a cursor reaching end goes back to restart, the cycle's
+    # start.  Without a cycle end is -1, and the core fires nothing once
+    # its transient is done.  The order of a core that hosts nothing is
+    # checked too: it may name no actor
+    ids, index = g._tables[:2]
+    missing = [a for a, c in zip(ids, core_of) if c is None]
+    if missing:
+        raise InfeasibleMappingError(
+            f"actors {missing} have no core under the imposed schedules")
+    orders = {}
+    for core in sorted({*names, *schedules}):
+        sched = schedules.get(core)
+        nt = 0 if sched is None else len(sched.transient)
+        order = []
+        for aid in () if sched is None else (*sched.transient, *sched.cycle):
+            a = index.get(aid)
+            if a is None or names[core_of[a]] != core:
+                where = ("is no actor of the graph" if a is None else
+                         f"runs on core {names[core_of[a]]!r}")
+                raise InfeasibleMappingError(
+                    f"the static order of core {core!r} names actor "
+                    f"{aid!r}, which {where}")
+            order.append(a)
+        end = len(order) if len(order) > nt else -1
+        orders[core] = (tuple(order), end, nt)
+    return [orders[core] for core in names]
+
+
 def execute(g: Sdfg, *, schedules=None, platform: HardwareGraph | None = None,
             mapping: dict[str, str] | None = None, exec_time_scale=1,
             state_budget: int = DEFAULT_STATE_BUDGET) -> ExecutionResult:
     """One self-timed run of the graph, the entry point of throughput
     analysis.
 
-    The placement (host cores, execution times, channel latencies, and
-    the unmapped-actor, undeclared-core and missing-route errors) comes
-    from :func:`resolve_platform`; platform capacities are not checked
-    here, :func:`snnflow.mapping.validate_mapping` does that.  Without
-    ``schedules`` the run is free (any ready actor fires); with them,
-    each core follows its static order.  The list-scheduling run that
-    builds those orders is not entered here but through
-    :func:`snnflow.mapping._list_run`.
+    Under a mapping each actor runs at its host core's execution time
+    (scaled, e.g. by the time-wheel share) and a channel between distinct
+    cores takes the routed link latency, 0 within one core; placing it by
+    core index raises :class:`InfeasibleMappingError` for an unmapped
+    actor, an undeclared core or a missing route.  The capacities are
+    :func:`snnflow.mapping.validate_mapping`'s to check.  Without a
+    platform or a mapping the actors' own execution times apply.
+
+    Without ``schedules`` the run is free (any ready actor fires) and
+    takes no cores; with them, core ``k``, the ``k``-th host core in id
+    order, follows its static order, and a state lists the cursors in
+    that order.  The list-scheduling run that builds static orders is
+    entered through :func:`snnflow.mapping._list_run`.
     """
-    placement = resolve_platform(g, platform, mapping, exec_time_scale)
-    sim = _Simulation(g, *placement, schedules=schedules,
-                      state_budget=state_budget)
-    return sim.run()
+    core_of, names, orders = [None] * len(g.actors), [], None
+    if platform is None or mapping is None:
+        scale = exact_time(exec_time_scale)
+        times = [exact_time(exact_time(a.exec_time) * scale)
+                 for a in g.actors]
+        latency = [0] * len(g.channels)
+    else:
+        picks = _host_positions(g, platform, mapping)
+        times, latency = _placed(g, platform, picks, exec_time_scale)
+        if schedules is not None:
+            hosts = sorted(set(picks))
+            rank = {j: k for k, j in enumerate(hosts)}
+            core_of = [rank[j] for j in picks]
+            names = [platform._cores[0][j] for j in hosts]
+    if schedules is not None:
+        orders = _static_orders(g, schedules, core_of, names)
+    return _Simulation(g, times, core_of, latency, orders=orders,
+                       state_budget=state_budget).run()
 
 
 def self_timed_throughput(g: Sdfg, schedules=None,

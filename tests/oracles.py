@@ -30,11 +30,13 @@ import numpy as np
 from snnflow.errors import ConfigError, DeadlockError, InfeasibleMappingError
 from snnflow.lif import LifParams, SpikeTrain, _round_rate
 from snnflow.mapping import (DEFAULT_TIME_WHEEL_SHARE, MappingSolution,
-                             SwarmConfig, _list_run, _schedules_from_log,
-                             _share_to_scale, decode_position,
-                             evaluate_mapping, init_swarm, pso_step)
+                             StaticOrderSchedule, SwarmConfig, _list_run,
+                             _schedules_from_log, _share_to_scale,
+                             decode_position, evaluate_mapping, init_swarm,
+                             pso_step)
 from snnflow.partition import Partition, communication_cost
-from snnflow.sdfg import DEFAULT_STATE_BUDGET, Sdfg, _Simulation
+from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Sdfg, _Simulation,
+                          _static_orders)
 from snnflow.snn_graph import HardwareGraph, SnnGraph, Synapse
 
 
@@ -626,14 +628,22 @@ def reference_evaluate_mapping(g: Sdfg, hw: HardwareGraph,
     The list-scheduling run builds the static orders, then a second,
     self-timed run under those orders gives the throughput and the
     block counts, where :func:`snnflow.mapping.evaluate_mapping` reads
-    them off the first run.
+    them off the first run.  Both runs place core ``k`` on the ``k``-th
+    host core name in sorted order, where the library renames a
+    placement's cores by first occurrence and then back.
     """
-    placement = reference_placement(g, hw, mapping,
-                                    _share_to_scale(time_wheel_share))
-    reference_capacities(g, hw, placement[1])
-    schedules = _schedules_from_log(_list_run(g, placement, state_budget),
-                                    mapping.values())
-    res = _Simulation(g, *placement, schedules=schedules,
+    times, hosts, latency = reference_placement(
+        g, hw, mapping, _share_to_scale(time_wheel_share))
+    reference_capacities(g, hw, hosts)
+    names = sorted(set(hosts))
+    core_of = [names.index(core) for core in hosts]
+    listed = _schedules_from_log(
+        _list_run(g, (times, core_of, latency), state_budget))
+    schedules = {names[k]: StaticOrderSchedule(
+                     names[k], s.transient, s.cycle, s.iterations_per_cycle)
+                 for k, s in listed.items()}
+    res = _Simulation(g, times, core_of, latency,
+                      orders=_static_orders(g, schedules, core_of, names),
                       state_budget=state_budget).run()
     return MappingSolution(dict(mapping), schedules, res.to_throughput(),
                            res.block_counts)

@@ -15,7 +15,8 @@ import oracles
 from conftest import (all_to_all_platform, chain_graph, demo_clustered,
                       layered_snn, lift_bounded, random_chain, random_hsdf,
                       two_core_platform)
-from oracles import reference_decode_position, reference_search_mapping
+from oracles import (reference_decode_position, reference_placement,
+                     reference_search_mapping)
 from test_sdfg import two_core_loop
 
 from snnflow import mapping as mapping_module
@@ -29,10 +30,11 @@ from snnflow.mapping import (MappingSolution, SwarmConfig, Swarm,
                              pso_step, search_mapping, validate_mapping)
 from snnflow.partition import (build_clustered_graph, partition_round,
                                round_seeds)
-from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, Sdfg, execute,
-                          exact_time, lift_to_sdfg, minimum_buffer_allocation,
-                          resolve_platform, sdfg_from_dict,
-                          self_timed_throughput, set_buffer_allocation)
+from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, Sdfg,
+                          _host_positions, _placed, execute, exact_time,
+                          lift_to_sdfg, minimum_buffer_allocation,
+                          sdfg_from_dict, self_timed_throughput,
+                          set_buffer_allocation)
 from snnflow.snn_graph import Core, HardwareGraph, Link
 
 
@@ -277,6 +279,15 @@ def reference_bound(g: Sdfg, times, core_of, latency) -> Fraction:
     return max(ratios, default=0)
 
 
+def placed_by_index(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str],
+                    scale) -> tuple[list, list, list]:
+    """The library's placement of a mapping by core index, its host
+    cores named again."""
+    picks = _host_positions(g, hw, mapping)
+    times, latency = _placed(g, hw, picks, scale)
+    return times, [hw._cores[0][j] for j in picks], latency
+
+
 def test_placing_by_core_index_equals_the_name_based_reference():
     # the platform's and the graph's tables give every placement the
     # reference makes by core name from the routed latencies: the same
@@ -301,7 +312,7 @@ def test_placing_by_core_index_equals_the_name_based_reference():
         placement = evaluate_or_error(oracles.reference_placement, g, hw,
                                       mapping, scale)
         # the hashed states digest reprs, so an int must stay an int
-        assert repr(evaluate_or_error(resolve_platform, g, hw, mapping,
+        assert repr(evaluate_or_error(placed_by_index, g, hw, mapping,
                                       scale)) == repr(placement), case
         want = placement
         if isinstance(placement[0], list):
@@ -766,8 +777,8 @@ def test_pruned_search_equals_the_reference_search(monkeypatch):
         share = [1, 0.5, 1 / 3][seed % 3]
         seen["fraction times"] += any(
             isinstance(exact, Fraction) for exact in
-            resolve_platform(g, hw, {a: "t0" for a in g.actor_ids()},
-                             _share_to_scale(share))[0])
+            reference_placement(g, hw, {a: "t0" for a in g.actor_ids()},
+                                _share_to_scale(share))[0])
         searching = "pruned"
         got = search_or_error(search_mapping, g, hw, cfg, share, rng=seed)
         searching = "reference"
@@ -812,8 +823,8 @@ def test_evaluate_mapping_equals_the_two_run_reference():
                                    for s in want.schedules.values())
             seen["fractional period"] += want.throughput.period % 1 != 0
             seen["blocked"] += any(want.block_counts.values())
-            listed = _list_run(g, resolve_platform(
-                g, hw, mapping, _share_to_scale(args[3])), args[4])
+            listed = _list_run(g, _placement_class(reference_placement(
+                g, hw, mapping, _share_to_scale(args[3]))), args[4])
             seen["reduced cycle"] += any(
                 s.iterations_per_cycle < listed.iterations_per_cycle
                 for s in want.schedules.values())
@@ -823,6 +834,51 @@ def test_evaluate_mapping_equals_the_two_run_reference():
             seen["list deadlock"] += message.startswith("list scheduling")
             seen["over budget"] += kind is BudgetExceededError
             seen["capped"] += "connections" in message
+    assert all(seen.values()), seen
+
+
+def test_a_scheduled_run_ranks_its_cores_by_id():
+    # execute numbers the host cores in core-id order, whatever order the
+    # platform declares them in and the actors first occupy them, so a
+    # scheduled run's state lists its cursors as the two-run reference's
+    # does: the same exact period, steady-state hash and block counts,
+    # which are also evaluate_mapping's
+    rng = np.random.default_rng(83)
+    seen = {"rated": 0, "cursors differ": 0, "fractional period": 0,
+            "refused": 0}
+    for case in range(90):
+        g = random_design(case)
+        base = mixed_platform(rng, mesh=case % 2 == 1, caps=False)
+        turn = 1 + case % 3  # the cores declared rotated by turn
+        hw = HardwareGraph(base.cores[turn:] + base.cores[:turn], base.links)
+        assert hw.core_ids() != sorted(hw.core_ids())
+        drawn = {a: f"t{int(rng.integers(0, 4))}" for a in g.actor_ids()}
+        hosts = list(dict.fromkeys(drawn.values()))
+        if len(hosts) < 2:
+            continue
+        # rename the cores so that they first host an actor in
+        # descending id order
+        renamed = dict(zip(hosts, sorted(hosts, reverse=True)))
+        mapping = {a: renamed[core] for a, core in drawn.items()}
+        share = [1, 0.5, 1 / 3][case % 3]
+        scale = _share_to_scale(share)
+        want = evaluate_or_error(oracles.reference_evaluate_mapping, g, hw,
+                                 mapping, share)
+        assert evaluate_or_error(evaluate_mapping, g, hw, mapping,
+                                 share) == want, case
+        if not isinstance(want, MappingSolution):
+            seen["refused"] += 1
+            continue
+        res = execute(g, schedules=want.schedules, platform=hw,
+                      mapping=mapping, exec_time_scale=scale)
+        listed = _list_run(g, _placement_class(reference_placement(
+            g, hw, mapping, scale)), DEFAULT_STATE_BUDGET)
+        assert res.period_exact == listed.period_exact, case
+        assert res.to_throughput() == want.throughput, case
+        assert res.block_counts == want.block_counts, case
+        seen["rated"] += 1
+        seen["cursors differ"] += len(set(res.steady_state[-1])) > 1
+        seen["fractional period"] += res.period_exact % 1 != 0
     assert all(seen.values()), seen
 
 
@@ -848,8 +904,8 @@ def test_period_lower_bound_is_below_the_scheduled_period():
         cores = hw.core_ids()
         mapping = {a: cores[int(rng.integers(0, len(cores)))]
                    for a in g.actor_ids()}
-        bound = _period_lower_bound(g, *resolve_platform(g, hw, mapping,
-                                                         scale))
+        bound = _period_lower_bound(g, *reference_placement(g, hw, mapping,
+                                                            scale))
         try:
             schedules = build_schedules(g, hw, mapping, share)
             res = execute(g, schedules=schedules, platform=hw,
@@ -876,7 +932,8 @@ def test_period_lower_bound_leaves_out_small_buffers_and_self_loops():
               Channel("b", "c", capacity=0, volume=3),
               Channel("c", "c", tokens=1, capacity=1)))
     hw = all_to_all_platform(3, latency=5)
-    placement = resolve_platform(g, hw, {"a": "t0", "b": "t1", "c": "t2"})
+    placement = reference_placement(g, hw,
+                                    {"a": "t0", "b": "t1", "c": "t2"})
     assert _period_lower_bound(g, *placement) == 1  # exec(b)
 
 
@@ -916,8 +973,8 @@ def test_search_floor_is_below_every_feasible_period():
             mapping = dict(zip(g.actor_ids(), cores))
             try:
                 validate_mapping(g, hw, mapping)
-                placement = resolve_platform(g, hw, mapping, scale)
-                period = _list_run(g, placement,
+                placement = reference_placement(g, hw, mapping, scale)
+                period = _list_run(g, _placement_class(placement),
                                    DEFAULT_STATE_BUDGET).period_exact
             except (InfeasibleMappingError, DeadlockError):
                 continue
@@ -1022,7 +1079,7 @@ def test_grouping_floor_is_below_every_fitting_placement():
                 load[core] += a.weight
             if any(load[c] > caps[c] for c in caps):
                 continue
-            placement = resolve_platform(
+            placement = reference_placement(
                 g, hw, dict(zip(g.actor_ids(), cores)), scale)
             bound = _period_lower_bound(g, *placement)
             assert floor <= bound, (seed, cores)
@@ -1065,8 +1122,8 @@ def counting_calls(monkeypatch, calls: dict[str, list]):
 
 def class_of(g: Sdfg, hw: HardwareGraph, mapping: dict[str, str], share
              ) -> tuple:
-    return _placement_class(resolve_platform(g, hw, mapping,
-                                             _share_to_scale(share)))
+    return _placement_class(reference_placement(g, hw, mapping,
+                                                _share_to_scale(share)))
 
 
 def test_search_probe_rates_no_row_above_the_floor_or_after_the_hit(
@@ -1104,7 +1161,7 @@ def test_search_probe_rates_no_row_above_the_floor_or_after_the_hit(
 
         def rounded_bound(mapping):
             return float(_period_lower_bound(
-                g, *resolve_platform(g, hw, mapping, scale)))
+                g, *reference_placement(g, hw, mapping, scale)))
 
         probed = [class_of(g, hw, m, share) for m in rows[:hit + 1]
                   if m is not None and rounded_bound(m) <= floor]
@@ -1244,8 +1301,8 @@ def test_every_core_renaming_reads_the_class_rating(monkeypatch):
                                         *args)
             assert got == want, (case, perm)
             cls, base = (class_of(g, hw, a, share) for a in (renamed, first))
-            times, _, latency = resolve_platform(g, hw, renamed,
-                                                 _share_to_scale(share))
+            times, _, latency = reference_placement(g, hw, renamed,
+                                                    _share_to_scale(share))
             # the class is what the simulation reads, up to core names
             assert (cls == base) == (times == list(base[0])
                                      and latency == list(base[2])), case

@@ -9,16 +9,18 @@ import pytest
 
 from conftest import (chain_graph, demo_clustered, lift_bounded, random_chain,
                       random_hsdf)
-from oracles import OracleDeadlock, mcm_period, reference_throughput
+from oracles import (OracleDeadlock, mcm_period, reference_placement,
+                     reference_throughput)
 
 from snnflow.errors import (DeadlockError, GraphValidationError,
                             InfeasibleCapacityError, InfeasibleMappingError)
-from snnflow.mapping import StaticOrderSchedule, _list_run, build_schedules
+from snnflow.mapping import (StaticOrderSchedule, _list_run,
+                             _placement_class, build_schedules)
 from snnflow.sdfg import (DEFAULT_STATE_BUDGET, Actor, Channel, DeadlockReport,
                           Sdfg, check_deadlock, execute, lift_to_sdfg,
                           load_sdfg, minimum_buffer_allocation,
-                          repetition_vector, resolve_platform, save_sdfg,
-                          sdfg_from_dict, sdfg_to_dict, self_timed_throughput,
+                          repetition_vector, save_sdfg, sdfg_from_dict,
+                          sdfg_to_dict, self_timed_throughput,
                           set_buffer_allocation)
 from snnflow.snn_graph import Core, HardwareGraph, Link, _dump_yaml
 
@@ -279,7 +281,8 @@ def test_steady_state_hash_is_pinned():
     assert (res.period_exact, res.steady_state_hash) == (2, "7017f43dd4d0")
     g, hw, m = two_core_loop()
     # the list run's state is that of the run under the orders it builds
-    res = _list_run(g, resolve_platform(g, hw, m), DEFAULT_STATE_BUDGET)
+    res = _list_run(g, _placement_class(reference_placement(g, hw, m)),
+                    DEFAULT_STATE_BUDGET)
     assert (res.period_exact, res.steady_state_hash) == (3, "aa82cc024e9a")
     res = execute(g, schedules=build_schedules(g, hw, m), platform=hw,
                   mapping=m)
@@ -314,6 +317,19 @@ def test_order_of_a_core_hosting_nothing_must_be_empty(actor, where):
     schedules["t1"] = StaticOrderSchedule("t1", (), (), 1)
     assert self_timed_throughput(g, schedules=schedules, platform=hw,
                                  mapping={"a": "t0"}).throughput == 1.0
+
+
+@pytest.mark.parametrize("hw", [
+    None, HardwareGraph((Core("t0", 4, 1), Core("t1", 4, 1)))],
+    ids=["no-platform", "platform"])
+def test_imposed_orders_without_a_mapping_are_infeasible(hw):
+    # without a mapping no actor has a core for its order to run on
+    g = cycle2()
+    schedules = {"t0": StaticOrderSchedule("t0", (), ("a", "b"), 1)}
+    message = "actors ['a', 'b'] have no core under the imposed schedules"
+    with pytest.raises(InfeasibleMappingError, match=re.escape(message)):
+        self_timed_throughput(g, schedules=schedules, platform=hw)
+    assert self_timed_throughput(g, platform=hw).period == 5
 
 
 def test_transient_only_order_fires_nothing_after_its_transient():

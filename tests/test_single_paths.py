@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (all_to_all_platform, demo_clustered, layered_demo_snn,
                       layered_snn, lift_bounded, partition_rounds)
+from oracles import reference_placement
 
 import snnflow
 from snnflow import dse, mapping, sdfg
@@ -67,18 +68,20 @@ def test_one_partition_round_pipeline():
 
 def test_one_placement():
     # the platform's tables alone read its routes, and one pass places
-    # the actors on core indexes through them: resolve_platform after
-    # mapping core names to indexes, and _place for the search, the
-    # evaluation and the validation.  Every other pass reads the cached
+    # the actors on core indexes through them: _place for the search, the
+    # evaluation and the validation, and the same two steps in execute
+    # and build_schedules, which check no capacity.  No pass maps core
+    # indexes back to names for a run.  Every other pass reads the cached
     # per-graph tables, and no pass asks for a repetition vector: every
     # actor fires once per iteration
     assert callers_by_method("routed_latencies") == [
         ("snn_graph.py", "HardwareGraph._tables")]
     assert callers_of("_placed") == [("mapping.py", "_place"),
-                                     ("sdfg.py", "resolve_platform")]
+                                     ("mapping.py", "build_schedules"),
+                                     ("sdfg.py", "execute")]
     assert callers_of("_host_positions") == [
-        ("mapping.py", "_evaluate_in"), ("mapping.py", "validate_mapping"),
-        ("sdfg.py", "resolve_platform")]
+        ("mapping.py", "_evaluate_in"), ("mapping.py", "build_schedules"),
+        ("mapping.py", "validate_mapping"), ("sdfg.py", "execute")]
     assert callers_of("repetition_vector") == []
 
 
@@ -105,9 +108,14 @@ def test_one_builder_of_allocated_graphs():
 
 def test_two_ways_into_the_simulator():
     # a self-timed run (analysis) and the list-scheduling run that
-    # builds static orders and is also the rating of the run under them
+    # builds static orders and is also the rating of the run under them;
+    # both place the actors on core indexes, and only execute turns
+    # static orders, which name cores, into orders by core index
     assert callers_of("_Simulation") == [("mapping.py", "_list_run"),
                                          ("sdfg.py", "execute")]
+    assert callers_of("_static_orders") == [("sdfg.py", "execute")]
+    assert callers_of("_placement_class") == [
+        ("mapping.py", "_place"), ("mapping.py", "build_schedules")]
 
 
 def nodes_by_method():
@@ -173,15 +181,17 @@ def test_only_the_spike_edges_read_a_channel_volume():
 def test_one_table_of_rated_designs():
     # the search bounds and rates through the table it is given, and the
     # reuse sweep rates its one kept mapping through the same table; a
-    # second cache of ratings would have to call these from somewhere else
+    # second cache of ratings would have to call these from somewhere else.
+    # build_schedules, which the flow does not call, rates one mapping
+    # with no table, and every rating is a class's list run
     assert callers_of("_period_lower_bound") == [("mapping.py", "_place")]
     assert callers_of("_place") == [("mapping.py", "_evaluate_in"),
                                     ("mapping.py", "search_mapping"),
                                     ("mapping.py", "validate_mapping")]
     assert callers_of("_rate_class") == [("mapping.py", "_evaluate_in"),
+                                         ("mapping.py", "build_schedules"),
                                          ("mapping.py", "search_mapping")]
-    assert callers_of("_list_run") == [("mapping.py", "_rate_class"),
-                                       ("mapping.py", "build_schedules")]
+    assert callers_of("_list_run") == [("mapping.py", "_rate_class")]
     # the flow rates designs only through the round's table
     raters = {"evaluate_mapping", "_evaluate_in", "_rate_class", "_list_run",
               "build_schedules", "search_mapping", "execute",
@@ -257,8 +267,8 @@ def test_a_partition_holds_no_switches():
 
 
 def test_evaluate_mapping_places_once(monkeypatch):
-    # one placement by core index, and none by core name besides it
-    calls = {"_place": [], "_placed": [], "resolve_platform": []}
+    # one placement by core index
+    calls = {"_place": [], "_placed": [], "_host_positions": []}
 
     def counting(name, place):
         def wrapped(*args, **kwargs):
@@ -275,7 +285,7 @@ def test_evaluate_mapping_places_once(monkeypatch):
     mapping.evaluate_mapping(g, all_to_all_platform(2),
                              {"c0": "t0", "c1": "t1", "c2": "t1"})
     assert {name: len(c) for name, c in calls.items()} == \
-        {"_place": 1, "_placed": 1, "resolve_platform": 0}
+        {"_place": 1, "_placed": 1, "_host_positions": 1}
 
 
 def test_evaluate_mapping_runs_one_simulation(monkeypatch):
@@ -342,7 +352,7 @@ def test_refine_leaves_the_adjacency_view_unchanged():
 DELETED = {"partition": ("iterate_partitions",),
            "dse": ("dominates", "MAX_UNIFORM_LEVEL"),
            "lif": ("step_neuron", "synaptic_current", "constant_current_isi"),
-           "sdfg": ("buffer_quantum", "_solve_balance")}
+           "sdfg": ("buffer_quantum", "_solve_balance", "resolve_platform")}
 
 
 @pytest.mark.parametrize("module,names", sorted(DELETED.items()))
@@ -381,13 +391,16 @@ def test_deleted_members_and_settings_stay_gone():
     # its checked document and do not test it again
     assert format_readers() == [("snn_graph.py", "_load_yaml")]
     # a list run's own result is its rating: nothing walks its recorded
-    # states again, and none are kept; a wait names only what it needs
+    # states again, and none are kept; a wait names only what it needs.
+    # The run knows its cores as indexes: no names, no set of them, and
+    # its per-core state in lists
     g = lift_bounded(demo_clustered())
-    sim = sdfg._Simulation(g, *sdfg.resolve_platform(
-        g, all_to_all_platform(2), {"c0": "t0", "c1": "t1", "c2": "t1"}),
+    sim = sdfg._Simulation(g, *mapping._placement_class(reference_placement(
+        g, all_to_all_platform(2), {"c0": "t0", "c1": "t1", "c2": "t1"})),
         list_mode=True)
     sim.run()
-    assert not {"replay", "states", "recurring"} & set(dir(sim))
+    assert not {"replay", "states", "recurring", "cores"} & set(dir(sim))
+    assert type(sim.busy) is list and type(sim.queues) is list
     assert sdfg.Wait._fields == ("actor", "channel", "kind", "peer", "needs")
 
 
